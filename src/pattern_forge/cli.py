@@ -2,8 +2,10 @@
 suites and benchmarks, all emitting canonical JSON.
 
 Exit codes are part of the machine contract: 0 for found/verified, 1 for
-exhausted/counterexample, 2 for inconclusive, 64 for usage errors.
-stdout carries exactly one JSON document; stderr is for humans.
+exhausted/counterexample, 2 for inconclusive, 64 for usage errors
+(bad flags, malformed input, unmet preconditions).  stdout carries
+exactly one JSON document, or nothing on a usage error; stderr is for
+humans.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 
 from . import __version__
 from .colourings import BranchSet, delta_colouring, resolve_colouring
-from .groups import GroupSpec, element_from_jsonable
+from .groups import GroupSpec, PreconditionError, element_from_jsonable
 from .patterns import SearchConfig, search
 from .tokens import canonical_json
 from .verify import (BranchSetDomain, GroupDomain, check_fs_matrix_identities,
@@ -60,8 +62,10 @@ def _emit(args, result: dict, nodes: int) -> None:
     if getattr(args, "out", None):
         manifest = {
             "command": args.command,
+            # threads is run-only: leaving it out keeps equal results
+            # in byte-equal files
             "config": {k: v for k, v in vars(args).items()
-                       if k not in ("command", "func") and v is not None},
+                       if k not in ("command", "threads") and v is not None},
             "version": __version__,
             "inputs": [],
             "outputs": [args.out],
@@ -110,6 +114,17 @@ def _require(parser, args, names):
             parser.error(f"--claim {args.claim} requires --{name}")
 
 
+def _verify_fs(args, colouring_id: str, domain, n: int):
+    """The finite-sums oracle, refusing a region that holds no n-subsets:
+    its "verified" would be vacuous."""
+    size = len(domain.points())
+    if n > size:
+        raise PreconditionError(
+            f"n = {n} exceeds the {size} points of the domain")
+    return find_monochromatic_fs(colouring_id, domain, n,
+                                 budget=args.budget, claim=args.claim)
+
+
 def cmd_verify(parser, args) -> int:
     claim = args.claim
     if claim == "lemma3.1":
@@ -118,13 +133,11 @@ def cmd_verify(parser, args) -> int:
     elif claim == "thm3.2":
         _require(parser, args, ["dim", "bound", "n"])
         domain = GroupDomain(GroupSpec.integer_box(args.bound, args.dim))
-        cert = find_monochromatic_fs("sum_squares", domain, args.n,
-                                     budget=args.budget, claim="thm3.2")
+        cert = _verify_fs(args, "sum_squares", domain, args.n)
     elif claim == "thm4.1":
         _require(parser, args, ["kappa", "max-set"])
         domain = BranchSetDomain(args.kappa, args.max_set)
-        cert = find_monochromatic_fs("delta", domain, 2,
-                                     budget=args.budget, claim="thm4.1")
+        cert = _verify_fs(args, "delta", domain, 2)
     elif claim == "thm5.4":
         _require(parser, args, ["group"])
         cert = find_monochromatic_ap("product_sigma",
@@ -329,7 +342,7 @@ def main(argv=None) -> int:
         raise
     except (ValueError, KeyError) as exc:
         print(f"pattern-forge: {exc}", file=sys.stderr)
-        return EXIT_USAGE + 1
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

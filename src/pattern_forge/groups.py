@@ -361,6 +361,11 @@ class Element:
     parent: GroupSpec
     coords: tuple
 
+    def __hash__(self):
+        # equality still compares parent; hashing it too would re-hash
+        # every factor of the spec on each dict or set lookup
+        return hash(self.coords)
+
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented

@@ -126,6 +126,18 @@ class BranchSetDomain:
                 "max_size": self.max_size}
 
 
+def _cached(colour):
+    """The colouring behind a dict cache: each point is coloured once."""
+    cache: dict = {}
+
+    def col(x):
+        t = cache.get(x)
+        if t is None:
+            t = cache[x] = colour(x)
+        return t
+    return col
+
+
 def _point_jsonable(x):
     return x.jsonable()
 
@@ -146,34 +158,57 @@ def _resolve_for_domain(colouring_id: str, domain):
 # monochromatic finite-sum sets
 
 
+def _lex_rank(combo: Sequence[int], size: int) -> int:
+    """Position of the increasing index tuple `combo` in the lex order of
+    itertools.combinations(range(size), len(combo)), by the combinatorial
+    number system applied to the complemented indices."""
+    k = len(combo)
+    return math.comb(size, k) - 1 - sum(
+        math.comb(size - 1 - c, k - i) for i, c in enumerate(combo))
+
+
 def find_monochromatic_fs(colouring_id: str, domain, n: int,
                           budget: Optional[int] = None,
                           claim: str = "fs") -> Certificate:
-    """Enumerate all n-subsets of the domain in canonical order, looking
-    for one whose full subset-sum set is a single colour.  "verified"
-    means complete enumeration found none."""
+    """Look for an n-subset of the domain whose full subset-sum set is a
+    single colour; "verified" means the whole lex-ordered region of
+    n-subsets holds none.
+
+    The singletons are among the subset sums, so a qualifying set lies in
+    one colour class of the points.  Only combinations inside one class
+    are tested; the rest of the region is covered without evaluation.
+    `enumerated` still counts the lex-ordered region: C(N, n) when
+    verified, the budget when inconclusive, and one past the lex rank of
+    the first qualifying combination on a counterexample."""
+    if n < 1:
+        raise PreconditionError(f"need n >= 1, got {n}")
     colour = _resolve_for_domain(colouring_id, domain)
     points = domain.points()
-    cache: dict = {}
-
-    def col(x):
-        t = cache.get(x)
-        if t is None:
-            t = cache[x] = colour(x)
-        return t
-
+    col = _cached(colour)
     desc = {"colouring": colouring_id, "n": n, **domain.describe()}
-    examined = 0
-    for combo in itertools.combinations(points, n):
-        if budget is not None and examined >= budget:
-            return Certificate(claim, desc, INCONCLUSIVE, examined)
-        examined += 1
-        sums = domain.subset_sums(combo)
-        first = col(sums[0])
-        if all(col(s) == first for s in sums[1:]):
-            witness = _recheck_fs_witness(colour, domain, combo)
-            return Certificate(claim, desc, COUNTEREXAMPLE, examined, witness)
-    return Certificate(claim, desc, VERIFIED, examined)
+    total = math.comb(len(points), n)
+    limit = total if budget is None else max(0, min(budget, total))
+
+    classes: dict = {}
+    for i, x in enumerate(points):
+        classes.setdefault(col(x), []).append(i)
+    best = None
+    for token, members in classes.items():
+        for idxs in itertools.combinations(members, n):
+            rank = _lex_rank(idxs, len(points))
+            if rank >= limit:
+                break  # ranks rise along the class's own lex order
+            sums = domain.subset_sums([points[i] for i in idxs])
+            if all(col(s) == token for s in sums):
+                limit, best = rank, idxs
+                break
+    if best is not None:
+        witness = _recheck_fs_witness(colour, domain,
+                                      [points[i] for i in best])
+        return Certificate(claim, desc, COUNTEREXAMPLE, limit + 1, witness)
+    if limit < total:
+        return Certificate(claim, desc, INCONCLUSIVE, limit)
+    return Certificate(claim, desc, VERIFIED, total)
 
 
 def _recheck_fs_witness(colour, domain, combo) -> dict:
@@ -301,13 +336,7 @@ def find_monochromatic_ap(colouring_id: str, spec: GroupSpec) -> Certificate:
     points = list(spec.enumerate())
     desc = {"colouring": colouring_id,
             "factors": spec.jsonable()["factors"], "size": spec.size()}
-    cache: dict = {}
-
-    def col(x):
-        t = cache.get(x)
-        if t is None:
-            t = cache[x] = colour(x)
-        return t
+    col = _cached(colour)
 
     examined = 0
     for a in points:
@@ -360,13 +389,7 @@ def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
     desc = {"colouring": colouring_id,
             "factors": spec.jsonable()["factors"], "size": spec.size(),
             "full_lattice": full_lattice}
-    cache: dict = {}
-
-    def col(x):
-        t = cache.get(x)
-        if t is None:
-            t = cache[x] = colour(x)
-        return t
+    col = _cached(colour)
 
     if full_lattice:
         subgroups = _all_subgroups(spec)

@@ -8,6 +8,7 @@ of a qualifying tuple into one class.
 """
 
 import itertools
+import operator
 
 from pattern_forge.patterns import Pattern, is_adequate
 
@@ -33,13 +34,27 @@ def naive_find_adequate(n, m, l_max, bound=None):
     return None
 
 
-def naive_subset_sums(xs):
+def naive_subset_sums(xs, add=operator.add):
     """All nonempty-subset sums of a list of elements, no shared helpers."""
     out = []
     for k in range(1, len(xs) + 1):
         for combo in itertools.combinations(xs, k):
             total = combo[0]
             for x in combo[1:]:
-                total = total + x
+                total = add(total, x)
             out.append(total)
     return out
+
+
+def naive_fs_scan(colour, points, n, budget=None, add=operator.add):
+    """Plain lex scan over every n-subset of points for one whose subset
+    sums all share a colour: (status, enumerated, combo or None), with
+    the certificate conventions of the finite-sums oracle."""
+    examined = 0
+    for combo in itertools.combinations(points, n):
+        if budget is not None and examined >= budget:
+            return "inconclusive", examined, None
+        examined += 1
+        if len({colour(s) for s in naive_subset_sums(combo, add)}) == 1:
+            return "counterexample", examined, combo
+    return "verified", examined, None

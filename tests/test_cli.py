@@ -70,6 +70,19 @@ def test_search_out_file_embeds_manifest(tmp_path, capsys):
     assert manifest["config"]["n"] == 2
 
 
+def test_out_file_bytes_do_not_depend_on_threads(tmp_path, capsys):
+    out_file = tmp_path / "result.json"
+    files = []
+    for threads in ("1", "8"):
+        code, _, _ = run(capsys, "search", "--n", "2", "--m", "3",
+                         "--l-max", "3", "--threads", threads,
+                         "--out", str(out_file))
+        assert code == 0
+        files.append(out_file.read_bytes())
+    assert files[0] == files[1]
+    assert "threads" not in json.loads(files[0])["manifest"]["config"]
+
+
 def test_search_threads_do_not_change_output(capsys):
     argv = ["search", "--n", "3", "--m", "2", "--l-max", "8"]
     _, out1, _ = run(capsys, *argv, "--threads", "1")
@@ -157,6 +170,15 @@ def test_verify_counterexample_exit_one(capsys):
                        "--dim", "3", "--bound", "1", "--n", "2")
     assert code == 1
     assert json.loads(out)["status"] == "counterexample"
+
+
+def test_verify_vacuous_region_is_usage_error(capsys):
+    # [-1, 1]^2 has 9 points, so there are no 20-subsets to certify
+    code, out, err = run(capsys, "verify", "--claim", "thm3.2",
+                         "--dim", "2", "--bound", "1", "--n", "20")
+    assert code == 64
+    assert out == ""
+    assert "20" in err
 
 
 def test_verify_unknown_claim(capsys):

@@ -77,6 +77,15 @@ def test_mismatched_specs_raise():
         Z3_2.element([1, 1]) + Z2_2.element([1, 1])
 
 
+def test_equal_coords_in_different_specs_stay_unequal():
+    # the hash reads coords only; equality must still tell the specs apart
+    x, y = Z3_2.element([1, 1]), Z2_2.element([1, 1])
+    assert hash(x) == hash(y)
+    assert x != y
+    assert len({x, y}) == 2
+    assert x == Z3_2.element([4, 1]) and hash(x) == hash(Z3_2.element([4, 1]))
+
+
 def test_group_laws_exhaustive_on_small_spec():
     elems = list(Z3_2.enumerate())
     for x, y in itertools.product(elems, repeat=2):

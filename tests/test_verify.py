@@ -1,11 +1,14 @@
 import json
+import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pattern_forge.colourings import resolve_colouring
-from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
+from pattern_forge.colourings import (BranchSet, delta_colouring,
+                                      resolve_colouring)
+from pattern_forge.groups import (Cyclic, GroupSpec, PreconditionError, PrimePower,
                                   fs_matrix, IndexedMatrix, order, supp)
 from pattern_forge.tokens import ColourToken
 from pattern_forge.verify import (BranchSetDomain, DeltaSystem,
@@ -17,6 +20,8 @@ from pattern_forge.verify import (BranchSetDomain, DeltaSystem,
                                   find_monochromatic_subgroup,
                                   fs_support_growth_check, no_seven_norms,
                                   prime_exponent_extract)
+
+from naive import naive_fs_scan
 
 
 # -- monochromatic finite sums ---------------------------------------------------
@@ -53,6 +58,54 @@ def test_fs_sum_squares_no_monochromatic_triples_in_small_box():
     cert = find_monochromatic_fs("sum_squares", domain, 3, claim="thm3.2")
     assert cert.status == "verified"
     assert cert.enumerated == 317750  # C(125, 3)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_fs_refuses_empty_sets(n):
+    domain = GroupDomain(GroupSpec.integer_box(1, 2))
+    with pytest.raises(PreconditionError):
+        find_monochromatic_fs("sum_squares", domain, n)
+
+
+_FS_CASES = st.one_of(
+    st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]).map(
+        lambda bd: ("sum_squares", GroupDomain(GroupSpec.integer_box(*bd)))),
+    st.builds(lambda ms: ("product_sigma", GroupDomain(GroupSpec(
+        tuple(Cyclic(m) for m in ms)))),
+        st.lists(st.integers(2, 5), min_size=1, max_size=2)),
+    st.just(("delta", BranchSetDomain(2, 2))),
+)
+
+
+@given(_FS_CASES, st.integers(1, 3), st.data())
+@settings(max_examples=120)
+def test_fs_class_pruning_agrees_with_naive_scan(case, n, data):
+    colouring_id, domain = case
+    points = domain.points()
+    if n > len(points):
+        n = len(points)
+    budget = data.draw(st.none() | st.integers(0, math.comb(len(points), n)))
+    colour, add = ((delta_colouring, BranchSet.symmetric_difference)
+                   if colouring_id == "delta"
+                   else (resolve_colouring(colouring_id), operator.add))
+    status, enumerated, combo = naive_fs_scan(colour, points, n, budget, add)
+    cert = find_monochromatic_fs(colouring_id, domain, n, budget=budget)
+    assert (cert.status, cert.enumerated) == (status, enumerated)
+    if combo is None:
+        assert cert.witness is None
+    else:
+        assert cert.witness["x"] == [x.jsonable() for x in combo]
+
+
+@pytest.mark.parametrize("bound,dim,enumerated", [(1, 3, 40), (2, 3, 315)])
+def test_fs_counterexample_rank_matches_naive_scan(bound, dim, enumerated):
+    # the witness sits deep in the lex order, past other colour classes
+    domain = GroupDomain(GroupSpec.integer_box(bound, dim))
+    naive = naive_fs_scan(resolve_colouring("sum_squares"), domain.points(), 2)
+    cert = find_monochromatic_fs("sum_squares", domain, 2)
+    assert naive[:2] == ("counterexample", enumerated)
+    assert (cert.status, cert.enumerated) == naive[:2]
+    assert cert.witness["x"] == [x.jsonable() for x in naive[2]]
 
 
 def test_fs_certificates_are_reproducible():
