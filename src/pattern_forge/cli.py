@@ -3,8 +3,9 @@ suites and benchmarks, all emitting canonical JSON.
 
 Exit codes are part of the machine contract: 0 for found/verified, 1 for
 exhausted/counterexample, 2 for inconclusive, 64 for usage errors
-(bad flags, malformed input, unmet preconditions).  stdout carries
-exactly one JSON document, or nothing on a usage error; stderr is for
+(bad flags, malformed input, unmet preconditions), 70 for an internal
+error (any other exception; sysexits EX_SOFTWARE).  stdout carries
+exactly one JSON document, or nothing on exit 64 or 70; stderr is for
 humans.
 """
 
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import __version__
 from .colourings import BranchSet, delta_colouring, resolve_colouring
@@ -30,6 +32,10 @@ EXIT_FOUND = 0
 EXIT_NONE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
+
+# the claims whose oracles read --budget; the others refuse it
+_BUDGET_CLAIMS = ("lemma3.1", "thm3.2", "thm4.1")
 
 _STATUS_EXIT = {
     "found": EXIT_FOUND,
@@ -57,8 +63,7 @@ def _default_threads() -> int:
 
 
 def _emit(args, result: dict, nodes: int) -> None:
-    text = canonical_json(result)
-    print(text)
+    # the file goes first: if writing it fails, stdout stays empty
     if getattr(args, "out", None):
         manifest = {
             "command": args.command,
@@ -74,6 +79,7 @@ def _emit(args, result: dict, nodes: int) -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(canonical_json({"manifest": manifest, "result": result}))
             fh.write("\n")
+    print(canonical_json(result))
 
 
 def _parse_group(parser, text: str) -> GroupSpec:
@@ -95,7 +101,6 @@ def cmd_search(parser, args) -> int:
     try:
         cfg = SearchConfig(n=args.n, m=args.m, l_max=args.l_max,
                            l_min=args.l_min, entry_bound=args.entry_bound,
-                           deterministic=not args.nondeterministic,
                            threads=args.threads, node_cap=args.node_cap)
     except ValueError as exc:
         parser.error(str(exc))
@@ -127,6 +132,8 @@ def _verify_fs(args, colouring_id: str, domain, n: int):
 
 def cmd_verify(parser, args) -> int:
     claim = args.claim
+    if args.budget is not None and claim not in _BUDGET_CLAIMS:
+        parser.error(f"--claim {claim} does not take --budget")
     if claim == "lemma3.1":
         _require(parser, args, ["dim", "bound"])
         cert = no_seven_norms(args.dim, args.bound, budget=args.budget)
@@ -202,9 +209,9 @@ def cmd_colour(parser, args) -> int:
             spec = GroupSpec.integer_box(bound, len(raw))
         x = element_from_jsonable(spec, raw)
         token = colour(x)
-    print(token.to_json())
     if args.out:
         _emit_token_file(args, token)
+    print(token.to_json())
     return 0
 
 
@@ -296,7 +303,6 @@ def build_parser() -> _Parser:
     p.add_argument("--entry-bound", type=int)
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--node-cap", type=int)
-    p.add_argument("--nondeterministic", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run a certificate oracle")
@@ -343,6 +349,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"pattern-forge: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a crash must not exit with a result code
+        traceback.print_exc()
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -137,7 +137,6 @@ class SearchConfig:
     l_max: int
     l_min: int = 1
     entry_bound: Optional[int] = None
-    deterministic: bool = True
     threads: int = 1
     node_cap: Optional[int] = None
 
@@ -266,7 +265,23 @@ _FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
 
 
 class _LengthSearch:
-    """Depth-first search over column sequences of one fixed length."""
+    """Depth-first search over column sequences of one fixed length.
+
+    Only canonical patterns are explored: rows in strictly ascending lex
+    order, and a first signature entry s0 with s0 == gcd(s0, m) (s0 > 0
+    at m = 0).  Row order is kept by a bitmask `tied` whose bit i says
+    rows i and i + 1 agree on every column so far; on a tied pair only
+    columns with c[i] <= c[i+1] are allowed, and the pair unties at the
+    first <.  The allowed columns are precomputed per tie mask.
+
+    Sound per length: permuting rows keeps the subset sums, and scaling
+    by a unit u of Z/m maps every signature entry s to u*s.  Given any
+    adequate pattern of length l, scale it by the unit sending s0 to
+    gcd(s0, m) (s0 and gcd(s0, m) are associates in Z/m; at m = 0 scale
+    by -1 if s0 < 0, which keeps the entry bound), then sort its rows.
+    The rows are distinct, so they end up strictly ascending: a canonical
+    adequate pattern of the same length.
+    """
 
     def __init__(self, n: int, m: int, l: int, entry_bound, budget: _NodeBudget):
         self.n = n
@@ -275,9 +290,24 @@ class _LengthSearch:
         self.budget = budget
         self.n_masks = (1 << n) - 1
         alphabet = _column_alphabet(n, m, entry_bound)
-        self.columns = alphabet
-        self.profiles = [_column_profile(c, n, m) for c in alphabet]
-        self.groups = _constraint_groups(n, self.profiles)
+        profiles = [_column_profile(c, n, m) for c in alphabet]
+        self.groups = _constraint_groups(n, profiles)
+        # choices[tied]: (column, profile, next tie mask) in lex order
+        self.choices = []
+        for tied in range(1 << (n - 1)):
+            pairs = [i for i in range(n - 1) if tied >> i & 1]
+            options = []
+            for c, hits in zip(alphabet, profiles):
+                if all(c[i] <= c[i + 1] for i in pairs):
+                    still = sum(1 << i for i in pairs if c[i] == c[i + 1])
+                    options.append((c, hits, still))
+            self.choices.append(options)
+        # every column is nonzero, so the first one fixes s0: all its
+        # nonzero subset sums must equal s0.  gcd(s0, 0) = |s0|, so at
+        # m = 0 the test reads s0 > 0.
+        self.first_choices = [(c, hits, still)
+                              for c, hits, still in self.choices[-1]  # all tied
+                              if hits[0][1] == math.gcd(hits[0][1], m)]
         self.progress = [0] * (self.n_masks + 1)  # index by mask, slot 0 unused
         self.signature: list = []
         self.chosen: list = []
@@ -309,28 +339,29 @@ class _LengthSearch:
     def run(self) -> int:
         if not self._feasible(self.l):
             return _EXHAUSTED
-        return self._dfs(0)
+        # before the first column every adjacent pair of rows is tied
+        return self._dfs(0, (1 << (self.n - 1)) - 1)
 
-    def _dfs(self, depth: int) -> int:
+    def _dfs(self, depth: int, tied: int) -> int:
         if depth == self.l:
             p = self.progress
             k = p[1]
-            if any(p[mk] != k for mk in range(2, self.n_masks + 1)):
+            # a pair still tied is a pair of equal rows
+            if tied or any(p[mk] != k for mk in range(2, self.n_masks + 1)):
                 return _EXHAUSTED
-            rows = self._rows()
-            if len(set(rows)) != self.n:
-                return _EXHAUSTED
-            self.result = Pattern(self.n, self.m, self.l, rows)
+            self.result = Pattern(self.n, self.m, self.l, self._rows())
             return _FOUND
 
-        key = (depth, tuple(self.progress), tuple(self.signature))
+        # the tie mask is part of the key, so an entry names one subtree
+        key = (depth, tied, tuple(self.progress), tuple(self.signature))
         if key in self.memo:
             return _EXHAUSTED
 
         p = self.progress
         sig = self.signature
         rest = self.l - depth - 1
-        for c, hits in zip(self.columns, self.profiles):
+        options = self.choices[tied] if depth else self.first_choices
+        for c, hits, next_tied in options:
             if not self.budget.spend():
                 return _ABORTED
             # check value consistency against the signature built so far
@@ -356,7 +387,7 @@ class _LengthSearch:
                 sig.append(ext)
             if self._feasible(rest):
                 self.chosen.append(c)
-                status = self._dfs(depth + 1)
+                status = self._dfs(depth + 1, next_tied)
                 self.chosen.pop()
                 if status != _EXHAUSTED:
                     # undo before unwinding so callers see a clean state
@@ -380,10 +411,13 @@ def search(cfg: SearchConfig) -> SearchOutcome:
 
     Lengths are swept in ascending order starting from 1; candidate
     columns are tried in lexicographic order, so the reported pattern is
-    deterministic for a given region regardless of thread budget.  An
-    all-zero column never appears in a minimal pattern (dropping it
-    preserves adequacy), so columns are drawn from the nonzero alphabet;
-    a witness shorter than l_min is zero-padded back into the region.
+    the lex-first canonical one (see _LengthSearch) and depends on the
+    region only.  The search runs on one thread: `threads` is validated
+    and otherwise unused.  An all-zero column never appears in a minimal
+    pattern (dropping it preserves adequacy), so columns are drawn from
+    the nonzero alphabet; a witness shorter than l_min is zero-padded
+    back into the region.  `nodes` counts the candidate columns tried on
+    canonical branches.
 
     "exhausted" certifies that no adequate pattern with the given (n, m)
     exists at any length <= l_max (entries within the bound when m = 0).

@@ -244,6 +244,9 @@ def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
     if not (max(alphas) < beta < min(gammas)):
         raise PreconditionError(
             "indices must satisfy max(alphas) < beta < min(gammas)")
+    if min(alphas) < 0 or max(gammas) >= len(gens):
+        raise PreconditionError(
+            f"indices must lie in 0..{len(gens) - 1}, the generator range")
     used = sorted(set(alphas) | {beta} | set(gammas))
     if not is_independent([gens[i] for i in used], cap=closure_cap):
         raise PreconditionError("generators are not independent")

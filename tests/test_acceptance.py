@@ -11,8 +11,6 @@ import random
 import subprocess
 import sys
 
-import pytest
-
 from pattern_forge.colourings import (BinaryBranch, BranchSet,
                                       delta_colouring, resolve_colouring,
                                       valuation_colouring)
@@ -53,20 +51,13 @@ def test_criterion_02_mod2_existence_up_to_n4():
     report(2, "mod2-existence-n2-n3-n4")
 
 
-def test_criterion_03_three_rows_mod_three_stepwise():
-    outcome = None
-    for l_max in range(3, 10):
-        outcome = search(SearchConfig(n=3, m=3, l_max=l_max))
-        if outcome.status == "found":
-            assert is_adequate(outcome.pattern).adequate
-            report(3, "three-rows-mod-three", f"PASS (found at l={outcome.pattern.l})")
-            return
-    assert outcome.status == "exhausted"
-    report(3, "three-rows-mod-three",
-           "DOCUMENTED-INCONCLUSIVE (no pattern with l <= 9; "
-           "the known witness must be longer)")
-    pytest.skip("no 3-row pattern mod 3 within the l <= 9 cap; "
-                "documented rather than failed")
+def test_criterion_03_three_rows_mod_three():
+    # the search exhausts every l <= 18 before it finds the witness
+    outcome = search(SearchConfig(n=3, m=3, l_max=19))
+    assert outcome.status == "found"
+    assert outcome.pattern.l == 19
+    assert is_adequate(outcome.pattern).adequate
+    report(3, "three-rows-mod-three", "PASS (found at l=19)")
 
 
 def test_criterion_04_integer_entries_bounded_impossibility():

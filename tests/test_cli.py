@@ -181,6 +181,61 @@ def test_verify_vacuous_region_is_usage_error(capsys):
     assert "20" in err
 
 
+def test_verify_internal_error_exits_70(capsys):
+    # the cyclic subgroups of an integer box overflow the closure cap
+    group = json.dumps({"factors": [{"kind": "int_box", "bound": 2}]})
+    code, out, err = run(capsys, "verify", "--claim", "thm5.5",
+                         "--group", group)
+    assert code == 70
+    assert out == ""
+    assert "ClosureOverflow" in err
+
+
+@pytest.mark.parametrize("factors,alphas,beta,gammas", [
+    (1, "0", "1", "2"),    # past the single generator
+    (5, "-1", "0", "1"),   # would wrap round to the last generator
+])
+def test_verify_thm23_index_outside_basis_is_usage_error(
+        capsys, factors, alphas, beta, gammas):
+    group = json.dumps({"factors": [{"kind": "cyclic", "m": 5}] * factors})
+    code, out, err = run(capsys, "verify", "--claim", "thm2.3",
+                         "--group", group, "--alphas", alphas, "--beta", beta,
+                         "--gammas", gammas, "--colouring", "product_sigma")
+    assert code == 64
+    assert out == ""
+    assert "generator range" in err
+
+
+def test_unwritable_out_file_leaves_stdout_empty(tmp_path, capsys):
+    code, out, _ = run(capsys, "search", "--n", "2", "--m", "3",
+                       "--l-max", "3", "--out",
+                       str(tmp_path / "missing" / "result.json"))
+    assert code == 70
+    assert out == ""
+
+
+_CYCLIC_5_CUBED = json.dumps({"factors": [{"kind": "cyclic", "m": 5}] * 3})
+
+
+@pytest.mark.parametrize("argv", [
+    ["--claim", "thm5.4", "--group", _CYCLIC_5_CUBED],
+    ["--claim", "thm5.5", "--group", _CYCLIC_5_CUBED],
+    ["--claim", "thm5.6", "--a", "2", "--dim", "1", "--bound", "3"],
+    ["--claim", "thm2.3", "--group", _CYCLIC_5_CUBED, "--alphas", "0",
+     "--beta", "1", "--gammas", "2", "--colouring", "product_sigma"],
+    ["--claim", "thm5.1-shadow", "--group", _CYCLIC_5_CUBED,
+     "--elements", "[[1,4,0],[0,1,4]]"],
+])
+def test_verify_refuses_budget_it_would_ignore(capsys, argv):
+    assert run(capsys, "verify", *argv)[0] == 0
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv, "--budget", "1"])
+    out = capsys.readouterr()
+    assert err.value.code == 64
+    assert out.out == ""
+    assert "--budget" in out.err
+
+
 def test_verify_unknown_claim(capsys):
     code, err = run_usage(capsys, "verify", "--claim", "thm9.9")
     assert code == 64

@@ -100,6 +100,49 @@ def test_search_exhausts_three_rows_mod_three_deeply():
     # scan over (Z/3)^8 agree); this locks the engine behaviour further out
     out = search(SearchConfig(n=3, m=3, l_max=12))
     assert out.status == "exhausted"
+    assert out.nodes == 24_182  # 157,404 without symmetry breaking
+
+
+# regions small enough for the generate-and-test oracle: (n, m, bound, l_max)
+_ORACLE_REGIONS = [(n, m, None, 5) for n in (1, 2, 3) for m in (2, 3, 4, 5)]
+_ORACLE_REGIONS += [(n, 0, 1, 5) for n in (1, 2, 3)]
+_ORACLE_REGIONS += [(3, 2, None, 7)]  # the first 3-row pattern mod 2 has l = 7
+
+
+@pytest.mark.parametrize("n,m,bound,l_max", _ORACLE_REGIONS)
+def test_symmetry_break_keeps_per_length_status(n, m, bound, l_max):
+    # the engine explores only canonical patterns; an adequate pattern of
+    # length l exists iff a canonical one does, so every length agrees
+    # with the oracle, which shares no code with the engine
+    for l in range(1, l_max + 1):
+        out = search(SearchConfig(n=n, m=m, l_min=l, l_max=l,
+                                  entry_bound=bound))
+        naive = naive_find_adequate(n, m, l, bound=bound)
+        assert out.status == ("found" if naive else "exhausted"), (n, m, l)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max", [
+    (1, 2, None, 2), (1, 6, None, 2), (1, 0, 2, 2),
+    (2, 2, None, 3), (2, 3, None, 3), (2, 4, None, 3), (2, 6, None, 3),
+    (2, 0, 1, 3), (2, 0, 2, 3), (3, 2, None, 8), (4, 2, None, 16)])
+def test_found_witnesses_are_canonical(n, m, bound, l_max):
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    assert out.status == "found"
+    rows = out.pattern.rows
+    assert all(a < b for a, b in zip(rows, rows[1:])), rows
+    s0 = is_adequate(out.pattern).signature[0]
+    assert s0 == math.gcd(s0, m) and s0 > 0, (rows, s0)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
+    (4, 2, None, 16, "found", 35_713),   # 44,925 without symmetry breaking
+    (3, 4, None, 9, "found", 6_510),     # 22,848
+    (3, 0, 2, 5, "exhausted", 2_073)])   # 18,972
+def test_symmetry_break_node_counts(n, m, bound, l_max, status, nodes):
+    # only canonical branches are counted; the lex-first pattern is
+    # canonical anyway, so the counts are where a lost break shows
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    assert (out.status, out.nodes) == (status, nodes)
 
 
 def test_search_integer_entries_exhausts_and_matches_oracle():
