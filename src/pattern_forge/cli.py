@@ -130,13 +130,25 @@ def _verify_fs(args, colouring_id: str, domain, n: int):
                                  budget=args.budget, claim=args.claim)
 
 
+def _verify_norms(args):
+    """The lemma3.1 oracle, refusing a box in which no nonzero-norm class
+    holds three vectors: its "verified" would be vacuous.  In dimension 1
+    every such class is {a, -a}; from dimension 2 on, the unit vectors
+    +-e_i share norm 1 whenever bound >= 1."""
+    if args.dim < 2 or args.bound < 1:
+        raise PreconditionError(
+            f"the box of bound {args.bound} in dimension {args.dim} has no "
+            f"three vectors of one nonzero norm")
+    return no_seven_norms(args.dim, args.bound, budget=args.budget)
+
+
 def cmd_verify(parser, args) -> int:
     claim = args.claim
     if args.budget is not None and claim not in _BUDGET_CLAIMS:
         parser.error(f"--claim {claim} does not take --budget")
     if claim == "lemma3.1":
         _require(parser, args, ["dim", "bound"])
-        cert = no_seven_norms(args.dim, args.bound, budget=args.budget)
+        cert = _verify_norms(args)
     elif claim == "thm3.2":
         _require(parser, args, ["dim", "bound", "n"])
         domain = GroupDomain(GroupSpec.integer_box(args.bound, args.dim))
@@ -340,6 +352,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error("--threads must be >= 1")
     handlers = {"search": cmd_search, "verify": cmd_verify,
                 "colour": cmd_colour, "bench": cmd_bench}
     try:

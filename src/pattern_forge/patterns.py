@@ -263,6 +263,10 @@ def _group_feasible(demand: int, r: int, lo: int, hi: int, g: int) -> bool:
 
 _FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
 
+# entries kept by each of a length's two caches (the memo of exhausted
+# states and the feasibility answers); past it they stop growing
+_CACHE_CAP = 1 << 20
+
 
 class _LengthSearch:
     """Depth-first search over column sequences of one fixed length.
@@ -292,7 +296,11 @@ class _LengthSearch:
         alphabet = _column_alphabet(n, m, entry_bound)
         profiles = [_column_profile(c, n, m) for c in alphabet]
         self.groups = _constraint_groups(n, profiles)
-        # choices[tied]: (column, profile, next tie mask) in lex order
+        # a progress field never exceeds l, so it fits in `width` bits;
+        # field `mask` of a packed progress vector sits at bit width*mask
+        self.width = l.bit_length()
+        # choices[tied]: (column, profile, next tie mask, packed step) in
+        # lex order; the step adds 1 to the field of every hit mask
         self.choices = []
         for tied in range(1 << (n - 1)):
             pairs = [i for i in range(n - 1) if tied >> i & 1]
@@ -300,18 +308,23 @@ class _LengthSearch:
             for c, hits in zip(alphabet, profiles):
                 if all(c[i] <= c[i + 1] for i in pairs):
                     still = sum(1 << i for i in pairs if c[i] == c[i + 1])
-                    options.append((c, hits, still))
+                    step = sum(1 << self.width * mask for mask, _ in hits)
+                    options.append((c, hits, still, step))
             self.choices.append(options)
         # every column is nonzero, so the first one fixes s0: all its
         # nonzero subset sums must equal s0.  gcd(s0, 0) = |s0|, so at
         # m = 0 the test reads s0 > 0.
-        self.first_choices = [(c, hits, still)
-                              for c, hits, still in self.choices[-1]  # all tied
+        self.first_choices = [(c, hits, still, step)
+                              for c, hits, still, step in self.choices[-1]
                               if hits[0][1] == math.gcd(hits[0][1], m)]
         self.progress = [0] * (self.n_masks + 1)  # index by mask, slot 0 unused
         self.signature: list = []
         self.chosen: list = []
         self.memo: set = set()
+        # _feasible(r) reads only r, self.progress and self.groups, and
+        # the groups are fixed for this length, so its answers are cached
+        # under the packed progress with r in the fields above it
+        self.feasible_cache: dict = {}
         self.result: Optional[Pattern] = None
 
     # feasibility of completing from the current state with r more columns
@@ -340,9 +353,10 @@ class _LengthSearch:
         if not self._feasible(self.l):
             return _EXHAUSTED
         # before the first column every adjacent pair of rows is tied
-        return self._dfs(0, (1 << (self.n - 1)) - 1)
+        return self._dfs(0, (1 << (self.n - 1)) - 1, 0)
 
-    def _dfs(self, depth: int, tied: int) -> int:
+    def _dfs(self, depth: int, tied: int, packed: int) -> int:
+        """`packed` is self.progress packed into one integer."""
         if depth == self.l:
             p = self.progress
             k = p[1]
@@ -353,15 +367,17 @@ class _LengthSearch:
             return _FOUND
 
         # the tie mask is part of the key, so an entry names one subtree
-        key = (depth, tied, tuple(self.progress), tuple(self.signature))
+        key = (depth, tied, packed, tuple(self.signature))
         if key in self.memo:
             return _EXHAUSTED
 
         p = self.progress
         sig = self.signature
         rest = self.l - depth - 1
+        rest_field = rest << self.width * (self.n_masks + 1)
+        cache = self.feasible_cache
         options = self.choices[tied] if depth else self.first_choices
-        for c, hits, next_tied in options:
+        for c, hits, next_tied, step in options:
             if not self.budget.spend():
                 return _ABORTED
             # check value consistency against the signature built so far
@@ -385,9 +401,17 @@ class _LengthSearch:
                 p[mask] += 1
             if ext is not None:
                 sig.append(ext)
-            if self._feasible(rest):
+            child = packed + step
+            feasible_key = child | rest_field
+            feasible = cache.get(feasible_key)
+            if feasible is None:
+                feasible = self._feasible(rest)
+                # skipping an insert is always safe: _feasible is pure
+                if len(cache) < _CACHE_CAP:
+                    cache[feasible_key] = feasible
+            if feasible:
                 self.chosen.append(c)
-                status = self._dfs(depth + 1, next_tied)
+                status = self._dfs(depth + 1, next_tied, child)
                 self.chosen.pop()
                 if status != _EXHAUSTED:
                     # undo before unwinding so callers see a clean state
@@ -401,7 +425,7 @@ class _LengthSearch:
             if ext is not None:
                 sig.pop()
 
-        if len(self.memo) < (1 << 20):
+        if len(self.memo) < _CACHE_CAP:
             self.memo.add(key)
         return _EXHAUSTED
 

@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from pattern_forge.cli import main
+from pattern_forge.verify import no_seven_norms
 
 
 def run(capsys, *argv):
@@ -97,6 +99,20 @@ def test_threads_env_fallback(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--m", "3", "--l-max", "3"],
+    ["verify", "--claim", "thm3.2", "--dim", "1", "--bound", "1",
+     "--n", "2"]])
+def test_threads_below_one_is_usage_error(capsys, argv):
+    for threads in ("0", "-2"):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--threads", threads])
+        out = capsys.readouterr()
+        assert err.value.code == 64
+        assert out.out == ""
+        assert "--threads" in out.err
+
+
 # -- colour ------------------------------------------------------------------
 
 def test_colour_sum_squares(capsys):
@@ -148,6 +164,21 @@ def test_verify_lemma31(capsys):
                        "--dim", "2", "--bound", "2")
     assert code == 0
     assert json.loads(out)["status"] == "verified"
+
+
+def test_verify_lemma31_refuses_vacuous_boxes(capsys):
+    # a box is refused exactly when the oracle would verify it without
+    # examining a single triple
+    for dim, bound in itertools.product((0, 1, 2), (0, 1, 2)):
+        vacuous = no_seven_norms(dim, bound).enumerated == 0
+        code, out, err = run(capsys, "verify", "--claim", "lemma3.1",
+                             "--dim", str(dim), "--bound", str(bound))
+        assert (code == 64) == vacuous, (dim, bound)
+        if vacuous:
+            assert out == ""
+            assert "nonzero norm" in err
+        else:
+            assert json.loads(out)["status"] == "verified"
 
 
 def test_verify_thm41(capsys):

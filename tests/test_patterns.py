@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pattern_forge import patterns
 from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
                                   fs_set, sigma)
 from pattern_forge.patterns import (Pattern, SearchConfig,
@@ -141,6 +142,93 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
 def test_symmetry_break_node_counts(n, m, bound, l_max, status, nodes):
     # only canonical branches are counted; the lex-first pattern is
     # canonical anyway, so the counts are where a lost break shows
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    assert (out.status, out.nodes) == (status, nodes)
+
+
+class _CheckedCache(dict):
+    """A feasibility cache that recomputes every hit without the cache."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.hits = 0
+
+    def get(self, key):
+        cached = super().get(key)
+        if cached is not None:
+            self.hits += 1
+            engine = self.engine
+            # the lookup comes before the child column is appended
+            rest = engine.l - len(engine.chosen) - 1
+            assert cached == engine._feasible(rest), (engine.l, engine.chosen)
+        return cached
+
+
+# (n, m, bound, l_max): every n <= 4 against moduli 2, 3, 5 and m = 0,
+# and three rows mod 4 and 6, where a packing one bit short first
+# returns a wrong answer (at l = 6)
+_CACHE_REGIONS = [(n, m, None, l_max) for n, l_max in
+                  [(1, 3), (2, 6), (3, 9), (4, 4)] for m in (2, 3, 5)]
+_CACHE_REGIONS += [(n, 0, bound, l_max) for n, l_max in
+                   [(1, 3), (2, 5), (3, 6)] for bound in (1, 2)]
+_CACHE_REGIONS += [(3, 4, None, 7), (3, 6, None, 7)]
+
+
+@pytest.mark.parametrize("n,m,bound,l_max", _CACHE_REGIONS)
+def test_feasibility_cache_hits_match_a_fresh_call(monkeypatch, n, m, bound,
+                                                   l_max):
+    caches = []
+
+    class Checked(patterns._LengthSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.feasible_cache = _CheckedCache(self)
+            caches.append(self.feasible_cache)
+
+    cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
+    plain = search(cfg)
+    monkeypatch.setattr(patterns, "_LengthSearch", Checked)
+    assert search(cfg) == plain
+    assert len(caches) == (plain.pattern.l if plain.pattern else l_max)
+    assert all(len(c) <= patterns._CACHE_CAP for c in caches)
+    if plain.nodes > 100:
+        assert sum(c.hits for c in caches) > 0
+
+
+def test_capped_caches_keep_the_outcome(monkeypatch):
+    # past the cap an answer is recomputed and a state re-explored, so
+    # only the node count may grow
+    engines = []
+
+    class Recorded(patterns._LengthSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    cfg = SearchConfig(n=3, m=4, l_max=9)
+    plain = search(cfg)
+    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    monkeypatch.setattr(patterns, "_CACHE_CAP", 3)
+    capped = search(cfg)
+    assert (capped.status, capped.pattern) == (plain.status, plain.pattern)
+    assert capped.nodes > plain.nodes
+    assert max(len(e.feasible_cache) for e in engines) == 3
+    assert max(len(e.memo) for e in engines) == 3
+
+
+@pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
+    # lengths 3 -> 4: a progress field widens from 2 to 3 bits
+    (3, 5, None, 4, "exhausted", 208), (3, 6, None, 4, "exhausted", 1_294),
+    (3, 0, 2, 4, "exhausted", 332), (4, 3, None, 4, "exhausted", 49),
+    # lengths 7 -> 8: from 3 to 4 bits
+    (3, 3, None, 8, "exhausted", 1_902), (3, 5, None, 8, "exhausted", 11_364),
+    (3, 0, 1, 8, "exhausted", 1_890), (4, 3, None, 8, "exhausted", 2_741),
+    # 3-bit fields at l = 6 and 7 hold progress values from 4 up
+    (3, 4, None, 8, "found", 6_510), (3, 6, None, 8, "found", 34_287)])
+def test_node_counts_across_field_width_boundaries(n, m, bound, l_max, status,
+                                                   nodes):
+    # counts measured before the feasibility cache and the packed key
     out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
     assert (out.status, out.nodes) == (status, nodes)
 
