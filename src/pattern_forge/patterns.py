@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import (Element, GroupSpec, Cyclic, PreconditionError,
-                     fs_set, is_independent, order, sigma)
+                     is_independent, order, sigma)
 from .tokens import canonical_json
+from .verify import first_in_class
 
 __all__ = [
     "Pattern", "AdequacyReport", "AdequacyWitness", "SearchConfig",
@@ -268,15 +270,16 @@ _FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
 _CACHE_CAP = 1 << 20
 
 
-class _LengthSearch:
-    """Depth-first search over column sequences of one fixed length.
+class _Columns:
+    """The tables of a search region that no length changes: the
+    constraint groups, and per tie mask the allowed columns.
 
     Only canonical patterns are explored: rows in strictly ascending lex
     order, and a first signature entry s0 with s0 == gcd(s0, m) (s0 > 0
     at m = 0).  Row order is kept by a bitmask `tied` whose bit i says
     rows i and i + 1 agree on every column so far; on a tied pair only
     columns with c[i] <= c[i+1] are allowed, and the pair unties at the
-    first <.  The allowed columns are precomputed per tie mask.
+    first <.
 
     Sound per length: permuting rows keeps the subset sums, and scaling
     by a unit u of Z/m maps every signature entry s to u*s.  Given any
@@ -287,36 +290,48 @@ class _LengthSearch:
     adequate pattern of the same length.
     """
 
-    def __init__(self, n: int, m: int, l: int, entry_bound, budget: _NodeBudget):
+    def __init__(self, n: int, m: int, entry_bound):
+        alphabet = _column_alphabet(n, m, entry_bound)
+        profiles = [_column_profile(c, n, m) for c in alphabet]
+        self.groups = _constraint_groups(n, profiles)
+        # choices[tied]: (column, profile, next tie mask) in lex order
+        self.choices = []
+        for tied in range(1 << (n - 1)):
+            pairs = [i for i in range(n - 1) if tied >> i & 1]
+            self.choices.append([
+                (c, hits, sum(1 << i for i in pairs if c[i] == c[i + 1]))
+                for c, hits in zip(alphabet, profiles)
+                if all(c[i] <= c[i + 1] for i in pairs)])
+        # every column is nonzero, so the first one fixes s0: all its
+        # nonzero subset sums must equal s0.  gcd(s0, 0) = |s0|, so at
+        # m = 0 the test reads s0 > 0.
+        self.first_choices = [(c, hits, still)
+                              for c, hits, still in self.choices[-1]
+                              if hits[0][1] == math.gcd(hits[0][1], m)]
+
+
+class _LengthSearch:
+    """Depth-first search over the canonical column sequences (see
+    _Columns) of one fixed length."""
+
+    def __init__(self, n: int, m: int, l: int, columns: _Columns,
+                 budget: _NodeBudget):
         self.n = n
         self.m = m
         self.l = l
         self.budget = budget
         self.n_masks = (1 << n) - 1
-        alphabet = _column_alphabet(n, m, entry_bound)
-        profiles = [_column_profile(c, n, m) for c in alphabet]
-        self.groups = _constraint_groups(n, profiles)
+        self.groups = columns.groups
         # a progress field never exceeds l, so it fits in `width` bits;
         # field `mask` of a packed progress vector sits at bit width*mask
-        self.width = l.bit_length()
-        # choices[tied]: (column, profile, next tie mask, packed step) in
-        # lex order; the step adds 1 to the field of every hit mask
-        self.choices = []
-        for tied in range(1 << (n - 1)):
-            pairs = [i for i in range(n - 1) if tied >> i & 1]
-            options = []
-            for c, hits in zip(alphabet, profiles):
-                if all(c[i] <= c[i + 1] for i in pairs):
-                    still = sum(1 << i for i in pairs if c[i] == c[i + 1])
-                    step = sum(1 << self.width * mask for mask, _ in hits)
-                    options.append((c, hits, still, step))
-            self.choices.append(options)
-        # every column is nonzero, so the first one fixes s0: all its
-        # nonzero subset sums must equal s0.  gcd(s0, 0) = |s0|, so at
-        # m = 0 the test reads s0 > 0.
-        self.first_choices = [(c, hits, still, step)
-                              for c, hits, still, step in self.choices[-1]
-                              if hits[0][1] == math.gcd(hits[0][1], m)]
+        self.width = width = l.bit_length()
+
+        def with_steps(options):
+            # the packed step adds 1 to the field of every hit mask
+            return [(c, hits, still, sum(1 << width * mask for mask, _ in hits))
+                    for c, hits, still in options]
+        self.choices = [with_steps(options) for options in columns.choices]
+        self.first_choices = with_steps(columns.first_choices)
         self.progress = [0] * (self.n_masks + 1)  # index by mask, slot 0 unused
         self.signature: list = []
         self.chosen: list = []
@@ -447,8 +462,9 @@ def search(cfg: SearchConfig) -> SearchOutcome:
     exists at any length <= l_max (entries within the bound when m = 0).
     """
     budget = _NodeBudget(cfg.node_cap)
+    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound)
     for l in range(1, cfg.l_max + 1):
-        engine = _LengthSearch(cfg.n, cfg.m, l, cfg.entry_bound, budget)
+        engine = _LengthSearch(cfg.n, cfg.m, l, columns, budget)
         status = engine.run()
         if status == _ABORTED:
             return SearchOutcome("inconclusive", budget.used, cfg.region())
@@ -526,19 +542,17 @@ def sigma_colouring_check(spec: GroupSpec, n: int) -> Optional[Pattern]:
     # singleton sums already force a common nonzero-entry sequence, so
     # only subsets drawn from one sigma class can qualify
     classes: dict = {}
-    for x in nonzero:
-        classes.setdefault(sigma(x), []).append(x)
-    for _, members in sorted(classes.items(),
-                             key=lambda kv: kv[1][0].coords):
-        if len(members) < n:
-            continue
-        for combo in itertools.combinations(members, n):
-            colours = {sigma(s) for s in fs_set(combo)}
-            if len(colours) == 1:
-                pattern = Pattern(n, m, l, tuple(x.coords for x in combo))
-                report = is_adequate(pattern)
-                if not report.adequate:
-                    raise AssertionError(
-                        "monochromatic witness failed the adequacy re-check")
-                return pattern
+    for i, x in enumerate(nonzero):
+        classes.setdefault(sigma(x), []).append(i)
+    for token, members in sorted(classes.items(),
+                                 key=lambda kv: nonzero[kv[1][0]].coords):
+        hit = first_in_class(members, n, nonzero, operator.add, sigma, token,
+                             len(nonzero), math.inf)
+        if hit is not None:
+            pattern = Pattern(n, m, l, tuple(nonzero[i].coords for i in hit))
+            report = is_adequate(pattern)
+            if not report.adequate:
+                raise AssertionError(
+                    "monochromatic witness failed the adequacy re-check")
+            return pattern
     return None

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .colourings import (BranchSet, delta_colouring, resolve_colouring,
                          valuation_colouring)
-from .groups import (Element, GroupSpec, IndexedMatrix, PreconditionError,
-                     fs_set_formal, is_independent, order,
-                     smallest_prime_factor, subgroup_closure, supp)
+from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, IndexedMatrix,
+                     PreconditionError, SizeLimitError, fs_set_formal,
+                     is_independent, order, smallest_prime_factor,
+                     subgroup_closure, supp)
 from .tokens import ColourToken, canonical_json
 
 __all__ = [
     "Certificate", "DeltaSystem", "GroupDomain", "BranchSetDomain",
-    "find_monochromatic_fs", "check_fs_matrix_identities", "no_seven_norms",
-    "find_monochromatic_ap", "find_monochromatic_subgroup",
+    "first_in_class", "find_monochromatic_fs", "check_fs_matrix_identities",
+    "no_seven_norms", "find_monochromatic_ap", "find_monochromatic_subgroup",
     "find_monochromatic_span", "delta_system_find",
     "fs_support_growth_check", "prime_exponent_extract",
     "ExtractionFailure",
@@ -73,6 +75,8 @@ class ExtractionFailure(Exception):
 class GroupDomain:
     """A finite (or box-clipped) group spec as an enumerable sum domain."""
 
+    add = staticmethod(operator.add)
+
     def __init__(self, spec: GroupSpec):
         self.spec = spec
 
@@ -81,20 +85,18 @@ class GroupDomain:
 
     @staticmethod
     def subset_sums(xs: Sequence[Element]) -> list:
-        return [s for _, s in _formal(xs)]
+        return [s for _, s in fs_set_formal(list(xs))]
 
     def describe(self) -> dict:
         return {"kind": "group", "factors": self.spec.jsonable()["factors"],
                 "size": self.spec.size()}
 
 
-def _formal(xs):
-    return fs_set_formal(list(xs))
-
-
 class BranchSetDomain:
     """All branch sets of size <= max_size over branches of length kappa,
     under symmetric difference."""
+
+    add = staticmethod(BranchSet.symmetric_difference)
 
     def __init__(self, kappa: int, max_size: int):
         self.kappa = kappa
@@ -167,6 +169,61 @@ def _lex_rank(combo: Sequence[int], size: int) -> int:
         math.comb(size - 1 - c, k - i) for i, c in enumerate(combo))
 
 
+_STOP = object()
+
+
+def first_in_class(members: Sequence[int], n: int, points: Sequence, add,
+                   col, token, size: int, limit) -> Optional[tuple]:
+    """The lex-first n-tuple of `members` whose nonempty subset sums all
+    have colour `token` and whose _lex_rank(tuple, size) is below
+    `limit` (math.inf for no limit), or None.  `members` are increasing
+    indices into `points`, all of colour `token` under `col`; `add` is
+    the domain's sum.  n must lie in 1..DEFAULT_FS_LIMIT.
+
+    Depth-first over the lex-ordered prefixes, keeping the 2^k - 1
+    subset sums of the current prefix: extending it by x computes and
+    colours only x's new sums s + x, and drops the extension at the first
+    one off `token`.  Sound, because every subset sum of a prefix is a
+    subset sum of each of its extensions.  The walk ends once the
+    lex-smallest completion of a prefix ranks at or past `limit`: every
+    later leaf lies lex-after it, and lex order inside `members` is the
+    order of `_lex_rank`."""
+    if n < 1:
+        raise PreconditionError(f"need n >= 1, got {n}")
+    if n > DEFAULT_FS_LIMIT:
+        raise SizeLimitError(
+            f"n = {n} exceeds the fs limit {DEFAULT_FS_LIMIT}")
+    last = len(members) - n  # choice d of a tuple sits at position <= last + d
+    combo: list = []
+
+    def walk(start: int, sums: list):
+        """The hit below the current prefix, _STOP, or None to go on."""
+        depth = len(combo)
+        for j in range(start, last + depth + 1):
+            x = points[members[j]]
+            new = [x]
+            for s in sums:
+                t = add(s, x)
+                if col(t) != token:
+                    break
+                new.append(t)
+            else:
+                combo.append(members[j])
+                smallest = combo + members[j + 1:j + n - depth]
+                if _lex_rank(smallest, size) >= limit:
+                    return _STOP
+                if depth + 1 == n:
+                    return tuple(combo)
+                found = walk(j + 1, sums + new)
+                if found is not None:
+                    return found
+                combo.pop()
+        return None
+
+    found = walk(0, [])
+    return None if found is _STOP else found
+
+
 def find_monochromatic_fs(colouring_id: str, domain, n: int,
                           budget: Optional[int] = None,
                           claim: str = "fs") -> Certificate:
@@ -175,11 +232,13 @@ def find_monochromatic_fs(colouring_id: str, domain, n: int,
     n-subsets holds none.
 
     The singletons are among the subset sums, so a qualifying set lies in
-    one colour class of the points.  Only combinations inside one class
-    are tested; the rest of the region is covered without evaluation.
-    `enumerated` still counts the lex-ordered region: C(N, n) when
-    verified, the budget when inconclusive, and one past the lex rank of
-    the first qualifying combination on a counterexample."""
+    one colour class of the points.  Each class goes through
+    `first_in_class`; the rest of the region, and every combination a
+    pruned prefix rules out, is covered without evaluation.  `enumerated`
+    still counts the lex-ordered region: C(N, n) when verified, the
+    budget when inconclusive, and one past the lex rank of the first
+    qualifying combination on a counterexample.  Sets of more than
+    DEFAULT_FS_LIMIT points are refused before any sum is built."""
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
     colour = _resolve_for_domain(colouring_id, domain)
@@ -194,14 +253,10 @@ def find_monochromatic_fs(colouring_id: str, domain, n: int,
         classes.setdefault(col(x), []).append(i)
     best = None
     for token, members in classes.items():
-        for idxs in itertools.combinations(members, n):
-            rank = _lex_rank(idxs, len(points))
-            if rank >= limit:
-                break  # ranks rise along the class's own lex order
-            sums = domain.subset_sums([points[i] for i in idxs])
-            if all(col(s) == token for s in sums):
-                limit, best = rank, idxs
-                break
+        hit = first_in_class(members, n, points, domain.add, col, token,
+                             len(points), limit)
+        if hit is not None:
+            limit, best = _lex_rank(hit, len(points)), hit
     if best is not None:
         witness = _recheck_fs_witness(colour, domain,
                                       [points[i] for i in best])
@@ -293,16 +348,19 @@ def no_seven_norms(dim: int, bound: int,
                    budget: Optional[int] = None) -> Certificate:
     """Exhaust distinct triples of integer vectors in [-bound, bound]^dim
     for x, y, z with |x| = |y| = |z| = |x+y| = |x+z| = |y+z| = |x+y+z|.
-    Triples are bucketed by the shared squared norm (a triple failing the
-    first three equalities can never qualify)."""
+    The seven norms are those of the subset sums of {x, y, z}, so this is
+    the finite-sums check with the squared norm as colouring: each bucket
+    of one squared norm goes through `first_in_class`.
+    `enumerated` counts triples bucket by bucket (ascending norm, lex
+    inside a bucket)."""
     desc = {"dim": dim, "bound": bound}
     vectors = list(itertools.product(range(-bound, bound + 1), repeat=dim))
 
     def sq(v):
-        return sum(a * a for a in v)
+        return sum(map(operator.mul, v, v))
 
-    def vsum(*vs):
-        return tuple(sum(t) for t in zip(*vs))
+    def vadd(u, v):
+        return tuple(map(operator.add, u, v))
 
     buckets: dict = {}
     for v in vectors:
@@ -310,22 +368,24 @@ def no_seven_norms(dim: int, bound: int,
 
     examined = 0
     for r, members in sorted(buckets.items()):
-        if len(members) < 3 or r == 0:
-            continue  # |x| = 0 forces x = 0, no distinct triple
-        pair_ok = {}
-        for i, j in itertools.combinations(range(len(members)), 2):
-            pair_ok[(i, j)] = sq(vsum(members[i], members[j])) == r
-        for i, j, k in itertools.combinations(range(len(members)), 3):
-            if budget is not None and examined >= budget:
-                return Certificate("lemma3.1", desc, INCONCLUSIVE, examined)
-            examined += 1
-            if pair_ok[(i, j)] and pair_ok[(i, k)] and pair_ok[(j, k)]:
-                x, y, z = members[i], members[j], members[k]
-                if sq(vsum(x, y, z)) == r:
-                    witness = {"x": list(x), "y": list(y), "z": list(z),
-                               "norm_sq": r}
-                    return Certificate("lemma3.1", desc, COUNTEREXAMPLE,
-                                       examined, witness)
+        # a bucket of fewer than three vectors, such as {0}, has an empty
+        # region and passes through
+        region = math.comb(len(members), 3)
+        limit = region if budget is None else max(
+            0, min(region, budget - examined))
+        hit = first_in_class(list(range(len(members))), 3, members, vadd,
+                             sq, r, len(members), limit)
+        if hit is not None:
+            x, y, z = (members[i] for i in hit)
+            witness = {"x": list(x), "y": list(y), "z": list(z),
+                       "norm_sq": r}
+            return Certificate("lemma3.1", desc, COUNTEREXAMPLE,
+                               examined + _lex_rank(hit, len(members)) + 1,
+                               witness)
+        if limit < region:
+            return Certificate("lemma3.1", desc, INCONCLUSIVE,
+                               examined + limit)
+        examined += region
     return Certificate("lemma3.1", desc, VERIFIED, examined)
 
 
@@ -565,7 +625,7 @@ def fs_support_growth_check(spec: GroupSpec, xs: Sequence[Element]) -> Certifica
     from .colourings import product_sigma_colouring
 
     xs = list(xs)
-    sums = [s for _, s in _formal(xs)]
+    sums = [s for _, s in fs_set_formal(xs)]
     tokens = {product_sigma_colouring(s) for s in sums}
     if len(tokens) != 1:
         raise PreconditionError(

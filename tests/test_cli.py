@@ -212,6 +212,19 @@ def test_verify_vacuous_region_is_usage_error(capsys):
     assert "20" in err
 
 
+@pytest.mark.parametrize("region", [
+    ["--dim", "3", "--bound", "2"],
+    # no 21-subset of this box ranks below the budget, so a scan that
+    # meets the limit only inside fs_set_formal called it inconclusive
+    ["--dim", "2", "--bound", "3", "--budget", "5"]])
+def test_verify_refuses_sets_past_the_fs_limit(capsys, region):
+    code, out, err = run(capsys, "verify", "--claim", "thm3.2", *region,
+                         "--n", "21")
+    assert code == 64
+    assert out == ""
+    assert "fs limit" in err
+
+
 def test_verify_internal_error_exits_70(capsys):
     # the cyclic subgroups of an integer box overflow the closure cap
     group = json.dumps({"factors": [{"kind": "int_box", "bound": 2}]})

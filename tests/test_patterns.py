@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pattern_forge import patterns
 from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
-                                  fs_set, sigma)
+                                  SizeLimitError, fs_set, sigma)
 from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, lift,
                                     search, sigma_colouring_check)
@@ -404,6 +404,24 @@ def test_sigma_colouring_check_exhausts_small_boolean_groups():
 def test_sigma_colouring_check_singleton():
     p = sigma_colouring_check(GroupSpec.cyclic_power(2, 2), 1)
     assert p is not None and p.n == 1
+
+
+@pytest.mark.parametrize("m,l,n,rows", [
+    (3, 2, 2, None), (3, 3, 2, ((0, 1, 2), (1, 2, 0))),
+    (2, 3, 1, ((0, 0, 1),)), (2, 3, 3, None)])
+def test_sigma_colouring_check_results(m, l, n, rows):
+    # the results of the per-class combination scan that preceded the
+    # shared finite-sums kernel
+    p = sigma_colouring_check(GroupSpec.cyclic_power(m, l), n)
+    assert (p.rows if p else None) == rows
+
+
+@pytest.mark.parametrize("n,error", [(0, PreconditionError),
+                                     (21, SizeLimitError)])
+def test_sigma_colouring_check_refuses_set_sizes_outside_the_fs_range(n,
+                                                                      error):
+    with pytest.raises(error):
+        sigma_colouring_check(GroupSpec.cyclic_power(2, 2), n)
 
 
 def test_sigma_colouring_check_requires_uniform_cyclic_spec():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from pattern_forge.colourings import (BranchSet, delta_colouring,
                                       resolve_colouring)
 from pattern_forge.groups import (Cyclic, GroupSpec, PreconditionError, PrimePower,
-                                  fs_matrix, IndexedMatrix, order, supp)
+                                  SizeLimitError, fs_matrix, IndexedMatrix,
+                                  order, supp)
 from pattern_forge.tokens import ColourToken
 from pattern_forge.verify import (BranchSetDomain, DeltaSystem,
                                   ExtractionFailure, GroupDomain,
@@ -67,6 +68,15 @@ def test_fs_refuses_empty_sets(n):
         find_monochromatic_fs("sum_squares", domain, n)
 
 
+@pytest.mark.parametrize("budget", [None, 0, 5])
+def test_fs_refuses_sets_past_the_fs_limit(budget):
+    # fs_set_formal refuses 21 generators; the oracle refuses them up
+    # front, whatever the budget or the size of the colour classes
+    domain = GroupDomain(GroupSpec.integer_box(3, 2))
+    with pytest.raises(SizeLimitError):
+        find_monochromatic_fs("sum_squares", domain, 21, budget=budget)
+
+
 _FS_CASES = st.one_of(
     st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (1, 3)]).map(
         lambda bd: ("sum_squares", GroupDomain(GroupSpec.integer_box(*bd)))),
@@ -77,7 +87,7 @@ _FS_CASES = st.one_of(
 )
 
 
-@given(_FS_CASES, st.integers(1, 3), st.data())
+@given(_FS_CASES, st.integers(1, 4), st.data())
 @settings(max_examples=120)
 def test_fs_class_pruning_agrees_with_naive_scan(case, n, data):
     colouring_id, domain = case
@@ -106,6 +116,30 @@ def test_fs_counterexample_rank_matches_naive_scan(bound, dim, enumerated):
     assert naive[:2] == ("counterexample", enumerated)
     assert (cert.status, cert.enumerated) == naive[:2]
     assert cert.witness["x"] == [x.jsonable() for x in naive[2]]
+
+
+class _CountingDomain(GroupDomain):
+    """A group domain that counts the sums the oracle asks it for."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.adds = 0
+
+    def add(self, a, b):
+        self.adds += 1
+        return a + b
+
+
+@pytest.mark.parametrize("budget,most",
+                         [(0, 0), (10, 0), (1_000, 10), (None, 1_303)])
+def test_fs_kernel_work_is_bounded_by_the_budget(budget, most):
+    # a prefix whose lex-smallest completion ranks past the budget ends
+    # its class, so a small budget never walks the pruned trees; 1,303
+    # adds cover the whole box
+    domain = _CountingDomain(GroupSpec.integer_box(2, 3))
+    cert = find_monochromatic_fs("sum_squares", domain, 3, budget=budget)
+    assert cert.status == ("verified" if budget is None else "inconclusive")
+    assert domain.adds <= most
 
 
 def test_fs_certificates_are_reproducible():
@@ -192,6 +226,24 @@ def test_no_seven_norms_small(dim, bound):
 
 def test_no_seven_norms_budget():
     assert no_seven_norms(3, 3, budget=5).status == "inconclusive"
+
+
+# the certificates of the bucketed triple scan that preceded the shared
+# finite-sums kernel; at dim 3, bound 3 the norm buckets hold 38,416
+# triples
+@pytest.mark.parametrize("dim,bound,budget,status,enumerated", [
+    (2, 3, None, "verified", 192), (3, 3, None, "verified", 38_416),
+    (3, 4, None, "verified", 126_960), (4, 2, None, "verified", 545_872),
+    (3, 3, 0, "inconclusive", 0), (3, 3, 5, "inconclusive", 5),
+    (3, 3, 38_415, "inconclusive", 38_415),
+    (3, 3, 38_416, "verified", 38_416), (3, 3, 38_417, "verified", 38_416),
+    (3, 3, -3, "inconclusive", 0)])
+def test_no_seven_norms_certificates(dim, bound, budget, status, enumerated):
+    cert = no_seven_norms(dim, bound, budget=budget)
+    assert cert.to_json() == json.dumps(
+        {"claim": "lemma3.1", "domain": {"dim": dim, "bound": bound},
+         "status": status, "enumerated": enumerated, "witness": None,
+         "order": "lex-v1"}, separators=(",", ":"))
 
 
 # -- arithmetic progressions ----------------------------------------------------------
