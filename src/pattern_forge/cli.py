@@ -198,7 +198,11 @@ def cmd_colour(parser, args) -> int:
     if args.id == "delta":
         if args.branches is None:
             parser.error("--id delta requires --branches")
-        x = BranchSet.from_strings(json.loads(args.branches))
+        strings = json.loads(args.branches)
+        if not (isinstance(strings, list)
+                and all(isinstance(b, str) for b in strings)):
+            parser.error("--branches must be a JSON list of 0/1 strings")
+        x = BranchSet.from_strings(strings)
         token = delta_colouring(x)
     else:
         if args.element is None:

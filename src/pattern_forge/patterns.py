@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import (Element, GroupSpec, Cyclic, PreconditionError,
-                     is_independent, order, sigma)
+                     SizeLimitError, is_independent, order, sigma)
 from .tokens import canonical_json
 from .verify import first_in_class
 
@@ -156,6 +156,8 @@ class SearchConfig:
             raise ValueError("entry_bound only applies at m = 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.node_cap is not None and self.node_cap < 0:
+            raise ValueError("node_cap must be >= 0")
 
     def region(self) -> dict:
         out = {"n": self.n, "m": self.m,
@@ -184,15 +186,14 @@ class SearchOutcome:
 
 
 class _NodeBudget:
+    """Candidate columns tried so far, over all lengths of one search.
+    Past `cap` the search aborts with `used` left at cap + 1."""
+
     __slots__ = ("used", "cap")
 
     def __init__(self, cap):
         self.used = 0
-        self.cap = cap
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.cap is None or self.used <= self.cap
+        self.cap = math.inf if cap is None else cap
 
 
 def _column_alphabet(n: int, m: int, entry_bound: Optional[int]) -> list:
@@ -255,19 +256,15 @@ def _constraint_groups(n: int, profiles: list) -> list:
     return groups
 
 
-def _group_feasible(demand: int, r: int, lo: int, hi: int, g: int) -> bool:
-    if not r * lo <= demand <= r * hi:
-        return False
-    if g > 1 and (demand - r * lo) % g:
-        return False
-    return True
-
-
 _FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
 
-# entries kept by each of a length's two caches (the memo of exhausted
-# states and the feasibility answers); past it they stop growing
+# entries kept by each of a length's caches (the memo of exhausted
+# states, the feasibility answers and the fitting columns); past it
+# they stop growing
 _CACHE_CAP = 1 << 20
+
+# most (column, row subset) pairs a search region may tabulate
+_TABLE_CAP = 1 << 17
 
 
 class _Columns:
@@ -291,9 +288,22 @@ class _Columns:
     """
 
     def __init__(self, n: int, m: int, entry_bound):
+        # (m or 2b+1)^n - 1 columns, each profiled over 2^n - 1 row
+        # subsets; the mask count alone passes the cap from n = 18 on,
+        # which spares the power for a huge n
+        base = m or 2 * entry_bound + 1
+        if (n >= _TABLE_CAP.bit_length()
+                or (base ** n - 1) * ((1 << n) - 1) > _TABLE_CAP):
+            raise SizeLimitError(
+                f"a search with n = {n} over {base} entry values needs "
+                f"more than {_TABLE_CAP} column profile entries")
         alphabet = _column_alphabet(n, m, entry_bound)
         profiles = [_column_profile(c, n, m) for c in alphabet]
-        self.groups = _constraint_groups(n, profiles)
+        # (getter, |T|, lo, hi, g) per counting group T.  Slot 0 of a
+        # progress vector is always 0: getting it too leaves the sum over
+        # T unchanged and makes the getter return a tuple even for |T| = 1
+        self.groups = [(operator.itemgetter(0, *masks), len(masks), lo, hi, g)
+                       for masks, lo, hi, g in _constraint_groups(n, profiles)]
         # choices[tied]: (column, profile, next tie mask) in lex order
         self.choices = []
         for tied in range(1 << (n - 1)):
@@ -321,7 +331,14 @@ class _LengthSearch:
         self.l = l
         self.budget = budget
         self.n_masks = (1 << n) - 1
-        self.groups = columns.groups
+        # per r, the group terms _feasible(r) reads; r*lo + t - 1 turns
+        # a floor division into the ceiling of (S + r*lo) / t
+        self.bounds = [[(get, t, r * lo + t - 1, r * hi)
+                        for get, t, lo, hi, _ in columns.groups]
+                       for r in range(l + 1)]
+        self.congruences = [[(get, t, r * lo, g)
+                             for get, t, lo, _, g in columns.groups if g > 1]
+                            for r in range(l + 1)]
         # a progress field never exceeds l, so it fits in `width` bits;
         # field `mask` of a packed progress vector sits at bit width*mask
         self.width = width = l.bit_length()
@@ -336,29 +353,70 @@ class _LengthSearch:
         self.signature: list = []
         self.chosen: list = []
         self.memo: set = set()
-        # _feasible(r) reads only r, self.progress and self.groups, and
-        # the groups are fixed for this length, so its answers are cached
+        # _feasible(r) reads only r, self.progress and the group terms,
+        # which are fixed for this length, so its answers are cached
         # under the packed progress with r in the fields above it
         self.feasible_cache: dict = {}
+        # (tie mask, need) -> (fitting options, number of options); see
+        # _fitting.  Depth 0 draws from first_choices, under tie mask -1.
+        self.fitting: dict = {}
         self.result: Optional[Pattern] = None
 
-    # feasibility of completing from the current state with r more columns
     def _feasible(self, r: int) -> bool:
+        """Can the current state be completed with r more columns?
+
+        Only if some common final length k lets every counting group T
+        take its demand |T|*k - S (S: the progress summed over T) in r
+        columns: r*lo <= |T|*k - S <= r*hi, an interval of k per group,
+        plus a congruence mod g where g > 1.  The demand is then never
+        negative, because lo >= 0."""
         p = self.progress
-        k_lo = max(1, max(p[1:]))
+        k_lo = max(1, max(p))  # slot 0 is 0
         k_hi = min(p[1:]) + r
-        if k_lo > k_hi:
-            return False
-        for k in range(k_lo, k_hi + 1):
-            ok = True
-            for masks, lo, hi, g in self.groups:
-                demand = len(masks) * k - sum(p[mk] for mk in masks)
-                if demand < 0 or not _group_feasible(demand, r, lo, hi, g):
-                    ok = False
+        for get, t, r_lo_up, r_hi in self.bounds[r]:
+            s = sum(get(p))
+            # ceil((S + r*lo) / t) <= k <= floor((S + r*hi) / t)
+            low = (s + r_lo_up) // t
+            if low > k_lo:
+                k_lo = low
+            high = (s + r_hi) // t
+            if high < k_hi:
+                k_hi = high
+            if k_lo > k_hi:
+                return False
+        congruences = self.congruences[r]
+        if not congruences:
+            return True
+        terms = [(sum(get(p)) + r_lo, t, g) for get, t, r_lo, g in congruences]
+        return any(all((t * k - base) % g == 0 for base, t, g in terms)
+                   for k in range(k_lo, k_hi + 1))
+
+    @staticmethod
+    def _fitting(options, need) -> list:
+        """The options that fit a state, in lex order, as (position in
+        options, column, profile, next tie mask, step, ext).
+
+        need[mask] is the signature entry the next hit on `mask` must
+        produce, or 0 where that hit extends the signature (entries are
+        never 0).  A column fits when every hit on a fixed mask gives
+        the needed value and all its extending hits agree on one value,
+        `ext`, which it appends (None if it extends nothing).
+        """
+        fitting = []
+        for pos, (c, hits, next_tied, step) in enumerate(options):
+            ext = None
+            for mask, v in hits:
+                want = need[mask]
+                if want:
+                    if want != v:
+                        break
+                elif ext is None:
+                    ext = v
+                elif ext != v:
                     break
-            if ok:
-                return True
-        return False
+            else:
+                fitting.append((pos, c, hits, next_tied, step, ext))
+        return fitting
 
     def _rows(self) -> tuple:
         return tuple(tuple(col[i] for col in self.chosen)
@@ -388,30 +446,31 @@ class _LengthSearch:
 
         p = self.progress
         sig = self.signature
+        # no field exceeds len(sig), and a mask at len(sig) extends the
+        # signature: it reads the 0 appended here.  need[0] is unused.
+        need = tuple(map((sig + [0]).__getitem__, p))
+        table_key = (tied if depth else -1, need)
+        entry = self.fitting.get(table_key)
+        if entry is None:
+            options = self.choices[tied] if depth else self.first_choices
+            entry = (self._fitting(options, need), len(options))
+            if len(self.fitting) < _CACHE_CAP:
+                self.fitting[table_key] = entry
+        fitting, total = entry
+
         rest = self.l - depth - 1
         rest_field = rest << self.width * (self.n_masks + 1)
         cache = self.feasible_cache
-        options = self.choices[tied] if depth else self.first_choices
-        for c, hits, next_tied, step in options:
-            if not self.budget.spend():
+        budget = self.budget
+        # every option counts as a node, fitting or not: the ones that
+        # fail the signature are spent in one chunk with the next fit
+        tried = 0
+        for pos, c, hits, next_tied, step, ext in fitting:
+            budget.used += pos + 1 - tried
+            tried = pos + 1
+            if budget.used > budget.cap:
+                budget.used = budget.cap + 1
                 return _ABORTED
-            # check value consistency against the signature built so far
-            ext = None
-            sig_len = len(sig)
-            ok = True
-            for mask, v in hits:
-                pos = p[mask]
-                if pos < sig_len:
-                    if sig[pos] != v:
-                        ok = False
-                        break
-                elif ext is None:
-                    ext = v
-                elif ext != v:
-                    ok = False
-                    break
-            if not ok:
-                continue
             for mask, _ in hits:
                 p[mask] += 1
             if ext is not None:
@@ -440,6 +499,10 @@ class _LengthSearch:
             if ext is not None:
                 sig.pop()
 
+        budget.used += total - tried
+        if budget.used > budget.cap:
+            budget.used = budget.cap + 1
+            return _ABORTED
         if len(self.memo) < _CACHE_CAP:
             self.memo.add(key)
         return _EXHAUSTED

@@ -3,8 +3,9 @@
 Every colouring in this package maps into ColourToken, so that colours
 coming from very different constructions (integers, residue sequences,
 branch-distance matrices, tuples of those) can be compared, hashed and
-serialized uniformly.  Two tokens are equal exactly when their canonical
-JSON serializations are byte-identical.
+serialized uniformly.  Two tokens are equal exactly when they have the
+same kind and byte-identical canonical JSON serializations, kinds of
+nested tokens included.
 """
 
 from __future__ import annotations
@@ -57,16 +58,22 @@ def scalar_to_jsonable(value):
 class ColourToken:
     """Tagged colour value: one of int, bit, seq, matrix, tuple.
 
-    Equality and hashing go through the canonical serialization, which
-    is also what the CLI prints and what certificates embed.
+    Equality and hashing go through the kind and the canonical
+    serialization, which is also what the CLI prints and what
+    certificates embed.  The serialization alone drops the kind:
+    int_(1) and bit(1) both print as 1.
     """
 
-    __slots__ = ("kind", "payload", "_canon")
+    __slots__ = ("kind", "payload", "_canon", "_key")
 
     def __init__(self, kind: str, payload):
         self.kind = kind
         self.payload = payload
         self._canon = json.dumps(self._jsonable(), separators=(",", ":"))
+        if kind == "tuple":
+            self._key = (kind, tuple(t._key for t in payload))
+        else:
+            self._key = (kind, self._canon)
 
     # -- constructors ---------------------------------------------------
 
@@ -129,10 +136,10 @@ class ColourToken:
     def __eq__(self, other):
         if not isinstance(other, ColourToken):
             return NotImplemented
-        return self._canon == other._canon
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._canon)
+        return hash(self._key)
 
     def __repr__(self):
         return f"ColourToken({self.kind}:{self._canon})"

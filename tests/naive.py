@@ -58,3 +58,23 @@ def naive_fs_scan(colour, points, n, budget=None, add=operator.add):
         if len({colour(s) for s in naive_subset_sums(combo, add)}) == 1:
             return "counterexample", examined, combo
     return "verified", examined, None
+
+
+def naive_feasible(progress, r, groups):
+    """Can `progress` (indexed by row-subset mask, slot 0 unused) be
+    completed in r more columns?  A plain walk over every common final
+    length k, testing each counting group (masks, lo, hi, g) at that k."""
+    p = progress
+    for k in range(max(1, max(p[1:])), min(p[1:]) + r + 1):
+        ok = True
+        for masks, lo, hi, g in groups:
+            demand = len(masks) * k - sum(p[mk] for mk in masks)
+            if demand < 0 or not r * lo <= demand <= r * hi:
+                ok = False
+                break
+            if g > 1 and (demand - r * lo) % g:
+                ok = False
+                break
+        if ok:
+            return True
+    return False

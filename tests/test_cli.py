@@ -1,7 +1,11 @@
+import contextlib
+import io
 import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pattern_forge.cli import main
 from pattern_forge.verify import no_seven_norms
@@ -56,6 +60,28 @@ def test_search_m0_requires_entry_bound(capsys):
                           "--l-max", "4")
     assert code == 64
     assert "entry-bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # 3^25 - 1 columns and 2001^3 - 1 columns: building either table
+    # would exhaust time and memory, so the size is computed instead
+    ["--n", "25", "--m", "3", "--l-max", "1"],
+    ["--n", "3", "--m", "0", "--entry-bound", "1000", "--l-max", "1"]])
+def test_search_refuses_regions_too_large_to_tabulate(capsys, argv):
+    code, out, err = run(capsys, "search", *argv)
+    assert code == 64
+    assert out == ""
+    assert "column profile entries" in err
+
+
+def test_search_negative_node_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["search", "--n", "3", "--m", "2", "--l-max", "8",
+              "--node-cap", "-1"])
+    out = capsys.readouterr()
+    assert err.value.code == 64
+    assert out.out == ""
+    assert "node_cap" in out.err
 
 
 def test_search_out_file_embeds_manifest(tmp_path, capsys):
@@ -134,6 +160,18 @@ def test_colour_delta(capsys):
                        "--branches", '["000","010"]')
     assert code == 0
     assert out.strip() == '[["TOP",1],[1,"TOP"]]'
+
+
+@pytest.mark.parametrize("branches", ["[1]", "5", "null", '["01", null]',
+                                      '["0a"]'])
+def test_colour_delta_refuses_malformed_branches(capsys, branches):
+    # a branch that is not a string used to crash (exit 70)
+    try:
+        code = main(["colour", "--id", "delta", "--branches", branches])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 64
+    assert capsys.readouterr().out == ""
 
 
 def test_colour_product_sigma_with_group(capsys):
@@ -332,3 +370,117 @@ def test_bench_known_workload(capsys):
 def test_bench_unknown_workload(capsys):
     code, err = run_usage(capsys, "bench", "--workload", "none")
     assert code == 64
+
+
+# -- argv fuzzing ------------------------------------------------------------
+
+def _ints(lo, hi):
+    """Mostly values in [lo, hi], sometimes 0 or -1."""
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi),
+                     st.sampled_from([-1, 0])).map(str)
+
+
+_SMALL = _ints(1, 4)
+_JUNK = st.sampled_from(["--bogus", "junk", "-1", "{", "", "--n=x", "3.5",
+                         "[]", "--claim"])
+# finite groups (the cyclic subgroups of an integer box overflow the
+# closure cap, a crash that exits 70 by design) and malformed JSON
+_GROUP = st.sampled_from([
+    json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2}),
+    json.dumps({"factors": [{"kind": "cyclic", "m": 2}] * 3}),
+    json.dumps({"factors": [{"kind": "cyclic", "m": 5}]}),
+    json.dumps({"factors": [{"kind": "prime_power", "p": 2, "k": 2}] * 2}),
+    '{"factors": [', '{"factors": [{"kind": "cyclic"}]}', '{"factors": 3}',
+    '{"factors": [{"kind": "torus", "m": 2}]}', "[]", "null", "{}"])
+_FLAGS = {
+    "search": {"--n": _SMALL,
+               "--m": _ints(2, 6),
+               "--l-max": _ints(1, 6),
+               "--l-min": _SMALL,
+               "--entry-bound": _ints(1, 2),
+               "--node-cap": _ints(1, 60),
+               "--threads": _ints(1, 2)},
+    "verify": {"--claim": st.sampled_from(
+                   ["lemma3.1", "thm3.2", "thm4.1", "thm5.4", "thm5.5",
+                    "thm5.6", "thm2.3", "thm5.1-shadow", "thm9.9"]),
+               "--dim": _ints(1, 3),
+               "--bound": _ints(1, 2),
+               "--n": _SMALL,
+               "--kappa": _ints(1, 3),
+               "--max-set": _ints(1, 3),
+               "--a": _ints(2, 5),
+               "--group": _GROUP,
+               "--elements": st.sampled_from(
+                   ["[[1,0],[0,1]]", "[[1,1]]", "[[1]]", "[]", "x",
+                    "[[7,7]]"]),
+               "--alphas": st.sampled_from(["0", "0,1", "-1", "x", "9"]),
+               "--beta": _SMALL,
+               "--gammas": st.sampled_from(["1", "1,2", "", "x"]),
+               "--colouring": st.sampled_from(
+                   ["product_sigma", "sum_squares", "nope"]),
+               "--budget": _ints(1, 20),
+               "--threads": _ints(1, 2)},
+    "colour": {"--id": st.sampled_from(
+                   ["sum_squares", "valuation:a=2", "valuation:a=4",
+                    "product_sigma", "delta", "subgroup_parity", "nope"]),
+               "--element": st.sampled_from(
+                   ["[1,-1,0]", "[0]", "[0,0]", "[2,1]", "[]", "x", "[1.5]",
+                    '"a"', "[[1]]"]),
+               "--branches": st.sampled_from(
+                   ['["01","10"]', '["0","1","11"]', "[]", "x", "[1]"]),
+               "--group": _GROUP},
+}
+
+
+# the flags each command or claim needs; they are drawn more often, so
+# that most examples get past argument checking
+_NEEDS = {"search": ["--n", "--m", "--l-max"],
+          "colour": ["--id", "--element"],
+          "lemma3.1": ["--dim", "--bound"],
+          "thm3.2": ["--dim", "--bound", "--n"],
+          "thm4.1": ["--kappa", "--max-set"], "thm5.4": ["--group"],
+          "thm5.5": ["--group"], "thm5.6": ["--a", "--dim", "--bound"],
+          "thm2.3": ["--group", "--alphas", "--beta", "--gammas",
+                     "--colouring"],
+          "thm5.1-shadow": ["--group", "--elements"], "thm9.9": []}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    chosen = {}
+    if command == "verify":
+        chosen["--claim"] = draw(flags["--claim"])
+    for name in _NEEDS[chosen.get("--claim", command)]:
+        if draw(st.integers(0, 9)):
+            chosen[name] = draw(flags[name])
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), unique=True,
+                              max_size=3)):
+        chosen.setdefault(name, draw(flags[name]))
+    argv = [command]
+    for name, value in chosen.items():
+        argv += [name, value]
+    for _ in range(draw(st.integers(0, 2)) if draw(st.booleans()) else 0):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_JUNK))
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_argv_fuzz_keeps_the_exit_contract(argv):
+    # a plain function, not the capsys fixture: Hypothesis runs every
+    # example inside one test call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stdout = out.getvalue()
+    assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
+    if code == 64:
+        assert stdout == "", argv
+    else:
+        assert stdout.endswith("\n") and stdout.count("\n") == 1, argv
+        json.loads(stdout)

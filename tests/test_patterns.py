@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from pattern_forge.patterns import (Pattern, SearchConfig,
                                     search, sigma_colouring_check)
 from pattern_forge.tokens import ColourToken
 
-from naive import naive_find_adequate
+from naive import naive_feasible, naive_find_adequate
 
 
 # -- pattern construction ------------------------------------------------------
@@ -233,6 +234,183 @@ def test_node_counts_across_field_width_boundaries(n, m, bound, l_max, status,
     assert (out.status, out.nodes) == (status, nodes)
 
 
+_R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
+_R32 = '"region":{"n":3,"m":2,"l_min":1,"l_max":8}'
+_P32 = ('"pattern":{"n":3,"m":2,"l":7,"rows":[[0,0,0,1,1,1,1],'
+        '[0,1,1,0,0,1,1],[1,0,1,0,1,0,1]]}')
+
+
+def _capped(n, m, l_max, cap, expected):
+    return pytest.param(n, m, l_max, cap, expected,
+                        id=f"{n}-{m}-{l_max}-{cap}")
+
+
+@pytest.mark.parametrize("n,m,l_max,cap,expected", [
+    _capped(3, 3, 10, cap,
+            '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, _R33))
+    for cap in (0, 1, 2, 5, 17, 100, 5000)] + [
+    _capped(3, 2, 8, cap,
+            '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, _R32))
+    for cap in (0, 1, 2, 5, 17)] + [
+    _capped(3, 2, 8, cap, '{"status":"found","nodes":28,%s,%s}' % (_R32, _P32))
+    for cap in (100, 5000)])
+def test_node_cap_outcomes(n, m, l_max, cap, expected):
+    # outputs measured when every candidate column was spent one by one;
+    # the search now spends the columns that fail the signature in chunks
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, node_cap=cap))
+    assert out.to_json() == expected
+
+
+@functools.cache
+def _counting_groups(n, m, bound):
+    """The counting groups of a region as (masks, lo, hi, g)."""
+    alphabet = patterns._column_alphabet(n, m, bound)
+    return patterns._constraint_groups(
+        n, [patterns._column_profile(c, n, m) for c in alphabet])
+
+
+@functools.cache
+def _engine(n, m):
+    """One length-12 engine per region, kept across examples: building
+    the tables of (4, 4) takes a good part of a second."""
+    return patterns._LengthSearch(n, m, 12, patterns._Columns(n, m, None),
+                                  patterns._NodeBudget(None))
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (4, 4)])
+def test_regions_with_congruences(n, m):
+    # the regions below exercise the congruence step of _feasible
+    assert any(g > 1 for *_, g in _counting_groups(n, m, None))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_feasible_agrees_with_naive_walk(data):
+    n, m = data.draw(st.sampled_from([(3, 2), (4, 2), (4, 4)]))
+    engine = _engine(n, m)
+    n_masks = (1 << n) - 1
+    # progress fields near one another, where the groups decide
+    base = data.draw(st.integers(0, 10))
+    spread = data.draw(st.integers(0, 4))
+    progress = [0] + [base + data.draw(st.integers(0, spread))
+                      for _ in range(n_masks)]
+    r = data.draw(st.integers(0, 12))
+    engine.progress = progress
+    assert engine._feasible(r) == naive_feasible(
+        progress, r, _counting_groups(n, m, None)), (progress, r)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max", [
+    (3, 2, None, 8), (3, 3, None, 9), (3, 4, None, 8), (4, 2, None, 16),
+    (4, 4, None, 5), (3, 0, 1, 6)])
+def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
+                                                           bound, l_max):
+    calls = []
+    groups = _counting_groups(n, m, bound)
+
+    class Checked(patterns._LengthSearch):
+        def _feasible(self, r):
+            answer = super()._feasible(r)
+            assert answer == naive_feasible(self.progress, r, groups)
+            calls.append(answer)
+            return answer
+
+    cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
+    plain = search(cfg)
+    monkeypatch.setattr(patterns, "_LengthSearch", Checked)
+    assert search(cfg) == plain
+    assert len(calls) > 0
+
+
+def _direct_scan(options, progress, signature):
+    """The options that fit a search state, by checking every hit of
+    every option against the signature (the check the fitting table
+    replaces)."""
+    out = []
+    for pos, (c, hits, next_tied, step) in enumerate(options):
+        ext = None
+        ok = True
+        for mask, v in hits:
+            q = progress[mask]
+            if q < len(signature):
+                ok = signature[q] == v
+            elif ext is None:
+                ext = v
+            else:
+                ok = ext == v
+            if not ok:
+                break
+        if ok:
+            out.append((pos, c, hits, next_tied, step, ext))
+    return out
+
+
+class _CheckedTable(dict):
+    """A fitting-column table that checks every entry it stores or
+    returns against a direct scan of the options its key names (tie
+    mask -1: the depth-0 options) in the live search state."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+        self.hits = 0
+
+    def _expected(self, key):
+        engine = self.engine
+        tied, _ = key
+        options = engine.first_choices if tied == -1 else engine.choices[tied]
+        return (_direct_scan(options, engine.progress, engine.signature),
+                len(options))
+
+    def get(self, key):
+        entry = super().get(key)
+        if entry is not None:
+            self.hits += 1
+            assert entry == self._expected(key), (self.engine.chosen, key)
+        return entry
+
+    def __setitem__(self, key, entry):
+        assert entry == self._expected(key), (self.engine.chosen, key)
+        super().__setitem__(key, entry)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max", [
+    (2, 3, None, 4), (3, 3, None, 9), (3, 4, None, 8), (3, 6, None, 7),
+    (4, 2, None, 16), (4, 3, None, 5), (2, 0, 2, 4), (3, 0, 1, 6)])
+def test_fitting_table_matches_a_direct_scan(monkeypatch, n, m, bound, l_max):
+    tables = []
+
+    class Checked(patterns._LengthSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.fitting = _CheckedTable(self)
+            tables.append(self.fitting)
+
+    cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
+    plain = search(cfg)
+    monkeypatch.setattr(patterns, "_LengthSearch", Checked)
+    assert search(cfg) == plain
+    assert sum(len(t) for t in tables) > 0
+    if plain.nodes > 1000:
+        assert sum(t.hits for t in tables) > 0
+
+
+def test_table_size_refusal_is_arithmetic(monkeypatch):
+    # (3^3 - 1) columns x 7 row subsets = 182 profile entries
+    monkeypatch.setattr(patterns, "_TABLE_CAP", 182)
+    assert search(SearchConfig(n=3, m=3, l_max=2)).status == "exhausted"
+    monkeypatch.setattr(patterns, "_TABLE_CAP", 181)
+    with pytest.raises(SizeLimitError):
+        search(SearchConfig(n=3, m=3, l_max=2))
+    monkeypatch.undo()
+    # refused by arithmetic alone: building any of these would not end
+    for cfg in [SearchConfig(n=25, m=3, l_max=1),
+                SearchConfig(n=3, m=0, l_max=1, entry_bound=1000),
+                SearchConfig(n=10 ** 9, m=2, l_max=1)]:
+        with pytest.raises(SizeLimitError):
+            search(cfg)
+
+
 def test_search_integer_entries_exhausts_and_matches_oracle():
     out = search(SearchConfig(n=3, m=0, l_max=3, entry_bound=1))
     assert out.status == "exhausted"
@@ -280,6 +458,8 @@ def test_search_config_validation():
         SearchConfig(n=2, m=2, l_max=3, entry_bound=2)
     with pytest.raises(ValueError):
         SearchConfig(n=2, m=2, l_max=2, l_min=3)
+    with pytest.raises(ValueError):
+        SearchConfig(n=2, m=2, l_max=2, node_cap=-1)
 
 
 # -- metamorphic invariances ---------------------------------------------------

@@ -7,12 +7,30 @@ from hypothesis import strategies as st
 from pattern_forge.tokens import TOP, ColourToken, canonical_scalar
 
 
-def test_equality_is_byte_equality():
+def test_equality_is_kind_and_byte_equality():
     assert ColourToken.int_(3) == ColourToken.int_(3)
     assert ColourToken.int_(3) != ColourToken.int_(4)
-    # identical serializations compare equal across constructors
-    assert ColourToken.int_(0) == ColourToken.bit(0)
     assert hash(ColourToken.seq([1, 2])) == hash(ColourToken.seq((1, 2)))
+    # identical serializations of different kinds stay apart
+    assert ColourToken.int_(0).to_json() == ColourToken.bit(0).to_json()
+    assert ColourToken.int_(0) != ColourToken.bit(0)
+    assert ColourToken.int_(1) != ColourToken.bit(1)
+
+
+def test_equality_sees_kinds_inside_tuples():
+    matrix = ColourToken.matrix([[1]])
+    nested = ColourToken.tuple_([ColourToken.seq([1])])
+    assert matrix.to_json() == nested.to_json() == "[[1]]"
+    assert matrix != nested
+    # a tuple's serialization drops the kinds of its members
+    ints = ColourToken.tuple_([ColourToken.int_(1)])
+    bits = ColourToken.tuple_([ColourToken.bit(1)])
+    assert ints.to_json() == bits.to_json()
+    assert ints != bits
+    assert ints == ColourToken.tuple_([ColourToken.int_(1)])
+    assert hash(ints) == hash(ColourToken.tuple_([ColourToken.int_(1)]))
+    assert len({ColourToken.int_(1), ColourToken.bit(1), ints, bits,
+                matrix, nested}) == 6
 
 
 def test_fraction_scalars_normalize():
