@@ -2,12 +2,3 @@
 pattern search, explicit bad colourings, and brute-force certificates."""
 
 __version__ = "0.1.0"
-
-from .groups import (Cyclic, Element, GroupSpec, IndexedMatrix, IntegerBox,
-                     PrimePower, RationalBox, fs_matrix, fs_set,
-                     independent_sequence, order, project_p, sigma,
-                     subgroup_closure, supp)
-from .patterns import (AdequacyReport, Pattern, SearchConfig, SearchOutcome,
-                       canonical_2_adequate, is_adequate, lift, search,
-                       sigma_colouring_check)
-from .tokens import TOP, ColourToken

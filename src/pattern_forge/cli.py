@@ -1,5 +1,5 @@
-"""Batch command line: pattern search, colouring evaluation, certificate
-suites and benchmarks, all emitting canonical JSON.
+"""Batch command line: pattern search, colouring evaluation and
+certificate suites, all emitting canonical JSON.
 
 Exit codes are part of the machine contract: 0 for found/verified, 1 for
 exhausted/counterexample, 2 for inconclusive, 64 for usage errors
@@ -7,6 +7,10 @@ exhausted/counterexample, 2 for inconclusive, 64 for usage errors
 error (any other exception; sysexits EX_SOFTWARE).  stdout carries
 exactly one JSON document, or nothing on exit 64 or 70; stderr is for
 humans.
+
+Each subcommand imports the modules it runs inside its handler, so a
+call pays only for those: ``--version`` loads no group arithmetic and
+``verify`` never loads the pattern search.
 """
 
 from __future__ import annotations
@@ -15,18 +19,9 @@ import argparse
 import json
 import os
 import sys
-import time
-import traceback
 
 from . import __version__
-from .colourings import BranchSet, delta_colouring, resolve_colouring
-from .groups import GroupSpec, PreconditionError, element_from_jsonable
-from .patterns import SearchConfig, search
 from .tokens import canonical_json
-from .verify import (BranchSetDomain, GroupDomain, check_fs_matrix_identities,
-                     find_monochromatic_ap, find_monochromatic_fs,
-                     find_monochromatic_span, find_monochromatic_subgroup,
-                     fs_support_growth_check, no_seven_norms)
 
 EXIT_FOUND = 0
 EXIT_NONE = 1
@@ -52,14 +47,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PATTERN_FORGE_THREADS")
-    if env:
+def _threads(parser, args) -> int:
+    """--threads, else PATTERN_FORGE_THREADS, else 1.  It is read only
+    after parsing, so a bad environment value cannot break the commands
+    that take no --threads."""
+    if args.threads is not None:
+        source, threads = "--threads", args.threads
+    else:
+        env = os.environ.get("PATTERN_FORGE_THREADS")
+        if not env:
+            return 1
+        source = "PATTERN_FORGE_THREADS"
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            pass
-    return 1
+            parser.error(f"{source} must be an integer, got {env!r}")
+    if threads < 1:
+        parser.error(f"{source} must be >= 1")
+    return threads
 
 
 def _emit(args, result: dict, nodes: int) -> None:
@@ -82,7 +87,8 @@ def _emit(args, result: dict, nodes: int) -> None:
     print(canonical_json(result))
 
 
-def _parse_group(parser, text: str) -> GroupSpec:
+def _parse_group(parser, text: str):
+    from .groups import GroupSpec
     try:
         return GroupSpec.from_jsonable(json.loads(text))
     except (ValueError, KeyError) as exc:
@@ -94,6 +100,7 @@ def _parse_group(parser, text: str) -> GroupSpec:
 
 
 def cmd_search(parser, args) -> int:
+    from .patterns import SearchConfig, search
     if args.m == 0 and args.entry_bound is None:
         parser.error("--entry-bound is required when --m 0")
     if args.m != 0 and args.entry_bound is not None:
@@ -122,6 +129,8 @@ def _require(parser, args, names):
 def _verify_fs(args, colouring_id: str, domain, n: int):
     """The finite-sums oracle, refusing a region that holds no n-subsets:
     its "verified" would be vacuous."""
+    from .groups import PreconditionError
+    from .verify import find_monochromatic_fs
     size = len(domain.points())
     if n > size:
         raise PreconditionError(
@@ -135,6 +144,8 @@ def _verify_norms(args):
     holds three vectors: its "verified" would be vacuous.  In dimension 1
     every such class is {a, -a}; from dimension 2 on, the unit vectors
     +-e_i share norm 1 whenever bound >= 1."""
+    from .groups import PreconditionError
+    from .verify import no_seven_norms
     if args.dim < 2 or args.bound < 1:
         raise PreconditionError(
             f"the box of bound {args.bound} in dimension {args.dim} has no "
@@ -143,6 +154,12 @@ def _verify_norms(args):
 
 
 def cmd_verify(parser, args) -> int:
+    from .colourings import resolve_colouring
+    from .groups import GroupSpec, element_from_jsonable
+    from .verify import (BranchSetDomain, GroupDomain,
+                         check_fs_matrix_identities, find_monochromatic_ap,
+                         find_monochromatic_span, find_monochromatic_subgroup,
+                         fs_support_growth_check)
     claim = args.claim
     if args.budget is not None and claim not in _BUDGET_CLAIMS:
         parser.error(f"--claim {claim} does not take --budget")
@@ -195,6 +212,8 @@ def cmd_verify(parser, args) -> int:
 
 
 def cmd_colour(parser, args) -> int:
+    from .colourings import BranchSet, delta_colouring, resolve_colouring
+    from .groups import GroupSpec, element_from_jsonable
     if args.id == "delta":
         if args.branches is None:
             parser.error("--id delta requires --branches")
@@ -242,65 +261,6 @@ def _emit_token_file(args, token) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def _bench_workloads():
-    from .groups import PrimePower
-
-    def s(n, m, l_max, bound=None):
-        def run():
-            out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-            return out.status, out.nodes
-        return run
-
-    def thm41(kappa):
-        def run():
-            cert = find_monochromatic_fs(
-                "delta", BranchSetDomain(kappa, kappa), 2, claim="thm4.1")
-            return cert.status, cert.enumerated
-        return run
-
-    def norms(d, b):
-        def run():
-            cert = no_seven_norms(d, b)
-            return cert.status, cert.enumerated
-        return run
-
-    def ap():
-        def run():
-            spec = GroupSpec((PrimePower(3, 1),) * 3)
-            cert = find_monochromatic_ap("product_sigma", spec)
-            return cert.status, cert.enumerated
-        return run
-
-    return {
-        "search-n2-m3": s(2, 3, 3),
-        "search-n3-m2": s(3, 2, 8),
-        "search-n4-m2": s(4, 2, 16),
-        "search-n3-m0-b2": s(3, 0, 4, bound=2),
-        "thm4.1-k3": thm41(3),
-        "lemma3.1-d3-b3": norms(3, 3),
-        "thm5.4-z3-cubed": ap(),
-    }
-
-
-def cmd_bench(parser, args) -> int:
-    workloads = _bench_workloads()
-    if args.workload not in workloads:
-        parser.error(f"unknown workload {args.workload!r}; "
-                     f"choices: {', '.join(sorted(workloads))}")
-    t0 = time.perf_counter()
-    status, nodes = workloads[args.workload]()
-    wall = time.perf_counter() - t0
-    report = {"workload": args.workload, "status": status, "nodes": nodes,
-              "wall_seconds": round(wall, 6),
-              "nodes_per_second": round(nodes / wall, 1) if wall > 0 else None}
-    print(canonical_json(report))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # wiring
 
 
@@ -317,7 +277,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l-max", type=int, required=True)
     p.add_argument("--l-min", type=int, default=1)
     p.add_argument("--entry-bound", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     p.add_argument("--node-cap", type=int)
     p.add_argument("--out")
 
@@ -337,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--colouring")
     p.add_argument("--full-lattice", action="store_true")
     p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     p.add_argument("--out")
 
     p = sub.add_parser("colour", help="evaluate one colouring")
@@ -347,19 +307,16 @@ def build_parser() -> _Parser:
     p.add_argument("--group")
     p.add_argument("--out")
 
-    p = sub.add_parser("bench", help="run a named workload and time it")
-    p.add_argument("--workload", required=True)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
+    if hasattr(args, "threads"):
+        args.threads = _threads(parser, args)
     handlers = {"search": cmd_search, "verify": cmd_verify,
-                "colour": cmd_colour, "bench": cmd_bench}
+                "colour": cmd_colour}
     try:
         return handlers[args.command](parser, args)
     except SystemExit:
@@ -369,6 +326,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception:
         # a crash must not exit with a result code
+        import traceback
         traceback.print_exc()
         return EXIT_SOFTWARE
 

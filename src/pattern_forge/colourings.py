@@ -19,14 +19,15 @@ command line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .groups import (Cyclic, Element, IntegerBox, PreconditionError,
                      PrimePower, RationalBox, StructureError, is_prime,
                      project_p, sigma, supp)
-from .tokens import TOP, ColourToken
+from .tokens import TOP, ColourToken, Record
+
+_set = object.__setattr__
 
 __all__ = [
     "BinaryBranch", "BranchSet", "delta", "delta_colouring",
@@ -40,17 +41,45 @@ __all__ = [
 # binary branches and finite branch sets
 
 
-@dataclass(frozen=True, order=True)
-class BinaryBranch:
+class BinaryBranch(Record):
     """A 0/1 word of fixed length, ordered lexicographically."""
 
-    bits: tuple
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        bits = tuple(self.bits)
-        object.__setattr__(self, "bits", bits)
+    def __init__(self, bits: tuple):
+        bits = tuple(bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"branch bits must be 0/1: {bits!r}")
+        _set(self, "bits", bits)
+
+    # branch sets sort and hash their branches on every construction
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.bits,))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits < other.bits
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits <= other.bits
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits > other.bits
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits >= other.bits
 
     @classmethod
     def from_string(cls, s: str) -> "BinaryBranch":
@@ -63,19 +92,26 @@ class BinaryBranch:
         return "".join(str(b) for b in self.bits)
 
 
-@dataclass(frozen=True)
-class BranchSet:
+class BranchSet(Record):
     """A finite set of equal-length branches; the elements of the Boolean
     group of branch sets under symmetric difference.  Stored sorted."""
 
-    branches: tuple
+    __slots__ = ("branches",)
 
-    def __post_init__(self):
-        branches = tuple(sorted(set(self.branches)))
-        object.__setattr__(self, "branches", branches)
+    def __init__(self, branches: tuple):
+        branches = tuple(sorted(set(branches)))
         lengths = {len(b) for b in branches}
         if len(lengths) > 1:
             raise ValueError("branches in one set must share a length")
+        _set(self, "branches", branches)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.branches == other.branches
+
+    def __hash__(self):
+        return hash((self.branches,))
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "BranchSet":
@@ -125,7 +161,7 @@ def sum_squares_colouring(x: Element) -> ColourToken:
         if not isinstance(f, (IntegerBox, RationalBox)):
             raise PreconditionError(
                 "sum of squares needs torsion-free factors only")
-    total = sum((a * a for a in x.coords), start=Fraction(0))
+    total = sum(a * a for a in x.coords)
     return ColourToken.int_(total)
 
 

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .tokens import ColourToken, canonical_json
+from .tokens import ColourToken, Record, canonical_json
+
+_set = object.__setattr__
 
 
 class StructureError(ValueError):
@@ -76,13 +77,13 @@ def is_prime(n: int) -> bool:
 # factors
 
 
-@dataclass(frozen=True)
-class Cyclic:
-    m: int
+class Cyclic(Record):
+    __slots__ = ("m",)
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise StructureError(f"cyclic modulus must be >= 2, got {self.m}")
+    def __init__(self, m: int):
+        if m < 2:
+            raise StructureError(f"cyclic modulus must be >= 2, got {m}")
+        _set(self, "m", m)
 
     def normalize(self, v):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -117,13 +118,13 @@ class Cyclic:
         return {"kind": "cyclic", "m": self.m}
 
 
-@dataclass(frozen=True)
-class IntegerBox:
-    bound: int
+class IntegerBox(Record):
+    __slots__ = ("bound",)
 
-    def __post_init__(self):
-        if self.bound < 1:
-            raise StructureError(f"box bound must be >= 1, got {self.bound}")
+    def __init__(self, bound: int):
+        if bound < 1:
+            raise StructureError(f"box bound must be >= 1, got {bound}")
+        _set(self, "bound", bound)
 
     def normalize(self, v):
         if not isinstance(v, int) or isinstance(v, bool):
@@ -157,16 +158,16 @@ class IntegerBox:
         return {"kind": "int_box", "bound": self.bound}
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    p: int
-    k: int
+class PrimePower(Record):
+    __slots__ = ("p", "k")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise StructureError(f"{self.p} is not prime")
-        if self.k < 1:
-            raise StructureError(f"exponent must be >= 1, got {self.k}")
+    def __init__(self, p: int, k: int):
+        if not is_prime(p):
+            raise StructureError(f"{p} is not prime")
+        if k < 1:
+            raise StructureError(f"exponent must be >= 1, got {k}")
+        _set(self, "p", p)
+        _set(self, "k", k)
 
     @property
     def modulus(self):
@@ -209,16 +210,16 @@ class PrimePower:
         return {"kind": "prime_power", "p": self.p, "k": self.k}
 
 
-@dataclass(frozen=True)
-class RationalBox:
-    den: int
-    bound: int
+class RationalBox(Record):
+    __slots__ = ("den", "bound")
 
-    def __post_init__(self):
-        if self.den < 1:
-            raise StructureError(f"denominator must be >= 1, got {self.den}")
-        if self.bound < 1:
-            raise StructureError(f"box bound must be >= 1, got {self.bound}")
+    def __init__(self, den: int, bound: int):
+        if den < 1:
+            raise StructureError(f"denominator must be >= 1, got {den}")
+        if bound < 1:
+            raise StructureError(f"box bound must be >= 1, got {bound}")
+        _set(self, "den", den)
+        _set(self, "bound", bound)
 
     def normalize(self, v):
         if isinstance(v, bool):
@@ -272,14 +273,21 @@ FACTOR_KINDS = {
 # group spec and elements
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    factors: tuple
+class GroupSpec(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple):
+        if not factors:
             raise StructureError("a group spec needs at least one factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        _set(self, "factors", tuple(factors))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     # construction helpers
 
@@ -356,10 +364,18 @@ class GroupSpec:
         return cls(factors)
 
 
-@dataclass(frozen=True)
-class Element:
-    parent: GroupSpec
-    coords: tuple
+class Element(Record):
+    __slots__ = ("parent", "coords")
+
+    def __init__(self, parent: GroupSpec, coords: tuple):
+        _set(self, "parent", parent)
+        _set(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and (
+            self.parent is other.parent or self.parent == other.parent)
 
     def __hash__(self):
         # equality still compares parent; hashing it too would re-hash
@@ -369,7 +385,7 @@ class Element:
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        if other.parent != self.parent:
+        if other.parent is not self.parent and other.parent != self.parent:
             raise StructureError("elements belong to different groups")
         fs = self.parent.factors
         return Element(self.parent, tuple(
@@ -485,15 +501,14 @@ def fs_set(xs: Sequence[Element], limit: int = DEFAULT_FS_LIMIT) -> set:
     return {s for _, s in fs_set_formal(xs, limit)}
 
 
-@dataclass(frozen=True)
-class IndexedMatrix:
+class IndexedMatrix(Record):
     """A rows x cols matrix of elements of one group, row index first."""
 
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("entries",)  # tuple of row tuples
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries: tuple):
+        rows = tuple(tuple(r) for r in entries)
+        _set(self, "entries", rows)
         if not rows or not rows[0]:
             raise StructureError("indexed matrix must be nonempty")
         width = len(rows[0])

@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .groups import (Element, GroupSpec, Cyclic, PreconditionError,
                      SizeLimitError, is_independent, order, sigma)
-from .tokens import canonical_json
+from .tokens import Record, canonical_json
 from .verify import first_in_class
+
+_set = object.__setattr__
 
 __all__ = [
     "Pattern", "AdequacyReport", "AdequacyWitness", "SearchConfig",
@@ -29,32 +30,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Record):
     """n nonzero, pairwise distinct row vectors of length l over Z/mZ."""
 
-    n: int
-    m: int
-    l: int
-    rows: tuple
+    __slots__ = ("n", "m", "l", "rows")
 
-    def __post_init__(self):
-        if self.n < 1 or self.l < 1:
+    def __init__(self, n: int, m: int, l: int, rows: tuple):
+        if n < 1 or l < 1:
             raise ValueError("pattern needs n >= 1 rows and l >= 1 columns")
-        if self.m == 1 or self.m < 0:
+        if m == 1 or m < 0:
             raise ValueError("modulus must be >= 2, or 0 for integer entries")
-        rows = tuple(tuple(int(e) % self.m if self.m else int(e) for e in r)
-                     for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(rows)}")
+        rows = tuple(tuple(int(e) % m if m else int(e) for e in r)
+                     for r in rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
         for r in rows:
-            if len(r) != self.l:
+            if len(r) != l:
                 raise ValueError("ragged pattern rows")
             if all(e == 0 for e in r):
                 raise ValueError("pattern rows must be nonzero")
-        if len(set(rows)) != self.n:
+        if len(set(rows)) != n:
             raise ValueError("pattern rows must be pairwise distinct")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "l", l)
+        _set(self, "rows", rows)
 
     def row_sum(self, mask: int) -> tuple:
         """Entrywise sum of the rows selected by bitmask (mod m)."""
@@ -85,23 +85,29 @@ def _nonzero_entries(vec: Sequence[int]) -> tuple:
     return tuple(e for e in vec if e != 0)
 
 
-@dataclass(frozen=True)
-class AdequacyWitness:
+class AdequacyWitness(Record):
     """Two row-subset sums whose nonzero-entry sequences differ."""
 
-    mask_a: int
-    sum_a: tuple
-    sigma_a: tuple
-    mask_b: int
-    sum_b: tuple
-    sigma_b: tuple
+    __slots__ = ("mask_a", "sum_a", "sigma_a", "mask_b", "sum_b", "sigma_b")
+
+    def __init__(self, mask_a: int, sum_a: tuple, sigma_a: tuple,
+                 mask_b: int, sum_b: tuple, sigma_b: tuple):
+        _set(self, "mask_a", mask_a)
+        _set(self, "sum_a", sum_a)
+        _set(self, "sigma_a", sigma_a)
+        _set(self, "mask_b", mask_b)
+        _set(self, "sum_b", sum_b)
+        _set(self, "sigma_b", sigma_b)
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
-    adequate: bool
-    signature: Optional[tuple] = None
-    witness: Optional[AdequacyWitness] = None
+class AdequacyReport(Record):
+    __slots__ = ("adequate", "signature", "witness")
+
+    def __init__(self, adequate: bool, signature: Optional[tuple] = None,
+                 witness: Optional[AdequacyWitness] = None):
+        _set(self, "adequate", adequate)
+        _set(self, "signature", signature)
+        _set(self, "witness", witness)
 
 
 def is_adequate(pattern: Pattern) -> AdequacyReport:
@@ -132,32 +138,35 @@ def canonical_2_adequate(m: int) -> Pattern:
 # exhaustive search
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    n: int
-    m: int
-    l_max: int
-    l_min: int = 1
-    entry_bound: Optional[int] = None
-    threads: int = 1
-    node_cap: Optional[int] = None
+class SearchConfig(Record):
+    __slots__ = ("n", "m", "l_max", "l_min", "entry_bound", "threads",
+                 "node_cap")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, m: int, l_max: int, l_min: int = 1,
+                 entry_bound: Optional[int] = None, threads: int = 1,
+                 node_cap: Optional[int] = None):
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.m == 1 or self.m < 0:
+        if m == 1 or m < 0:
             raise ValueError("modulus must be >= 2, or 0 for integer entries")
-        if not 1 <= self.l_min <= self.l_max:
+        if not 1 <= l_min <= l_max:
             raise ValueError("need 1 <= l_min <= l_max")
-        if self.m == 0:
-            if self.entry_bound is None or self.entry_bound < 1:
+        if m == 0:
+            if entry_bound is None or entry_bound < 1:
                 raise ValueError("integer search needs entry_bound >= 1")
-        elif self.entry_bound is not None:
+        elif entry_bound is not None:
             raise ValueError("entry_bound only applies at m = 0")
-        if self.threads < 1:
+        if threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.node_cap is not None and self.node_cap < 0:
+        if node_cap is not None and node_cap < 0:
             raise ValueError("node_cap must be >= 0")
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "l_max", l_max)
+        _set(self, "l_min", l_min)
+        _set(self, "entry_bound", entry_bound)
+        _set(self, "threads", threads)
+        _set(self, "node_cap", node_cap)
 
     def region(self) -> dict:
         out = {"n": self.n, "m": self.m,
@@ -167,12 +176,15 @@ class SearchConfig:
         return out
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: str  # "found" | "exhausted" | "inconclusive"
-    nodes: int
-    region: dict
-    pattern: Optional[Pattern] = None
+class SearchOutcome(Record):
+    __slots__ = ("status", "nodes", "region", "pattern")
+
+    def __init__(self, status: str, nodes: int, region: dict,
+                 pattern: Optional[Pattern] = None):
+        _set(self, "status", status)  # "found" | "exhausted" | "inconclusive"
+        _set(self, "nodes", nodes)
+        _set(self, "region", region)
+        _set(self, "pattern", pattern)
 
     def jsonable(self):
         out = {"status": self.status, "nodes": self.nodes,

@@ -33,6 +33,43 @@ class _Top:
 TOP = _Top()
 
 
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets them
+    in ``__init__`` with ``object.__setattr__``.  Equality holds only
+    between instances of one class with equal fields, and the hash is
+    that of the tuple of fields.  A subclass on a hot path writes its
+    own ``__eq__`` and ``__hash__`` to the same rules.  (``dataclasses``
+    is not used: it generates and ``exec``s these methods on every
+    start-up.)
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 def canonical_scalar(value):
     """Normalize a numeric entry: exact integers stay ints, proper
     fractions become Fraction.  Floats are rejected (arithmetic here is

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .colourings import (BranchSet, delta_colouring, resolve_colouring,
@@ -21,7 +20,9 @@ from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, IndexedMatrix,
                      PreconditionError, SizeLimitError, fs_set_formal,
                      is_independent, order, smallest_prime_factor,
                      subgroup_closure, supp)
-from .tokens import ColourToken, canonical_json
+from .tokens import ColourToken, Record, canonical_json
+
+_set = object.__setattr__
 
 __all__ = [
     "Certificate", "DeltaSystem", "GroupDomain", "BranchSetDomain",
@@ -40,13 +41,16 @@ COUNTEREXAMPLE = "counterexample"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    claim: str
-    domain: dict
-    status: str
-    enumerated: int
-    witness: Optional[dict] = None
+class Certificate(Record):
+    __slots__ = ("claim", "domain", "status", "enumerated", "witness")
+
+    def __init__(self, claim: str, domain: dict, status: str,
+                 enumerated: int, witness: Optional[dict] = None):
+        _set(self, "claim", claim)
+        _set(self, "domain", domain)
+        _set(self, "status", status)
+        _set(self, "enumerated", enumerated)
+        _set(self, "witness", witness)
 
     def jsonable(self):
         return {"claim": self.claim, "domain": self.domain,
@@ -514,20 +518,19 @@ def find_monochromatic_span(a: int, dim: int, bound: int) -> Certificate:
 # sunflowers
 
 
-@dataclass(frozen=True)
-class DeltaSystem:
+class DeltaSystem(Record):
     """A subfamily of sets whose pairwise intersections all equal root."""
 
-    subfamily: tuple
-    root: frozenset
+    __slots__ = ("subfamily", "root")
 
-    def __post_init__(self):
-        subfamily = tuple(frozenset(s) for s in self.subfamily)
-        object.__setattr__(self, "subfamily", subfamily)
-        object.__setattr__(self, "root", frozenset(self.root))
+    def __init__(self, subfamily: tuple, root: frozenset):
+        subfamily = tuple(frozenset(s) for s in subfamily)
+        root = frozenset(root)
         for s, t in itertools.combinations(subfamily, 2):
-            if s & t != self.root:
+            if s & t != root:
                 raise ValueError("pairwise intersections must equal the root")
+        _set(self, "subfamily", subfamily)
+        _set(self, "root", root)
 
 
 def _scan_exhaustive(family: list, n: int):

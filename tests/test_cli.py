@@ -2,11 +2,16 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pattern_forge
 from pattern_forge.cli import main
 from pattern_forge.verify import no_seven_norms
 
@@ -137,6 +142,34 @@ def test_threads_below_one_is_usage_error(capsys, argv):
         assert err.value.code == 64
         assert out.out == ""
         assert "--threads" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--m", "3", "--l-max", "3"],
+    ["verify", "--claim", "thm3.2", "--dim", "1", "--bound", "1",
+     "--n", "2"]])
+def test_threads_env_below_one_or_not_an_integer_is_usage_error(
+        capsys, monkeypatch, argv):
+    for value in ("0", "abc", "-3"):
+        monkeypatch.setenv("PATTERN_FORGE_THREADS", value)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        out = capsys.readouterr()
+        assert err.value.code == 64
+        assert out.out == ""
+        assert "PATTERN_FORGE_THREADS" in out.err
+    # the flag wins over the environment
+    assert run(capsys, *argv, "--threads", "1")[0] == 0
+
+
+def test_threads_env_is_not_read_without_threads(capsys, monkeypatch):
+    monkeypatch.setenv("PATTERN_FORGE_THREADS", "abc")
+    code, out, _ = run(capsys, "colour", "--id", "sum_squares",
+                       "--element", "[1,2]")
+    assert (code, out) == (0, "5\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--version"])
+    assert err.value.code == 0
 
 
 # -- colour ------------------------------------------------------------------
@@ -321,6 +354,10 @@ def test_verify_refuses_budget_it_would_ignore(capsys, argv):
 def test_verify_unknown_claim(capsys):
     code, err = run_usage(capsys, "verify", "--claim", "thm9.9")
     assert code == 64
+    # an unknown command is refused the same way; bench is not one
+    code, err = run_usage(capsys, "bench", "--workload", "search-n2-m3")
+    assert code == 64
+    assert "invalid choice: 'bench'" in err
 
 
 def test_verify_missing_claim_flag(capsys):
@@ -356,20 +393,47 @@ def test_verify_thm51_shadow(capsys):
     assert data["status"] == "verified"
 
 
-# -- bench -------------------------------------------------------------------
+# -- start-up ----------------------------------------------------------------
 
-def test_bench_known_workload(capsys):
-    code, out, _ = run(capsys, "bench", "--workload", "search-n2-m3")
-    assert code == 0
-    report = json.loads(out)
-    assert report["workload"] == "search-n2-m3"
-    assert report["nodes"] > 0
-    assert "wall_seconds" in report
+_SRC = str(Path(pattern_forge.__file__).resolve().parents[1])
 
 
-def test_bench_unknown_workload(capsys):
-    code, err = run_usage(capsys, "bench", "--workload", "none")
-    assert code == 64
+def _imported(*args):
+    """Run python with args and return the modules it imported, read from
+    the -X importtime report on stderr."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    modules = {line.rsplit("|", 1)[1].strip()
+               for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    return proc, modules
+
+
+_WORK = ("pattern_forge.groups", "pattern_forge.colourings",
+         "pattern_forge.verify", "pattern_forge.patterns")
+
+
+def test_cli_import_skips_dataclasses_and_traceback():
+    proc, modules = _imported("-c", "import pattern_forge.cli")
+    assert proc.returncode == 0
+    assert "pattern_forge.tokens" in modules
+    assert not modules & {"dataclasses", "traceback", *_WORK}
+
+
+def test_each_subcommand_imports_only_what_it_runs():
+    proc, modules = _imported("-m", "pattern_forge.cli", "--version")
+    assert (proc.returncode, proc.stdout) == (0, pattern_forge.__version__
+                                              + "\n")
+    assert not modules & set(_WORK)
+    proc, modules = _imported("-m", "pattern_forge.cli", "verify", "--claim",
+                              "thm3.2", "--dim", "1", "--bound", "1",
+                              "--n", "2")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "verified"
+    assert "pattern_forge.verify" in modules
+    assert "pattern_forge.patterns" not in modules
 
 
 # -- argv fuzzing ------------------------------------------------------------

@@ -11,8 +11,9 @@ from pattern_forge.colourings import (BinaryBranch, BranchSet, delta,
                                       resolve_colouring, subgroup_colouring,
                                       sum_squares_colouring,
                                       valuation_colouring)
-from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
-                                  RationalBox, StructureError, supp)
+from pattern_forge.groups import (GroupSpec, IntegerBox, PreconditionError,
+                                  PrimePower, RationalBox, StructureError,
+                                  supp)
 from pattern_forge.tokens import TOP, ColourToken
 
 
@@ -99,6 +100,17 @@ def test_sum_squares_exact_rationals():
     spec = GroupSpec((RationalBox(2, 1), RationalBox(2, 1)))
     t = sum_squares_colouring(spec.element([Fraction(1, 2), Fraction(1, 2)]))
     assert t == ColourToken.int_(Fraction(1, 2))
+
+
+def test_sum_squares_token_bytes():
+    t = sum_squares_colouring(GroupSpec.integer_box(5, 2).element([3, 4]))
+    assert (t.kind, t.to_json(), type(t.payload)) == ("int", "25", int)
+    mixed = GroupSpec((RationalBox(2, 3), IntegerBox(3)))
+    t = sum_squares_colouring(mixed.element([Fraction(3, 2), 1]))
+    assert (t.kind, t.to_json()) == ("int", "[13,4]")
+    # an integral rational total prints as a plain integer
+    t = sum_squares_colouring(mixed.element([Fraction(1), 2]))
+    assert (t.kind, t.to_json(), type(t.payload)) == ("int", "5", int)
 
 
 def test_sum_squares_rejects_torsion():

@@ -1,0 +1,103 @@
+"""The immutable value classes: frozen fields, equality only within one
+class, and the hash of the tuple of fields (of coords for Element)."""
+
+import pytest
+
+from pattern_forge.colourings import BinaryBranch, BranchSet
+from pattern_forge.groups import (Cyclic, Element, GroupSpec, IndexedMatrix,
+                                  IntegerBox, PrimePower, RationalBox)
+from pattern_forge.patterns import (AdequacyReport, AdequacyWitness, Pattern,
+                                    SearchConfig, SearchOutcome,
+                                    canonical_2_adequate)
+from pattern_forge.verify import Certificate, DeltaSystem
+
+
+def _element():
+    return GroupSpec((Cyclic(5), Cyclic(5))).element([1, 3])
+
+
+# (class, factory of fresh instances with equal fields, field names in order)
+RECORDS = [
+    (Cyclic, lambda: Cyclic(5), ("m",)),
+    (IntegerBox, lambda: IntegerBox(2), ("bound",)),
+    (PrimePower, lambda: PrimePower(3, 2), ("p", "k")),
+    (RationalBox, lambda: RationalBox(2, 3), ("den", "bound")),
+    (GroupSpec, lambda: GroupSpec((Cyclic(5), IntegerBox(2))), ("factors",)),
+    (Element, _element, ("parent", "coords")),
+    (IndexedMatrix, lambda: IndexedMatrix(((_element(), -_element()),)),
+     ("entries",)),
+    (BinaryBranch, lambda: BinaryBranch((0, 1, 1)), ("bits",)),
+    (BranchSet, lambda: BranchSet.from_strings(["10", "01"]), ("branches",)),
+    (Pattern, lambda: canonical_2_adequate(3), ("n", "m", "l", "rows")),
+    (AdequacyWitness, lambda: AdequacyWitness(1, (1, 0), (1,), 2, (0, 0), ()),
+     ("mask_a", "sum_a", "sigma_a", "mask_b", "sum_b", "sigma_b")),
+    (AdequacyReport, lambda: AdequacyReport(True, signature=(1, 2)),
+     ("adequate", "signature", "witness")),
+    (SearchConfig, lambda: SearchConfig(n=2, m=3, l_max=4, node_cap=9),
+     ("n", "m", "l_max", "l_min", "entry_bound", "threads", "node_cap")),
+    (SearchOutcome,
+     lambda: SearchOutcome("found", 7, {"n": 2}, canonical_2_adequate(3)),
+     ("status", "nodes", "region", "pattern")),
+    (Certificate, lambda: Certificate("thm3.2", {"kind": "group"},
+                                      "verified", 10),
+     ("claim", "domain", "status", "enumerated", "witness")),
+    (DeltaSystem, lambda: DeltaSystem(({1, 2}, {1, 3}), {1}),
+     ("subfamily", "root")),
+]
+
+
+def test_every_record_class_is_listed():
+    assert len({cls for cls, _, _ in RECORDS}) == 16
+
+
+@pytest.mark.parametrize("cls,make,names", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_contract(cls, make, names):
+    a, b = make(), make()
+    assert type(a) is cls and a is not b
+    values = tuple(getattr(a, name) for name in names)
+
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert tuple(getattr(a, name) for name in names) == values
+
+    assert a == b and not a != b
+    expected = values[1] if cls is Element else values
+    try:
+        want = hash(expected)
+    except TypeError:  # a dict field: unhashable, as a tuple of it is
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == want
+
+    # an instance of another class with the same fields is unequal
+    twin_cls = type(cls.__name__ + "Twin", (cls,), {"__slots__": ()})
+    twin = object.__new__(twin_cls)
+    for name, value in zip(names, values):
+        object.__setattr__(twin, name, value)
+    assert a != twin and twin != a and not a == twin
+    assert repr(a).startswith(f"{cls.__name__}({names[0]}=")
+
+
+def test_sibling_classes_with_equal_fields_are_unequal():
+    assert Cyclic(2) != IntegerBox(2)
+    assert PrimePower(3, 2) != RationalBox(3, 2)
+    assert repr(PrimePower(3, 2)) == "PrimePower(p=3, k=2)"
+
+
+def test_binary_branches_sort_by_bits():
+    words = ["110", "001", "010", "000", "111", "100"]
+    branches = [BinaryBranch.from_string(w) for w in words]
+    assert [str(b) for b in sorted(branches)] == sorted(words)
+    lo, hi = BinaryBranch((0, 1)), BinaryBranch((1, 0))
+    assert lo < hi and lo <= hi and hi > lo and hi >= lo
+    assert lo <= BinaryBranch((0, 1)) and lo >= BinaryBranch((0, 1))
+    assert not (hi < lo or hi <= lo or lo > hi or lo >= hi)
+    with pytest.raises(TypeError):
+        lo < (1, 0)
