@@ -20,7 +20,7 @@ from pattern_forge.verify import (BranchSetDomain, GroupDomain,
 
 
 def suite():
-    yield "lemma3.1 d=1 B=5", lambda: no_seven_norms(1, 5)
+    yield "lemma3.1 d=2 B=5", lambda: no_seven_norms(2, 5)
     yield "lemma3.1 d=2 B=3", lambda: no_seven_norms(2, 3)
     yield "lemma3.1 d=3 B=3", lambda: no_seven_norms(3, 3)
     yield "thm3.2 box=[-2,2]^3 n=3", lambda: find_monochromatic_fs(

@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 def _threads(parser, args) -> int:
     """--threads, else PATTERN_FORGE_THREADS, else 1.  It is read only
     after parsing, so a bad environment value cannot break the commands
-    that take no --threads."""
+    that take no --threads.  Everything runs on one thread, so the value
+    is checked and then dropped."""
     if args.threads is not None:
         source, threads = "--threads", args.threads
     else:
@@ -108,7 +109,7 @@ def cmd_search(parser, args) -> int:
     try:
         cfg = SearchConfig(n=args.n, m=args.m, l_max=args.l_max,
                            l_min=args.l_min, entry_bound=args.entry_bound,
-                           threads=args.threads, node_cap=args.node_cap)
+                           node_cap=args.node_cap)
     except ValueError as exc:
         parser.error(str(exc))
     outcome = search(cfg)

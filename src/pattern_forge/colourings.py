@@ -22,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .groups import (Cyclic, Element, IntegerBox, PreconditionError,
-                     PrimePower, RationalBox, StructureError, is_prime,
-                     project_p, sigma, supp)
+from .groups import (Element, IntegerBox, PreconditionError, RationalBox,
+                     StructureError, is_prime, project_p, sigma, supp)
 from .tokens import TOP, ColourToken, Record
 
 _set = object.__setattr__
@@ -33,7 +32,6 @@ __all__ = [
     "BinaryBranch", "BranchSet", "delta", "delta_colouring",
     "sum_squares_colouring", "product_sigma_colouring",
     "subgroup_colouring", "valuation_colouring", "resolve_colouring",
-    "COLOURING_IDS",
 ]
 
 
@@ -188,17 +186,6 @@ def ord2(q: Fraction) -> int:
     return i
 
 
-def _coordinate_as_rational(x: Element, index: int) -> Fraction:
-    factor = x.parent.factors[index]
-    value = x.coords[index]
-    if isinstance(factor, PrimePower):
-        return factor.as_rational(value)
-    if isinstance(factor, Cyclic):
-        # same circle-group reading as a prime-power factor
-        return Fraction(value, factor.m)
-    return Fraction(value)
-
-
 def subgroup_colouring(x: Element) -> ColourToken:
     """Bit colouring that no nontrivial subgroup avoids (in groups with no
     order-2 elements): locate the least projection class other than 2
@@ -213,7 +200,7 @@ def subgroup_colouring(x: Element) -> ColourToken:
         proj = project_p(x, p)
         if not proj.is_zero():
             lead = min(supp(proj))
-            q = _coordinate_as_rational(x, lead)
+            q = x.parent.factors[lead].as_rational(x.coords[lead])
             return ColourToken.bit(ord2(q) & 1)
     raise PreconditionError(
         "element is supported entirely on the 2-part")
@@ -240,10 +227,6 @@ def valuation_colouring(x: Element, a: int) -> ColourToken:
 
 # ---------------------------------------------------------------------------
 # registry
-
-
-COLOURING_IDS = ("delta", "sum_squares", "product_sigma", "subgroup_parity",
-                 "valuation:a=<prime>")
 
 
 def resolve_colouring(colouring_id: str) -> Callable[[Element], ColourToken]:

@@ -9,6 +9,9 @@ A group is described by an ordered list of factors:
 * ``RationalBox(D,B)`` exact rationals a/D with |a| <= B*D; enumeration
   is clipped to the box but arithmetic is closed and exact.
 
+The two torsion factors share their modular arithmetic through one base,
+and the two torsion-free factors their exact arithmetic through another.
+
 Elements are immutable coordinate vectors over such a spec.  On top of
 the plain arithmetic this module provides support/nonzero-entry maps,
 per-prime projections, finite-sum enumeration for sets and for indexed
@@ -77,106 +80,16 @@ def is_prime(n: int) -> bool:
 # factors
 
 
-class Cyclic(Record):
-    __slots__ = ("m",)
+class _Modular(Record):
+    """The torsion factors: residues modulo ``modulus``, which each
+    subclass's ``__init__`` stores.  It is storage, not a field: equality,
+    hash and repr read the subclass's own fields."""
 
-    def __init__(self, m: int):
-        if m < 2:
-            raise StructureError(f"cyclic modulus must be >= 2, got {m}")
-        _set(self, "m", m)
-
-    def normalize(self, v):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise StructureError(f"cyclic coordinate must be int, got {v!r}")
-        return v % self.m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    def scale(self, k, a):
-        return (k * a) % self.m
-
-    def value_order(self, a):
-        return self.m // math.gcd(a, self.m)
-
-    def values(self):
-        return range(self.m)
-
-    @property
-    def finite(self):
-        return True
-
-    @property
-    def prime_class(self):
-        # bookkeeping home for the per-prime projection
-        return smallest_prime_factor(self.m)
-
-    def jsonable(self):
-        return {"kind": "cyclic", "m": self.m}
-
-
-class IntegerBox(Record):
-    __slots__ = ("bound",)
-
-    def __init__(self, bound: int):
-        if bound < 1:
-            raise StructureError(f"box bound must be >= 1, got {bound}")
-        _set(self, "bound", bound)
+    __slots__ = ("modulus",)
 
     def normalize(self, v):
         if not isinstance(v, int) or isinstance(v, bool):
-            raise StructureError(f"integer coordinate must be int, got {v!r}")
-        return v
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, k, a):
-        return k * a
-
-    def value_order(self, a):
-        return 1 if a == 0 else math.inf
-
-    def values(self):
-        return range(-self.bound, self.bound + 1)
-
-    @property
-    def finite(self):
-        return False
-
-    @property
-    def prime_class(self):
-        return 0
-
-    def jsonable(self):
-        return {"kind": "int_box", "bound": self.bound}
-
-
-class PrimePower(Record):
-    __slots__ = ("p", "k")
-
-    def __init__(self, p: int, k: int):
-        if not is_prime(p):
-            raise StructureError(f"{p} is not prime")
-        if k < 1:
-            raise StructureError(f"exponent must be >= 1, got {k}")
-        _set(self, "p", p)
-        _set(self, "k", k)
-
-    @property
-    def modulus(self):
-        return self.p ** self.k
-
-    def normalize(self, v):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise StructureError(
-                f"prime-power coordinate must be an int numerator, got {v!r}")
+            raise StructureError(f"residue coordinate must be int, got {v!r}")
         return v % self.modulus
 
     def add(self, a, b):
@@ -194,23 +107,102 @@ class PrimePower(Record):
     def values(self):
         return range(self.modulus)
 
+    def size(self):
+        return self.modulus
+
+    def as_rational(self, a) -> Fraction:
+        """The circle-group reading of a: the representative of
+        a/modulus in [0, 1)."""
+        return Fraction(a, self.modulus)
+
+
+class _TorsionFree(Record):
+    """The torsion-free factors: exact arithmetic, closed beyond the
+    enumeration box."""
+
+    __slots__ = ()
+
+    # bookkeeping home of every torsion-free factor's projection
+    prime_class = 0
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def scale(self, k, a):
+        return k * a
+
+    def value_order(self, a):
+        return 1 if a == 0 else math.inf
+
+    def as_rational(self, a) -> Fraction:
+        return Fraction(a)
+
+
+class Cyclic(_Modular):
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        if m < 2:
+            raise StructureError(f"cyclic modulus must be >= 2, got {m}")
+        _set(self, "m", m)
+        _set(self, "modulus", m)
+
     @property
-    def finite(self):
-        return True
+    def prime_class(self):
+        # bookkeeping home for the per-prime projection
+        return smallest_prime_factor(self.m)
+
+    def jsonable(self):
+        return {"kind": "cyclic", "m": self.m}
+
+
+class IntegerBox(_TorsionFree):
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int):
+        if bound < 1:
+            raise StructureError(f"box bound must be >= 1, got {bound}")
+        _set(self, "bound", bound)
+
+    def normalize(self, v):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise StructureError(f"integer coordinate must be int, got {v!r}")
+        return v
+
+    def values(self):
+        return range(-self.bound, self.bound + 1)
+
+    def size(self):
+        return 2 * self.bound + 1
+
+    def jsonable(self):
+        return {"kind": "int_box", "bound": self.bound}
+
+
+class PrimePower(_Modular):
+    __slots__ = ("p", "k")
+
+    def __init__(self, p: int, k: int):
+        if not is_prime(p):
+            raise StructureError(f"{p} is not prime")
+        if k < 1:
+            raise StructureError(f"exponent must be >= 1, got {k}")
+        _set(self, "p", p)
+        _set(self, "k", k)
+        _set(self, "modulus", p ** k)
 
     @property
     def prime_class(self):
         return self.p
 
-    def as_rational(self, a) -> Fraction:
-        """The representative of a/p^k in [0, 1)."""
-        return Fraction(a, self.modulus)
-
     def jsonable(self):
         return {"kind": "prime_power", "p": self.p, "k": self.k}
 
 
-class RationalBox(Record):
+class RationalBox(_TorsionFree):
     __slots__ = ("den", "bound")
 
     def __init__(self, den: int, bound: int):
@@ -233,29 +225,12 @@ class RationalBox(Record):
                 f"{v} is not a multiple of 1/{self.den}")
         return v
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def scale(self, k, a):
-        return k * a
-
-    def value_order(self, a):
-        return 1 if a == 0 else math.inf
-
     def values(self):
         d = self.den
         return (Fraction(a, d) for a in range(-self.bound * d, self.bound * d + 1))
 
-    @property
-    def finite(self):
-        return False
-
-    @property
-    def prime_class(self):
-        return 0
+    def size(self):
+        return 2 * self.bound * self.den + 1
 
     def jsonable(self):
         return {"kind": "rat_box", "den": self.den, "bound": self.bound}
@@ -320,23 +295,9 @@ class GroupSpec(Record):
             out.append(self.element(coords))
         return out
 
-    @property
-    def is_finite(self) -> bool:
-        return all(f.finite for f in self.factors)
-
     def size(self) -> int:
         """Number of enumerated elements (exact group order when finite)."""
-        n = 1
-        for f in self.factors:
-            if isinstance(f, Cyclic):
-                n *= f.m
-            elif isinstance(f, PrimePower):
-                n *= f.modulus
-            elif isinstance(f, IntegerBox):
-                n *= 2 * f.bound + 1
-            else:
-                n *= 2 * f.bound * f.den + 1
-        return n
+        return math.prod(f.size() for f in self.factors)
 
     def enumerate(self) -> Iterator["Element"]:
         """All elements (box-clipped for infinite factors) in lexicographic

@@ -139,11 +139,10 @@ def canonical_2_adequate(m: int) -> Pattern:
 
 
 class SearchConfig(Record):
-    __slots__ = ("n", "m", "l_max", "l_min", "entry_bound", "threads",
-                 "node_cap")
+    __slots__ = ("n", "m", "l_max", "l_min", "entry_bound", "node_cap")
 
     def __init__(self, n: int, m: int, l_max: int, l_min: int = 1,
-                 entry_bound: Optional[int] = None, threads: int = 1,
+                 entry_bound: Optional[int] = None,
                  node_cap: Optional[int] = None):
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -156,8 +155,6 @@ class SearchConfig(Record):
                 raise ValueError("integer search needs entry_bound >= 1")
         elif entry_bound is not None:
             raise ValueError("entry_bound only applies at m = 0")
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
         if node_cap is not None and node_cap < 0:
             raise ValueError("node_cap must be >= 0")
         _set(self, "n", n)
@@ -165,7 +162,6 @@ class SearchConfig(Record):
         _set(self, "l_max", l_max)
         _set(self, "l_min", l_min)
         _set(self, "entry_bound", entry_bound)
-        _set(self, "threads", threads)
         _set(self, "node_cap", node_cap)
 
     def region(self) -> dict:
@@ -526,12 +522,11 @@ def search(cfg: SearchConfig) -> SearchOutcome:
     Lengths are swept in ascending order starting from 1; candidate
     columns are tried in lexicographic order, so the reported pattern is
     the lex-first canonical one (see _LengthSearch) and depends on the
-    region only.  The search runs on one thread: `threads` is validated
-    and otherwise unused.  An all-zero column never appears in a minimal
-    pattern (dropping it preserves adequacy), so columns are drawn from
-    the nonzero alphabet; a witness shorter than l_min is zero-padded
-    back into the region.  `nodes` counts the candidate columns tried on
-    canonical branches.
+    region only.  The search runs on one thread.  An all-zero column
+    never appears in a minimal pattern (dropping it preserves adequacy),
+    so columns are drawn from the nonzero alphabet; a witness shorter
+    than l_min is zero-padded back into the region.  `nodes` counts the
+    candidate columns tried on canonical branches.
 
     "exhausted" certifies that no adequate pattern with the given (n, m)
     exists at any length <= l_max (entries within the bound when m = 0).

@@ -11,7 +11,6 @@ nested tokens included.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Iterable
 
 
@@ -78,6 +77,8 @@ def canonical_scalar(value):
         raise TypeError("booleans are not token scalars")
     if isinstance(value, int):
         return value
+    # imported here so that commands that build no Fraction skip loading it
+    from fractions import Fraction
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)

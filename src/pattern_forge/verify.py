@@ -100,7 +100,10 @@ class BranchSetDomain:
     """All branch sets of size <= max_size over branches of length kappa,
     under symmetric difference."""
 
-    add = staticmethod(BranchSet.symmetric_difference)
+    @staticmethod
+    def add(a: BranchSet, b: BranchSet) -> BranchSet:
+        # resolved at call time, so a later wrapper on BranchSet is called
+        return a.symmetric_difference(b)
 
     def __init__(self, kappa: int, max_size: int):
         self.kappa = kappa
@@ -553,40 +556,11 @@ def _scan_exhaustive(family: list, n: int):
     return None, None, examined
 
 
-def _scan_greedy(family: list, n: int):
-    """First-fit growth from each start index; no backtracking inside a
-    growth, so it can miss systems the exhaustive scan finds."""
-    examined = 0
-    for start in range(len(family)):
-        if n == 1:
-            return (start,), family[start], examined
-        chosen = [start]
-        root = None
-        for j in range(start + 1, len(family)):
-            examined += 1
-            if root is None:
-                candidate_root = family[start] & family[j]
-                if all(family[i] & family[j] == candidate_root
-                       for i in chosen):
-                    root = candidate_root
-                    chosen.append(j)
-            elif all(family[i] & family[j] == root for i in chosen):
-                chosen.append(j)
-            if len(chosen) == n:
-                return tuple(chosen), root, examined
-    return None, None, examined
-
-
-GREEDY_THRESHOLD = 200_000
-
-
-def delta_system_find(family: Sequence, n: int,
-                      mode: str = "auto") -> Optional[DeltaSystem]:
+def delta_system_find(family: Sequence, n: int) -> Optional[DeltaSystem]:
     """Find n members of the family forming a sunflower (all pairwise
-    intersections equal).  Members must be finite sets of one common
-    cardinality.  Exhaustive for small families; "auto" tries the greedy
-    scan first when the combination count is large and falls back to the
-    exhaustive one, so None always means none exists."""
+    intersections equal), the lex-first such index tuple.  Members must
+    be finite sets of one common cardinality.  The scan is exhaustive, so
+    None means none exists."""
     sets = [frozenset(s) for s in family]
     if n < 1:
         raise ValueError("need n >= 1")
@@ -594,25 +568,10 @@ def delta_system_find(family: Sequence, n: int,
         raise PreconditionError("family members must share a cardinality")
     if n > len(sets):
         return None
-
-    def build(idxs, root):
-        return DeltaSystem(tuple(sets[i] for i in idxs), root)
-
-    if mode == "exhaustive":
-        idxs, root, _ = _scan_exhaustive(sets, n)
-        return build(idxs, root) if idxs else None
-    if mode == "greedy":
-        idxs, root, _ = _scan_greedy(sets, n)
-        return build(idxs, root) if idxs else None
-    if mode != "auto":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if math.comb(len(sets), n) > GREEDY_THRESHOLD:
-        idxs, root, _ = _scan_greedy(sets, n)
-        if idxs:
-            return build(idxs, root)
     idxs, root, _ = _scan_exhaustive(sets, n)
-    return build(idxs, root) if idxs else None
+    if idxs is None:
+        return None
+    return DeltaSystem(tuple(sets[i] for i in idxs), root)
 
 
 # ---------------------------------------------------------------------------

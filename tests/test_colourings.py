@@ -11,9 +11,9 @@ from pattern_forge.colourings import (BinaryBranch, BranchSet, delta,
                                       resolve_colouring, subgroup_colouring,
                                       sum_squares_colouring,
                                       valuation_colouring)
-from pattern_forge.groups import (GroupSpec, IntegerBox, PreconditionError,
-                                  PrimePower, RationalBox, StructureError,
-                                  supp)
+from pattern_forge.groups import (Cyclic, GroupSpec, IntegerBox,
+                                  PreconditionError, PrimePower, RationalBox,
+                                  StructureError, supp)
 from pattern_forge.tokens import TOP, ColourToken
 
 
@@ -162,6 +162,13 @@ def test_subgroup_parity_examples():
     assert subgroup_colouring(nine.element([2])) == ColourToken.bit(1)
     rat = GroupSpec((RationalBox(4, 2),))
     assert subgroup_colouring(rat.element([Fraction(3, 4)])) == ColourToken.bit(0)
+    # a cyclic factor reads a as a/m, like a prime-power factor
+    fifteen = GroupSpec((Cyclic(15),))
+    assert subgroup_colouring(fifteen.element([6])) == ColourToken.bit(1)
+    assert subgroup_colouring(fifteen.element([3])) == ColourToken.bit(0)
+    box = GroupSpec.integer_box(4, 1)
+    assert subgroup_colouring(box.element([2])) == ColourToken.bit(1)
+    assert subgroup_colouring(box.element([4])) == ColourToken.bit(0)
 
 
 def test_subgroup_parity_zero_and_two_support():

@@ -296,6 +296,26 @@ def test_order_lcm_across_factors():
     assert order(spec.element([1, 1])) == 6
 
 
+@pytest.mark.parametrize("factor,modulus,coords", [
+    (Cyclic(6), 6, (4, 3)),
+    (PrimePower(2, 3), 8, (6, 1)),
+    (IntegerBox(2), 0, (2, -1)),
+    (RationalBox(3, 1), 0, (Fraction(2, 3), Fraction(-1, 3))),
+], ids=["cyclic", "prime_power", "int_box", "rat_box"])
+def test_negation_scaling_and_order_per_factor_kind(factor, modulus, coords):
+    # modulus 0 marks a torsion-free factor
+    x = GroupSpec((factor, factor)).element(coords)
+    if modulus:
+        assert (-x).coords == tuple(-a % modulus for a in coords)
+        assert (5 * x).coords == tuple(5 * a % modulus for a in coords)
+        assert order(x) == math.lcm(
+            *(modulus // math.gcd(a, modulus) for a in coords))
+    else:
+        assert (-x).coords == tuple(-a for a in coords)
+        assert (5 * x).coords == tuple(5 * a for a in coords)
+        assert order(x) is math.inf
+
+
 # -- enumeration and JSON ------------------------------------------------------
 
 def test_enumeration_is_lexicographic():
@@ -303,6 +323,15 @@ def test_enumeration_is_lexicographic():
     assert coords == [(0, 0), (0, 1), (1, 0), (1, 1)]
     box = GroupSpec.integer_box(1, 1)
     assert [x.coords for x in box.enumerate()] == [(-1,), (0,), (1,)]
+
+
+@pytest.mark.parametrize("factors", [
+    (Cyclic(6),), (PrimePower(2, 3),), (IntegerBox(2),), (RationalBox(3, 2),),
+    (Cyclic(4), PrimePower(3, 2), IntegerBox(1), RationalBox(2, 1)),
+], ids=["cyclic", "prime_power", "int_box", "rat_box", "mixed"])
+def test_size_counts_the_enumerated_elements(factors):
+    spec = GroupSpec(factors)
+    assert spec.size() == len(list(spec.enumerate()))
 
 
 def test_group_json_round_trip():

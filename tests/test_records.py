@@ -34,7 +34,7 @@ RECORDS = [
     (AdequacyReport, lambda: AdequacyReport(True, signature=(1, 2)),
      ("adequate", "signature", "witness")),
     (SearchConfig, lambda: SearchConfig(n=2, m=3, l_max=4, node_cap=9),
-     ("n", "m", "l_max", "l_min", "entry_bound", "threads", "node_cap")),
+     ("n", "m", "l_max", "l_min", "entry_bound", "node_cap")),
     (SearchOutcome,
      lambda: SearchOutcome("found", 7, {"n": 2}, canonical_2_adequate(3)),
      ("status", "nodes", "region", "pattern")),

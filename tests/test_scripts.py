@@ -24,6 +24,9 @@ def test_certificate_suite_verifies_every_claim():
     lines = proc.stdout.splitlines()
     assert len(lines) == 16
     assert all(line.startswith("ok ") for line in lines), proc.stdout
+    # a region with nothing to enumerate would verify vacuously
+    counts = [int(line.split("enumerated=")[1].split()[0]) for line in lines]
+    assert all(count > 0 for count in counts), proc.stdout
 
 
 def test_pattern_frontier_small_grid():

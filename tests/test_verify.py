@@ -33,6 +33,20 @@ def test_fs_delta_small_scale_verified():
     assert cert.witness is None
 
 
+def test_fs_delta_adds_through_the_branch_set_class(monkeypatch):
+    # a wrapper installed on the class after import sees the kernel's sums
+    calls = []
+    original = BranchSet.symmetric_difference
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(BranchSet, "symmetric_difference", counting)
+    find_monochromatic_fs("delta", BranchSetDomain(2, 2), 2)
+    assert len(calls) > 0
+
+
 def test_fs_sum_squares_pair_counterexample_is_self_certifying():
     domain = GroupDomain(GroupSpec.integer_box(2, 3))
     cert = find_monochromatic_fs("sum_squares", domain, 2)
@@ -330,18 +344,6 @@ def test_delta_system_preconditions():
 def test_delta_system_invariant_checked():
     with pytest.raises(ValueError):
         DeltaSystem(({1, 2}, {2, 3}), frozenset({1}))
-
-
-@given(st.lists(st.frozensets(st.integers(0, 7), min_size=2, max_size=2),
-                min_size=2, max_size=8),
-       st.integers(2, 4))
-@settings(max_examples=150)
-def test_delta_system_greedy_agrees_with_exhaustive(family, n):
-    greedy = delta_system_find(family, n, mode="greedy")
-    exhaustive = delta_system_find(family, n, mode="exhaustive")
-    if greedy is not None:
-        assert exhaustive is not None
-        assert len(greedy.subfamily) == n
 
 
 # -- support growth under product sigma -------------------------------------------------
