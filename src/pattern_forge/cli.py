@@ -132,7 +132,7 @@ def _verify_fs(args, colouring_id: str, domain, n: int):
     its "verified" would be vacuous."""
     from .groups import PreconditionError
     from .verify import find_monochromatic_fs
-    size = len(domain.points())
+    size = domain.size()
     if n > size:
         raise PreconditionError(
             f"n = {n} exceeds the {size} points of the domain")

@@ -307,11 +307,19 @@ class _Columns:
                 f"more than {_TABLE_CAP} column profile entries")
         alphabet = _column_alphabet(n, m, entry_bound)
         profiles = [_column_profile(c, n, m) for c in alphabet]
-        # (getter, |T|, lo, hi, g) per counting group T.  Slot 0 of a
-        # progress vector is always 0: getting it too leaves the sum over
-        # T unchanged and makes the getter return a tuple even for |T| = 1
-        self.groups = [(operator.itemgetter(0, *masks), len(masks), lo, hi, g)
-                       for masks, lo, hi, g in _constraint_groups(n, profiles)]
+        # (getter, |T|, lo, hi, g) per counting group T that _feasible
+        # tests one by one, and (masks, lo) per lower-only group (hi ==
+        # |T|, g <= 1), which it tests all at once.  Slot 0 of a progress
+        # vector is always 0: getting it too leaves the sum over T
+        # unchanged and makes the getter return a tuple even for |T| = 1
+        self.groups = []
+        self.lower_only = []
+        for masks, lo, hi, g in _constraint_groups(n, profiles):
+            if hi == len(masks) and g <= 1:
+                self.lower_only.append((masks, lo))
+            else:
+                self.groups.append(
+                    (operator.itemgetter(0, *masks), len(masks), lo, hi, g))
         # choices[tied]: (column, profile, next tie mask) in lex order
         self.choices = []
         for tied in range(1 << (n - 1)):
@@ -347,6 +355,25 @@ class _LengthSearch:
         self.congruences = [[(get, t, r * lo, g)
                              for get, t, lo, _, g in columns.groups if g > 1]
                             for r in range(l + 1)]
+        # the lower-only groups, one per field of `fw` bits; a field is
+        # within l*|T| of its guard bit 2^(fw-1) (see _feasible), so it
+        # stays in [0, 2^fw) and never borrows from its neighbour
+        lower = columns.lower_only
+        fw = (l * max((len(masks) for masks, _ in lower),
+                      default=1)).bit_length() + 1
+
+        def pack(values):
+            return sum(v << fw * i for i, v in enumerate(values))
+        self.guard = pack([1 << fw - 1] * len(lower))
+        self.lower_t = pack([len(masks) for masks, _ in lower])
+        lo_packed = pack([lo for _, lo in lower])
+        self.lower_base = [self.guard - r * lo_packed for r in range(l + 1)]
+        # a 1 in the field of every group holding the mask, so that
+        # sum(p[mask] * lower_sums[mask]) packs the group sums S; the
+        # list stops at the last mask a group holds, and so does map()
+        top = max((max(masks) for masks, _ in lower), default=0)
+        self.lower_sums = [pack([mask in masks for masks, _ in lower])
+                           for mask in range(top + 1)]
         # a progress field never exceeds l, so it fits in `width` bits;
         # field `mask` of a packed progress vector sits at bit width*mask
         self.width = width = l.bit_length()
@@ -377,10 +404,25 @@ class _LengthSearch:
         take its demand |T|*k - S (S: the progress summed over T) in r
         columns: r*lo <= |T|*k - S <= r*hi, an interval of k per group,
         plus a congruence mod g where g > 1.  The demand is then never
-        negative, because lo >= 0."""
+        negative, because lo >= 0.
+
+        A lower-only group (hi == |T|, g <= 1) never lowers k_hi: its
+        upper bound floor((S + r*|T|)/|T|) = floor(S/|T|) + r is at least
+        min p + r, where k_hi starts, since min p <= S/|T|.  Its lower
+        bound ceil((S + r*lo)/|T|) <= k holds exactly when
+        |T|*k - r*lo - S >= 0, and then at every larger k too.  So once
+        the other groups have fixed k_hi, all lower-only groups hold at
+        k_hi exactly when every field of k_hi*lower_t + lower_base[r] - G
+        keeps its guard bit, where G packs their sums S.  A k tried for
+        a congruence must pass the same test at that k, so the scan
+        starts at the first k that does.  As max p <= k <= min p + r and
+        |T|*max p >= S >= |T|*min p, a field holds a value in [-r*lo,
+        r*(|T| - lo)], within l*|T| of 0 whatever the progress."""
         p = self.progress
         k_lo = max(1, max(p))  # slot 0 is 0
         k_hi = min(p[1:]) + r
+        if k_lo > k_hi:
+            return False
         for get, t, r_lo_up, r_hi in self.bounds[r]:
             s = sum(get(p))
             # ceil((S + r*lo) / t) <= k <= floor((S + r*hi) / t)
@@ -392,11 +434,18 @@ class _LengthSearch:
                 k_hi = high
             if k_lo > k_hi:
                 return False
+        guard = self.guard
+        tp = self.lower_t
+        base = self.lower_base[r] - sum(map(operator.mul, p, self.lower_sums))
+        if (k_hi * tp + base) & guard != guard:
+            return False
         congruences = self.congruences[r]
         if not congruences:
             return True
+        while (k_lo * tp + base) & guard != guard:
+            k_lo += 1
         terms = [(sum(get(p)) + r_lo, t, g) for get, t, r_lo, g in congruences]
-        return any(all((t * k - base) % g == 0 for base, t, g in terms)
+        return any(all((t * k - s_lo) % g == 0 for s_lo, t, g in terms)
                    for k in range(k_lo, k_hi + 1))
 
     @staticmethod

@@ -87,6 +87,10 @@ class GroupDomain:
     def points(self) -> list:
         return list(self.spec.enumerate())
 
+    def size(self) -> int:
+        """len(self.points()), without building them."""
+        return self.spec.size()
+
     @staticmethod
     def subset_sums(xs: Sequence[Element]) -> list:
         return [s for _, s in fs_set_formal(list(xs))]
@@ -118,6 +122,11 @@ class BranchSetDomain:
             for combo in itertools.combinations(branches, size):
                 out.append(BranchSet(combo))
         return out
+
+    def size(self) -> int:
+        """len(self.points()), without building them."""
+        return sum(math.comb(1 << self.kappa, size)
+                   for size in range(self.max_size + 1))
 
     @staticmethod
     def subset_sums(xs: Sequence[BranchSet]) -> list:

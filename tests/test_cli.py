@@ -283,6 +283,25 @@ def test_verify_vacuous_region_is_usage_error(capsys):
     assert "20" in err
 
 
+def test_verify_builds_the_points_once(capsys, monkeypatch):
+    # the vacuous-region check reads the domain's size arithmetically,
+    # so only the oracle builds the point list
+    from pattern_forge.verify import GroupDomain
+    calls = []
+    points = GroupDomain.points
+
+    def counted(self):
+        calls.append(self)
+        return points(self)
+
+    monkeypatch.setattr(GroupDomain, "points", counted)
+    code, out, _ = run(capsys, "verify", "--claim", "thm3.2",
+                       "--dim", "2", "--bound", "1", "--n", "3")
+    assert code == 0
+    assert json.loads(out)["status"] == "verified"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("region", [
     ["--dim", "3", "--bound", "2"],
     # no 21-subset of this box ranks below the budget, so a scan that

@@ -1,7 +1,9 @@
 import functools
 import itertools
 import math
+import operator
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -270,10 +272,10 @@ def _counting_groups(n, m, bound):
 
 
 @functools.cache
-def _engine(n, m):
-    """One length-12 engine per region, kept across examples: building
+def _engine(n, m, bound=None, l=12):
+    """One length-l engine per region, kept across examples: building
     the tables of (4, 4) takes a good part of a second."""
-    return patterns._LengthSearch(n, m, 12, patterns._Columns(n, m, None),
+    return patterns._LengthSearch(n, m, l, patterns._Columns(n, m, bound),
                                   patterns._NodeBudget(None))
 
 
@@ -283,26 +285,76 @@ def test_regions_with_congruences(n, m):
     assert any(g > 1 for *_, g in _counting_groups(n, m, None))
 
 
+@pytest.mark.parametrize("n,m,bound,lower_only,looped,congruent", [
+    (3, 3, None, 29, 1, 0), (3, 4, None, 29, 0, 0), (3, 5, None, 30, 0, 0),
+    (3, 6, None, 29, 0, 0), (2, 3, None, 5, 0, 0), (3, 0, 1, 30, 0, 0),
+    (4, 0, 1, 17, 0, 0), (3, 2, None, 28, 8, 7), (4, 2, None, 0, 36, 35)])
+def test_counting_groups_split(n, m, bound, lower_only, looped, congruent):
+    # _feasible tests the lower-only groups (hi == |T|, g <= 1) in one
+    # packed comparison and loops over the rest
+    columns = patterns._Columns(n, m, bound)
+    assert len(columns.lower_only) == lower_only
+    assert len(columns.groups) == looped
+    assert sum(g > 1 for *_, g in columns.groups) == congruent
+    assert len(_counting_groups(n, m, bound)) == lower_only + looped
+
+
+# regions with congruences, with and without lower-only groups, and
+# regions whose groups are all lower-only
+_WALK_REGIONS = [(3, 2, None), (4, 2, None), (4, 4, None), (3, 3, None),
+                 (3, 5, None), (3, 0, 1)]
+
+
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_feasible_agrees_with_naive_walk(data):
-    n, m = data.draw(st.sampled_from([(3, 2), (4, 2), (4, 4)]))
-    engine = _engine(n, m)
+    n, m, bound = data.draw(st.sampled_from(_WALK_REGIONS))
+    engine = _engine(n, m, bound)
     n_masks = (1 << n) - 1
-    # progress fields near one another, where the groups decide
+    # progress fields near one another, where the groups decide; a
+    # spread of 9 is the widest seen on search --n 3 --m 3 --l-max 19
     base = data.draw(st.integers(0, 10))
-    spread = data.draw(st.integers(0, 4))
+    spread = data.draw(st.integers(0, 9))
     progress = [0] + [base + data.draw(st.integers(0, spread))
                       for _ in range(n_masks)]
     r = data.draw(st.integers(0, 12))
     engine.progress = progress
     assert engine._feasible(r) == naive_feasible(
-        progress, r, _counting_groups(n, m, None)), (progress, r)
+        progress, r, _counting_groups(n, m, bound)), (progress, r)
+
+
+@pytest.mark.parametrize("fields,r", [
+    ((38,) * 7, 19), ((38,) * 6 + (37,), 19), ((38,) * 6 + (37,), 0),
+    ((19,) * 7, 19), ((30, 38, 34, 38, 36, 35, 38), 8),
+    # packed fields one bit narrower get this one wrong
+    ((23, 17, 22, 23, 21, 19, 17), 17)])
+def test_feasible_at_the_field_width_bound(fields, r):
+    # the packed fields must hold for progress fields up to 2l and r <= l
+    engine = _engine(3, 3, None, 19)
+    engine.progress = [0, *fields]
+    assert engine._feasible(r) == naive_feasible(
+        engine.progress, r, _counting_groups(3, 3, None))
+
+
+def test_congruence_scan_applies_the_packed_test_at_each_k():
+    # no region measured here needs it, so two made-up groups: a
+    # lower-only one needing k >= 2, and one looped over with a
+    # congruence needing k odd.  Of k in [1, 2] only k = 1 is odd, and
+    # it fails the packed test.
+    columns = types.SimpleNamespace(
+        groups=[(operator.itemgetter(0, 2), 1, 0, 2, 2)],
+        lower_only=[((1,), 1)], choices=[[], []], first_choices=[])
+    engine = patterns._LengthSearch(2, 2, 4, columns,
+                                    patterns._NodeBudget(None))
+    engine.progress = [0, 0, 1, 0]
+    groups = [((2,), 0, 2, 2), ((1,), 1, 1, 0)]
+    assert naive_feasible(engine.progress, 2, groups) is False
+    assert engine._feasible(2) is False
 
 
 @pytest.mark.parametrize("n,m,bound,l_max", [
     (3, 2, None, 8), (3, 3, None, 9), (3, 4, None, 8), (4, 2, None, 16),
-    (4, 4, None, 5), (3, 0, 1, 6)])
+    (4, 4, None, 5), (3, 0, 1, 6), (3, 5, None, 8)])
 def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
                                                            bound, l_max):
     calls = []

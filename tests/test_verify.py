@@ -82,6 +82,17 @@ def test_fs_refuses_empty_sets(n):
         find_monochromatic_fs("sum_squares", domain, n)
 
 
+@pytest.mark.parametrize("domain", [
+    GroupDomain(GroupSpec.integer_box(1, 2)),
+    GroupDomain(GroupSpec.cyclic_power(2, 1)),
+    GroupDomain(GroupSpec([Cyclic(3), PrimePower(2, 2)])),
+    BranchSetDomain(1, 0), BranchSetDomain(2, 2), BranchSetDomain(2, 5),
+    BranchSetDomain(3, 3)])
+def test_domain_size_counts_the_points(domain):
+    # the CLI refuses n > size() instead of building the points twice
+    assert domain.size() == len(domain.points())
+
+
 @pytest.mark.parametrize("budget", [None, 0, 5])
 def test_fs_refuses_sets_past_the_fs_limit(budget):
     # fs_set_formal refuses 21 generators; the oracle refuses them up
