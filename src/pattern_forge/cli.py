@@ -199,8 +199,11 @@ def cmd_verify(parser, args) -> int:
     elif claim == "thm5.1-shadow":
         _require(parser, args, ["group", "elements"])
         spec = _parse_group(parser, args.group)
-        xs = [element_from_jsonable(spec, e)
-              for e in json.loads(args.elements)]
+        elements = json.loads(args.elements)
+        if not isinstance(elements, list):
+            raise ValueError("--elements must be a JSON list of elements, "
+                             "each a list of coordinates")
+        xs = [element_from_jsonable(spec, e) for e in elements]
         cert = fs_support_growth_check(spec, xs)
     else:
         parser.error(f"unknown claim id {claim!r}")
@@ -238,7 +241,8 @@ def cmd_colour(parser, args) -> int:
             if args.id not in ("sum_squares",) and not args.id.startswith(
                     "valuation:"):
                 parser.error(f"--id {args.id} needs --group for its factors")
-            if not raw or not all(isinstance(v, int) for v in raw):
+            if not (isinstance(raw, list) and raw
+                    and all(isinstance(v, int) for v in raw)):
                 parser.error("--element must be a nonempty integer vector "
                              "when --group is omitted")
             bound = max(1, max(abs(v) for v in raw))

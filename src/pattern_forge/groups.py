@@ -384,9 +384,17 @@ class Element(Record):
 
 
 def element_from_jsonable(spec: GroupSpec, data) -> Element:
+    if not isinstance(data, list):
+        raise StructureError(
+            f"an element must be a JSON list of coordinates, got {data!r}")
     coords = []
     for f, v in zip(spec.factors, data):
         if isinstance(f, RationalBox) and isinstance(v, list):
+            if not (len(v) == 2 and all(isinstance(a, int) for a in v)
+                    and v[1]):
+                raise StructureError(
+                    f"a rational coordinate list must be [numerator, "
+                    f"nonzero denominator], got {v!r}")
             v = Fraction(v[0], v[1])
         coords.append(v)
     return spec.element(coords)

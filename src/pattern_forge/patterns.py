@@ -266,18 +266,47 @@ def _constraint_groups(n: int, profiles: list) -> list:
 
 _FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
 
-# entries kept by each of a length's caches (the memo of exhausted
-# states, the feasibility answers and the fitting columns); past it
-# they stop growing
+# entries kept by the fitting-column table of a region and by each of a
+# length's caches (the memo of exhausted states and the feasibility
+# answers); past it they stop growing
 _CACHE_CAP = 1 << 20
 
 # most (column, row subset) pairs a search region may tabulate
 _TABLE_CAP = 1 << 17
 
 
+def _fitting(options, need) -> list:
+    """The options that fit a state, in lex order, as (position in
+    options, column, profile, next tie mask, step, lower step, ext).
+
+    need[mask] is the signature entry the next hit on `mask` must
+    produce, or 0 where that hit extends the signature (entries are
+    never 0).  A column fits when every hit on a fixed mask gives the
+    needed value and all its extending hits agree on one value, `ext`,
+    which it appends (None if it extends nothing).
+    """
+    fitting = []
+    for pos, (c, hits, next_tied, step, lower_step) in enumerate(options):
+        ext = None
+        for mask, v in hits:
+            want = need[mask]
+            if want:
+                if want != v:
+                    break
+            elif ext is None:
+                ext = v
+            elif ext != v:
+                break
+        else:
+            fitting.append((pos, c, hits, next_tied, step, lower_step, ext))
+    return fitting
+
+
 class _Columns:
-    """The tables of a search region that no length changes: the
-    constraint groups, and per tie mask the allowed columns.
+    """The tables of a search region, shared by every length up to
+    l_max: the constraint groups, per tie mask the allowed columns with
+    their packed increments, the fitting-column table, and per r the
+    group terms _feasible(r) reads.
 
     Only canonical patterns are explored: rows in strictly ascending lex
     order, and a first signature entry s0 with s0 == gcd(s0, m) (s0 > 0
@@ -295,7 +324,7 @@ class _Columns:
     adequate pattern of the same length.
     """
 
-    def __init__(self, n: int, m: int, entry_bound):
+    def __init__(self, n: int, m: int, entry_bound, l_max: int):
         # (m or 2b+1)^n - 1 columns, each profiled over 2^n - 1 row
         # subsets; the mask count alone passes the cap from n = 18 on,
         # which spares the power for a huge n
@@ -307,98 +336,125 @@ class _Columns:
                 f"more than {_TABLE_CAP} column profile entries")
         alphabet = _column_alphabet(n, m, entry_bound)
         profiles = [_column_profile(c, n, m) for c in alphabet]
-        # (getter, |T|, lo, hi, g) per counting group T that _feasible
-        # tests one by one, and (masks, lo) per lower-only group (hi ==
-        # |T|, g <= 1), which it tests all at once.  Slot 0 of a progress
-        # vector is always 0: getting it too leaves the sum over T
-        # unchanged and makes the getter return a tuple even for |T| = 1
-        self.groups = []
-        self.lower_only = []
-        for masks, lo, hi, g in _constraint_groups(n, profiles):
-            if hi == len(masks) and g <= 1:
-                self.lower_only.append((masks, lo))
-            else:
-                self.groups.append(
-                    (operator.itemgetter(0, *masks), len(masks), lo, hi, g))
-        # choices[tied]: (column, profile, next tie mask) in lex order
+        self.n_masks = n_masks = (1 << n) - 1
+        # a progress field never exceeds l <= l_max, so it fits in
+        # `width` bits; field `mask` of a packed progress vector sits at
+        # bit width*mask, and a length's caches put r above the last one
+        self.width = width = l_max.bit_length()
+        self.rest_shift = width * (n_masks + 1)
+        # a 1 in every field: a vector with all fields at k packs to k*ones
+        self.ones = sum(1 << width * mask for mask in range(1, n_masks + 1))
+        self.split_groups(_constraint_groups(n, profiles), l_max)
+        lower_sums = self.lower_sums
+
+        def option(c, hits, still):
+            # the packed steps: 1 into the progress field, and
+            # lower_sums[mask] into the packed group sums G, per hit mask
+            return (c, hits, still,
+                    sum(1 << width * mask for mask, _ in hits),
+                    sum(lower_sums[mask] for mask, _ in hits))
+        # choices[tied]: (column, profile, next tie mask, step, lower
+        # step) in lex order
         self.choices = []
         for tied in range(1 << (n - 1)):
             pairs = [i for i in range(n - 1) if tied >> i & 1]
             self.choices.append([
-                (c, hits, sum(1 << i for i in pairs if c[i] == c[i + 1]))
+                option(c, hits, sum(1 << i for i in pairs if c[i] == c[i + 1]))
                 for c, hits in zip(alphabet, profiles)
                 if all(c[i] <= c[i + 1] for i in pairs)])
         # every column is nonzero, so the first one fixes s0: all its
         # nonzero subset sums must equal s0.  gcd(s0, 0) = |s0|, so at
         # m = 0 the test reads s0 > 0.
-        self.first_choices = [(c, hits, still)
-                              for c, hits, still in self.choices[-1]
+        self.first_choices = [(c, hits, *steps)
+                              for c, hits, *steps in self.choices[-1]
                               if hits[0][1] == math.gcd(hits[0][1], m)]
+        # (tie mask, need) -> (fitting options, number of options); see
+        # _fitting.  Depth 0 draws from first_choices, under tie mask -1.
+        # Neither the options nor need depend on l, so every length
+        # shares the table.
+        self.fitting: dict = {}
+
+    def split_groups(self, groups, l_max: int) -> None:
+        """Split the counting groups (masks, lo, hi, g) into those
+        _feasible tests one by one, as (getter, |T|, lo, hi, g), and the
+        lower-only ones (hi == |T|, g <= 1), as (masks, lo), which it
+        tests all at once in fields of one integer.  Slot 0 of a
+        progress vector is always 0: getting it too leaves the sum over
+        T unchanged and makes the getter return a tuple even for
+        |T| = 1."""
+        self.groups = []
+        self.lower_only = lower = []
+        for masks, lo, hi, g in groups:
+            if hi == len(masks) and g <= 1:
+                lower.append((masks, lo))
+            else:
+                self.groups.append(
+                    (operator.itemgetter(0, *masks), len(masks), lo, hi, g))
+        # one field of `fw` bits per lower-only group; a field is within
+        # l*|T| <= l_max*|T| of its guard bit 2^(fw-1) (see _feasible),
+        # so it stays in [0, 2^fw) and never borrows from its neighbour
+        fw = (l_max * max((len(masks) for masks, _ in lower),
+                          default=1)).bit_length() + 1
+
+        def pack(values):
+            return sum(v << fw * i for i, v in enumerate(values))
+        self.guard = pack([1 << fw - 1] * len(lower))
+        self.lower_t = pack([len(masks) for masks, _ in lower])
+        self.lower_lo = pack([lo for _, lo in lower])
+        # a 1 in the field of every group holding the mask, so that
+        # sum(p[mask] * lower_sums[mask]) packs the group sums S
+        self.lower_sums = [pack([mask in masks for masks, _ in lower])
+                           for mask in range(self.n_masks + 1)]
+        # per r, the terms _feasible(r) reads; see grow_to()
+        self.bounds: list = []
+        self.congruences: list = []
+        self.lower_base: list = []
+
+    def grow_to(self, l: int) -> None:
+        """Extend the per-r group terms to every r <= l.  They grow with
+        the lengths a search reaches, never up to l_max, which may be
+        far beyond the length where the search ends."""
+        for r in range(len(self.bounds), l + 1):
+            # r*lo + t - 1 turns a floor division into the ceiling of
+            # (S + r*lo) / t
+            self.bounds.append([(get, t, r * lo + t - 1, r * hi)
+                                for get, t, lo, hi, _ in self.groups])
+            self.congruences.append([(get, t, r * lo, g)
+                                     for get, t, lo, _, g in self.groups
+                                     if g > 1])
+            self.lower_base.append(self.guard - r * self.lower_lo)
 
 
 class _LengthSearch:
     """Depth-first search over the canonical column sequences (see
-    _Columns) of one fixed length."""
+    _Columns) of one fixed length.  It holds what depends on l: the memo
+    of exhausted states, the feasibility answers, and the live progress
+    vector and chosen columns."""
 
     def __init__(self, n: int, m: int, l: int, columns: _Columns,
                  budget: _NodeBudget):
         self.n = n
         self.m = m
         self.l = l
+        self.columns = columns
         self.budget = budget
-        self.n_masks = (1 << n) - 1
-        # per r, the group terms _feasible(r) reads; r*lo + t - 1 turns
-        # a floor division into the ceiling of (S + r*lo) / t
-        self.bounds = [[(get, t, r * lo + t - 1, r * hi)
-                        for get, t, lo, hi, _ in columns.groups]
-                       for r in range(l + 1)]
-        self.congruences = [[(get, t, r * lo, g)
-                             for get, t, lo, _, g in columns.groups if g > 1]
-                            for r in range(l + 1)]
-        # the lower-only groups, one per field of `fw` bits; a field is
-        # within l*|T| of its guard bit 2^(fw-1) (see _feasible), so it
-        # stays in [0, 2^fw) and never borrows from its neighbour
-        lower = columns.lower_only
-        fw = (l * max((len(masks) for masks, _ in lower),
-                      default=1)).bit_length() + 1
-
-        def pack(values):
-            return sum(v << fw * i for i, v in enumerate(values))
-        self.guard = pack([1 << fw - 1] * len(lower))
-        self.lower_t = pack([len(masks) for masks, _ in lower])
-        lo_packed = pack([lo for _, lo in lower])
-        self.lower_base = [self.guard - r * lo_packed for r in range(l + 1)]
-        # a 1 in the field of every group holding the mask, so that
-        # sum(p[mask] * lower_sums[mask]) packs the group sums S; the
-        # list stops at the last mask a group holds, and so does map()
-        top = max((max(masks) for masks, _ in lower), default=0)
-        self.lower_sums = [pack([mask in masks for masks, _ in lower])
-                           for mask in range(top + 1)]
-        # a progress field never exceeds l, so it fits in `width` bits;
-        # field `mask` of a packed progress vector sits at bit width*mask
-        self.width = width = l.bit_length()
-
-        def with_steps(options):
-            # the packed step adds 1 to the field of every hit mask
-            return [(c, hits, still, sum(1 << width * mask for mask, _ in hits))
-                    for c, hits, still in options]
-        self.choices = [with_steps(options) for options in columns.choices]
-        self.first_choices = with_steps(columns.first_choices)
-        self.progress = [0] * (self.n_masks + 1)  # index by mask, slot 0 unused
-        self.signature: list = []
+        columns.grow_to(l)
+        # index by mask, slot 0 unused; the fields of `packed` (see _dfs)
+        self.progress = [0] * (columns.n_masks + 1)
         self.chosen: list = []
         self.memo: set = set()
-        # _feasible(r) reads only r, self.progress and the group terms,
-        # which are fixed for this length, so its answers are cached
-        # under the packed progress with r in the fields above it
+        # _feasible(r, ...) reads only r, the progress vector and the
+        # region's group terms, so its answers are cached under the
+        # packed progress with r in the fields above it
         self.feasible_cache: dict = {}
-        # (tie mask, need) -> (fitting options, number of options); see
-        # _fitting.  Depth 0 draws from first_choices, under tie mask -1.
-        self.fitting: dict = {}
         self.result: Optional[Pattern] = None
 
-    def _feasible(self, r: int) -> bool:
+    def _feasible(self, r: int, packed_sums: int, k_lo: int) -> bool:
         """Can the current state be completed with r more columns?
+
+        `packed_sums` is G below, and k_lo is max(1, max p): the
+        signature length, as no progress field passes it and the last
+        entry came from a field that reached it (1 at the root).
 
         Only if some common final length k lets every counting group T
         take its demand |T|*k - S (S: the progress summed over T) in r
@@ -419,11 +475,11 @@ class _LengthSearch:
         |T|*max p >= S >= |T|*min p, a field holds a value in [-r*lo,
         r*(|T| - lo)], within l*|T| of 0 whatever the progress."""
         p = self.progress
-        k_lo = max(1, max(p))  # slot 0 is 0
+        columns = self.columns
         k_hi = min(p[1:]) + r
         if k_lo > k_hi:
             return False
-        for get, t, r_lo_up, r_hi in self.bounds[r]:
+        for get, t, r_lo_up, r_hi in columns.bounds[r]:
             s = sum(get(p))
             # ceil((S + r*lo) / t) <= k <= floor((S + r*hi) / t)
             low = (s + r_lo_up) // t
@@ -434,12 +490,12 @@ class _LengthSearch:
                 k_hi = high
             if k_lo > k_hi:
                 return False
-        guard = self.guard
-        tp = self.lower_t
-        base = self.lower_base[r] - sum(map(operator.mul, p, self.lower_sums))
+        guard = columns.guard
+        tp = columns.lower_t
+        base = columns.lower_base[r] - packed_sums
         if (k_hi * tp + base) & guard != guard:
             return False
-        congruences = self.congruences[r]
+        congruences = columns.congruences[r]
         if not congruences:
             return True
         while (k_lo * tp + base) & guard != guard:
@@ -448,120 +504,98 @@ class _LengthSearch:
         return any(all((t * k - s_lo) % g == 0 for s_lo, t, g in terms)
                    for k in range(k_lo, k_hi + 1))
 
-    @staticmethod
-    def _fitting(options, need) -> list:
-        """The options that fit a state, in lex order, as (position in
-        options, column, profile, next tie mask, step, ext).
-
-        need[mask] is the signature entry the next hit on `mask` must
-        produce, or 0 where that hit extends the signature (entries are
-        never 0).  A column fits when every hit on a fixed mask gives
-        the needed value and all its extending hits agree on one value,
-        `ext`, which it appends (None if it extends nothing).
-        """
-        fitting = []
-        for pos, (c, hits, next_tied, step) in enumerate(options):
-            ext = None
-            for mask, v in hits:
-                want = need[mask]
-                if want:
-                    if want != v:
-                        break
-                elif ext is None:
-                    ext = v
-                elif ext != v:
-                    break
-            else:
-                fitting.append((pos, c, hits, next_tied, step, ext))
-        return fitting
-
     def _rows(self) -> tuple:
         return tuple(tuple(col[i] for col in self.chosen)
                      for i in range(self.n))
 
     def run(self) -> int:
-        if not self._feasible(self.l):
+        if not self._feasible(self.l, 0, 1):
             return _EXHAUSTED
         # before the first column every adjacent pair of rows is tied
-        return self._dfs(0, (1 << (self.n - 1)) - 1, 0)
+        return self._dfs(0, (1 << (self.n - 1)) - 1, 0, 0, ())
 
-    def _dfs(self, depth: int, tied: int, packed: int) -> int:
-        """`packed` is self.progress packed into one integer."""
+    def _dfs(self, depth: int, tied: int, packed: int, packed_sums: int,
+             sig: tuple) -> int:
+        """`packed` is self.progress packed into one integer,
+        `packed_sums` the G of _feasible, and `sig` the signature."""
+        columns = self.columns
+        p = self.progress
         if depth == self.l:
-            p = self.progress
-            k = p[1]
-            # a pair still tied is a pair of equal rows
-            if tied or any(p[mk] != k for mk in range(2, self.n_masks + 1)):
+            # every field equal means every field at len(sig); a pair
+            # still tied is a pair of equal rows
+            if tied or packed != len(sig) * columns.ones:
                 return _EXHAUSTED
             self.result = Pattern(self.n, self.m, self.l, self._rows())
             return _FOUND
 
-        # the tie mask is part of the key, so an entry names one subtree
-        key = (depth, tied, packed, tuple(self.signature))
-        if key in self.memo:
-            return _EXHAUSTED
-
-        p = self.progress
-        sig = self.signature
         # no field exceeds len(sig), and a mask at len(sig) extends the
         # signature: it reads the 0 appended here.  need[0] is unused.
-        need = tuple(map((sig + [0]).__getitem__, p))
+        need = tuple(map((sig + (0,)).__getitem__, p))
         table_key = (tied if depth else -1, need)
-        entry = self.fitting.get(table_key)
+        table = columns.fitting
+        entry = table.get(table_key)
         if entry is None:
-            options = self.choices[tied] if depth else self.first_choices
-            entry = (self._fitting(options, need), len(options))
-            if len(self.fitting) < _CACHE_CAP:
-                self.fitting[table_key] = entry
+            options = columns.choices[tied] if depth else columns.first_choices
+            entry = (_fitting(options, need), len(options))
+            if len(table) < _CACHE_CAP:
+                table[table_key] = entry
         fitting, total = entry
 
         rest = self.l - depth - 1
-        rest_field = rest << self.width * (self.n_masks + 1)
+        rest_field = rest << columns.rest_shift
         cache = self.feasible_cache
+        memo = self.memo
         budget = self.budget
         # every option counts as a node, fitting or not: the ones that
         # fail the signature are spent in one chunk with the next fit
         tried = 0
-        for pos, c, hits, next_tied, step, ext in fitting:
+        for pos, c, hits, next_tied, step, lower_step, ext in fitting:
             budget.used += pos + 1 - tried
             tried = pos + 1
             if budget.used > budget.cap:
                 budget.used = budget.cap + 1
                 return _ABORTED
+            child = packed + step
+            # the child's progress with r in the fields above it
+            state = child | rest_field
+            feasible = cache.get(state)
+            if feasible is False:
+                continue
+            child_sig = sig if ext is None else sig + (ext,)
+            # the memo holds the children found exhausted, checked before
+            # descending, so a hit spends no budget; the tie mask is part
+            # of the key, so an entry names one subtree.  A child at full
+            # length is never stored.
+            key = (state, next_tied, child_sig)
+            if rest and key in memo:
+                continue
+            child_sums = packed_sums + lower_step
             for mask, _ in hits:
                 p[mask] += 1
-            if ext is not None:
-                sig.append(ext)
-            child = packed + step
-            feasible_key = child | rest_field
-            feasible = cache.get(feasible_key)
             if feasible is None:
-                feasible = self._feasible(rest)
+                feasible = self._feasible(rest, child_sums, len(child_sig))
                 # skipping an insert is always safe: _feasible is pure
                 if len(cache) < _CACHE_CAP:
-                    cache[feasible_key] = feasible
+                    cache[state] = feasible
             if feasible:
                 self.chosen.append(c)
-                status = self._dfs(depth + 1, next_tied, child)
+                status = self._dfs(depth + 1, next_tied, child, child_sums,
+                                   child_sig)
                 self.chosen.pop()
                 if status != _EXHAUSTED:
                     # undo before unwinding so callers see a clean state
                     for mask, _ in hits:
                         p[mask] -= 1
-                    if ext is not None:
-                        sig.pop()
                     return status
+                if rest and len(memo) < _CACHE_CAP:
+                    memo.add(key)
             for mask, _ in hits:
                 p[mask] -= 1
-            if ext is not None:
-                sig.pop()
 
         budget.used += total - tried
         if budget.used > budget.cap:
             budget.used = budget.cap + 1
             return _ABORTED
-        if len(self.memo) < _CACHE_CAP:
-            self.memo.add(key)
         return _EXHAUSTED
 
 
@@ -581,7 +615,7 @@ def search(cfg: SearchConfig) -> SearchOutcome:
     exists at any length <= l_max (entries within the bound when m = 0).
     """
     budget = _NodeBudget(cfg.node_cap)
-    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound)
+    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound, cfg.l_max)
     for l in range(1, cfg.l_max + 1):
         engine = _LengthSearch(cfg.n, cfg.m, l, columns, budget)
         status = engine.run()

@@ -54,6 +54,35 @@ def test_search_inconclusive_exit_two(capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_search_builds_per_length_tables_only_for_lengths_reached(
+        capsys, monkeypatch):
+    # a region found at l = 3 answers at once however large l_max is;
+    # l_max = 10^4 comes first, so a table sized by l_max fails there
+    # instead of filling memory at 10^9
+    from pattern_forge import patterns
+    engines = []
+
+    class Recorded(patterns._LengthSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    for l_max in (10 ** 4, 10 ** 9):
+        engines.clear()
+        code, out, _ = run(capsys, "search", "--n", "2", "--m", "3",
+                           "--l-max", str(l_max))
+        assert code == 0
+        assert out == ('{"status":"found","nodes":26,"region":{"n":2,"m":3,'
+                       '"l_min":1,"l_max":%d},"pattern":{"n":2,"m":3,"l":3,'
+                       '"rows":[[0,1,2],[1,2,0]]}}\n' % l_max)
+        longest = max(e.l for e in engines)
+        columns = engines[0].columns
+        for table in (columns.bounds, columns.congruences,
+                      columns.lower_base):
+            assert len(table) <= longest + 1
+
+
 def test_search_missing_flag_is_usage_error(capsys):
     code, err = run_usage(capsys, "search", "--n", "3", "--m", "2")
     assert code == 64
@@ -412,6 +441,35 @@ def test_verify_thm51_shadow(capsys):
     assert data["status"] == "verified"
 
 
+_CYCLIC_5 = json.dumps({"factors": [{"kind": "cyclic", "m": 5}]})
+_RATIONAL = json.dumps({"factors": [{"kind": "rat_box", "den": 2,
+                                     "bound": 2}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["colour", "--id", "sum_squares", "--element", "5"],
+    ["colour", "--id", "product_sigma", "--group", _CYCLIC_5,
+     "--element", "5"],
+    ["verify", "--claim", "thm5.1-shadow", "--group", _CYCLIC_5,
+     "--elements", "5"],
+    ["verify", "--claim", "thm5.1-shadow", "--group", _CYCLIC_5,
+     "--elements", "[5]"]] + [
+    ["colour", "--id", "product_sigma", "--group", _RATIONAL,
+     "--element", element]
+    for element in ("[[1]]", "[[1,0]]", '[["a",2]]', "[[1,2,3]]")])
+def test_malformed_element_data_is_usage_error(capsys, argv):
+    # a bare number used to reach a zip over its "coordinates", and a
+    # rational coordinate other than [numerator, nonzero denominator]
+    # an index or a Fraction; each crashed (exit 70) or, for [1,2,3],
+    # read the first two entries
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 64
+    assert capsys.readouterr().out == ""
+
+
 # -- start-up ----------------------------------------------------------------
 
 _SRC = str(Path(pattern_forge.__file__).resolve().parents[1])
@@ -495,7 +553,7 @@ _FLAGS = {
                "--group": _GROUP,
                "--elements": st.sampled_from(
                    ["[[1,0],[0,1]]", "[[1,1]]", "[[1]]", "[]", "x",
-                    "[[7,7]]"]),
+                    "[[7,7]]", "5", "[5]"]),
                "--alphas": st.sampled_from(["0", "0,1", "-1", "x", "9"]),
                "--beta": _SMALL,
                "--gammas": st.sampled_from(["1", "1,2", "", "x"]),
@@ -508,7 +566,7 @@ _FLAGS = {
                     "product_sigma", "delta", "subgroup_parity", "nope"]),
                "--element": st.sampled_from(
                    ["[1,-1,0]", "[0]", "[0,0]", "[2,1]", "[]", "x", "[1.5]",
-                    '"a"', "[[1]]"]),
+                    '"a"', "[[1]]", "5"]),
                "--branches": st.sampled_from(
                    ['["01","10"]', '["0","1","11"]', "[]", "x", "[1]"]),
                "--group": _GROUP},

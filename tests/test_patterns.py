@@ -3,7 +3,6 @@ import itertools
 import math
 import operator
 import random
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -149,23 +148,101 @@ def test_symmetry_break_node_counts(n, m, bound, l_max, status, nodes):
     assert (out.status, out.nodes) == (status, nodes)
 
 
+# the engine class itself; tests swap patterns._LengthSearch for
+# checking subclasses
+_LENGTH_SEARCH = patterns._LengthSearch
+
+
+@functools.cache
+def _prefix_state(n, m, chosen):
+    """(progress, signature, tie mask) of a tuple of columns, computed
+    from the columns alone: progress[mask] counts the nonzero entries of
+    the row-subset sum, and the signature is the longest nonzero-entry
+    sequence (adequate prefixes agree on the shorter ones)."""
+    progress = [0] * (1 << n)
+    signature = ()
+    for mask in range(1, 1 << n):
+        entries = []
+        for c in chosen:
+            v = sum(c[i] for i in range(n) if mask >> i & 1)
+            v = v % m if m else v
+            if v:
+                entries.append(v)
+        progress[mask] = len(entries)
+        if len(entries) > len(signature):
+            signature = tuple(entries)
+    tied = sum(1 << i for i in range(n - 1)
+               if all(c[i] == c[i + 1] for c in chosen))
+    return tuple(progress), signature, tied
+
+
+@functools.cache
+def _hit_vectors(columns):
+    """For every column of the region, the 0/1 vector of the row subsets
+    it hits: a child's progress is its parent's plus one of these."""
+    return {tuple(int(any(mk == mask for mk, _ in hits))
+                  for mask in range(columns.n_masks + 1))
+            for _, hits, *_ in columns.choices[0]}
+
+
+def _assert_child_of_prefix(engine, progress):
+    """`progress` is the chosen prefix's progress plus one column."""
+    parent, _, _ = _prefix_state(engine.n, engine.m, tuple(engine.chosen))
+    delta = tuple(a - b for a, b in zip(progress, parent))
+    assert delta in _hit_vectors(engine.columns), (engine.chosen, progress)
+
+
+def _decode(columns, key):
+    """The progress vector and r packed into a feasibility key."""
+    width = columns.width
+    progress = [key >> width * mask & (1 << width) - 1
+                for mask in range(columns.n_masks + 1)]
+    return progress, key >> columns.rest_shift
+
+
+def _feasible_on(engine, progress, r):
+    """_feasible on `progress`, on a new engine of the same length and
+    region, with G and k_lo computed from the vector itself."""
+    fresh = _LENGTH_SEARCH(engine.n, engine.m, engine.l, engine.columns,
+                           patterns._NodeBudget(None))
+    fresh.progress = list(progress)
+    packed_sums = sum(map(operator.mul, progress, engine.columns.lower_sums))
+    return fresh._feasible(r, packed_sums, max(1, max(progress)))
+
+
 class _CheckedCache(dict):
-    """A feasibility cache that recomputes every hit without the cache."""
+    """A feasibility cache that checks every key against the chosen
+    prefix and recomputes every hit without the cache, from the state
+    the key itself packs."""
 
     def __init__(self, engine):
         super().__init__()
         self.engine = engine
         self.hits = 0
 
+    def _decoded(self, key):
+        engine = self.engine
+        progress, r = _decode(engine.columns, key)
+        assert progress[0] == 0
+        # the lookup comes before the child column is appended
+        assert r == engine.l - len(engine.chosen) - 1
+        _assert_child_of_prefix(engine, progress)
+        return progress, r
+
     def get(self, key):
+        progress, r = self._decoded(key)
         cached = super().get(key)
         if cached is not None:
             self.hits += 1
-            engine = self.engine
-            # the lookup comes before the child column is appended
-            rest = engine.l - len(engine.chosen) - 1
-            assert cached == engine._feasible(rest), (engine.l, engine.chosen)
+            assert cached == _feasible_on(self.engine, progress, r), (
+                self.engine.l, self.engine.chosen, progress, r)
         return cached
+
+    def __setitem__(self, key, answer):
+        # an answer is stored under the state it was computed on
+        progress, _ = self._decoded(key)
+        assert progress == self.engine.progress, (self.engine.chosen, key)
+        super().__setitem__(key, answer)
 
 
 # (n, m, bound, l_max): every n <= 4 against moduli 2, 3, 5 and m = 0,
@@ -236,6 +313,19 @@ def test_node_counts_across_field_width_boundaries(n, m, bound, l_max, status,
     assert (out.status, out.nodes) == (status, nodes)
 
 
+@pytest.mark.parametrize("n,m,length,nodes", [
+    (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
+def test_field_widths_from_l_max_change_nothing(n, m, length, nodes):
+    # the packed fields are as wide as l_max needs: 13 more lengths add
+    # a bit to every field, and must change no answer and no count
+    exact = search(SearchConfig(n=n, m=m, l_max=length))
+    wide = search(SearchConfig(n=n, m=m, l_max=length + 13))
+    assert (exact.status, exact.pattern.l, exact.nodes) == (
+        "found", length, nodes)
+    assert (wide.status, wide.pattern, wide.nodes) == (
+        exact.status, exact.pattern, exact.nodes)
+
+
 _R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
 _R32 = '"region":{"n":3,"m":2,"l_min":1,"l_max":8}'
 _P32 = ('"pattern":{"n":3,"m":2,"l":7,"rows":[[0,0,0,1,1,1,1],'
@@ -275,7 +365,7 @@ def _counting_groups(n, m, bound):
 def _engine(n, m, bound=None, l=12):
     """One length-l engine per region, kept across examples: building
     the tables of (4, 4) takes a good part of a second."""
-    return patterns._LengthSearch(n, m, l, patterns._Columns(n, m, bound),
+    return patterns._LengthSearch(n, m, l, patterns._Columns(n, m, bound, l),
                                   patterns._NodeBudget(None))
 
 
@@ -292,7 +382,7 @@ def test_regions_with_congruences(n, m):
 def test_counting_groups_split(n, m, bound, lower_only, looped, congruent):
     # _feasible tests the lower-only groups (hi == |T|, g <= 1) in one
     # packed comparison and loops over the rest
-    columns = patterns._Columns(n, m, bound)
+    columns = patterns._Columns(n, m, bound, 12)
     assert len(columns.lower_only) == lower_only
     assert len(columns.groups) == looped
     assert sum(g > 1 for *_, g in columns.groups) == congruent
@@ -318,8 +408,7 @@ def test_feasible_agrees_with_naive_walk(data):
     progress = [0] + [base + data.draw(st.integers(0, spread))
                       for _ in range(n_masks)]
     r = data.draw(st.integers(0, 12))
-    engine.progress = progress
-    assert engine._feasible(r) == naive_feasible(
+    assert _feasible_on(engine, progress, r) == naive_feasible(
         progress, r, _counting_groups(n, m, bound)), (progress, r)
 
 
@@ -330,10 +419,9 @@ def test_feasible_agrees_with_naive_walk(data):
     ((23, 17, 22, 23, 21, 19, 17), 17)])
 def test_feasible_at_the_field_width_bound(fields, r):
     # the packed fields must hold for progress fields up to 2l and r <= l
-    engine = _engine(3, 3, None, 19)
-    engine.progress = [0, *fields]
-    assert engine._feasible(r) == naive_feasible(
-        engine.progress, r, _counting_groups(3, 3, None))
+    progress = [0, *fields]
+    assert _feasible_on(_engine(3, 3, None, 19), progress, r) == naive_feasible(
+        progress, r, _counting_groups(3, 3, None))
 
 
 def test_congruence_scan_applies_the_packed_test_at_each_k():
@@ -341,15 +429,15 @@ def test_congruence_scan_applies_the_packed_test_at_each_k():
     # lower-only one needing k >= 2, and one looped over with a
     # congruence needing k odd.  Of k in [1, 2] only k = 1 is odd, and
     # it fails the packed test.
-    columns = types.SimpleNamespace(
-        groups=[(operator.itemgetter(0, 2), 1, 0, 2, 2)],
-        lower_only=[((1,), 1)], choices=[[], []], first_choices=[])
+    groups = [((2,), 0, 2, 2), ((1,), 1, 1, 0)]
+    columns = patterns._Columns(2, 2, None, 4)
+    columns.split_groups(groups, 4)
+    assert (len(columns.groups), len(columns.lower_only)) == (1, 1)
     engine = patterns._LengthSearch(2, 2, 4, columns,
                                     patterns._NodeBudget(None))
-    engine.progress = [0, 0, 1, 0]
-    groups = [((2,), 0, 2, 2), ((1,), 1, 1, 0)]
-    assert naive_feasible(engine.progress, 2, groups) is False
-    assert engine._feasible(2) is False
+    progress = [0, 0, 1, 0]
+    assert naive_feasible(progress, 2, groups) is False
+    assert _feasible_on(engine, progress, 2) is False
 
 
 @pytest.mark.parametrize("n,m,bound,l_max", [
@@ -361,9 +449,20 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
     groups = _counting_groups(n, m, bound)
 
     class Checked(patterns._LengthSearch):
-        def _feasible(self, r):
-            answer = super()._feasible(r)
-            assert answer == naive_feasible(self.progress, r, groups)
+        def _feasible(self, r, packed_sums, k_lo):
+            # the live progress is the state the call asks about: the
+            # empty one at the root, else the chosen prefix plus the
+            # column under test; G and k_lo are carried, not recomputed
+            p = list(self.progress)
+            if r == self.l:
+                assert not self.chosen and not any(p)
+            else:
+                _assert_child_of_prefix(self, p)
+            assert packed_sums == sum(map(operator.mul, p,
+                                          self.columns.lower_sums))
+            assert k_lo == max(1, max(p))
+            answer = super()._feasible(r, packed_sums, k_lo)
+            assert answer == naive_feasible(p, r, groups)
             calls.append(answer)
             return answer
 
@@ -379,7 +478,7 @@ def _direct_scan(options, progress, signature):
     every option against the signature (the check the fitting table
     replaces)."""
     out = []
-    for pos, (c, hits, next_tied, step) in enumerate(options):
+    for pos, (c, hits, next_tied, step, lower_step) in enumerate(options):
         ext = None
         ok = True
         for mask, v in hits:
@@ -393,26 +492,32 @@ def _direct_scan(options, progress, signature):
             if not ok:
                 break
         if ok:
-            out.append((pos, c, hits, next_tied, step, ext))
+            out.append((pos, c, hits, next_tied, step, lower_step, ext))
     return out
 
 
 class _CheckedTable(dict):
-    """A fitting-column table that checks every entry it stores or
-    returns against a direct scan of the options its key names (tie
-    mask -1: the depth-0 options) in the live search state."""
+    """A region's fitting-column table that checks every entry it stores
+    or returns against a direct scan of the options its key names (tie
+    mask -1: the depth-0 options), in the state computed from the
+    columns the engine of the current length has chosen."""
 
-    def __init__(self, engine):
+    def __init__(self):
         super().__init__()
-        self.engine = engine
+        self.engine = None
         self.hits = 0
 
     def _expected(self, key):
         engine = self.engine
-        tied, _ = key
-        options = engine.first_choices if tied == -1 else engine.choices[tied]
-        return (_direct_scan(options, engine.progress, engine.signature),
-                len(options))
+        columns = engine.columns
+        progress, signature, tied = _prefix_state(engine.n, engine.m,
+                                                  tuple(engine.chosen))
+        need = tuple(signature[q] if q < len(signature) else 0
+                     for q in progress)
+        assert key == (tied if engine.chosen else -1, need), engine.chosen
+        options = (columns.choices[tied] if engine.chosen
+                   else columns.first_choices)
+        return _direct_scan(options, progress, signature), len(options)
 
     def get(self, key):
         entry = super().get(key)
@@ -433,18 +538,22 @@ def test_fitting_table_matches_a_direct_scan(monkeypatch, n, m, bound, l_max):
     tables = []
 
     class Checked(patterns._LengthSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.fitting = _CheckedTable(self)
-            tables.append(self.fitting)
+        def __init__(self, n, m, l, columns, budget):
+            super().__init__(n, m, l, columns, budget)
+            # one table per region, shared by its lengths
+            if not isinstance(columns.fitting, _CheckedTable):
+                assert not columns.fitting
+                columns.fitting = _CheckedTable()
+                tables.append(columns.fitting)
+            columns.fitting.engine = self
 
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
     plain = search(cfg)
     monkeypatch.setattr(patterns, "_LengthSearch", Checked)
     assert search(cfg) == plain
-    assert sum(len(t) for t in tables) > 0
+    assert len(tables) == 1 and len(tables[0]) > 0
     if plain.nodes > 1000:
-        assert sum(t.hits for t in tables) > 0
+        assert tables[0].hits > 0
 
 
 def test_table_size_refusal_is_arithmetic(monkeypatch):
