@@ -9,8 +9,8 @@ exactly one JSON document, or nothing on exit 64 or 70; stderr is for
 humans.
 
 Each subcommand imports the modules it runs inside its handler, so a
-call pays only for those: ``--version`` loads no group arithmetic and
-``verify`` never loads the pattern search.
+call pays only for those: ``--version`` loads no group arithmetic,
+``verify`` never loads the pattern search and ``search`` no oracle.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ and the two torsion-free factors their exact arithmetic through another.
 Elements are immutable coordinate vectors over such a spec.  On top of
 the plain arithmetic this module provides support/nonzero-entry maps,
 per-prime projections, finite-sum enumeration for sets and for indexed
-matrices, subgroup closures and greedy independent-sequence extraction.
+matrices, subgroup closures and the independence test.
 """
 
 from __future__ import annotations
@@ -48,17 +48,6 @@ class ClosureOverflow(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"subgroup closure exceeded cap {cap}")
         self.cap = cap
-
-
-class IndependenceFailure(Exception):
-    """Greedy independent-sequence extraction ran out of pool."""
-
-    def __init__(self, kept, target):
-        super().__init__(
-            f"pool exhausted with {len(kept)} of {target} independent elements")
-        self.kept = kept
-        self.achieved = len(kept)
-        self.target = target
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -576,28 +565,6 @@ def subgroup_closure(gens: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP,
     if len(_closure_cache) < 1024:
         _closure_cache[key] = result
     return result
-
-
-def independent_sequence(pool: Sequence[Element], target: int,
-                         cap: int = DEFAULT_CLOSURE_CAP) -> list[Element]:
-    """Scan `pool` in order, keeping each element that lies outside the
-    subgroup generated by those already kept, until `target` are kept.
-
-    Deterministic in pool order.  Raises IndependenceFailure (carrying
-    the partial result) if the pool runs out first; ClosureOverflow
-    propagates from the membership tests.
-    """
-    if target == 0:
-        return []
-    kept: list[Element] = []
-    spec = pool[0].parent if pool else None
-    for x in pool:
-        closed = subgroup_closure(kept, cap, spec=spec or x.parent)
-        if x not in closed:
-            kept.append(x)
-            if len(kept) == target:
-                return kept
-    raise IndependenceFailure(kept, target)
 
 
 def is_independent(seq: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP) -> bool:

@@ -16,17 +16,15 @@ import math
 import operator
 from typing import Optional, Sequence
 
-from .groups import (Element, GroupSpec, Cyclic, PreconditionError,
-                     SizeLimitError, is_independent, order, sigma)
+from .groups import (Element, PreconditionError, SizeLimitError,
+                     is_independent, order)
 from .tokens import Record, canonical_json
-from .verify import first_in_class
 
 _set = object.__setattr__
 
 __all__ = [
     "Pattern", "AdequacyReport", "AdequacyWitness", "SearchConfig",
-    "SearchOutcome", "is_adequate", "canonical_2_adequate", "search",
-    "lift", "sigma_colouring_check",
+    "SearchOutcome", "is_adequate", "canonical_2_adequate", "search", "lift",
 ]
 
 
@@ -672,40 +670,3 @@ def lift(pattern: Pattern, gens: Sequence[Element],
             y = term if y is None else y + term
         out.append(y)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the nonzero-entry-sequence colouring as a pattern detector
-
-
-def sigma_colouring_check(spec: GroupSpec, n: int) -> Optional[Pattern]:
-    """Search a finite power of Z/mZ for n distinct nonzero elements whose
-    finite-sum set is monochromatic under the nonzero-entry-sequence
-    colouring; package any witness as a Pattern (which is then adequate
-    by construction and re-checked here).
-    """
-    moduli = {f.m for f in spec.factors if isinstance(f, Cyclic)}
-    if len(moduli) != 1 or len(spec.factors) != len(
-            [f for f in spec.factors if isinstance(f, Cyclic)]):
-        raise PreconditionError("need a finite power of a single Z/mZ")
-    m = moduli.pop()
-    l = len(spec.factors)
-
-    nonzero = [x for x in spec.enumerate() if not x.is_zero()]
-    # singleton sums already force a common nonzero-entry sequence, so
-    # only subsets drawn from one sigma class can qualify
-    classes: dict = {}
-    for i, x in enumerate(nonzero):
-        classes.setdefault(sigma(x), []).append(i)
-    for token, members in sorted(classes.items(),
-                                 key=lambda kv: nonzero[kv[1][0]].coords):
-        hit = first_in_class(members, n, nonzero, operator.add, sigma, token,
-                             len(nonzero), math.inf)
-        if hit is not None:
-            pattern = Pattern(n, m, l, tuple(nonzero[i].coords for i in hit))
-            report = is_adequate(pattern)
-            if not report.adequate:
-                raise AssertionError(
-                    "monochromatic witness failed the adequacy re-check")
-            return pattern
-    return None

@@ -121,6 +121,9 @@ class ColourToken:
 
     @classmethod
     def bit(cls, value: int) -> "ColourToken":
+        # True, 1.0 and Fraction(1) all equal 1 but print otherwise
+        if type(value) is not int:
+            raise TypeError(f"bit must be an int, got {value!r}")
         if value not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {value!r}")
         return cls("bit", value)

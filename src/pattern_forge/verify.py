@@ -16,21 +16,20 @@ from typing import Callable, Optional, Sequence
 
 from .colourings import (BranchSet, delta_colouring, resolve_colouring,
                          valuation_colouring)
-from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, IndexedMatrix,
-                     PreconditionError, SizeLimitError, fs_set_formal,
-                     is_independent, order, smallest_prime_factor,
-                     subgroup_closure, supp)
+from .groups import (DEFAULT_FS_LIMIT, Cyclic, Element, GroupSpec,
+                     IndexedMatrix, PreconditionError, SizeLimitError,
+                     fs_set_formal, is_independent, sigma, subgroup_closure,
+                     supp)
 from .tokens import ColourToken, Record, canonical_json
 
 _set = object.__setattr__
 
 __all__ = [
-    "Certificate", "DeltaSystem", "GroupDomain", "BranchSetDomain",
-    "first_in_class", "find_monochromatic_fs", "check_fs_matrix_identities",
-    "no_seven_norms", "find_monochromatic_ap", "find_monochromatic_subgroup",
-    "find_monochromatic_span", "delta_system_find",
-    "fs_support_growth_check", "prime_exponent_extract",
-    "ExtractionFailure",
+    "Certificate", "GroupDomain", "BranchSetDomain", "first_in_class",
+    "find_monochromatic_fs", "sigma_colouring_check",
+    "check_fs_matrix_identities", "no_seven_norms", "find_monochromatic_ap",
+    "find_monochromatic_subgroup", "find_monochromatic_span",
+    "fs_support_growth_check",
 ]
 
 #: enumeration order contract recorded in every certificate
@@ -59,17 +58,6 @@ class Certificate(Record):
 
     def to_json(self) -> str:
         return canonical_json(self.jsonable())
-
-
-class ExtractionFailure(Exception):
-    """Prime-exponent extraction could not produce the requested count."""
-
-    def __init__(self, stage: str, achieved: int, target: int):
-        super().__init__(
-            f"stage {stage}: produced {achieved} of {target} elements")
-        self.stage = stage
-        self.achieved = achieved
-        self.target = target
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +280,46 @@ def _recheck_fs_witness(colour, domain, combo) -> dict:
     return {"x": [_point_jsonable(x) for x in combo],
             "colour": tokens[0].jsonable(),
             "fs_values": [_point_jsonable(s) for s in sums]}
+
+
+# ---------------------------------------------------------------------------
+# the nonzero-entry-sequence colouring as a pattern detector
+
+
+def sigma_colouring_check(spec: GroupSpec, n: int):
+    """Search a finite power of Z/mZ for n distinct nonzero elements whose
+    finite-sum set is monochromatic under the nonzero-entry-sequence
+    colouring; package any witness as a Pattern (which is then adequate
+    by construction and re-checked here), or return None.
+    """
+    # imported here, so that the other oracles do not load the search
+    from .patterns import Pattern, is_adequate
+
+    moduli = {f.m for f in spec.factors if isinstance(f, Cyclic)}
+    if len(moduli) != 1 or len(spec.factors) != len(
+            [f for f in spec.factors if isinstance(f, Cyclic)]):
+        raise PreconditionError("need a finite power of a single Z/mZ")
+    m = moduli.pop()
+    l = len(spec.factors)
+
+    nonzero = [x for x in spec.enumerate() if not x.is_zero()]
+    # singleton sums already force a common nonzero-entry sequence, so
+    # only subsets drawn from one sigma class can qualify
+    classes: dict = {}
+    for i, x in enumerate(nonzero):
+        classes.setdefault(sigma(x), []).append(i)
+    for token, members in sorted(classes.items(),
+                                 key=lambda kv: nonzero[kv[1][0]].coords):
+        hit = first_in_class(members, n, nonzero, operator.add, sigma, token,
+                             len(nonzero), math.inf)
+        if hit is not None:
+            pattern = Pattern(n, m, l, tuple(nonzero[i].coords for i in hit))
+            report = is_adequate(pattern)
+            if not report.adequate:
+                raise AssertionError(
+                    "monochromatic witness failed the adequacy re-check")
+            return pattern
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +558,11 @@ def find_monochromatic_span(a: int, dim: int, bound: int) -> Certificate:
 # sunflowers
 
 
-class DeltaSystem(Record):
-    """A subfamily of sets whose pairwise intersections all equal root."""
-
-    __slots__ = ("subfamily", "root")
-
-    def __init__(self, subfamily: tuple, root: frozenset):
-        subfamily = tuple(frozenset(s) for s in subfamily)
-        root = frozenset(root)
-        for s, t in itertools.combinations(subfamily, 2):
-            if s & t != root:
-                raise ValueError("pairwise intersections must equal the root")
-        _set(self, "subfamily", subfamily)
-        _set(self, "root", root)
-
-
 def _scan_exhaustive(family: list, n: int):
+    """The lex-first n-tuple of indices into `family` whose sets all meet
+    pairwise in one common root, as (indices, root, examined), or
+    (None, None, examined) when the scan of every n-tuple finds none.
+    For n == 1 the root is the chosen set itself."""
     examined = 0
     for idxs in itertools.combinations(range(len(family)), n):
         examined += 1
@@ -563,24 +580,6 @@ def _scan_exhaustive(family: list, n: int):
                 root = family[idxs[0]]
             return idxs, root, examined
     return None, None, examined
-
-
-def delta_system_find(family: Sequence, n: int) -> Optional[DeltaSystem]:
-    """Find n members of the family forming a sunflower (all pairwise
-    intersections equal), the lex-first such index tuple.  Members must
-    be finite sets of one common cardinality.  The scan is exhaustive, so
-    None means none exists."""
-    sets = [frozenset(s) for s in family]
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if len({len(s) for s in sets}) > 1:
-        raise PreconditionError("family members must share a cardinality")
-    if n > len(sets):
-        return None
-    idxs, root, _ = _scan_exhaustive(sets, n)
-    if idxs is None:
-        return None
-    return DeltaSystem(tuple(sets[i] for i in idxs), root)
 
 
 # ---------------------------------------------------------------------------
@@ -622,84 +621,3 @@ def fs_support_growth_check(spec: GroupSpec, xs: Sequence[Element]) -> Certifica
                "contradiction": clash != common}
     return Certificate("thm5.1-shadow", desc, COUNTEREXAMPLE,
                        examined, witness)
-
-
-# ---------------------------------------------------------------------------
-# extracting prime-order elements from common-order families
-
-
-def prime_exponent_extract(elements: Sequence[Element], t: int,
-                           p: Optional[int] = None) -> list:
-    """From a family of elements of one finite order m, produce t distinct
-    elements of prime order p | m: find a sunflower of supports, keep a
-    class with equal root restriction, zero the root by summing blocks
-    (size m, or single elements when the root is empty), then multiply by
-    m/p.  Raises ExtractionFailure naming the stage that fell short."""
-    elements = list(elements)
-    if t == 0:
-        return []
-    if not elements:
-        raise ExtractionFailure("input", 0, t)
-    orders = {order(x) for x in elements}
-    if len(orders) != 1:
-        raise PreconditionError("elements must share one order")
-    m = orders.pop()
-    if m == 1 or m is math.inf:
-        raise PreconditionError(f"common order must be finite and >= 2, got {m}")
-    if p is None:
-        p = smallest_prime_factor(m)
-    if m % p:
-        raise PreconditionError(f"{p} does not divide the common order {m}")
-    k = m // p
-
-    by_size: dict = {}
-    for x in elements:
-        by_size.setdefault(len(supp(x)), []).append(x)
-
-    stage_rank = {"delta_system": 0, "pigeonhole": 1, "order": 2}
-    best_stage, best_count = "delta_system", 0
-
-    def further(stage, count):
-        nonlocal best_stage, best_count
-        key = (stage_rank[stage], count)
-        if key > (stage_rank[best_stage], best_count):
-            best_stage, best_count = stage, count
-
-    for size in sorted(by_size, key=lambda s: (-len(by_size[s]), s)):
-        members = by_size[size]
-        supports = [supp(x) for x in members]
-        found = None
-        for want in range(len(members), 0, -1):
-            idxs, root, _ = _scan_exhaustive(supports, want)
-            if idxs is not None:
-                found = (idxs, root)
-                break
-        if found is None:
-            continue
-        idxs, root = found
-        chosen = [members[i] for i in idxs]
-
-        classes: dict = {}
-        for x in chosen:
-            restriction = tuple(sorted((i, x.coords[i]) for i in root))
-            classes.setdefault(restriction, []).append(x)
-        cls = max(classes.values(), key=len)
-
-        block = 1 if not root else m
-        if len(cls) < t * block:
-            further("pigeonhole", len(cls) // block)
-            continue
-
-        sums = []
-        for b in range(t):
-            chunk = cls[b * block:(b + 1) * block]
-            total = None
-            for x in chunk:
-                total = x if total is None else total + x
-            sums.append(total)
-        candidates = [k * y for y in sums]
-        good = [c for c in candidates if order(c) == p]
-        if len(set(good)) >= t:
-            return list(dict.fromkeys(good))[:t]
-        further("order", len(set(good)))
-    raise ExtractionFailure(best_stage, best_count, t)

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import itertools
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -511,6 +513,24 @@ def test_each_subcommand_imports_only_what_it_runs():
     assert json.loads(proc.stdout)["status"] == "verified"
     assert "pattern_forge.verify" in modules
     assert "pattern_forge.patterns" not in modules
+    proc, modules = _imported("-m", "pattern_forge.cli", "search", "--n", "2",
+                              "--m", "3", "--l-max", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "found"
+    assert "pattern_forge.patterns" in modules
+    assert not modules & {"pattern_forge.verify", "pattern_forge.colourings"}
+
+
+def test_star_import_of_every_module_with_all():
+    # a name left in __all__ after its definition is gone raises
+    # AttributeError here
+    checked = set()
+    for info in pkgutil.iter_modules(pattern_forge.__path__):
+        module = importlib.import_module(f"pattern_forge.{info.name}")
+        if hasattr(module, "__all__"):
+            exec(f"from pattern_forge.{info.name} import *", {})
+            checked.add(info.name)
+    assert {"colourings", "patterns", "verify"} <= checked
 
 
 # -- argv fuzzing ------------------------------------------------------------

@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pattern_forge.groups import (ClosureOverflow, Cyclic, GroupSpec,
-                                  IndependenceFailure, IndexedMatrix,
-                                  IntegerBox, PrimePower, RationalBox,
-                                  SizeLimitError, StructureError,
+                                  IndexedMatrix, IntegerBox, PrimePower,
+                                  RationalBox, SizeLimitError, StructureError,
                                   element_from_jsonable, fs_matrix, fs_set,
-                                  fs_set_formal, independent_sequence,
-                                  is_independent, order, project_p,
+                                  fs_set_formal, is_independent, order,
+                                  project_p,
                                   sigma, subgroup_closure, supp)
 from pattern_forge.tokens import ColourToken
 
@@ -245,35 +244,22 @@ def test_closure_overflow_on_integers():
         subgroup_closure([spec.element([1])], cap=100)
 
 
-def test_independent_sequence_lex_pool():
-    pool = [x for x in Z2_3.enumerate() if not x.is_zero()]
-    got = independent_sequence(pool, 3)
-    assert [x.coords for x in got] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-
-
-def test_independent_sequence_failure_reports_progress():
-    z5 = GroupSpec.cyclic_power(5, 1)
-    x = z5.element([1])
-    with pytest.raises(IndependenceFailure) as err:
-        independent_sequence([x, 2 * x], 2)
-    assert err.value.achieved == 1
-    assert independent_sequence([], 0) == []
+Z5_3 = GroupSpec.cyclic_power(5, 3)
+# three independent elements of (Z/5)^3, none of them a basis vector
+INDEPENDENT_Z5_3 = [Z5_3.element(c) for c in ([1, 2, 0], [0, 1, 3], [2, 0, 1])]
 
 
 def test_independence_defining_property_holds():
-    pool = [x for x in GroupSpec.cyclic_power(5, 3).enumerate()
-            if not x.is_zero()]
-    seq = independent_sequence(pool, 3)
+    seq = INDEPENDENT_Z5_3
     for i in range(len(seq)):
         assert seq[i] not in subgroup_closure(seq[:i], spec=seq[i].parent)
     assert is_independent(seq)
+    assert not is_independent(seq[:2] + [seq[0] + seq[1]])
 
 
 def test_difference_injectivity_of_independent_sequences():
     # distinct index pairs give distinct differences g_b - g_a
-    pool = [x for x in GroupSpec.cyclic_power(5, 3).enumerate()
-            if not x.is_zero()]
-    g = independent_sequence(pool, 3)
+    g = INDEPENDENT_Z5_3
     seen = {}
     for a, b in itertools.combinations(range(len(g)), 2):
         diff = g[b] - g[a]

@@ -13,8 +13,9 @@ from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
                                   SizeLimitError, fs_set, sigma)
 from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, lift,
-                                    search, sigma_colouring_check)
+                                    search)
 from pattern_forge.tokens import ColourToken
+from pattern_forge.verify import sigma_colouring_check
 
 from naive import naive_feasible, naive_find_adequate
 

@@ -55,6 +55,13 @@ def test_bit_range():
         ColourToken.bit(2)
 
 
+@pytest.mark.parametrize("value", [True, Fraction(1), 1.0])
+def test_bit_refuses_values_that_are_not_ints(value):
+    # each equals 1, but would print as true, [1,1] or crash
+    with pytest.raises(TypeError):
+        ColourToken.bit(value)
+
+
 def test_tuple_nesting():
     inner = ColourToken.seq([1, 2])
     t = ColourToken.tuple_([inner, ColourToken.seq([])])

@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 from pattern_forge.colourings import (BranchSet, delta_colouring,
                                       resolve_colouring)
 from pattern_forge.groups import (Cyclic, GroupSpec, PreconditionError, PrimePower,
-                                  SizeLimitError, fs_matrix, IndexedMatrix,
-                                  order, supp)
+                                  SizeLimitError, fs_matrix, IndexedMatrix)
 from pattern_forge.tokens import ColourToken
-from pattern_forge.verify import (BranchSetDomain, DeltaSystem,
-                                  ExtractionFailure, GroupDomain,
+from pattern_forge.verify import (BranchSetDomain, GroupDomain,
+                                  _scan_exhaustive,
                                   check_fs_matrix_identities,
-                                  delta_system_find, find_monochromatic_ap,
+                                  find_monochromatic_ap,
                                   find_monochromatic_fs,
                                   find_monochromatic_span,
                                   find_monochromatic_subgroup,
-                                  fs_support_growth_check, no_seven_norms,
-                                  prime_exponent_extract)
+                                  fs_support_growth_check, no_seven_norms)
 
 from naive import naive_fs_scan
 
@@ -329,32 +327,28 @@ def test_span_certificates(a, dim, bound):
 
 # -- sunflowers ----------------------------------------------------------------------------
 
+# fs_support_growth_check (thm5.1-shadow) reports "verified" when this
+# scan finds nothing, so its found branch is tested here directly
+
 def test_delta_system_singletons():
-    family = [{1}, {2}, {3}]
-    ds = delta_system_find(family, 3)
-    assert ds is not None
-    assert ds.root == frozenset()
+    assert _scan_exhaustive([{1}, {2}, {3}], 3) == ((0, 1, 2), frozenset(), 1)
 
 
 def test_delta_system_common_kernel():
-    ds = delta_system_find([{1, 2}, {1, 3}, {1, 4}], 3)
-    assert ds is not None
-    assert ds.root == {1}
+    assert _scan_exhaustive([{1, 2}, {1, 3}, {1, 4}], 3) == ((0, 1, 2), {1}, 1)
+    # the lex-first hit, after two tuples that are not sunflowers
+    assert _scan_exhaustive([{1, 2}, {2, 3}, {1, 3}, {1, 4}], 3) == (
+        (0, 2, 3), {1}, 3)
 
 
 def test_delta_system_none_exists():
-    assert delta_system_find([{1, 2}, {2, 3}, {1, 3}], 3) is None
+    assert _scan_exhaustive([{1, 2}, {2, 3}, {1, 3}], 3) == (None, None, 1)
 
 
 def test_delta_system_preconditions():
-    with pytest.raises(PreconditionError):
-        delta_system_find([{1}, {1, 2}], 2)
-    assert delta_system_find([{1, 2}], 2) is None
-
-
-def test_delta_system_invariant_checked():
-    with pytest.raises(ValueError):
-        DeltaSystem(({1, 2}, {2, 3}), frozenset({1}))
+    # n == 1: the first set is its own root; n past the family: no tuple
+    assert _scan_exhaustive([{1, 2}, {3}], 1) == ((0,), {1, 2}, 1)
+    assert _scan_exhaustive([{1, 2}], 2) == (None, None, 0)
 
 
 # -- support growth under product sigma -------------------------------------------------
@@ -383,82 +377,3 @@ def test_support_growth_nested_supports_are_an_input_error():
     xs = [Z3_6.element([1, 0, 0, 0, 0, 0]), Z3_6.element([1, 1, 0, 0, 0, 0])]
     with pytest.raises(PreconditionError):
         fs_support_growth_check(Z3_6, xs)
-
-
-# -- prime exponent extraction ------------------------------------------------------------
-
-def _order6_disjoint_family(count):
-    factors = (PrimePower(2, 1), PrimePower(3, 1)) * count
-    spec = GroupSpec(factors)
-    out = []
-    for i in range(count):
-        coords = [0] * (2 * count)
-        coords[2 * i] = 1
-        coords[2 * i + 1] = 1
-        out.append(spec.element(coords))
-    return spec, out
-
-
-def test_extract_order_two_from_order_six_family():
-    spec, xs = _order6_disjoint_family(9)
-    assert all(order(x) == 6 for x in xs)
-    got = prime_exponent_extract(xs, 1, p=2)
-    assert len(got) == 1
-    assert order(got[0]) == 2
-
-
-def test_extract_returns_prime_order_family_unchanged():
-    spec = GroupSpec((PrimePower(3, 1),) * 4)
-    xs = spec.basis()
-    got = prime_exponent_extract(xs, 4, p=3)
-    assert got == xs
-
-
-def test_extract_shortfall_reports_stage():
-    spec = GroupSpec((PrimePower(3, 1),) * 3)
-    with pytest.raises(ExtractionFailure) as err:
-        prime_exponent_extract(spec.basis(), 10)
-    assert err.value.target == 10
-    assert err.value.achieved < 10
-
-
-def test_extract_preconditions():
-    spec = GroupSpec((PrimePower(3, 1), PrimePower(2, 1)))
-    mixed = [spec.element([1, 0]), spec.element([0, 1])]
-    with pytest.raises(PreconditionError):
-        prime_exponent_extract(mixed, 1)
-    with pytest.raises(PreconditionError):
-        prime_exponent_extract([spec.zero()], 1)
-
-
-def test_extract_shared_root_needs_blocks():
-    # elements sharing an order-2 coordinate at index 0, private 3-parts
-    count = 6
-    factors = (PrimePower(2, 1),) + (PrimePower(3, 1),) * count
-    spec = GroupSpec(factors)
-    xs = []
-    for i in range(count):
-        coords = [0] * (count + 1)
-        coords[0] = 1
-        coords[1 + i] = 1
-        xs.append(spec.element(coords))
-    assert all(order(x) == 6 for x in xs)
-    # dividing out the 3-part works: blocks of six sum to an order-3 element
-    got = prime_exponent_extract(xs, 1, p=3)
-    assert len(got) == 1 and order(got[0]) == 3
-    # dividing out the 2-part cannot work here: the only 2-torsion lives
-    # on the shared root, which blocking zeroes out
-    with pytest.raises(ExtractionFailure) as err:
-        prime_exponent_extract(xs, 1, p=2)
-    assert err.value.stage == "order"
-
-
-def test_extract_outputs_have_disjoint_private_supports():
-    spec, xs = _order6_disjoint_family(8)
-    got = prime_exponent_extract(xs, 4, p=3)
-    assert all(order(g) == 3 for g in got)
-    seen = set()
-    for g in got:
-        s = supp(g)
-        assert not (s & seen)
-        seen |= s
