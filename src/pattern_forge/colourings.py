@@ -19,19 +19,22 @@ command line.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .groups import (Element, IntegerBox, PreconditionError, RationalBox,
                      StructureError, is_prime, project_p, sigma, supp)
 from .tokens import TOP, ColourToken, Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _set = object.__setattr__
 
 __all__ = [
     "BinaryBranch", "BranchSet", "delta", "delta_colouring",
     "sum_squares_colouring", "product_sigma_colouring",
-    "subgroup_colouring", "valuation_colouring", "resolve_colouring",
+    "subgroup_colouring", "check_valuation_base", "check_valuation_factors",
+    "valuation_bit", "valuation_colouring", "resolve_colouring",
 ]
 
 
@@ -206,23 +209,39 @@ def subgroup_colouring(x: Element) -> ColourToken:
         "element is supported entirely on the 2-part")
 
 
-def valuation_colouring(x: Element, a: int) -> ColourToken:
-    """Parity of the a-adic valuation of the first nonzero coordinate of
-    an integer vector.  Multiplying by a flips the bit, which is what
-    makes every nontrivial span bichromatic."""
+def check_valuation_base(a: int) -> None:
     if not is_prime(a):
         raise ValueError(f"valuation base must be prime, got {a}")
-    for f in x.parent.factors:
+
+
+def check_valuation_factors(spec) -> None:
+    for f in spec.factors:
         if not isinstance(f, IntegerBox):
             raise PreconditionError("valuation colouring needs integer factors")
-    if x.is_zero():
+
+
+def valuation_bit(coords: tuple, a: int) -> ColourToken:
+    """The kernel of valuation_colouring, for callers that have run both
+    checks above once: a prime, integer coordinates."""
+    for lead in coords:
+        if lead:
+            break
+    else:
         raise PreconditionError("valuation colouring is undefined at 0")
-    lead = x.coords[min(supp(x))]
     val = 0
     while lead % a == 0:
         lead //= a
         val += 1
     return ColourToken.bit(val & 1)
+
+
+def valuation_colouring(x: Element, a: int) -> ColourToken:
+    """Parity of the a-adic valuation of the first nonzero coordinate of
+    an integer vector.  Multiplying by a flips the bit, which is what
+    makes every nontrivial span bichromatic."""
+    check_valuation_base(a)
+    check_valuation_factors(x.parent)
+    return valuation_bit(x.coords, a)
 
 
 # ---------------------------------------------------------------------------
@@ -240,5 +259,10 @@ def resolve_colouring(colouring_id: str) -> Callable[[Element], ColourToken]:
         return subgroup_colouring
     if colouring_id.startswith("valuation:a="):
         a = int(colouring_id.removeprefix("valuation:a="))
-        return lambda x: valuation_colouring(x, a)
+        check_valuation_base(a)
+
+        def colour(x: Element) -> ColourToken:
+            check_valuation_factors(x.parent)
+            return valuation_bit(x.coords, a)
+        return colour
     raise ValueError(f"unknown colouring id {colouring_id!r}")

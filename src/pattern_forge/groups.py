@@ -11,6 +11,9 @@ A group is described by an ordered list of factors:
 
 The two torsion factors share their modular arithmetic through one base,
 and the two torsion-free factors their exact arithmetic through another.
+A spec picks one coordinate adder for its elements when it is built.
+``fractions`` is imported only by the code that builds a Fraction, so
+the integer and residue paths never load it.
 
 Elements are immutable coordinate vectors over such a spec.  On top of
 the plain arithmetic this module provides support/nonzero-entry maps,
@@ -22,10 +25,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterator, Sequence
+import operator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .tokens import ColourToken, Record, canonical_json
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _set = object.__setattr__
 
@@ -102,6 +108,7 @@ class _Modular(Record):
     def as_rational(self, a) -> Fraction:
         """The circle-group reading of a: the representative of
         a/modulus in [0, 1)."""
+        from fractions import Fraction
         return Fraction(a, self.modulus)
 
 
@@ -127,6 +134,7 @@ class _TorsionFree(Record):
         return 1 if a == 0 else math.inf
 
     def as_rational(self, a) -> Fraction:
+        from fractions import Fraction
         return Fraction(a)
 
 
@@ -203,6 +211,7 @@ class RationalBox(_TorsionFree):
         _set(self, "bound", bound)
 
     def normalize(self, v):
+        from fractions import Fraction
         if isinstance(v, bool):
             raise StructureError("rational coordinate must be a number")
         if isinstance(v, int):
@@ -215,6 +224,7 @@ class RationalBox(_TorsionFree):
         return v
 
     def values(self):
+        from fractions import Fraction
         d = self.den
         return (Fraction(a, d) for a in range(-self.bound * d, self.bound * d + 1))
 
@@ -237,13 +247,40 @@ FACTOR_KINDS = {
 # group spec and elements
 
 
-class GroupSpec(Record):
+def _factor_adder(factors: tuple):
+    """The coordinate adder of a spec: (coords, coords) -> coords.
+    One C-level map over all coordinates when every factor is
+    torsion-free or every factor is torsion; each factor's own add
+    otherwise."""
+    if all(isinstance(f, _TorsionFree) for f in factors):
+        return lambda a, b: tuple(map(operator.add, a, b))
+    if all(isinstance(f, _Modular) for f in factors):
+        moduli = tuple(f.modulus for f in factors)
+        return lambda a, b: tuple(
+            map(operator.mod, map(operator.add, a, b), moduli))
+    return lambda a, b: tuple(
+        f.add(x, y) for f, x, y in zip(factors, a, b))
+
+
+class _AdderSlot(Record):
+    """Base of GroupSpec: holds ``add_coords``, the coordinate adder
+    its ``__init__`` picks once from the factors (see _factor_adder), so
+    that Element.__add__ reads it off the parent instead of choosing per
+    call.  It is storage, not a field: equality, hash and repr read the
+    spec's factors only."""
+
+    __slots__ = ("add_coords",)
+
+
+class GroupSpec(_AdderSlot):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
         if not factors:
             raise StructureError("a group spec needs at least one factor")
-        _set(self, "factors", tuple(factors))
+        factors = tuple(factors)
+        _set(self, "factors", factors)
+        _set(self, "add_coords", _factor_adder(factors))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -335,11 +372,10 @@ class Element(Record):
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        if other.parent is not self.parent and other.parent != self.parent:
+        parent = self.parent
+        if other.parent is not parent and other.parent != parent:
             raise StructureError("elements belong to different groups")
-        fs = self.parent.factors
-        return Element(self.parent, tuple(
-            f.add(a, b) for f, a, b in zip(fs, self.coords, other.coords)))
+        return Element(parent, parent.add_coords(self.coords, other.coords))
 
     def __neg__(self):
         fs = self.parent.factors
@@ -384,6 +420,7 @@ def element_from_jsonable(spec: GroupSpec, data) -> Element:
                 raise StructureError(
                     f"a rational coordinate list must be [numerator, "
                     f"nonzero denominator], got {v!r}")
+            from fractions import Fraction
             v = Fraction(v[0], v[1])
         coords.append(v)
     return spec.element(coords)

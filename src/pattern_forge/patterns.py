@@ -342,6 +342,17 @@ class _Columns:
         self.rest_shift = width * (n_masks + 1)
         # a 1 in every field: a vector with all fields at k packs to k*ones
         self.ones = sum(1 << width * mask for mask in range(1, n_masks + 1))
+        # a memo key (see memo_key) puts the tie mask above r, which is
+        # below l <= l_max, and the signature code above the tie mask.
+        # Entries are nonzero residues, or at m = 0 sums of at most n
+        # entries in [-b, b].
+        self.tie_shift = self.rest_shift + width
+        self.sig_shift = self.tie_shift + n - 1
+        if m:
+            self.sig_base, self.sig_offset = m, 0
+        else:
+            self.sig_base = 2 * n * entry_bound + 1
+            self.sig_offset = n * entry_bound
         self.split_groups(_constraint_groups(n, profiles), l_max)
         lower_sums = self.lower_sums
 
@@ -371,6 +382,19 @@ class _Columns:
         # Neither the options nor need depend on l, so every length
         # shares the table.
         self.fitting: dict = {}
+
+    def memo_key(self, state: int, tied: int, sig: tuple) -> int:
+        """The memo's key for a child, one integer: `state` (the packed
+        progress with r above it), the tie mask above that, and above
+        both the signature code: a leading 1, then one base-sig_base
+        digit, entry + sig_offset, per entry.  Each part fits below the
+        next, and the leading 1 fixes the signature's length, so distinct
+        children get distinct keys.  _dfs builds the code entry by entry
+        as the signature grows."""
+        code = 1
+        for e in sig:
+            code = code * self.sig_base + e + self.sig_offset
+        return state | tied << self.tie_shift | code << self.sig_shift
 
     def split_groups(self, groups, l_max: int) -> None:
         """Split the counting groups (masks, lo, hi, g) into those
@@ -510,12 +534,13 @@ class _LengthSearch:
         if not self._feasible(self.l, 0, 1):
             return _EXHAUSTED
         # before the first column every adjacent pair of rows is tied
-        return self._dfs(0, (1 << (self.n - 1)) - 1, 0, 0, ())
+        return self._dfs(0, (1 << (self.n - 1)) - 1, 0, 0, (), 1)
 
     def _dfs(self, depth: int, tied: int, packed: int, packed_sums: int,
-             sig: tuple) -> int:
+             sig: tuple, sig_code: int) -> int:
         """`packed` is self.progress packed into one integer,
-        `packed_sums` the G of _feasible, and `sig` the signature."""
+        `packed_sums` the G of _feasible, `sig` the signature and
+        `sig_code` its code in the memo key (see _Columns.memo_key)."""
         columns = self.columns
         p = self.progress
         if depth == self.l:
@@ -541,6 +566,11 @@ class _LengthSearch:
 
         rest = self.l - depth - 1
         rest_field = rest << columns.rest_shift
+        tie_shift = columns.tie_shift
+        sig_shift = columns.sig_shift
+        # the child's code is sig_code, or this plus the entry it appends
+        extended_code = sig_code * columns.sig_base + columns.sig_offset
+        sig_len = len(sig)
         cache = self.feasible_cache
         memo = self.memo
         budget = self.budget
@@ -559,26 +589,30 @@ class _LengthSearch:
             feasible = cache.get(state)
             if feasible is False:
                 continue
-            child_sig = sig if ext is None else sig + (ext,)
+            child_code = sig_code if ext is None else extended_code + ext
             # the memo holds the children found exhausted, checked before
             # descending, so a hit spends no budget; the tie mask is part
             # of the key, so an entry names one subtree.  A child at full
             # length is never stored.
-            key = (state, next_tied, child_sig)
-            if rest and key in memo:
-                continue
+            if rest:
+                key = (state | next_tied << tie_shift
+                       | child_code << sig_shift)
+                if key in memo:
+                    continue
             child_sums = packed_sums + lower_step
             for mask, _ in hits:
                 p[mask] += 1
             if feasible is None:
-                feasible = self._feasible(rest, child_sums, len(child_sig))
+                feasible = self._feasible(
+                    rest, child_sums, sig_len if ext is None else sig_len + 1)
                 # skipping an insert is always safe: _feasible is pure
                 if len(cache) < _CACHE_CAP:
                     cache[state] = feasible
             if feasible:
                 self.chosen.append(c)
                 status = self._dfs(depth + 1, next_tied, child, child_sums,
-                                   child_sig)
+                                   sig if ext is None else sig + (ext,),
+                                   child_code)
                 self.chosen.pop()
                 if status != _EXHAUSTED:
                     # undo before unwinding so callers see a clean state

@@ -6,6 +6,27 @@ branch-distance matrices, tuples of those) can be compared, hashed and
 serialized uniformly.  Two tokens are equal exactly when they have the
 same kind and byte-identical canonical JSON serializations, kinds of
 nested tokens included.
+
+Equality and hashing read the kind and the payload, not the bytes, so a
+token that is only compared never runs ``json.dumps``; its canonical
+bytes are built on the first ``to_json()``.  That is the same relation:
+the payload of every kind is a normal form, and the serialization is a
+bijection on normal forms of one kind.
+
+* Scalars pass through ``canonical_scalar``: an integral Fraction
+  becomes an ``int`` and a bool is refused, so each integer has one
+  payload, ``n``, printed ``n``, and each proper fraction one payload,
+  printed ``[num,den]`` in lowest terms.  No int prints as a list.
+* ``bit`` takes only an ``int`` 0 or 1, never ``True`` or ``1.0``.
+* ``TOP`` is a singleton that equals only itself, printed ``"TOP"``,
+  which no scalar prints as.
+* ``seq`` and ``matrix`` payloads are tuples of those entries, printed
+  as lists of the same length and order.
+* A ``tuple`` keys on its members' own (kind, payload) keys, so the
+  kinds of nested tokens count as well.
+
+So equal (kind, payload) keys give equal bytes, and equal bytes within
+one kind come from equal payloads.
 """
 
 from __future__ import annotations
@@ -96,10 +117,11 @@ def scalar_to_jsonable(value):
 class ColourToken:
     """Tagged colour value: one of int, bit, seq, matrix, tuple.
 
-    Equality and hashing go through the kind and the canonical
-    serialization, which is also what the CLI prints and what
-    certificates embed.  The serialization alone drops the kind:
-    int_(1) and bit(1) both print as 1.
+    Equality and hashing go through the kind and the payload (see the
+    module docstring for why that matches the canonical serialization,
+    which is what the CLI prints and what certificates embed).  The
+    serialization alone drops the kind: int_(1) and bit(1) both print
+    as 1.  The two bit tokens are built once and shared.
     """
 
     __slots__ = ("kind", "payload", "_canon", "_key")
@@ -107,11 +129,11 @@ class ColourToken:
     def __init__(self, kind: str, payload):
         self.kind = kind
         self.payload = payload
-        self._canon = json.dumps(self._jsonable(), separators=(",", ":"))
+        self._canon = None
         if kind == "tuple":
             self._key = (kind, tuple(t._key for t in payload))
         else:
-            self._key = (kind, self._canon)
+            self._key = (kind, payload)
 
     # -- constructors ---------------------------------------------------
 
@@ -126,7 +148,7 @@ class ColourToken:
             raise TypeError(f"bit must be an int, got {value!r}")
         if value not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {value!r}")
-        return cls("bit", value)
+        return _BITS[value]
 
     @classmethod
     def seq(cls, values: Iterable) -> "ColourToken":
@@ -169,6 +191,8 @@ class ColourToken:
 
     def to_json(self) -> str:
         """Canonical serialization: compact JSON, no whitespace."""
+        if self._canon is None:
+            self._canon = canonical_json(self._jsonable())
         return self._canon
 
     def jsonable(self) -> Any:
@@ -183,7 +207,10 @@ class ColourToken:
         return hash(self._key)
 
     def __repr__(self):
-        return f"ColourToken({self.kind}:{self._canon})"
+        return f"ColourToken({self.kind}:{self.to_json()})"
+
+
+_BITS = (ColourToken("bit", 0), ColourToken("bit", 1))
 
 
 def canonical_json(obj) -> str:

@@ -14,8 +14,9 @@ import math
 import operator
 from typing import Callable, Optional, Sequence
 
-from .colourings import (BranchSet, delta_colouring, resolve_colouring,
-                         valuation_colouring)
+from .colourings import (BranchSet, check_valuation_base,
+                         check_valuation_factors, delta_colouring,
+                         resolve_colouring, valuation_bit)
 from .groups import (DEFAULT_FS_LIMIT, Cyclic, Element, GroupSpec,
                      IndexedMatrix, PreconditionError, SizeLimitError,
                      fs_set_formal, is_independent, sigma, subgroup_closure,
@@ -539,15 +540,18 @@ def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
 def find_monochromatic_span(a: int, dim: int, bound: int) -> Certificate:
     """Every span containing x also contains a*x, so it suffices to check
     that the a-adic parity colouring separates x from a*x for every
-    nonzero x in the box."""
+    nonzero x in the box.  The colouring's checks run once, here, and
+    the loop calls its unchecked kernel."""
     spec = GroupSpec.integer_box(bound, dim)
     desc = {"a": a, "dim": dim, "bound": bound}
+    check_valuation_base(a)
+    check_valuation_factors(spec)
     examined = 0
     for x in spec.enumerate():
         if x.is_zero():
             continue
         examined += 1
-        if valuation_colouring(x, a) == valuation_colouring(a * x, a):
+        if valuation_bit(x.coords, a) == valuation_bit((a * x).coords, a):
             witness = {"x": x.jsonable(), "ax": (a * x).jsonable()}
             return Certificate("thm5.6", desc, COUNTEREXAMPLE,
                                examined, witness)

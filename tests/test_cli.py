@@ -521,6 +521,23 @@ def test_each_subcommand_imports_only_what_it_runs():
     assert not modules & {"pattern_forge.verify", "pattern_forge.colourings"}
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "3", "--m", "3", "--l-max", "10"],
+    ["verify", "--claim", "thm3.2", "--dim", "3", "--bound", "2", "--n", "3"]])
+def test_integer_runs_never_load_fractions(argv):
+    # they build no Fraction, so they must not pay for importing one
+    code = ("import sys\n"
+            "from pattern_forge.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'fractions' in sys.modules, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr.split() == ["1" if argv[0] == "search" else "0",
+                                   "False"]
+    assert json.loads(proc.stdout)["status"] in ("exhausted", "verified")
+
 def test_star_import_of_every_module_with_all():
     # a name left in __all__ after its definition is gone raises
     # AttributeError here

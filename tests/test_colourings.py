@@ -241,3 +241,27 @@ def test_resolve_colouring_ids():
     assert resolve_colouring("subgroup_parity")
     with pytest.raises(ValueError):
         resolve_colouring("nope")
+
+
+def test_valuation_base_is_checked_once_when_resolved(monkeypatch):
+    from pattern_forge import colourings
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return n in (2, 3, 5)
+
+    monkeypatch.setattr(colourings, "is_prime", counted)
+    with pytest.raises(ValueError):
+        resolve_colouring("valuation:a=4")
+    colour = resolve_colouring("valuation:a=2")
+    box = GroupSpec.integer_box(4, 2)
+    assert [colour(box.element([v, 1])) for v in (1, 2, 4, 0)] == [
+        ColourToken.bit(0), ColourToken.bit(1), ColourToken.bit(0),
+        ColourToken.bit(0)]
+    assert calls == [4, 2]
+    # the factors and the point are still checked on each call
+    with pytest.raises(PreconditionError):
+        colour(GroupSpec.cyclic_power(3, 1).element([1]))
+    with pytest.raises(PreconditionError):
+        colour(box.zero())

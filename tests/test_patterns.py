@@ -298,6 +298,110 @@ def test_capped_caches_keep_the_outcome(monkeypatch):
     assert max(len(e.memo) for e in engines) == 3
 
 
+@pytest.mark.parametrize("cap,n,m,bound,l_max,status,nodes,full", [
+    (3, 3, 4, None, 9, "found", 10_572, True),
+    (50, 3, 3, None, 12, "exhausted", 51_430, True),
+    (100, 3, 5, None, 12, "exhausted", 319_032, True),
+    (500, 2, 0, 3, 6, "found", 67, False)])
+def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
+                                           l_max, status, nodes, full):
+    # counts measured with (state, tie mask, signature) tuples as memo
+    # keys.  Once a cache is full, which entries it holds depends on the
+    # order they came in, so equal counts mean the one-integer keys name
+    # the same states in the same order.  The m = 0 region fills nothing
+    # and pins the offset digits.
+    engines = []
+
+    class Recorded(patterns._LengthSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    assert (out.status, out.nodes) == (status, nodes)
+    assert full == (max(len(e.memo) for e in engines) == cap)
+
+
+@functools.cache
+def _key_columns(n, m, bound, l_max):
+    return patterns._Columns(n, m, bound, l_max)
+
+
+def _decode_memo_key(columns, n, key):
+    state = key & ((1 << columns.tie_shift) - 1)
+    tied = key >> columns.tie_shift & ((1 << n - 1) - 1)
+    code = key >> columns.sig_shift
+    sig = []
+    while code > 1:
+        code, digit = divmod(code, columns.sig_base)
+        sig.append(digit - columns.sig_offset)
+    assert code == 1
+    return state, tied, tuple(reversed(sig))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_memo_key_decodes_to_its_parts(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.sampled_from([0, 2, 3, 5]))
+    bound = data.draw(st.integers(1, 3)) if m == 0 else None
+    l_max = data.draw(st.sampled_from([1, 2, 7, 8, 19, 31]))
+    columns = _key_columns(n, m, bound, l_max)
+    top = n * bound if m == 0 else m - 1
+    entry = (st.integers(-top, top).filter(bool) if m == 0
+             else st.integers(1, top))
+    # every part at its widest: all state bits and tie bits set, and a
+    # signature of l_max extreme entries
+    full_state = (1 << columns.tie_shift) - 1
+    state = data.draw(st.one_of(st.just(full_state),
+                                st.integers(0, full_state)))
+    tied = data.draw(st.sampled_from([0, (1 << n - 1) - 1]) | st.integers(
+        0, (1 << n - 1) - 1))
+    extremes = st.sampled_from(sorted({-top if m == 0 else 1, top}))
+    sig = tuple(data.draw(st.one_of(
+        st.lists(entry, max_size=l_max),
+        st.lists(extremes, min_size=l_max, max_size=l_max))))
+    key = columns.memo_key(state, tied, sig)
+    assert _decode_memo_key(columns, n, key) == (state, tied, sig)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max", [
+    (3, 3, None, 8), (3, 4, None, 7), (2, 5, None, 6), (3, 0, 1, 6),
+    (3, 0, 2, 5)])
+def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
+    # _dfs extends the signature code entry by entry; the code it passes
+    # down must be memo_key's, and every key it stores the memo_key of
+    # a child it descended into
+    engines = []
+
+    class Recorded(patterns._LengthSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.children = {}
+            engines.append(self)
+
+        def _dfs(self, depth, tied, packed, packed_sums, sig, sig_code):
+            columns = self.columns
+            assert sig_code == columns.memo_key(0, 0, sig) >> columns.sig_shift
+            if 0 < depth < self.l:
+                state = packed | self.l - depth << columns.rest_shift
+                key = columns.memo_key(state, tied, sig)
+                self.children[key] = (state, tied, sig)
+            return super()._dfs(depth, tied, packed, packed_sums, sig,
+                                sig_code)
+
+    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    stored = 0
+    for engine in engines:
+        for key in engine.memo:
+            assert _decode_memo_key(engine.columns, n, key) == \
+                engine.children[key]
+            stored += 1
+    assert stored > 0
+
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
     # lengths 3 -> 4: a progress field widens from 2 to 3 bits
     (3, 5, None, 4, "exhausted", 208), (3, 6, None, 4, "exhausted", 1_294),

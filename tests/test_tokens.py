@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pattern_forge.tokens import TOP, ColourToken, canonical_scalar
@@ -38,6 +38,9 @@ def test_fraction_scalars_normalize():
     assert isinstance(canonical_scalar(Fraction(4, 2)), int)
     assert ColourToken.int_(Fraction(1, 2)).to_json() == "[1,2]"
     assert ColourToken.int_(Fraction(50, 2)).to_json() == "25"
+    two = ColourToken.int_(Fraction(4, 2))
+    assert two == ColourToken.int_(2) and hash(two) == hash(ColourToken.int_(2))
+    assert two.to_json() == "2"
 
 
 def test_matrix_serializes_top_sentinel():
@@ -88,3 +91,50 @@ def test_seq_equality_matches_value_equality(a, b):
         [canonical_scalar(v) for v in b]
     assert (ta == tb) == values_equal
     assert (ta.to_json() == tb.to_json()) == (ta == tb)
+
+
+# -- payload keys ------------------------------------------------------------
+
+# small ranges, so that equal tokens are drawn often; st.fractions also
+# draws integral values, which canonical_scalar turns into ints
+_entries = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+def _square(k):
+    row = st.lists(st.one_of(_entries, st.just(TOP)), min_size=k, max_size=k)
+    return st.lists(row, min_size=k, max_size=k)
+
+
+_leaves = st.one_of(
+    _entries.map(ColourToken.int_),
+    st.sampled_from([0, 1]).map(ColourToken.bit),
+    st.lists(_entries, max_size=2).map(ColourToken.seq),
+    st.integers(0, 2).flatmap(_square).map(ColourToken.matrix))
+
+tokens = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3).map(ColourToken.tuple_),
+    max_leaves=5)
+
+
+def _typed(t):
+    """The canonical bytes with the kinds of the token and its members."""
+    members = t.payload if t.kind == "tuple" else ()
+    return (t.kind, t.to_json(), tuple(_typed(u) for u in members))
+
+
+@given(tokens, tokens)
+@settings(max_examples=200)
+def test_payload_keys_agree_with_typed_canonical_bytes(a, b):
+    assert (a == b) == (_typed(a) == _typed(b))
+    if a == b:
+        assert hash(a) == hash(b)
+    assert repr(a) == f"ColourToken({a.kind}:{a.to_json()})"
+
+
+def test_bits_are_shared():
+    assert ColourToken.bit(0) is ColourToken.bit(0)
+    assert ColourToken.bit(1) is ColourToken.bit(1)
+    assert ColourToken.bit(0) != ColourToken.bit(1)
+    assert ColourToken.bit(1).to_json() == "1"

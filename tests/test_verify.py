@@ -325,6 +325,26 @@ def test_span_certificates(a, dim, bound):
     assert find_monochromatic_span(a, dim, bound).status == "verified"
 
 
+def test_span_checks_its_parameters_once(monkeypatch):
+    from pattern_forge import colourings, verify
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return n in (2, 3, 5)
+
+    monkeypatch.setattr(colourings, "is_prime", counted)
+    cert = find_monochromatic_span(3, 2, 3)
+    assert (cert.status, cert.enumerated, calls) == ("verified", 48, [3])
+    with pytest.raises(ValueError):
+        find_monochromatic_span(4, 2, 3)
+    # a witness is still found and reported by the unchecked kernel
+    monkeypatch.setattr(verify, "valuation_bit",
+                        lambda coords, a: ColourToken.bit(0))
+    assert find_monochromatic_span(3, 2, 3).witness == {
+        "x": [-3, -3], "ax": [-9, -9]}
+
+
 # -- sunflowers ----------------------------------------------------------------------------
 
 # fs_support_growth_check (thm5.1-shadow) reports "verified" when this
