@@ -11,7 +11,6 @@ A group is described by an ordered list of factors:
 
 The two torsion factors share their modular arithmetic through one base,
 and the two torsion-free factors their exact arithmetic through another.
-A spec picks one coordinate adder for its elements when it is built.
 ``fractions`` is imported only by the code that builds a Fraction, so
 the integer and residue paths never load it.
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .tokens import ColourToken, Record, canonical_json
@@ -247,40 +245,13 @@ FACTOR_KINDS = {
 # group spec and elements
 
 
-def _factor_adder(factors: tuple):
-    """The coordinate adder of a spec: (coords, coords) -> coords.
-    One C-level map over all coordinates when every factor is
-    torsion-free or every factor is torsion; each factor's own add
-    otherwise."""
-    if all(isinstance(f, _TorsionFree) for f in factors):
-        return lambda a, b: tuple(map(operator.add, a, b))
-    if all(isinstance(f, _Modular) for f in factors):
-        moduli = tuple(f.modulus for f in factors)
-        return lambda a, b: tuple(
-            map(operator.mod, map(operator.add, a, b), moduli))
-    return lambda a, b: tuple(
-        f.add(x, y) for f, x, y in zip(factors, a, b))
-
-
-class _AdderSlot(Record):
-    """Base of GroupSpec: holds ``add_coords``, the coordinate adder
-    its ``__init__`` picks once from the factors (see _factor_adder), so
-    that Element.__add__ reads it off the parent instead of choosing per
-    call.  It is storage, not a field: equality, hash and repr read the
-    spec's factors only."""
-
-    __slots__ = ("add_coords",)
-
-
-class GroupSpec(_AdderSlot):
+class GroupSpec(Record):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple):
         if not factors:
             raise StructureError("a group spec needs at least one factor")
-        factors = tuple(factors)
-        _set(self, "factors", factors)
-        _set(self, "add_coords", _factor_adder(factors))
+        _set(self, "factors", tuple(factors))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -289,6 +260,11 @@ class GroupSpec(_AdderSlot):
 
     def __hash__(self):
         return hash((self.factors,))
+
+    def add_coords(self, a: tuple, b: tuple) -> tuple:
+        """The coordinates of the sum of the elements with coordinates a
+        and b, each factor adding its own."""
+        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
 
     # construction helpers
 

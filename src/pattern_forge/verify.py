@@ -66,15 +66,23 @@ class Certificate(Record):
 
 
 class GroupDomain:
-    """A finite (or box-clipped) group spec as an enumerable sum domain."""
-
-    add = staticmethod(operator.add)
+    """A finite (or box-clipped) group spec as an enumerable sum domain.
+    The oracle walks its points as coordinate tuples, so a sum builds
+    an Element only when it reaches the colouring."""
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
 
     def points(self) -> list:
         return list(self.spec.enumerate())
+
+    def walk_form(self, points: list, colour):
+        """(keys, add, colour) for `first_in_class`: the points'
+        coordinate tuples, the spec's coordinate adder, and `colour`
+        read on a coordinate tuple."""
+        spec = self.spec
+        return ([x.coords for x in points], spec.add_coords,
+                lambda coords: colour(Element(spec, coords)))
 
     def size(self) -> int:
         """len(self.points()), without building them."""
@@ -116,6 +124,11 @@ class BranchSetDomain:
         """len(self.points()), without building them."""
         return sum(math.comb(1 << self.kappa, size)
                    for size in range(self.max_size + 1))
+
+    def walk_form(self, points: list, colour):
+        """(keys, add, colour) for `first_in_class`: the points
+        themselves, under symmetric difference."""
+        return points, self.add, colour
 
     @staticmethod
     def subset_sums(xs: Sequence[BranchSet]) -> list:
@@ -199,6 +212,9 @@ def first_in_class(members: Sequence[int], n: int, points: Sequence, add,
         raise SizeLimitError(
             f"n = {n} exceeds the fs limit {DEFAULT_FS_LIMIT}")
     last = len(members) - n  # choice d of a tuple sits at position <= last + d
+    # every n-tuple ranks below C(size, n), so a limit at or past it
+    # never ends the walk and no rank need be computed
+    bounded = limit < math.comb(size, n)
     combo: list = []
 
     def walk(start: int, sums: list):
@@ -214,8 +230,8 @@ def first_in_class(members: Sequence[int], n: int, points: Sequence, add,
                 new.append(t)
             else:
                 combo.append(members[j])
-                smallest = combo + members[j + 1:j + n - depth]
-                if _lex_rank(smallest, size) >= limit:
+                if bounded and _lex_rank(
+                        combo + members[j + 1:j + n - depth], size) >= limit:
                     return _STOP
                 if depth + 1 == n:
                     return tuple(combo)
@@ -248,17 +264,18 @@ def find_monochromatic_fs(colouring_id: str, domain, n: int,
         raise PreconditionError(f"need n >= 1, got {n}")
     colour = _resolve_for_domain(colouring_id, domain)
     points = domain.points()
-    col = _cached(colour)
+    keys, add, key_colour = domain.walk_form(points, colour)
+    col = _cached(key_colour)
     desc = {"colouring": colouring_id, "n": n, **domain.describe()}
     total = math.comb(len(points), n)
     limit = total if budget is None else max(0, min(budget, total))
 
     classes: dict = {}
-    for i, x in enumerate(points):
+    for i, x in enumerate(keys):
         classes.setdefault(col(x), []).append(i)
     best = None
     for token, members in classes.items():
-        hit = first_in_class(members, n, points, domain.add, col, token,
+        hit = first_in_class(members, n, keys, add, col, token,
                              len(points), limit)
         if hit is not None:
             limit, best = _lex_rank(hit, len(points)), hit

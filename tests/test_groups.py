@@ -95,40 +95,6 @@ def test_group_laws_exhaustive_on_small_spec():
         assert x + (-x) == Z3_2.zero()
 
 
-
-# one draw per factor kind: (factor, strategy for a raw coordinate)
-_FACTORS = st.one_of(
-    st.integers(2, 12).map(lambda m: (Cyclic(m), st.integers(-30, 30))),
-    st.sampled_from([(2, 1), (3, 2), (5, 1)]).map(
-        lambda pk: (PrimePower(*pk), st.integers(-30, 30))),
-    st.integers(1, 3).map(lambda b: (IntegerBox(b), st.integers(-30, 30))),
-    st.tuples(st.integers(1, 6), st.integers(1, 3)).map(
-        lambda db: (RationalBox(*db),
-                    st.integers(-30, 30).map(
-                        lambda a, d=db[0]: Fraction(a, d)))))
-
-
-@given(st.data())
-def test_spec_adder_agrees_with_each_factors_add(data):
-    # specs of one kind take the whole-vector adder, mixed ones the
-    # per-factor path; all must add as the factors do
-    kinds = data.draw(st.sampled_from(["torsion", "free", "any"]))
-    factor_st = _FACTORS.filter(
-        lambda fv: kinds == "any"
-        or isinstance(fv[0], (Cyclic, PrimePower)) == (kinds == "torsion"))
-    drawn = data.draw(st.lists(factor_st, min_size=1, max_size=4))
-    spec = GroupSpec(tuple(f for f, _ in drawn))
-    x, y = (spec.element([data.draw(v) for _, v in drawn]) for _ in "xy")
-    expected = tuple(f.add(a, b)
-                     for f, a, b in zip(spec.factors, x.coords, y.coords))
-    total = x + y
-    assert total.coords == expected
-    assert total == spec.element(expected) and total.parent is spec
-    # the adder is storage, not a field
-    assert GroupSpec(spec.factors) == spec
-    assert hash(GroupSpec(spec.factors)) == hash(spec)
-    assert "add" not in repr(spec)
-
 # -- supp and sigma -----------------------------------------------------------
 
 def test_supp_examples():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from pattern_forge.colourings import (BranchSet, delta_colouring,
                                       resolve_colouring)
-from pattern_forge.groups import (Cyclic, GroupSpec, PreconditionError, PrimePower,
+from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
+                                  PreconditionError, PrimePower, RationalBox,
                                   SizeLimitError, fs_matrix, IndexedMatrix)
 from pattern_forge.tokens import ColourToken
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
@@ -148,9 +149,13 @@ class _CountingDomain(GroupDomain):
         super().__init__(spec)
         self.adds = 0
 
-    def add(self, a, b):
-        self.adds += 1
-        return a + b
+    def walk_form(self, points, colour):
+        keys, add, key_colour = super().walk_form(points, colour)
+
+        def counted(a, b):
+            self.adds += 1
+            return add(a, b)
+        return keys, counted, key_colour
 
 
 @pytest.mark.parametrize("budget,most",
@@ -163,6 +168,51 @@ def test_fs_kernel_work_is_bounded_by_the_budget(budget, most):
     cert = find_monochromatic_fs("sum_squares", domain, 3, budget=budget)
     assert cert.status == ("verified" if budget is None else "inconclusive")
     assert domain.adds <= most
+
+
+@pytest.mark.parametrize("spec,colouring_id", [
+    (GroupSpec.integer_box(2, 2), "sum_squares"),
+    (GroupSpec([RationalBox(2, 1), IntegerBox(1)]), "sum_squares"),
+    (GroupSpec([Cyclic(3), PrimePower(2, 2)]), "product_sigma"),
+    (GroupSpec([Cyclic(4), IntegerBox(1)]), "product_sigma")])
+def test_group_walk_form_is_the_elements_arithmetic(spec, colouring_id):
+    # the oracle walks coordinate tuples; each sum and colour it reads
+    # must be the Element's
+    domain = GroupDomain(spec)
+    points = domain.points()
+    colour = resolve_colouring(colouring_id)
+    keys, add, key_colour = domain.walk_form(points, colour)
+    assert keys == [x.coords for x in points]
+    for x, kx in zip(points, keys):
+        assert key_colour(kx) == colour(x)
+        for y, ky in zip(points, keys):
+            assert add(kx, ky) == (x + y).coords
+            assert key_colour(add(kx, ky)) == colour(x + y)
+
+
+def test_fs_group_walk_adds_no_elements(monkeypatch):
+    # sums stay coordinate tuples until the colouring reads them, and
+    # with no budget no prefix is ranked
+    from pattern_forge import verify
+    counts = {"add": 0, "rank": 0}
+    add, rank = Element.__add__, verify._lex_rank
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counted_rank(combo, size):
+        counts["rank"] += 1
+        return rank(combo, size)
+
+    monkeypatch.setattr(Element, "__add__", counted_add)
+    monkeypatch.setattr(verify, "_lex_rank", counted_rank)
+    domain = GroupDomain(GroupSpec.integer_box(2, 3))
+    cert = find_monochromatic_fs("sum_squares", domain, 3)
+    assert (cert.status, cert.enumerated) == ("verified", 317750)
+    assert counts == {"add": 0, "rank": 0}
+    cert = find_monochromatic_fs("sum_squares", domain, 3, budget=1_000)
+    assert cert.status == "inconclusive" and counts["rank"] > 0
 
 
 def test_fs_certificates_are_reproducible():
