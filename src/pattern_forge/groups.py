@@ -16,8 +16,8 @@ the integer and residue paths never load it.
 
 Elements are immutable coordinate vectors over such a spec.  On top of
 the plain arithmetic this module provides support/nonzero-entry maps,
-per-prime projections, finite-sum enumeration for sets and for indexed
-matrices, subgroup closures and the independence test.
+per-prime projections, finite-sum enumeration, subgroup closures and
+the independence test.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .tokens import ColourToken, Record, canonical_json
+from .tokens import ColourToken, Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -315,9 +315,6 @@ class GroupSpec(Record):
     def jsonable(self):
         return {"factors": [f.jsonable() for f in self.factors]}
 
-    def to_json(self) -> str:
-        return canonical_json(self.jsonable())
-
     @classmethod
     def from_jsonable(cls, data) -> "GroupSpec":
         try:
@@ -380,9 +377,6 @@ class Element(Record):
                 out.append(a)
         return out
 
-    def to_json(self) -> str:
-        return canonical_json(self.jsonable())
-
 
 def element_from_jsonable(spec: GroupSpec, data) -> Element:
     if not isinstance(data, list):
@@ -443,85 +437,29 @@ def order(x: Element):
 DEFAULT_FS_LIMIT = 20
 
 
-def fs_set_formal(xs: Sequence[Element], limit: int = DEFAULT_FS_LIMIT):
-    """All nonempty-subset sums as (index frozenset, sum) pairs, in
-    increasing bitmask order.  The formal view matters when an argument
-    inspects which subset produced which value."""
+def fs_set_formal(xs: Sequence[Element]) -> list:
+    """All 2^k - 1 nonempty-subset sums of the k generators, in
+    increasing bitmask order: the sum over bitmask b is entry b - 1.
+    Each sum adds its generators in index order."""
     xs = list(xs)
-    if len(xs) > limit:
-        raise SizeLimitError(f"{len(xs)} generators exceed fs limit {limit}")
+    if len(xs) > DEFAULT_FS_LIMIT:
+        raise SizeLimitError(
+            f"{len(xs)} generators exceed fs limit {DEFAULT_FS_LIMIT}")
     if len(set(xs)) != len(xs):
         raise StructureError("fs_set generators must be distinct")
     for x in xs[1:]:
         if x.parent != xs[0].parent:
             raise StructureError("fs_set generators must share a group")
-    out = []
-    for mask in range(1, 1 << len(xs)):
-        total = None
-        idxs = []
-        for i in range(len(xs)):
-            if mask >> i & 1:
-                idxs.append(i)
-                total = xs[i] if total is None else total + xs[i]
-        out.append((frozenset(idxs), total))
+    out: list = []
+    for x in xs:
+        # the masks with top bit x: x alone, then x after each earlier sum
+        out += [x] + [s + x for s in out]
     return out
 
 
-def fs_set(xs: Sequence[Element], limit: int = DEFAULT_FS_LIMIT) -> set:
+def fs_set(xs: Sequence[Element]) -> set:
     """The 2^|X| - 1 subset sums, as a set (collisions merge)."""
-    return {s for _, s in fs_set_formal(xs, limit)}
-
-
-class IndexedMatrix(Record):
-    """A rows x cols matrix of elements of one group, row index first."""
-
-    __slots__ = ("entries",)  # tuple of row tuples
-
-    def __init__(self, entries: tuple):
-        rows = tuple(tuple(r) for r in entries)
-        _set(self, "entries", rows)
-        if not rows or not rows[0]:
-            raise StructureError("indexed matrix must be nonempty")
-        width = len(rows[0])
-        spec = rows[0][0].parent
-        for r in rows:
-            if len(r) != width:
-                raise StructureError("ragged indexed matrix")
-            for e in r:
-                if e.parent != spec:
-                    raise StructureError("matrix entries must share a group")
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    def entries_distinct(self) -> bool:
-        flat = [e for row in self.entries for e in row]
-        return len(set(flat)) == len(flat)
-
-
-def fs_matrix(m: IndexedMatrix, limit: int = 1 << 20) -> set:
-    """All sums over strictly increasing column choices with one free row
-    index per chosen column: { sum_j m[a_j, i_j] : i_1 < ... < i_k }."""
-    formal = (m.rows + 1) ** m.cols - 1
-    if formal > limit:
-        raise SizeLimitError(
-            f"{formal} formal matrix sums exceed limit {limit}")
-    out = set()
-    cols = range(m.cols)
-    for k in range(1, m.cols + 1):
-        for col_choice in itertools.combinations(cols, k):
-            for row_choice in itertools.product(range(m.rows), repeat=k):
-                total = None
-                for a, i in zip(row_choice, col_choice):
-                    e = m.entries[a][i]
-                    total = e if total is None else total + e
-                out.add(total)
-    return out
+    return set(fs_set_formal(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +467,6 @@ def fs_matrix(m: IndexedMatrix, limit: int = 1 << 20) -> set:
 
 
 DEFAULT_CLOSURE_CAP = 100_000
-
-_closure_cache: dict = {}
 
 
 def subgroup_closure(gens: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP,
@@ -549,11 +485,6 @@ def subgroup_closure(gens: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP,
     for g in gens:
         if g.parent != spec:
             raise StructureError("generators must share a group")
-
-    key = (spec, frozenset(gens), cap)
-    cached = _closure_cache.get(key)
-    if cached is not None:
-        return cached
 
     closed = {spec.zero()}
     frontier = []
@@ -574,17 +505,24 @@ def subgroup_closure(gens: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP,
                 frontier.append(y)
     if len(closed) > cap:
         raise ClosureOverflow(cap)
-    result = frozenset(closed)
-    if len(_closure_cache) < 1024:
-        _closure_cache[key] = result
-    return result
+    return frozenset(closed)
 
 
-def is_independent(seq: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP) -> bool:
-    """Check the defining property directly: each term avoids the subgroup
-    generated by its predecessors."""
+def is_independent(seq: Sequence[Element]) -> bool:
+    """Each term avoids the subgroup generated by its predecessors.
+
+    A term that is nonzero on a coordinate where every predecessor is 0
+    avoids it without a closure: each factor's add and neg map (0, 0) to
+    0, so every element of that subgroup is 0 there.  This accepts any
+    standard basis, torsion-free ones included; only the other terms
+    build the closure of their predecessors."""
+    free = set(range(len(seq[0].coords))) if seq else set()
     for i, x in enumerate(seq):
-        spec = x.parent
-        if x in subgroup_closure(seq[:i], cap, spec=spec):
+        if x.parent != seq[0].parent:
+            raise StructureError("generators must share a group")
+        support = supp(x)
+        if not support & free and x in subgroup_closure(seq[:i],
+                                                        spec=x.parent):
             return False
+        free -= support
     return True

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .groups import (Element, PreconditionError, SizeLimitError,
                      is_independent, order)
-from .tokens import Record, canonical_json
+from .tokens import Record
 
 _set = object.__setattr__
 
@@ -69,14 +69,6 @@ class Pattern(Record):
     def jsonable(self):
         return {"n": self.n, "m": self.m, "l": self.l,
                 "rows": [list(r) for r in self.rows]}
-
-    def to_json(self) -> str:
-        return canonical_json(self.jsonable())
-
-    @classmethod
-    def from_jsonable(cls, data) -> "Pattern":
-        return cls(data["n"], data["m"], data["l"],
-                   tuple(tuple(r) for r in data["rows"]))
 
 
 def _nonzero_entries(vec: Sequence[int]) -> tuple:
@@ -186,9 +178,6 @@ class SearchOutcome(Record):
         if self.pattern is not None:
             out["pattern"] = self.pattern.jsonable()
         return out
-
-    def to_json(self) -> str:
-        return canonical_json(self.jsonable())
 
 
 class _NodeBudget:

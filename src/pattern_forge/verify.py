@@ -17,20 +17,18 @@ from typing import Callable, Optional, Sequence
 from .colourings import (BranchSet, check_valuation_base,
                          check_valuation_factors, delta_colouring,
                          resolve_colouring, valuation_bit)
-from .groups import (DEFAULT_FS_LIMIT, Cyclic, Element, GroupSpec,
-                     IndexedMatrix, PreconditionError, SizeLimitError,
-                     fs_set_formal, is_independent, sigma, subgroup_closure,
-                     supp)
-from .tokens import ColourToken, Record, canonical_json
+from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, PreconditionError,
+                     SizeLimitError, fs_set_formal, is_independent,
+                     subgroup_closure, supp)
+from .tokens import ColourToken, Record
 
 _set = object.__setattr__
 
 __all__ = [
     "Certificate", "GroupDomain", "BranchSetDomain", "first_in_class",
-    "find_monochromatic_fs", "sigma_colouring_check",
-    "check_fs_matrix_identities", "no_seven_norms", "find_monochromatic_ap",
-    "find_monochromatic_subgroup", "find_monochromatic_span",
-    "fs_support_growth_check",
+    "find_monochromatic_fs", "check_fs_matrix_identities", "no_seven_norms",
+    "find_monochromatic_ap", "find_monochromatic_subgroup",
+    "find_monochromatic_span", "fs_support_growth_check",
 ]
 
 #: enumeration order contract recorded in every certificate
@@ -56,9 +54,6 @@ class Certificate(Record):
         return {"claim": self.claim, "domain": self.domain,
                 "status": self.status, "enumerated": self.enumerated,
                 "witness": self.witness, "order": ORDER_VERSION}
-
-    def to_json(self) -> str:
-        return canonical_json(self.jsonable())
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +85,7 @@ class GroupDomain:
 
     @staticmethod
     def subset_sums(xs: Sequence[Element]) -> list:
-        return [s for _, s in fs_set_formal(list(xs))]
+        return fs_set_formal(xs)
 
     def describe(self) -> dict:
         return {"kind": "group", "factors": self.spec.jsonable()["factors"],
@@ -156,10 +151,6 @@ def _cached(colour):
             t = cache[x] = colour(x)
         return t
     return col
-
-
-def _point_jsonable(x):
-    return x.jsonable()
 
 
 def _resolve_for_domain(colouring_id: str, domain):
@@ -295,49 +286,9 @@ def _recheck_fs_witness(colour, domain, combo) -> dict:
     tokens = [colour(s) for s in sums]
     if any(t != tokens[0] for t in tokens):
         raise AssertionError("witness failed its independent re-check")
-    return {"x": [_point_jsonable(x) for x in combo],
+    return {"x": [x.jsonable() for x in combo],
             "colour": tokens[0].jsonable(),
-            "fs_values": [_point_jsonable(s) for s in sums]}
-
-
-# ---------------------------------------------------------------------------
-# the nonzero-entry-sequence colouring as a pattern detector
-
-
-def sigma_colouring_check(spec: GroupSpec, n: int):
-    """Search a finite power of Z/mZ for n distinct nonzero elements whose
-    finite-sum set is monochromatic under the nonzero-entry-sequence
-    colouring; package any witness as a Pattern (which is then adequate
-    by construction and re-checked here), or return None.
-    """
-    # imported here, so that the other oracles do not load the search
-    from .patterns import Pattern, is_adequate
-
-    moduli = {f.m for f in spec.factors if isinstance(f, Cyclic)}
-    if len(moduli) != 1 or len(spec.factors) != len(
-            [f for f in spec.factors if isinstance(f, Cyclic)]):
-        raise PreconditionError("need a finite power of a single Z/mZ")
-    m = moduli.pop()
-    l = len(spec.factors)
-
-    nonzero = [x for x in spec.enumerate() if not x.is_zero()]
-    # singleton sums already force a common nonzero-entry sequence, so
-    # only subsets drawn from one sigma class can qualify
-    classes: dict = {}
-    for i, x in enumerate(nonzero):
-        classes.setdefault(sigma(x), []).append(i)
-    for token, members in sorted(classes.items(),
-                                 key=lambda kv: nonzero[kv[1][0]].coords):
-        hit = first_in_class(members, n, nonzero, operator.add, sigma, token,
-                             len(nonzero), math.inf)
-        if hit is not None:
-            pattern = Pattern(n, m, l, tuple(nonzero[i].coords for i in hit))
-            report = is_adequate(pattern)
-            if not report.adequate:
-                raise AssertionError(
-                    "monochromatic witness failed the adequacy re-check")
-            return pattern
-    return None
+            "fs_values": [s.jsonable() for s in sums]}
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +297,8 @@ def sigma_colouring_check(spec: GroupSpec, n: int):
 
 def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
                                beta: int, gammas: Sequence[int],
-                               colouring: Callable[[Element], ColourToken],
-                               closure_cap: int = 500_000) -> Certificate:
+                               colouring: Callable[[Element], ColourToken]
+                               ) -> Certificate:
     """Build the matrix x_{i,0} = g_beta - g_{alpha_i}, x_{i,1} =
     g_{gamma_i} - g_beta over an independent family and verify that every
     entry and every cross sum x_{i,0} + x_{j,1} has the colour of the
@@ -365,7 +316,7 @@ def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
         raise PreconditionError(
             f"indices must lie in 0..{len(gens) - 1}, the generator range")
     used = sorted(set(alphas) | {beta} | set(gammas))
-    if not is_independent([gens[i] for i in used], cap=closure_cap):
+    if not is_independent([gens[i] for i in used]):
         raise PreconditionError("generators are not independent")
 
     def d(i: int, j: int) -> ColourToken:
@@ -374,7 +325,6 @@ def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
 
     col0 = [gens[beta] - gens[a] for a in alphas]
     col1 = [gens[g] - gens[beta] for g in gammas]
-    matrix = IndexedMatrix(tuple((a, b) for a, b in zip(col0, col1)))
 
     desc = {"rows": len(alphas), "alphas": alphas, "beta": beta,
             "gammas": gammas}
@@ -394,7 +344,8 @@ def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
             if colouring(col0[i] + col1[j]) != d(a, g):
                 failures.append({"cross": [i, j]})
     checks += 1
-    if not matrix.entries_distinct():
+    entries = col0 + col1
+    if len(set(entries)) != len(entries):
         failures.append({"entries_distinct": False})
     if failures:
         return Certificate("thm2.3", desc, COUNTEREXAMPLE, checks,
@@ -486,7 +437,7 @@ def find_monochromatic_ap(colouring_id: str, spec: GroupSpec) -> Certificate:
 # monochromatic subgroups
 
 
-def _all_subgroups(spec: GroupSpec, cap: int = 4096) -> list:
+def _all_subgroups(spec: GroupSpec) -> list:
     """Every subgroup of a small finite group, as frozensets of elements."""
     zero_only = frozenset([spec.zero()])
     known = {zero_only}
@@ -497,7 +448,7 @@ def _all_subgroups(spec: GroupSpec, cap: int = 4096) -> list:
         for x in everything:
             if x in h:
                 continue
-            grown = frozenset(subgroup_closure(list(h) + [x], cap=cap))
+            grown = subgroup_closure(list(h) + [x], cap=4096)
             if grown not in known:
                 known.add(grown)
                 frontier.append(grown)
@@ -525,7 +476,7 @@ def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
         for x in spec.enumerate():
             if x.is_zero():
                 continue
-            h = frozenset(subgroup_closure([x]))
+            h = subgroup_closure([x])
             if h not in gens:
                 gens[h] = x
                 subgroups.append(h)
@@ -616,7 +567,7 @@ def fs_support_growth_check(spec: GroupSpec, xs: Sequence[Element]) -> Certifica
     from .colourings import product_sigma_colouring
 
     xs = list(xs)
-    sums = [s for _, s in fs_set_formal(xs)]
+    sums = fs_set_formal(xs)
     tokens = {product_sigma_colouring(s) for s in sums}
     if len(tokens) != 1:
         raise PreconditionError(

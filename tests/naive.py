@@ -78,3 +78,18 @@ def naive_feasible(progress, r, groups):
         if ok:
             return True
     return False
+
+
+def naive_is_independent(seq):
+    """Each term lies outside the subgroup generated by its predecessors,
+    grown from 0 by adding predecessors until nothing new appears (which
+    is the subgroup in a finite group)."""
+    for i, x in enumerate(seq):
+        span = {x.parent.zero()}
+        new = span
+        while new:
+            new = {s + g for s in new for g in seq[:i]} - span
+            span |= new
+        if x in span:
+            return False
+    return True

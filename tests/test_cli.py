@@ -432,6 +432,18 @@ def test_verify_thm23_standard_basis(capsys):
     assert json.loads(out)["status"] == "verified"
 
 
+def test_verify_thm23_torsion_free_basis(capsys):
+    # the subgroup an integer generator spans is infinite; independence
+    # of the standard basis is read off the supports
+    group = json.dumps({"factors": [{"kind": "int_box", "bound": 2}] * 3})
+    code, out, _ = run(capsys, "verify", "--claim", "thm2.3",
+                       "--group", group, "--alphas", "0", "--beta", "1",
+                       "--gammas", "2", "--colouring", "valuation:a=3")
+    assert code == 0
+    result = json.loads(out)
+    assert (result["status"], result["enumerated"]) == ("verified", 4)
+
+
 def test_verify_thm51_shadow(capsys):
     group = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 3})
     elements = json.dumps([[1, 2, 0], [0, 1, 2]])

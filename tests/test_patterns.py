@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import operator
 import random
@@ -14,8 +15,7 @@ from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
 from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, lift,
                                     search)
-from pattern_forge.tokens import ColourToken
-from pattern_forge.verify import sigma_colouring_check
+from pattern_forge.tokens import ColourToken, canonical_json
 
 from naive import naive_feasible, naive_find_adequate
 
@@ -40,9 +40,9 @@ def test_pattern_entries_reduce():
 
 def test_pattern_json_round_trip():
     p = canonical_2_adequate(3)
-    assert p.to_json() == '{"n":2,"m":3,"l":3,"rows":[[1,2,0],[0,1,2]]}'
-    assert Pattern.from_jsonable({"n": 2, "m": 3, "l": 3,
-                                  "rows": [[1, 2, 0], [0, 1, 2]]}) == p
+    blob = canonical_json(p.jsonable())
+    assert blob == '{"n":2,"m":3,"l":3,"rows":[[1,2,0],[0,1,2]]}'
+    assert Pattern(**json.loads(blob)) == p
 
 
 # -- adequacy ------------------------------------------------------------------
@@ -455,7 +455,7 @@ def test_node_cap_outcomes(n, m, l_max, cap, expected):
     # outputs measured when every candidate column was spent one by one;
     # the search now spends the columns that fail the signature in chunks
     out = search(SearchConfig(n=n, m=m, l_max=l_max, node_cap=cap))
-    assert out.to_json() == expected
+    assert canonical_json(out.jsonable()) == expected
 
 
 @functools.cache
@@ -710,7 +710,7 @@ def test_search_pads_short_witnesses_into_the_region():
 def test_search_is_deterministic_across_runs_and_threads():
     a = search(SearchConfig(n=3, m=2, l_max=8))
     b = search(SearchConfig(n=3, m=2, l_max=8))
-    assert a.to_json() == b.to_json()
+    assert canonical_json(a.jsonable()) == canonical_json(b.jsonable())
 
 
 def test_search_config_validation():
@@ -832,44 +832,3 @@ def test_lift_rejects_dependent_generators():
     with pytest.raises(PreconditionError):
         lift(canonical_2_adequate(3), [e0, 2 * e0, spec.basis()[1]],
              [0, 1, 2])
-
-
-# -- the nonzero-entry-sequence colouring as detector -------------------------
-
-def test_sigma_colouring_check_finds_two_row_witness():
-    p = sigma_colouring_check(GroupSpec.cyclic_power(3, 3), 2)
-    assert p is not None
-    assert is_adequate(p).adequate
-
-
-def test_sigma_colouring_check_exhausts_small_boolean_groups():
-    assert sigma_colouring_check(GroupSpec.cyclic_power(2, 2), 3) is None
-    assert sigma_colouring_check(GroupSpec.cyclic_power(2, 3), 3) is None
-
-
-def test_sigma_colouring_check_singleton():
-    p = sigma_colouring_check(GroupSpec.cyclic_power(2, 2), 1)
-    assert p is not None and p.n == 1
-
-
-@pytest.mark.parametrize("m,l,n,rows", [
-    (3, 2, 2, None), (3, 3, 2, ((0, 1, 2), (1, 2, 0))),
-    (2, 3, 1, ((0, 0, 1),)), (2, 3, 3, None)])
-def test_sigma_colouring_check_results(m, l, n, rows):
-    # the results of the per-class combination scan that preceded the
-    # shared finite-sums kernel
-    p = sigma_colouring_check(GroupSpec.cyclic_power(m, l), n)
-    assert (p.rows if p else None) == rows
-
-
-@pytest.mark.parametrize("n,error", [(0, PreconditionError),
-                                     (21, SizeLimitError)])
-def test_sigma_colouring_check_refuses_set_sizes_outside_the_fs_range(n,
-                                                                      error):
-    with pytest.raises(error):
-        sigma_colouring_check(GroupSpec.cyclic_power(2, 2), n)
-
-
-def test_sigma_colouring_check_requires_uniform_cyclic_spec():
-    with pytest.raises(PreconditionError):
-        sigma_colouring_check(GroupSpec((PrimePower(3, 1),)), 1)

@@ -4,8 +4,8 @@ class, and the hash of the tuple of fields (of coords for Element)."""
 import pytest
 
 from pattern_forge.colourings import BinaryBranch, BranchSet
-from pattern_forge.groups import (Cyclic, Element, GroupSpec, IndexedMatrix,
-                                  IntegerBox, PrimePower, RationalBox)
+from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
+                                  PrimePower, RationalBox)
 from pattern_forge.patterns import (AdequacyReport, AdequacyWitness, Pattern,
                                     SearchConfig, SearchOutcome,
                                     canonical_2_adequate)
@@ -24,8 +24,6 @@ RECORDS = [
     (RationalBox, lambda: RationalBox(2, 3), ("den", "bound")),
     (GroupSpec, lambda: GroupSpec((Cyclic(5), IntegerBox(2))), ("factors",)),
     (Element, _element, ("parent", "coords")),
-    (IndexedMatrix, lambda: IndexedMatrix(((_element(), -_element()),)),
-     ("entries",)),
     (BinaryBranch, lambda: BinaryBranch((0, 1, 1)), ("bits",)),
     (BranchSet, lambda: BranchSet.from_strings(["10", "01"]), ("branches",)),
     (Pattern, lambda: canonical_2_adequate(3), ("n", "m", "l", "rows")),
@@ -45,7 +43,7 @@ RECORDS = [
 
 
 def test_every_record_class_is_listed():
-    assert len({cls for cls, _, _ in RECORDS}) == 15
+    assert len({cls for cls, _, _ in RECORDS}) == 14
 
 
 @pytest.mark.parametrize("cls,make,names", RECORDS,

@@ -10,11 +10,11 @@ from pattern_forge.colourings import (BranchSet, delta_colouring,
                                       resolve_colouring)
 from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
                                   PreconditionError, PrimePower, RationalBox,
-                                  SizeLimitError, fs_matrix, IndexedMatrix)
-from pattern_forge.tokens import ColourToken
+                                  SizeLimitError)
+from pattern_forge.tokens import ColourToken, canonical_json
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
                                   _scan_exhaustive,
-                                  check_fs_matrix_identities,
+                                  check_fs_matrix_identities, first_in_class,
                                   find_monochromatic_ap,
                                   find_monochromatic_fs,
                                   find_monochromatic_span,
@@ -92,9 +92,18 @@ def test_domain_size_counts_the_points(domain):
     assert domain.size() == len(domain.points())
 
 
+@pytest.mark.parametrize("n,error", [(0, PreconditionError),
+                                     (21, SizeLimitError)])
+def test_first_in_class_refuses_set_sizes_outside_the_fs_range(n, error):
+    points = list(GroupSpec.cyclic_power(2, 2).enumerate())
+    with pytest.raises(error):
+        first_in_class(range(4), n, points, operator.add, hash, 0, 4,
+                       math.inf)
+
+
 @pytest.mark.parametrize("budget", [None, 0, 5])
 def test_fs_refuses_sets_past_the_fs_limit(budget):
-    # fs_set_formal refuses 21 generators; the oracle refuses them up
+    # the kernel refuses 21 generators; the oracle refuses them up
     # front, whatever the budget or the size of the colour classes
     domain = GroupDomain(GroupSpec.integer_box(3, 2))
     with pytest.raises(SizeLimitError):
@@ -219,7 +228,7 @@ def test_fs_certificates_are_reproducible():
     domain = BranchSetDomain(2, 2)
     a = find_monochromatic_fs("delta", domain, 2)
     b = find_monochromatic_fs("delta", BranchSetDomain(2, 2), 2)
-    assert a.to_json() == b.to_json()
+    assert canonical_json(a.jsonable()) == canonical_json(b.jsonable())
 
 
 def test_fs_rejects_mismatched_domain():
@@ -231,7 +240,7 @@ def test_fs_rejects_mismatched_domain():
 
 def test_certificate_json_shape():
     cert = no_seven_norms(1, 1)
-    data = json.loads(cert.to_json())
+    data = json.loads(canonical_json(cert.jsonable()))
     assert list(data) == ["claim", "domain", "status", "enumerated",
                           "witness", "order"]
     assert data["status"] == "verified"
@@ -283,11 +292,23 @@ def test_constant_colouring_makes_the_matrix_sums_monochromatic():
     constant = lambda x: ColourToken.int_(0)
     cert = check_fs_matrix_identities(Z5_5.basis(), [0, 1], 2, [3, 4], constant)
     assert cert.status == "verified"
-    col0 = [Z5_5.basis()[2] - Z5_5.basis()[a] for a in (0, 1)]
-    col1 = [Z5_5.basis()[g] - Z5_5.basis()[2] for g in (3, 4)]
-    matrix = IndexedMatrix(tuple(zip(col0, col1)))
-    values = fs_matrix(matrix)
-    assert len({constant(v) for v in values}) == 1
+    e = Z5_5.basis()
+    col0 = [e[2] - e[a] for a in (0, 1)]
+    col1 = [e[g] - e[2] for g in (3, 4)]
+    values = col0 + col1 + [x + y for x in col0 for y in col1]
+    assert len(set(values)) == 8
+    assert {constant(v) for v in values} == {ColourToken.int_(0)}
+
+
+@pytest.mark.parametrize("alphas,gammas", [([0, 0], [3, 4]),
+                                           ([0, 1], [3, 3])])
+def test_repeated_index_gives_equal_entries(alphas, gammas):
+    # a repeated index gives two equal entries of one column; every
+    # colour identity still holds, so only the distinctness check fails
+    cert = check_fs_matrix_identities(Z5_5.basis(), alphas, 2, gammas,
+                                      resolve_colouring("product_sigma"))
+    assert (cert.status, cert.enumerated) == ("counterexample", 9)
+    assert cert.witness == {"failed": [{"entries_distinct": False}]}
 
 
 # -- seven equal norms ---------------------------------------------------------------
@@ -313,7 +334,7 @@ def test_no_seven_norms_budget():
     (3, 3, -3, "inconclusive", 0)])
 def test_no_seven_norms_certificates(dim, bound, budget, status, enumerated):
     cert = no_seven_norms(dim, bound, budget=budget)
-    assert cert.to_json() == json.dumps(
+    assert canonical_json(cert.jsonable()) == json.dumps(
         {"claim": "lemma3.1", "domain": {"dim": dim, "bound": bound},
          "status": status, "enumerated": enumerated, "witness": None,
          "order": "lex-v1"}, separators=(",", ":"))
