@@ -249,20 +249,8 @@ def cmd_colour(parser, args) -> int:
             spec = GroupSpec.integer_box(bound, len(raw))
         x = element_from_jsonable(spec, raw)
         token = colour(x)
-    if args.out:
-        _emit_token_file(args, token)
-    print(token.to_json())
+    _emit(args, token.jsonable(), 0)
     return 0
-
-
-def _emit_token_file(args, token) -> None:
-    manifest = {"command": "colour",
-                "config": {"id": args.id}, "version": __version__,
-                "inputs": [], "outputs": [args.out], "nodes": 0}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json({"manifest": manifest,
-                                 "result": token.jsonable()}))
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

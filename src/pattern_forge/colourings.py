@@ -67,21 +67,6 @@ class BinaryBranch(Record):
             return NotImplemented
         return self.bits < other.bits
 
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits <= other.bits
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits > other.bits
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits >= other.bits
-
     @classmethod
     def from_string(cls, s: str) -> "BinaryBranch":
         return cls(tuple(int(ch) for ch in s))

@@ -46,14 +46,6 @@ class SizeLimitError(ValueError):
     """Raised when an enumeration request exceeds its configured limit."""
 
 
-class ClosureOverflow(RuntimeError):
-    """Subgroup closure exceeded its cap (subgroup infinite or too large)."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"subgroup closure exceeded cap {cap}")
-        self.cap = cap
-
-
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError(f"no prime factor of {n}")
@@ -466,16 +458,24 @@ def fs_set(xs: Sequence[Element]) -> set:
 # subgroups and independence
 
 
-DEFAULT_CLOSURE_CAP = 100_000
+def multiples(x: Element) -> list:
+    """The cyclic subgroup of x as 0, x, ..., (order(x) - 1)*x."""
+    n = order(x)
+    if n is math.inf:
+        raise PreconditionError(
+            f"{x.jsonable()} has infinite order, so the subgroup it "
+            f"generates cannot be listed")
+    out = [x.parent.zero()]
+    for _ in range(n - 1):
+        out.append(out[-1] + x)
+    return out
 
 
-def subgroup_closure(gens: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP,
+def subgroup_closure(gens: Sequence[Element],
                      spec: GroupSpec | None = None) -> frozenset:
-    """Smallest subset containing gens and 0, closed under + and -.
-
-    Aborts with ClosureOverflow past `cap` elements, which is how an
-    infinite (or merely oversized) subgroup announces itself here.
-    """
+    """The subgroup generated by gens: starting from {0}, each generator
+    g outside the current subgroup H replaces H by H + <g>.  A generator
+    of infinite order raises PreconditionError (see `multiples`)."""
     gens = list(gens)
     if spec is None:
         if not gens:
@@ -485,26 +485,11 @@ def subgroup_closure(gens: Sequence[Element], cap: int = DEFAULT_CLOSURE_CAP,
     for g in gens:
         if g.parent != spec:
             raise StructureError("generators must share a group")
-
     closed = {spec.zero()}
-    frontier = []
     for g in gens:
-        for h in (g, -g):
-            if h not in closed:
-                closed.add(h)
-                frontier.append(h)
-    gens_pm = [h for g in gens for h in (g, -g)]
-    while frontier:
-        if len(closed) > cap:
-            raise ClosureOverflow(cap)
-        x = frontier.pop()
-        for g in gens_pm:
-            y = x + g
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-    if len(closed) > cap:
-        raise ClosureOverflow(cap)
+        if g not in closed:
+            cyclic = multiples(g)
+            closed = {h + m for h in closed for m in cyclic}
     return frozenset(closed)
 
 

@@ -23,7 +23,7 @@ from .tokens import Record
 _set = object.__setattr__
 
 __all__ = [
-    "Pattern", "AdequacyReport", "AdequacyWitness", "SearchConfig",
+    "Pattern", "AdequacyReport", "SearchConfig",
     "SearchOutcome", "is_adequate", "canonical_2_adequate", "search", "lift",
 ]
 
@@ -75,45 +75,23 @@ def _nonzero_entries(vec: Sequence[int]) -> tuple:
     return tuple(e for e in vec if e != 0)
 
 
-class AdequacyWitness(Record):
-    """Two row-subset sums whose nonzero-entry sequences differ."""
-
-    __slots__ = ("mask_a", "sum_a", "sigma_a", "mask_b", "sum_b", "sigma_b")
-
-    def __init__(self, mask_a: int, sum_a: tuple, sigma_a: tuple,
-                 mask_b: int, sum_b: tuple, sigma_b: tuple):
-        _set(self, "mask_a", mask_a)
-        _set(self, "sum_a", sum_a)
-        _set(self, "sigma_a", sigma_a)
-        _set(self, "mask_b", mask_b)
-        _set(self, "sum_b", sum_b)
-        _set(self, "sigma_b", sigma_b)
-
-
 class AdequacyReport(Record):
-    __slots__ = ("adequate", "signature", "witness")
+    __slots__ = ("adequate", "signature")
 
-    def __init__(self, adequate: bool, signature: Optional[tuple] = None,
-                 witness: Optional[AdequacyWitness] = None):
+    def __init__(self, adequate: bool, signature: Optional[tuple] = None):
         _set(self, "adequate", adequate)
         _set(self, "signature", signature)
-        _set(self, "witness", witness)
 
 
 def is_adequate(pattern: Pattern) -> AdequacyReport:
     """Check all 2^n - 1 subset sums for a common nonzero-entry sequence.
 
-    Returns the shared signature when adequate, otherwise the first
-    disagreeing pair in subset-bitmask order.
+    Returns the shared signature when adequate.
     """
-    ref_sum = pattern.row_sum(1)
-    ref = _nonzero_entries(ref_sum)
+    ref = _nonzero_entries(pattern.row_sum(1))
     for mask in range(2, 1 << pattern.n):
-        s = pattern.row_sum(mask)
-        sig = _nonzero_entries(s)
-        if sig != ref:
-            return AdequacyReport(False, witness=AdequacyWitness(
-                1, ref_sum, ref, mask, s, sig))
+        if _nonzero_entries(pattern.row_sum(mask)) != ref:
+            return AdequacyReport(False)
     return AdequacyReport(True, signature=ref)
 
 

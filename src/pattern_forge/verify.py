@@ -19,7 +19,7 @@ from .colourings import (BranchSet, check_valuation_base,
                          resolve_colouring, valuation_bit)
 from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, PreconditionError,
                      SizeLimitError, fs_set_formal, is_independent,
-                     subgroup_closure, supp)
+                     multiples, supp)
 from .tokens import ColourToken, Record
 
 _set = object.__setattr__
@@ -437,18 +437,23 @@ def find_monochromatic_ap(colouring_id: str, spec: GroupSpec) -> Certificate:
 # monochromatic subgroups
 
 
+#: the most elements `full_lattice` enumerates the subgroups of
+FULL_LATTICE_LIMIT = 4096
+
+
 def _all_subgroups(spec: GroupSpec) -> list:
-    """Every subgroup of a small finite group, as frozensets of elements."""
+    """Every subgroup of a small finite group, as frozensets of elements:
+    the lattice grown from {0}, each node h to h + <x> for each x."""
     zero_only = frozenset([spec.zero()])
     known = {zero_only}
     frontier = [zero_only]
-    everything = list(spec.enumerate())
+    cyclic = [(x, multiples(x)) for x in spec.enumerate()]
     while frontier:
         h = frontier.pop()
-        for x in everything:
+        for x, xs in cyclic:
             if x in h:
                 continue
-            grown = subgroup_closure(list(h) + [x], cap=4096)
+            grown = frozenset(a + b for a in h for b in xs)
             if grown not in known:
                 known.add(grown)
                 frontier.append(grown)
@@ -460,29 +465,29 @@ def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
     """Check that no nontrivial subgroup is monochromatic off zero.  By
     default only cyclic subgroups (one generator) are enumerated, which
     is the single-generator statement; full_lattice widens the claim to
-    every subgroup of a small group."""
+    every subgroup of a group of at most FULL_LATTICE_LIMIT elements.
+    An element of infinite order raises PreconditionError."""
     colour = resolve_colouring(colouring_id)
     desc = {"colouring": colouring_id,
             "factors": spec.jsonable()["factors"], "size": spec.size(),
             "full_lattice": full_lattice}
     col = _cached(colour)
 
+    # each subgroup, in checking order, with the generator it came from
     if full_lattice:
-        subgroups = _all_subgroups(spec)
-        gens = {h: None for h in subgroups}
+        if spec.size() > FULL_LATTICE_LIMIT:
+            raise SizeLimitError(
+                f"the full lattice is limited to {FULL_LATTICE_LIMIT} "
+                f"elements; this group has {spec.size()}")
+        gens = dict.fromkeys(_all_subgroups(spec))
     else:
-        subgroups = []
         gens = {}
         for x in spec.enumerate():
-            if x.is_zero():
-                continue
-            h = subgroup_closure([x])
-            if h not in gens:
-                gens[h] = x
-                subgroups.append(h)
+            if not x.is_zero():
+                gens.setdefault(frozenset(multiples(x)), x)
 
     examined = 0
-    for h in subgroups:
+    for h, g in gens.items():
         nontrivial = [e for e in h if not e.is_zero()]
         if not nontrivial:
             continue
@@ -492,7 +497,6 @@ def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
             fresh = {colour(e) for e in nontrivial}
             if len(fresh) != 1:
                 raise AssertionError("witness failed its re-check")
-            g = gens.get(h)
             witness = {"generator": g.jsonable() if g is not None else None,
                        "subgroup": sorted(e.jsonable() for e in h),
                        "colour": next(iter(fresh)).jsonable()}

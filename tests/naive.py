@@ -80,16 +80,18 @@ def naive_feasible(progress, r, groups):
     return False
 
 
+def naive_span(gens, spec):
+    """The subgroup generated by gens, grown from 0 by adding generators
+    until nothing new appears (which is the subgroup in a finite group)."""
+    span = {spec.zero()}
+    new = span
+    while new:
+        new = {s + g for s in new for g in gens} - span
+        span |= new
+    return span
+
+
 def naive_is_independent(seq):
-    """Each term lies outside the subgroup generated by its predecessors,
-    grown from 0 by adding predecessors until nothing new appears (which
-    is the subgroup in a finite group)."""
-    for i, x in enumerate(seq):
-        span = {x.parent.zero()}
-        new = span
-        while new:
-            new = {s + g for s in new for g in seq[:i]} - span
-            span |= new
-        if x in span:
-            return False
-    return True
+    """Each term lies outside the subgroup generated by its predecessors."""
+    return all(x not in naive_span(seq[:i], x.parent)
+               for i, x in enumerate(seq))

@@ -226,6 +226,27 @@ def test_colour_delta(capsys):
     assert out.strip() == '[["TOP",1],[1,"TOP"]]'
 
 
+@pytest.mark.parametrize("argv", [
+    ["--id", "sum_squares", "--element", "[9,2]"],
+    ["--id", "delta", "--branches", '["000","010"]'],
+    ["--id", "product_sigma", "--element", "[1,2]",
+     "--group", json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2})],
+], ids=["element", "branches", "group"])
+def test_colour_out_file_records_its_input(tmp_path, capsys, argv):
+    code, plain, _ = run(capsys, "colour", *argv)
+    out_file = tmp_path / "token.json"
+    code_out, out, _ = run(capsys, "colour", *argv, "--out", str(out_file))
+    assert code == code_out == 0
+    assert out == plain
+    payload = json.loads(out_file.read_text())
+    assert payload["result"] == json.loads(out)
+    manifest = payload["manifest"]
+    assert manifest["command"] == "colour"
+    assert manifest["outputs"] == [str(out_file)]
+    for flag, value in zip(argv[::2], argv[1::2]):
+        assert manifest["config"][flag[2:]] == value
+
+
 @pytest.mark.parametrize("branches", ["[1]", "5", "null", '["01", null]',
                                       '["0a"]'])
 def test_colour_delta_refuses_malformed_branches(capsys, branches):
@@ -346,14 +367,51 @@ def test_verify_refuses_sets_past_the_fs_limit(capsys, region):
     assert "fs limit" in err
 
 
-def test_verify_internal_error_exits_70(capsys):
-    # the cyclic subgroups of an integer box overflow the closure cap
-    group = json.dumps({"factors": [{"kind": "int_box", "bound": 2}]})
-    code, out, err = run(capsys, "verify", "--claim", "thm5.5",
-                         "--group", group)
+def test_verify_internal_error_exits_70(capsys, monkeypatch):
+    import pattern_forge.verify
+
+    def crash(*args):
+        raise RuntimeError("oracle crashed")
+
+    monkeypatch.setattr(pattern_forge.verify, "find_monochromatic_span",
+                        crash)
+    code, out, err = run(capsys, "verify", "--claim", "thm5.6", "--a", "2",
+                         "--dim", "1", "--bound", "1")
     assert code == 70
     assert out == ""
-    assert "ClosureOverflow" in err
+    assert "RuntimeError" in err
+
+
+@pytest.mark.parametrize("lattice", [[], ["--full-lattice"]],
+                         ids=["cyclic", "lattice"])
+@pytest.mark.parametrize("factors", [
+    [{"kind": "int_box", "bound": 2}],
+    [{"kind": "rat_box", "den": 2, "bound": 1}],
+    [{"kind": "cyclic", "m": 3}, {"kind": "int_box", "bound": 1}],
+], ids=["int_box", "rat_box", "cyclic_x_int_box"])
+def test_verify_thm55_refuses_torsion_free_groups(capsys, factors, lattice):
+    # an element of infinite order generates a subgroup no list holds
+    code, out, err = run(capsys, "verify", "--claim", "thm5.5",
+                         "--group", json.dumps({"factors": factors}),
+                         *lattice)
+    assert code == 64
+    assert out == ""
+    assert "infinite order" in err
+
+
+def test_verify_thm55_full_lattice_refuses_large_groups(capsys, monkeypatch):
+    from pattern_forge.groups import GroupSpec
+
+    def enumerate_(self):
+        raise AssertionError("enumerated a group past the lattice limit")
+
+    monkeypatch.setattr(GroupSpec, "enumerate", enumerate_)
+    group = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 8})
+    code, out, err = run(capsys, "verify", "--claim", "thm5.5",
+                         "--group", group, "--full-lattice")
+    assert code == 64
+    assert out == ""
+    assert "4096" in err and "6561" in err
 
 
 @pytest.mark.parametrize("factors,alphas,beta,gammas", [

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pattern_forge.groups import (ClosureOverflow, Cyclic, GroupSpec,
-                                  IntegerBox, PrimePower, RationalBox,
+from pattern_forge.groups import (Cyclic, GroupSpec, IntegerBox,
+                                  PreconditionError, PrimePower, RationalBox,
                                   SizeLimitError, StructureError,
                                   element_from_jsonable, fs_set,
-                                  fs_set_formal, is_independent, order,
-                                  project_p,
+                                  fs_set_formal, is_independent, multiples,
+                                  order, project_p,
                                   sigma, subgroup_closure, supp)
 from pattern_forge.tokens import ColourToken, canonical_json
 
-from naive import naive_is_independent, naive_subset_sums
+from naive import naive_is_independent, naive_span, naive_subset_sums
 
 Z3_2 = GroupSpec.cyclic_power(3, 2)
 Z3_4 = GroupSpec.cyclic_power(3, 4)
@@ -201,10 +201,17 @@ def test_closure_trivial_and_cyclic():
     assert got == {Z3_2.element([a, 0]) for a in range(3)}
 
 
-def test_closure_overflow_on_integers():
-    spec = GroupSpec.integer_box(5, 1)
-    with pytest.raises(ClosureOverflow):
-        subgroup_closure([spec.element([1])], cap=100)
+def test_closure_refuses_a_generator_of_infinite_order():
+    spec = GroupSpec((Cyclic(3), IntegerBox(5)))
+    for coords in ([0, 1], [1, -2]):
+        x = spec.element(coords)
+        with pytest.raises(PreconditionError, match="infinite order"):
+            multiples(x)
+        with pytest.raises(PreconditionError, match="infinite order"):
+            subgroup_closure([spec.element([1, 0]), x])
+    # a torsion-free factor at 0 leaves the order finite
+    assert multiples(spec.element([1, 0])) == [
+        spec.element([a, 0]) for a in range(3)]
 
 
 Z5_3 = GroupSpec.cyclic_power(5, 3)
@@ -220,10 +227,12 @@ def test_independence_defining_property_holds():
     assert not is_independent(seq[:2] + [seq[0] + seq[1]])
 
 
-@pytest.mark.parametrize("spec", [
-    Z2_2, GroupSpec((Cyclic(4), Cyclic(2))), Z3_2,
-    GroupSpec((PrimePower(2, 2), Cyclic(3))),
-], ids=["z2^2", "z4xz2", "z3^2", "pp4xz3"])
+CLOSURE_SPECS = [Z2_2, GroupSpec((Cyclic(4), Cyclic(2))), Z3_2,
+                 GroupSpec((PrimePower(2, 2), Cyclic(3)))]
+CLOSURE_IDS = ["z2^2", "z4xz2", "z3^2", "pp4xz3"]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=CLOSURE_IDS)
 def test_independence_agrees_with_the_closure_definition(spec):
     # every sequence of at most three elements, zero and repeated
     # supports included, so the support shortcut meets every case
@@ -231,6 +240,15 @@ def test_independence_agrees_with_the_closure_definition(spec):
     for k in range(4):
         for seq in itertools.product(elems, repeat=k):
             assert is_independent(seq) == naive_is_independent(seq), seq
+
+
+@pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=CLOSURE_IDS)
+def test_closure_agrees_with_the_span_definition(spec):
+    elems = list(spec.enumerate())
+    for k in range(3):
+        for gens in itertools.product(elems, repeat=k):
+            assert subgroup_closure(gens, spec=spec) == naive_span(
+                gens, spec), gens
 
 
 def test_independence_is_tested_inside_one_group():

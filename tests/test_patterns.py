@@ -56,10 +56,6 @@ def test_adequate_example_mod3():
 def test_inadequate_witness():
     report = is_adequate(Pattern(2, 2, 2, ((1, 0), (0, 1))))
     assert not report.adequate
-    w = report.witness
-    assert w.sigma_a == (1,)
-    assert w.sigma_b == (1, 1)
-    assert w.mask_b == 3
 
 
 def test_canonical_two_row_patterns():

@@ -13,7 +13,7 @@ from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
                                   SizeLimitError)
 from pattern_forge.tokens import ColourToken, canonical_json
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
-                                  _scan_exhaustive,
+                                  _all_subgroups, _scan_exhaustive,
                                   check_fs_matrix_identities, first_in_class,
                                   find_monochromatic_ap,
                                   find_monochromatic_fs,
@@ -375,11 +375,37 @@ def test_subgroup_full_lattice_flag():
     assert cert.domain["full_lattice"] is True
 
 
+@pytest.mark.parametrize("factors,count", [
+    ((Cyclic(5), Cyclic(5)), 8),
+    ((Cyclic(3),) * 3, 28),
+    ((Cyclic(2),) * 4, 67),
+    ((Cyclic(4), Cyclic(2)), 8),
+    ((Cyclic(9), Cyclic(3)), 10),
+], ids=["z5^2", "z3^3", "z2^4", "z4xz2", "z9xz3"])
+def test_subgroup_lattice_has_the_textbook_count(factors, count):
+    lattice = _all_subgroups(GroupSpec(factors))
+    assert len(lattice) == len(set(lattice)) == count
+    # each node is closed under subtraction, so a subgroup
+    assert all(a - b in h for h in lattice for a in h for b in h)
+
+
 def test_subgroup_counterexample_under_weak_colouring():
     # one-generator subgroups of a Boolean group are single nonzero points
     cert = find_monochromatic_subgroup("product_sigma",
                                        GroupSpec.cyclic_power(2, 1))
     assert cert.status == "counterexample"
+
+
+def test_subgroup_witness_names_the_lex_first_generator(monkeypatch):
+    # under a constant colouring the first cyclic subgroup, <1> of Z/5,
+    # is monochromatic; 1, 2, 3 and 4 all generate it
+    import pattern_forge.verify
+    monkeypatch.setattr(pattern_forge.verify, "resolve_colouring",
+                        lambda cid: lambda x: ColourToken.bit(0))
+    cert = find_monochromatic_subgroup("constant", GroupSpec((Cyclic(5),)))
+    assert cert.status == "counterexample" and cert.enumerated == 1
+    assert cert.witness["generator"] == [1]
+    assert cert.witness["subgroup"] == [[a] for a in range(5)]
 
 
 def test_trivial_group_is_vacuously_verified():
