@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -48,24 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(parser, args) -> int:
-    """--threads, else PATTERN_FORGE_THREADS, else 1.  It is read only
-    after parsing, so a bad environment value cannot break the commands
-    that take no --threads.  Everything runs on one thread, so the value
+    """--threads, else 1.  Everything runs on one thread, so the value
     is checked and then dropped."""
-    if args.threads is not None:
-        source, threads = "--threads", args.threads
-    else:
-        env = os.environ.get("PATTERN_FORGE_THREADS")
-        if not env:
-            return 1
-        source = "PATTERN_FORGE_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            parser.error(f"{source} must be an integer, got {env!r}")
-    if threads < 1:
-        parser.error(f"{source} must be >= 1")
-    return threads
+    if args.threads is None:
+        return 1
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
+    return args.threads
 
 
 def _emit(args, result: dict, nodes: int) -> None:
@@ -191,11 +179,10 @@ def cmd_verify(parser, args) -> int:
         _require(parser, args, ["group", "alphas", "beta", "gammas",
                                 "colouring"])
         spec = _parse_group(parser, args.group)
-        gens = spec.basis()
         alphas = [int(s) for s in args.alphas.split(",")]
         gammas = [int(s) for s in args.gammas.split(",")]
         cert = check_fs_matrix_identities(
-            gens, alphas, args.beta, gammas, resolve_colouring(args.colouring))
+            spec, alphas, args.beta, gammas, resolve_colouring(args.colouring))
     elif claim == "thm5.1-shadow":
         _require(parser, args, ["group", "elements"])
         spec = _parse_group(parser, args.group)

@@ -16,8 +16,7 @@ the integer and residue paths never load it.
 
 Elements are immutable coordinate vectors over such a spec.  On top of
 the plain arithmetic this module provides support/nonzero-entry maps,
-per-prime projections, finite-sum enumeration, subgroup closures and
-the independence test.
+per-prime projections, finite-sum enumeration and cyclic subgroups.
 """
 
 from __future__ import annotations
@@ -449,13 +448,8 @@ def fs_set_formal(xs: Sequence[Element]) -> list:
     return out
 
 
-def fs_set(xs: Sequence[Element]) -> set:
-    """The 2^|X| - 1 subset sums, as a set (collisions merge)."""
-    return set(fs_set_formal(xs))
-
-
 # ---------------------------------------------------------------------------
-# subgroups and independence
+# cyclic subgroups
 
 
 def multiples(x: Element) -> list:
@@ -469,45 +463,3 @@ def multiples(x: Element) -> list:
     for _ in range(n - 1):
         out.append(out[-1] + x)
     return out
-
-
-def subgroup_closure(gens: Sequence[Element],
-                     spec: GroupSpec | None = None) -> frozenset:
-    """The subgroup generated by gens: starting from {0}, each generator
-    g outside the current subgroup H replaces H by H + <g>.  A generator
-    of infinite order raises PreconditionError (see `multiples`)."""
-    gens = list(gens)
-    if spec is None:
-        if not gens:
-            raise StructureError(
-                "empty generator list needs an explicit spec for its zero")
-        spec = gens[0].parent
-    for g in gens:
-        if g.parent != spec:
-            raise StructureError("generators must share a group")
-    closed = {spec.zero()}
-    for g in gens:
-        if g not in closed:
-            cyclic = multiples(g)
-            closed = {h + m for h in closed for m in cyclic}
-    return frozenset(closed)
-
-
-def is_independent(seq: Sequence[Element]) -> bool:
-    """Each term avoids the subgroup generated by its predecessors.
-
-    A term that is nonzero on a coordinate where every predecessor is 0
-    avoids it without a closure: each factor's add and neg map (0, 0) to
-    0, so every element of that subgroup is 0 there.  This accepts any
-    standard basis, torsion-free ones included; only the other terms
-    build the closure of their predecessors."""
-    free = set(range(len(seq[0].coords))) if seq else set()
-    for i, x in enumerate(seq):
-        if x.parent != seq[0].parent:
-            raise StructureError("generators must share a group")
-        support = supp(x)
-        if not support & free and x in subgroup_closure(seq[:i],
-                                                        spec=x.parent):
-            return False
-        free -= support
-    return True

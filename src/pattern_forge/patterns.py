@@ -16,15 +16,14 @@ import math
 import operator
 from typing import Optional, Sequence
 
-from .groups import (Element, PreconditionError, SizeLimitError,
-                     is_independent, order)
+from .groups import SizeLimitError
 from .tokens import Record
 
 _set = object.__setattr__
 
 __all__ = [
     "Pattern", "AdequacyReport", "SearchConfig",
-    "SearchOutcome", "is_adequate", "canonical_2_adequate", "search", "lift",
+    "SearchOutcome", "is_adequate", "canonical_2_adequate", "search",
 ]
 
 
@@ -633,41 +632,3 @@ def search(cfg: SearchConfig) -> SearchOutcome:
                     "adequacy check; this is a bug")
             return SearchOutcome("found", budget.used, cfg.region(), pattern)
     return SearchOutcome("exhausted", budget.used, cfg.region())
-
-
-# ---------------------------------------------------------------------------
-# lifting a pattern into a group
-
-
-def lift(pattern: Pattern, gens: Sequence[Element],
-         positions: Sequence[int]) -> list[Element]:
-    """Realize the pattern inside a group: y_i = sum_j rows[i][j] * g[positions[j]].
-
-    `positions` names one generator per column; when it is longer than
-    the pattern the rows are right-padded with zeros.  For m >= 2 every
-    used generator must have order exactly m, and the generator list
-    must be independent.
-    """
-    positions = list(positions)
-    width = len(positions)
-    if width < pattern.l:
-        raise PreconditionError(
-            f"need at least {pattern.l} positions, got {width}")
-    used = [gens[j] for j in positions]
-    if pattern.m >= 2:
-        for g in used:
-            o = order(g)
-            if o != pattern.m:
-                raise PreconditionError(
-                    f"generator has order {o}, pattern modulus is {pattern.m}")
-    if not is_independent(list(gens)):
-        raise PreconditionError("generators are not independent")
-    out = []
-    for row in pattern.rows:
-        padded = row + (0,) * (width - pattern.l)
-        y = None
-        for coeff, g in zip(padded, used):
-            term = coeff * g
-            y = term if y is None else y + term
-        out.append(y)
-    return out

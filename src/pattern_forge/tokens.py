@@ -9,9 +9,10 @@ nested tokens included.
 
 Equality and hashing read the kind and the payload, not the bytes, so a
 token that is only compared never runs ``json.dumps``; its canonical
-bytes are built on the first ``to_json()``.  That is the same relation:
-the payload of every kind is a normal form, and the serialization is a
-bijection on normal forms of one kind.
+bytes, ``canonical_json(token.jsonable())``, are built only where it is
+printed or embedded.  That is the same relation: the payload of every
+kind is a normal form, and the serialization is a bijection on normal
+forms of one kind.
 
 * Scalars pass through ``canonical_scalar``: an integral Fraction
   becomes an ``int`` and a bool is refused, so each integer has one
@@ -124,12 +125,11 @@ class ColourToken:
     as 1.  The two bit tokens are built once and shared.
     """
 
-    __slots__ = ("kind", "payload", "_canon", "_key")
+    __slots__ = ("kind", "payload", "_key")
 
     def __init__(self, kind: str, payload):
         self.kind = kind
         self.payload = payload
-        self._canon = None
         if kind == "tuple":
             self._key = (kind, tuple(t._key for t in payload))
         else:
@@ -177,7 +177,7 @@ class ColourToken:
 
     # -- canonical form -------------------------------------------------
 
-    def _jsonable(self) -> Any:
+    def jsonable(self) -> Any:
         if self.kind in ("int", "bit"):
             return scalar_to_jsonable(self.payload)
         if self.kind == "seq":
@@ -186,17 +186,8 @@ class ColourToken:
             return [["TOP" if e is TOP else scalar_to_jsonable(e) for e in row]
                     for row in self.payload]
         if self.kind == "tuple":
-            return [t._jsonable() for t in self.payload]
+            return [t.jsonable() for t in self.payload]
         raise AssertionError(f"unknown token kind {self.kind}")
-
-    def to_json(self) -> str:
-        """Canonical serialization: compact JSON, no whitespace."""
-        if self._canon is None:
-            self._canon = canonical_json(self._jsonable())
-        return self._canon
-
-    def jsonable(self) -> Any:
-        return self._jsonable()
 
     def __eq__(self, other):
         if not isinstance(other, ColourToken):
@@ -207,7 +198,7 @@ class ColourToken:
         return hash(self._key)
 
     def __repr__(self):
-        return f"ColourToken({self.kind}:{self.to_json()})"
+        return f"ColourToken({self.kind}:{canonical_json(self.jsonable())})"
 
 
 _BITS = (ColourToken("bit", 0), ColourToken("bit", 1))

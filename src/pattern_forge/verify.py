@@ -18,8 +18,7 @@ from .colourings import (BranchSet, check_valuation_base,
                          check_valuation_factors, delta_colouring,
                          resolve_colouring, valuation_bit)
 from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, PreconditionError,
-                     SizeLimitError, fs_set_formal, is_independent,
-                     multiples, supp)
+                     SizeLimitError, fs_set_formal, multiples, supp)
 from .tokens import ColourToken, Record
 
 _set = object.__setattr__
@@ -127,13 +126,12 @@ class BranchSetDomain:
 
     @staticmethod
     def subset_sums(xs: Sequence[BranchSet]) -> list:
-        out = []
-        for mask in range(1, 1 << len(xs)):
-            total = None
-            for i, x in enumerate(xs):
-                if mask >> i & 1:
-                    total = x if total is None else total.symmetric_difference(x)
-            out.append(total)
+        """The 2^k - 1 nonempty-subset sums in increasing bitmask order,
+        accumulated as `fs_set_formal` does."""
+        add = BranchSetDomain.add
+        out: list = []
+        for x in xs:
+            out += [x] + [add(s, x) for s in out]
         return out
 
     def describe(self) -> dict:
@@ -295,16 +293,21 @@ def _recheck_fs_witness(colour, domain, combo) -> dict:
 # the two-column matrix identities behind the pair-sum result
 
 
-def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
+def check_fs_matrix_identities(spec: GroupSpec, alphas: Sequence[int],
                                beta: int, gammas: Sequence[int],
                                colouring: Callable[[Element], ColourToken]
                                ) -> Certificate:
     """Build the matrix x_{i,0} = g_beta - g_{alpha_i}, x_{i,1} =
-    g_{gamma_i} - g_beta over an independent family and verify that every
-    entry and every cross sum x_{i,0} + x_{j,1} has the colour of the
-    matching generator difference, and that the entries are pairwise
-    distinct.  The identities are algebraic, so any colouring passes on
-    honest inputs."""
+    g_{gamma_i} - g_beta over the standard basis g of `spec` and verify
+    that every entry and every cross sum x_{i,0} + x_{j,1} has the colour
+    of the matching generator difference, and that the entries are
+    pairwise distinct.  The identities are algebraic, so any colouring
+    passes on honest inputs.
+
+    The basis is independent by construction: g_i is nonzero on
+    coordinate i, where every other g_j is 0, and each factor's add and
+    neg map (0, 0) to 0, so every element of the subgroup the other
+    vectors generate is 0 there and g_i lies outside it.  No check runs."""
     alphas = list(alphas)
     gammas = list(gammas)
     if not alphas or len(alphas) != len(gammas):
@@ -312,12 +315,11 @@ def check_fs_matrix_identities(gens: Sequence[Element], alphas: Sequence[int],
     if not (max(alphas) < beta < min(gammas)):
         raise PreconditionError(
             "indices must satisfy max(alphas) < beta < min(gammas)")
-    if min(alphas) < 0 or max(gammas) >= len(gens):
+    rank = len(spec.factors)
+    if min(alphas) < 0 or max(gammas) >= rank:
         raise PreconditionError(
-            f"indices must lie in 0..{len(gens) - 1}, the generator range")
-    used = sorted(set(alphas) | {beta} | set(gammas))
-    if not is_independent([gens[i] for i in used]):
-        raise PreconditionError("generators are not independent")
+            f"indices must lie in 0..{rank - 1}, the generator range")
+    gens = spec.basis()
 
     def d(i: int, j: int) -> ColourToken:
         lo, hi = min(i, j), max(i, j)
@@ -441,19 +443,31 @@ def find_monochromatic_ap(colouring_id: str, spec: GroupSpec) -> Certificate:
 FULL_LATTICE_LIMIT = 4096
 
 
+def _cyclic_subgroups(spec: GroupSpec) -> dict:
+    """Each nontrivial cyclic subgroup, as a frozenset of elements, with
+    the lex-first element that generates it, in order of that element."""
+    gens: dict = {}
+    for x in spec.enumerate():
+        if not x.is_zero():
+            gens.setdefault(frozenset(multiples(x)), x)
+    return gens
+
+
 def _all_subgroups(spec: GroupSpec) -> list:
     """Every subgroup of a small finite group, as frozensets of elements:
-    the lattice grown from {0}, each node h to h + <x> for each x."""
+    the lattice grown from {0}, each node h to h + c for each cyclic
+    subgroup c not inside h.  Every subgroup is a sum of cyclic ones, and
+    h + <x> depends only on <x>, so no other growth is needed."""
+    cyclic = list(_cyclic_subgroups(spec))
     zero_only = frozenset([spec.zero()])
     known = {zero_only}
     frontier = [zero_only]
-    cyclic = [(x, multiples(x)) for x in spec.enumerate()]
     while frontier:
         h = frontier.pop()
-        for x, xs in cyclic:
-            if x in h:
+        for c in cyclic:
+            if c <= h:
                 continue
-            grown = frozenset(a + b for a in h for b in xs)
+            grown = frozenset(a + b for a in h for b in c)
             if grown not in known:
                 known.add(grown)
                 frontier.append(grown)
@@ -481,10 +495,7 @@ def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
                 f"elements; this group has {spec.size()}")
         gens = dict.fromkeys(_all_subgroups(spec))
     else:
-        gens = {}
-        for x in spec.enumerate():
-            if not x.is_zero():
-                gens.setdefault(frozenset(multiples(x)), x)
+        gens = _cyclic_subgroups(spec)
 
     examined = 0
     for h, g in gens.items():

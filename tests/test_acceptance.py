@@ -14,10 +14,9 @@ import sys
 from pattern_forge.colourings import (BinaryBranch, BranchSet,
                                       delta_colouring, resolve_colouring,
                                       valuation_colouring)
-from pattern_forge.groups import GroupSpec, PrimePower, fs_set, sigma
+from pattern_forge.groups import GroupSpec, PrimePower, fs_set_formal, sigma
 from pattern_forge.patterns import (Pattern, SearchConfig,
-                                    canonical_2_adequate, is_adequate, lift,
-                                    search)
+                                    canonical_2_adequate, is_adequate, search)
 from pattern_forge.tokens import ColourToken
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
                                   check_fs_matrix_identities,
@@ -135,7 +134,6 @@ def test_criterion_09_valuation_flip_and_spans():
 
 def test_criterion_10_matrix_identities_randomized():
     spec = GroupSpec.cyclic_power(5, 8)
-    gens = spec.basis()
     rng = random.Random(20260810)
     for trial in range(50):
         table = {}
@@ -146,7 +144,7 @@ def test_criterion_10_matrix_identities_randomized():
             return table[x]
 
         cert = check_fs_matrix_identities(
-            gens, [0, 1, 2], 3, [4, 5, 6], colouring)
+            spec, [0, 1, 2], 3, [4, 5, 6], colouring)
         assert cert.status == "verified", trial
     report(10, "matrix-identities-randomized")
 
@@ -163,9 +161,9 @@ def test_criterion_11_search_and_colouring_round_trip():
                 assert found == (cert.status == "counterexample"), (n, m, l)
                 if found:
                     pattern = eng.pattern
-                    basis = GroupSpec.cyclic_power(m, pattern.l).basis()
-                    ys = lift(pattern, basis, list(range(pattern.l)))
-                    sigmas = {sigma(s) for s in fs_set(ys)}
+                    lifted = GroupSpec.cyclic_power(m, pattern.l)
+                    ys = [lifted.element(row) for row in pattern.rows]
+                    sigmas = {sigma(s) for s in fs_set_formal(ys)}
                     expected = ColourToken.seq(is_adequate(pattern).signature)
                     assert sigmas == {expected}, (n, m, l)
     report(11, "search-colouring-round-trip")

@@ -14,7 +14,7 @@ from pattern_forge.colourings import (BinaryBranch, BranchSet, delta,
 from pattern_forge.groups import (Cyclic, GroupSpec, IntegerBox,
                                   PreconditionError, PrimePower, RationalBox,
                                   StructureError, supp)
-from pattern_forge.tokens import TOP, ColourToken
+from pattern_forge.tokens import TOP, ColourToken, canonical_json
 
 
 def branch(s):
@@ -36,12 +36,13 @@ def test_delta_length_mismatch():
 
 def test_delta_colouring_examples():
     t = delta_colouring(BranchSet.from_strings(["000", "010"]))
-    assert t.to_json() == '[["TOP",1],[1,"TOP"]]'
+    assert canonical_json(t.jsonable()) == '[["TOP",1],[1,"TOP"]]'
     t = delta_colouring(BranchSet.from_strings(["000"]))
-    assert t.to_json() == '[["TOP"]]'
+    assert canonical_json(t.jsonable()) == '[["TOP"]]'
     t = delta_colouring(BranchSet.from_strings(["000", "001", "011"]))
-    assert t.to_json() == '[["TOP",2,1],[2,"TOP",1],[1,1,"TOP"]]'
-    assert delta_colouring(BranchSet(())).to_json() == "[]"
+    assert canonical_json(t.jsonable()) == (
+        '[["TOP",2,1],[2,"TOP",1],[1,1,"TOP"]]')
+    assert canonical_json(delta_colouring(BranchSet(())).jsonable()) == "[]"
 
 
 def test_delta_colouring_is_set_semantic():
@@ -104,13 +105,15 @@ def test_sum_squares_exact_rationals():
 
 def test_sum_squares_token_bytes():
     t = sum_squares_colouring(GroupSpec.integer_box(5, 2).element([3, 4]))
-    assert (t.kind, t.to_json(), type(t.payload)) == ("int", "25", int)
+    assert (t.kind, canonical_json(t.jsonable()), type(t.payload)) == (
+        "int", "25", int)
     mixed = GroupSpec((RationalBox(2, 3), IntegerBox(3)))
     t = sum_squares_colouring(mixed.element([Fraction(3, 2), 1]))
-    assert (t.kind, t.to_json()) == ("int", "[13,4]")
+    assert (t.kind, canonical_json(t.jsonable())) == ("int", "[13,4]")
     # an integral rational total prints as a plain integer
     t = sum_squares_colouring(mixed.element([Fraction(1), 2]))
-    assert (t.kind, t.to_json(), type(t.payload)) == ("int", "5", int)
+    assert (t.kind, canonical_json(t.jsonable()), type(t.payload)) == (
+        "int", "5", int)
 
 
 def test_sum_squares_rejects_torsion():
@@ -125,12 +128,12 @@ P33_5 = GroupSpec((PrimePower(3, 1), PrimePower(3, 1), PrimePower(5, 1)))
 
 def test_product_sigma_examples():
     t = product_sigma_colouring(P33_5.element([1, 0, 2]))
-    assert t.to_json() == "[[1],[2]]"
+    assert canonical_json(t.jsonable()) == "[[1],[2]]"
     z = product_sigma_colouring(P33_5.zero())
-    assert z.to_json() == "[[],[]]"
+    assert canonical_json(z.jsonable()) == "[[],[]]"
     mixed = GroupSpec((RationalBox(1, 2), PrimePower(3, 1)))
     t = product_sigma_colouring(mixed.element([2, 0]))
-    assert t.to_json() == "[[2],[]]"
+    assert canonical_json(t.jsonable()) == "[[2],[]]"
 
 
 def test_product_sigma_determines_element_given_support():

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pattern_forge import patterns
-from pattern_forge.groups import (GroupSpec, PreconditionError, PrimePower,
-                                  SizeLimitError, fs_set, sigma)
+from pattern_forge.groups import (GroupSpec, SizeLimitError, fs_set_formal,
+                                  sigma)
 from pattern_forge.patterns import (Pattern, SearchConfig,
-                                    canonical_2_adequate, is_adequate, lift,
-                                    search)
+                                    canonical_2_adequate, is_adequate, search)
 from pattern_forge.tokens import ColourToken, canonical_json
 
 from naive import naive_feasible, naive_find_adequate
@@ -795,9 +794,14 @@ def test_row_permutation_invariance_property(data):
 # -- lifting -------------------------------------------------------------------
 
 def test_lift_along_standard_basis_is_the_pattern():
+    # y_i = sum_j rows[i][j] * e_j is the row read as an element, which
+    # is how acceptance criterion 11 realizes a pattern
     spec = GroupSpec.cyclic_power(3, 3)
-    ys = lift(canonical_2_adequate(3), spec.basis(), [0, 1, 2])
-    assert [y.coords for y in ys] == [(1, 2, 0), (0, 1, 2)]
+    for row in canonical_2_adequate(3).rows:
+        y = spec.zero()
+        for coeff, e in zip(row, spec.basis()):
+            y = y + coeff * e
+        assert y == spec.element(row)
 
 
 def test_lift_products_share_one_sigma_value():
@@ -805,26 +809,6 @@ def test_lift_products_share_one_sigma_value():
         out = search(SearchConfig(n=n, m=m, l_max=l_max))
         pattern = out.pattern
         spec = GroupSpec.cyclic_power(m, pattern.l)
-        ys = lift(pattern, spec.basis(), list(range(pattern.l)))
-        sigmas = {sigma(s) for s in fs_set(ys)}
+        ys = [spec.element(row) for row in pattern.rows]
+        sigmas = {sigma(s) for s in fs_set_formal(ys)}
         assert sigmas == {ColourToken.seq(is_adequate(pattern).signature)}
-
-
-def test_lift_pads_extra_positions_with_zeros():
-    spec = GroupSpec.cyclic_power(3, 4)
-    ys = lift(canonical_2_adequate(3), spec.basis(), [0, 1, 2, 3])
-    assert [y.coords for y in ys] == [(1, 2, 0, 0), (0, 1, 2, 0)]
-
-
-def test_lift_rejects_wrong_order_generators():
-    nine = GroupSpec((PrimePower(3, 2),) * 3)
-    with pytest.raises(PreconditionError):
-        lift(canonical_2_adequate(3), nine.basis(), [0, 1, 2])
-
-
-def test_lift_rejects_dependent_generators():
-    spec = GroupSpec.cyclic_power(3, 3)
-    e0 = spec.basis()[0]
-    with pytest.raises(PreconditionError):
-        lift(canonical_2_adequate(3), [e0, 2 * e0, spec.basis()[1]],
-             [0, 1, 2])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pattern_forge.tokens import TOP, ColourToken, canonical_scalar
+from pattern_forge.tokens import (TOP, ColourToken, canonical_json,
+                                  canonical_scalar)
 
 
 def test_equality_is_kind_and_byte_equality():
@@ -12,7 +13,8 @@ def test_equality_is_kind_and_byte_equality():
     assert ColourToken.int_(3) != ColourToken.int_(4)
     assert hash(ColourToken.seq([1, 2])) == hash(ColourToken.seq((1, 2)))
     # identical serializations of different kinds stay apart
-    assert ColourToken.int_(0).to_json() == ColourToken.bit(0).to_json()
+    assert canonical_json(ColourToken.int_(0).jsonable()) == canonical_json(
+        ColourToken.bit(0).jsonable())
     assert ColourToken.int_(0) != ColourToken.bit(0)
     assert ColourToken.int_(1) != ColourToken.bit(1)
 
@@ -20,12 +22,13 @@ def test_equality_is_kind_and_byte_equality():
 def test_equality_sees_kinds_inside_tuples():
     matrix = ColourToken.matrix([[1]])
     nested = ColourToken.tuple_([ColourToken.seq([1])])
-    assert matrix.to_json() == nested.to_json() == "[[1]]"
+    assert canonical_json(matrix.jsonable()) == "[[1]]"
+    assert canonical_json(nested.jsonable()) == "[[1]]"
     assert matrix != nested
     # a tuple's serialization drops the kinds of its members
     ints = ColourToken.tuple_([ColourToken.int_(1)])
     bits = ColourToken.tuple_([ColourToken.bit(1)])
-    assert ints.to_json() == bits.to_json()
+    assert canonical_json(ints.jsonable()) == canonical_json(bits.jsonable())
     assert ints != bits
     assert ints == ColourToken.tuple_([ColourToken.int_(1)])
     assert hash(ints) == hash(ColourToken.tuple_([ColourToken.int_(1)]))
@@ -36,16 +39,16 @@ def test_equality_sees_kinds_inside_tuples():
 def test_fraction_scalars_normalize():
     assert canonical_scalar(Fraction(4, 2)) == 2
     assert isinstance(canonical_scalar(Fraction(4, 2)), int)
-    assert ColourToken.int_(Fraction(1, 2)).to_json() == "[1,2]"
-    assert ColourToken.int_(Fraction(50, 2)).to_json() == "25"
+    assert canonical_json(ColourToken.int_(Fraction(1, 2)).jsonable()) == "[1,2]"
+    assert canonical_json(ColourToken.int_(Fraction(50, 2)).jsonable()) == "25"
     two = ColourToken.int_(Fraction(4, 2))
     assert two == ColourToken.int_(2) and hash(two) == hash(ColourToken.int_(2))
-    assert two.to_json() == "2"
+    assert canonical_json(two.jsonable()) == "2"
 
 
 def test_matrix_serializes_top_sentinel():
     t = ColourToken.matrix([[TOP, 1], [1, TOP]])
-    assert t.to_json() == '[["TOP",1],[1,"TOP"]]'
+    assert canonical_json(t.jsonable()) == '[["TOP",1],[1,"TOP"]]'
 
 
 def test_matrix_must_be_square():
@@ -68,7 +71,7 @@ def test_bit_refuses_values_that_are_not_ints(value):
 def test_tuple_nesting():
     inner = ColourToken.seq([1, 2])
     t = ColourToken.tuple_([inner, ColourToken.seq([])])
-    assert t.to_json() == "[[1,2],[]]"
+    assert canonical_json(t.jsonable()) == "[[1,2],[]]"
 
 
 def test_floats_rejected():
@@ -90,7 +93,8 @@ def test_seq_equality_matches_value_equality(a, b):
     values_equal = [canonical_scalar(v) for v in a] == \
         [canonical_scalar(v) for v in b]
     assert (ta == tb) == values_equal
-    assert (ta.to_json() == tb.to_json()) == (ta == tb)
+    same_bytes = canonical_json(ta.jsonable()) == canonical_json(tb.jsonable())
+    assert same_bytes == (ta == tb)
 
 
 # -- payload keys ------------------------------------------------------------
@@ -121,7 +125,8 @@ tokens = st.recursive(
 def _typed(t):
     """The canonical bytes with the kinds of the token and its members."""
     members = t.payload if t.kind == "tuple" else ()
-    return (t.kind, t.to_json(), tuple(_typed(u) for u in members))
+    return (t.kind, canonical_json(t.jsonable()),
+            tuple(_typed(u) for u in members))
 
 
 @given(tokens, tokens)
@@ -130,11 +135,11 @@ def test_payload_keys_agree_with_typed_canonical_bytes(a, b):
     assert (a == b) == (_typed(a) == _typed(b))
     if a == b:
         assert hash(a) == hash(b)
-    assert repr(a) == f"ColourToken({a.kind}:{a.to_json()})"
+    assert repr(a) == f"ColourToken({a.kind}:{canonical_json(a.jsonable())})"
 
 
 def test_bits_are_shared():
     assert ColourToken.bit(0) is ColourToken.bit(0)
     assert ColourToken.bit(1) is ColourToken.bit(1)
     assert ColourToken.bit(0) != ColourToken.bit(1)
-    assert ColourToken.bit(1).to_json() == "1"
+    assert canonical_json(ColourToken.bit(1).jsonable()) == "1"
