@@ -36,10 +36,17 @@ def suite():
         yield (f"thm5.4 {label}",
                lambda f=factors: find_monochromatic_ap(
                    "product_sigma", GroupSpec(f)))
-    for p, k in [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)]:
-        yield (f"thm5.5 Z{p}^{k}",
-               lambda p=p, k=k: find_monochromatic_subgroup(
-                   "subgroup_parity", GroupSpec((PrimePower(p, k),))))
+    # Z/p^k is cyclic, so every subgroup is; the last two are not
+    for factors, label in [
+        ((PrimePower(3, 1),), "Z3^1"), ((PrimePower(3, 2),), "Z3^2"),
+        ((PrimePower(5, 1),), "Z5^1"), ((PrimePower(7, 1),), "Z7^1"),
+        ((PrimePower(5, 2),), "Z5^2"),
+        ((PrimePower(3, 1),) * 3, "(Z3)^3"),
+        ((PrimePower(5, 1),) * 2, "(Z5)^2"),
+    ]:
+        yield (f"thm5.5 {label}",
+               lambda f=factors: find_monochromatic_subgroup(
+                   "subgroup_parity", GroupSpec(f)))
     for a in (2, 3, 5):
         yield (f"thm5.6 a={a} d=3 B=10",
                lambda a=a: find_monochromatic_span(a, 3, 10))

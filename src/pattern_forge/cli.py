@@ -46,16 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _threads(parser, args) -> int:
-    """--threads, else 1.  Everything runs on one thread, so the value
-    is checked and then dropped."""
-    if args.threads is None:
-        return 1
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
-    return args.threads
-
-
 def _emit(args, result: dict, nodes: int) -> None:
     # the file goes first: if writing it fails, stdout stays empty
     if getattr(args, "out", None):
@@ -170,8 +160,7 @@ def cmd_verify(parser, args) -> int:
     elif claim == "thm5.5":
         _require(parser, args, ["group"])
         cert = find_monochromatic_subgroup(
-            "subgroup_parity", _parse_group(parser, args.group),
-            full_lattice=args.full_lattice)
+            "subgroup_parity", _parse_group(parser, args.group))
     elif claim == "thm5.6":
         _require(parser, args, ["a", "dim", "bound"])
         cert = find_monochromatic_span(args.a, args.dim, args.bound)
@@ -275,7 +264,6 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=int)
     p.add_argument("--gammas")
     p.add_argument("--colouring")
-    p.add_argument("--full-lattice", action="store_true")
     p.add_argument("--budget", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--out")
@@ -293,8 +281,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "threads"):
-        args.threads = _threads(parser, args)
+    # everything runs on one thread, so --threads is checked and dropped
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        parser.error("--threads must be >= 1")
     handlers = {"search": cmd_search, "verify": cmd_verify,
                 "colour": cmd_colour}
     try:

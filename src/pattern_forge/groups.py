@@ -437,10 +437,10 @@ def fs_set_formal(xs: Sequence[Element]) -> list:
         raise SizeLimitError(
             f"{len(xs)} generators exceed fs limit {DEFAULT_FS_LIMIT}")
     if len(set(xs)) != len(xs):
-        raise StructureError("fs_set generators must be distinct")
+        raise StructureError("fs_set_formal generators must be distinct")
     for x in xs[1:]:
         if x.parent != xs[0].parent:
-            raise StructureError("fs_set generators must share a group")
+            raise StructureError("fs_set_formal generators must share a group")
     out: list = []
     for x in xs:
         # the masks with top bit x: x alone, then x after each earlier sum

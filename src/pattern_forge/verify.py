@@ -439,10 +439,6 @@ def find_monochromatic_ap(colouring_id: str, spec: GroupSpec) -> Certificate:
 # monochromatic subgroups
 
 
-#: the most elements `full_lattice` enumerates the subgroups of
-FULL_LATTICE_LIMIT = 4096
-
-
 def _cyclic_subgroups(spec: GroupSpec) -> dict:
     """Each nontrivial cyclic subgroup, as a frozenset of elements, with
     the lex-first element that generates it, in order of that element."""
@@ -453,62 +449,30 @@ def _cyclic_subgroups(spec: GroupSpec) -> dict:
     return gens
 
 
-def _all_subgroups(spec: GroupSpec) -> list:
-    """Every subgroup of a small finite group, as frozensets of elements:
-    the lattice grown from {0}, each node h to h + c for each cyclic
-    subgroup c not inside h.  Every subgroup is a sum of cyclic ones, and
-    h + <x> depends only on <x>, so no other growth is needed."""
-    cyclic = list(_cyclic_subgroups(spec))
-    zero_only = frozenset([spec.zero()])
-    known = {zero_only}
-    frontier = [zero_only]
-    while frontier:
-        h = frontier.pop()
-        for c in cyclic:
-            if c <= h:
-                continue
-            grown = frozenset(a + b for a in h for b in c)
-            if grown not in known:
-                known.add(grown)
-                frontier.append(grown)
-    return sorted(known, key=lambda h: (len(h), sorted(e.coords for e in h)))
-
-
-def find_monochromatic_subgroup(colouring_id: str, spec: GroupSpec,
-                                full_lattice: bool = False) -> Certificate:
-    """Check that no nontrivial subgroup is monochromatic off zero.  By
-    default only cyclic subgroups (one generator) are enumerated, which
-    is the single-generator statement; full_lattice widens the claim to
-    every subgroup of a group of at most FULL_LATTICE_LIMIT elements.
+def find_monochromatic_subgroup(colouring_id: str,
+                                spec: GroupSpec) -> Certificate:
+    """Check that no nontrivial subgroup is monochromatic off zero.  Only
+    the cyclic subgroups are enumerated, and that decides every subgroup:
+    a nontrivial H contains a nontrivial <x>, and <x> minus 0 lies in H
+    minus 0, so H is monochromatic off zero only if <x> is.  The domain
+    key set to False records that only cyclic subgroups were enumerated.
     An element of infinite order raises PreconditionError."""
     colour = resolve_colouring(colouring_id)
     desc = {"colouring": colouring_id,
             "factors": spec.jsonable()["factors"], "size": spec.size(),
-            "full_lattice": full_lattice}
+            "full_lattice": False}
     col = _cached(colour)
 
-    # each subgroup, in checking order, with the generator it came from
-    if full_lattice:
-        if spec.size() > FULL_LATTICE_LIMIT:
-            raise SizeLimitError(
-                f"the full lattice is limited to {FULL_LATTICE_LIMIT} "
-                f"elements; this group has {spec.size()}")
-        gens = dict.fromkeys(_all_subgroups(spec))
-    else:
-        gens = _cyclic_subgroups(spec)
-
     examined = 0
-    for h, g in gens.items():
+    for h, g in _cyclic_subgroups(spec).items():
         nontrivial = [e for e in h if not e.is_zero()]
-        if not nontrivial:
-            continue
         examined += 1
         tokens = {col(e) for e in nontrivial}
         if len(tokens) == 1:
             fresh = {colour(e) for e in nontrivial}
             if len(fresh) != 1:
                 raise AssertionError("witness failed its re-check")
-            witness = {"generator": g.jsonable() if g is not None else None,
+            witness = {"generator": g.jsonable(),
                        "subgroup": sorted(e.jsonable() for e in h),
                        "colour": next(iter(fresh)).jsonable()}
             return Certificate("thm5.5", desc, COUNTEREXAMPLE,
@@ -578,7 +542,9 @@ def fs_support_growth_check(spec: GroupSpec, xs: Sequence[Element]) -> Certifica
     sums are one product-sigma colour (total support size s) can contain
     no sunflower of s+1 supports, because that sunflower's sum would have
     a support too large for the colour.  Monochromaticity is a
-    precondition; violating it is an input error, not a counterexample."""
+    precondition; violating it is an input error, not a counterexample.
+    So is a zero support size: then the set is {0}, and its empty
+    support is no 1-sunflower whose sum could break the colour."""
     from .colourings import product_sigma_colouring
 
     xs = list(xs)
@@ -589,6 +555,10 @@ def fs_support_growth_check(spec: GroupSpec, xs: Sequence[Element]) -> Certifica
             "subset sums are not monochromatic under product sigma")
     common = next(iter(tokens))
     s = len(supp(xs[0]))
+    if s == 0:
+        raise PreconditionError(
+            "the set is {0}: its support size is 0, and the support-growth "
+            "argument needs nonzero elements")
     desc = {"factors": spec.jsonable()["factors"],
             "set_size": len(xs), "support_size": s}
 

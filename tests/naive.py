@@ -95,3 +95,12 @@ def naive_is_independent(seq):
     """Each term lies outside the subgroup generated by its predecessors."""
     return all(x not in naive_span(seq[:i], x.parent)
                for i, x in enumerate(seq))
+
+
+def naive_subgroups(spec):
+    """Every subgroup of a finite direct sum of r cyclic factors, as
+    frozensets: the spans of the r-element generator tuples, since each
+    subgroup of such a group needs at most r generators."""
+    elems = list(spec.enumerate())
+    return {frozenset(naive_span(gens, spec)) for gens in
+            itertools.combinations_with_replacement(elems, len(spec.factors))}

@@ -363,36 +363,31 @@ def test_verify_internal_error_exits_70(capsys, monkeypatch):
     assert "RuntimeError" in err
 
 
-@pytest.mark.parametrize("lattice", [[], ["--full-lattice"]],
-                         ids=["cyclic", "lattice"])
 @pytest.mark.parametrize("factors", [
     [{"kind": "int_box", "bound": 2}],
     [{"kind": "rat_box", "den": 2, "bound": 1}],
     [{"kind": "cyclic", "m": 3}, {"kind": "int_box", "bound": 1}],
 ], ids=["int_box", "rat_box", "cyclic_x_int_box"])
-def test_verify_thm55_refuses_torsion_free_groups(capsys, factors, lattice):
+def test_verify_thm55_refuses_torsion_free_groups(capsys, factors):
     # an element of infinite order generates a subgroup no list holds
     code, out, err = run(capsys, "verify", "--claim", "thm5.5",
-                         "--group", json.dumps({"factors": factors}),
-                         *lattice)
+                         "--group", json.dumps({"factors": factors}))
     assert code == 64
     assert out == ""
     assert "infinite order" in err
 
 
-def test_verify_thm55_full_lattice_refuses_large_groups(capsys, monkeypatch):
-    from pattern_forge.groups import GroupSpec
-
-    def enumerate_(self):
-        raise AssertionError("enumerated a group past the lattice limit")
-
-    monkeypatch.setattr(GroupSpec, "enumerate", enumerate_)
-    group = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 8})
-    code, out, err = run(capsys, "verify", "--claim", "thm5.5",
-                         "--group", group, "--full-lattice")
-    assert code == 64
-    assert out == ""
-    assert "4096" in err and "6561" in err
+def test_verify_thm55_full_lattice_is_an_unknown_flag(capsys):
+    # the cyclic subgroups decide every subgroup, so there is no lattice
+    # mode to ask for
+    group = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2})
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--claim", "thm5.5", "--group", group,
+              "--full-lattice"])
+    out = capsys.readouterr()
+    assert exc.value.code == 64
+    assert out.out == ""
+    assert "unrecognized arguments: --full-lattice" in out.err
 
 
 @pytest.mark.parametrize("factors,alphas,beta,gammas", [
@@ -492,6 +487,15 @@ def test_verify_thm51_shadow(capsys):
     data = json.loads(out)
     assert data["claim"] == "thm5.1-shadow"
     assert data["status"] == "verified"
+
+
+def test_verify_thm51_shadow_refuses_the_zero_set(capsys):
+    group = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2})
+    code, out, err = run(capsys, "verify", "--claim", "thm5.1-shadow",
+                         "--group", group, "--elements", "[[0,0]]")
+    assert code == 64
+    assert out == ""
+    assert "support size is 0" in err
 
 
 _CYCLIC_5 = json.dumps({"factors": [{"kind": "cyclic", "m": 5}]})

@@ -12,7 +12,7 @@ from pattern_forge.groups import (Cyclic, GroupSpec, IntegerBox,
                                   element_from_jsonable, fs_set_formal,
                                   multiples, order, project_p, sigma, supp)
 from pattern_forge.tokens import ColourToken, canonical_json
-from pattern_forge.verify import _all_subgroups
+from pattern_forge.verify import _cyclic_subgroups
 
 from naive import naive_is_independent, naive_span, naive_subset_sums
 
@@ -179,6 +179,16 @@ def test_fs_set_limits_and_distinctness():
         fs_set_formal(many)
 
 
+def test_fs_set_formal_errors_name_it():
+    x = Z3_2.element([1, 0])
+    with pytest.raises(StructureError,
+                       match="^fs_set_formal generators must be distinct$"):
+        fs_set_formal([x, x])
+    with pytest.raises(StructureError,
+                       match="^fs_set_formal generators must share a group$"):
+        fs_set_formal([x, Z3_4.element([1, 0, 0, 0])])
+
+
 def test_fs_set_formal_tracks_index_sets():
     # by position: the sum over the index set of bitmask b is entry b - 1
     x, y, z = (Z3_4.basis()[i] for i in range(3))
@@ -234,12 +244,13 @@ def test_independence_agrees_with_the_closure_definition(spec):
 
 @pytest.mark.parametrize("spec", CLOSURE_SPECS, ids=CLOSURE_IDS)
 def test_closure_agrees_with_the_span_definition(spec):
-    # each of these groups has rank at most 2, so its subgroups are the
-    # spans of the pairs of elements
-    elems = list(spec.enumerate())
-    spans = {frozenset(naive_span(gens, spec))
-             for gens in itertools.product(elems, repeat=2)}
-    assert set(_all_subgroups(spec)) == spans
+    # the thm5.5 scan lists, from multiples, exactly the nontrivial spans
+    # of one element, each with the lex-first element that spans it
+    elems = [x for x in spec.enumerate() if not x.is_zero()]
+    spans = {}
+    for x in elems:
+        spans.setdefault(frozenset(naive_span([x], spec)), x)
+    assert list(_cyclic_subgroups(spec).items()) == list(spans.items())
 
 
 def test_difference_injectivity_of_independent_sequences():

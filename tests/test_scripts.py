@@ -22,7 +22,7 @@ def test_certificate_suite_verifies_every_claim():
     proc = run_script("certificate_suite.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 16
+    assert len(lines) == 18
     assert all(line.startswith("ok ") for line in lines), proc.stdout
     # a region with nothing to enumerate would verify vacuously
     counts = [int(line.split("enumerated=")[1].split()[0]) for line in lines]

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import operator
@@ -13,7 +14,7 @@ from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
                                   SizeLimitError)
 from pattern_forge.tokens import ColourToken, canonical_json
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
-                                  _all_subgroups, _scan_exhaustive,
+                                  _scan_exhaustive,
                                   check_fs_matrix_identities, first_in_class,
                                   find_monochromatic_ap,
                                   find_monochromatic_fs,
@@ -21,7 +22,7 @@ from pattern_forge.verify import (BranchSetDomain, GroupDomain,
                                   find_monochromatic_subgroup,
                                   fs_support_growth_check, no_seven_norms)
 
-from naive import naive_fs_scan, naive_subset_sums
+from naive import naive_fs_scan, naive_subgroups, naive_subset_sums
 
 
 # -- monochromatic finite sums ---------------------------------------------------
@@ -389,11 +390,7 @@ def test_subgroup_parity_verified_on_prime_power_cyclic():
         assert cert.status == "verified", (p, k)
 
 
-def test_subgroup_full_lattice_flag():
-    cert = find_monochromatic_subgroup(
-        "subgroup_parity", GroupSpec((PrimePower(3, 2),)), full_lattice=True)
-    assert cert.status == "verified"
-    assert cert.domain["full_lattice"] is True
+_lattice = functools.cache(naive_subgroups)
 
 
 @pytest.mark.parametrize("factors,count", [
@@ -404,10 +401,53 @@ def test_subgroup_full_lattice_flag():
     ((Cyclic(9), Cyclic(3)), 10),
 ], ids=["z5^2", "z3^3", "z2^4", "z4xz2", "z9xz3"])
 def test_subgroup_lattice_has_the_textbook_count(factors, count):
-    lattice = _all_subgroups(GroupSpec(factors))
-    assert len(lattice) == len(set(lattice)) == count
+    # the naive lattice the oracle is compared against below is complete
+    lattice = _lattice(GroupSpec(factors))
+    assert len(lattice) == count
     # each node is closed under subtraction, so a subgroup
     assert all(a - b in h for h in lattice for a in h for b in h)
+
+
+# groups of rank at most 3, with a Z/2 whose one cyclic subgroup is
+# monochromatic off zero under every colouring
+EQUIVALENCE_SPECS = [
+    GroupSpec((Cyclic(2),)), GroupSpec((Cyclic(5),)),
+    GroupSpec.cyclic_power(3, 2), GroupSpec((Cyclic(4), Cyclic(2))),
+    GroupSpec((Cyclic(9), Cyclic(3))), GroupSpec((Cyclic(2), Cyclic(3))),
+    GroupSpec.cyclic_power(2, 3), GroupSpec.cyclic_power(3, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cyclic_scan_decides_every_subgroup(data):
+    # a subgroup is monochromatic off zero only if a cyclic subgroup
+    # inside it is, so scanning the cyclic ones agrees with the lattice
+    import pattern_forge.verify
+    spec = data.draw(st.sampled_from(EQUIVALENCE_SPECS))
+    k = data.draw(st.sampled_from([0, 2, 3]))
+    if k:
+        table = data.draw(st.lists(st.integers(0, k - 1),
+                                   min_size=spec.size(),
+                                   max_size=spec.size()))
+        index = {x: i for i, x in enumerate(spec.enumerate())}
+
+        def colour(x):
+            return ColourToken.int_(table[index[x]])
+    else:
+        colour = resolve_colouring("product_sigma")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pattern_forge.verify, "resolve_colouring",
+                   lambda cid: colour)
+        cert = find_monochromatic_subgroup("table", spec)
+
+    def monochromatic(h):
+        return len({colour(e) for e in h if not e.is_zero()}) == 1
+
+    some = any(len(h) > 1 and monochromatic(h) for h in _lattice(spec))
+    assert cert.status == ("counterexample" if some else "verified")
+    if some:
+        h = frozenset(spec.element(c) for c in cert.witness["subgroup"])
+        assert h in _lattice(spec) and len(h) > 1 and monochromatic(h)
 
 
 def test_subgroup_counterexample_under_weak_colouring():
@@ -515,3 +555,11 @@ def test_support_growth_nested_supports_are_an_input_error():
     xs = [Z3_6.element([1, 0, 0, 0, 0, 0]), Z3_6.element([1, 1, 0, 0, 0, 0])]
     with pytest.raises(PreconditionError):
         fs_support_growth_check(Z3_6, xs)
+
+
+def test_support_growth_refuses_the_zero_set():
+    # {0} is monochromatic with support size 0, and its lone empty
+    # support is no sunflower whose sum could break the colour
+    Z3_2 = GroupSpec.cyclic_power(3, 2)
+    with pytest.raises(PreconditionError, match="support size is 0"):
+        fs_support_growth_check(Z3_2, [Z3_2.zero()])
