@@ -60,6 +60,15 @@ def is_prime(n: int) -> bool:
     return n >= 2 and smallest_prime_factor(n) == n
 
 
+def _check_param(name: str, v, least: int) -> None:
+    """Refuse a factor parameter that is not an int (a bool included) or
+    lies below `least`, before any arithmetic reads it."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise StructureError(f"{name} must be an int, got {v!r}")
+    if v < least:
+        raise StructureError(f"{name} must be >= {least}, got {v}")
+
+
 # ---------------------------------------------------------------------------
 # factors
 
@@ -131,8 +140,7 @@ class Cyclic(_Modular):
     __slots__ = ("m",)
 
     def __init__(self, m: int):
-        if m < 2:
-            raise StructureError(f"cyclic modulus must be >= 2, got {m}")
+        _check_param("cyclic modulus", m, 2)
         _set(self, "m", m)
         _set(self, "modulus", m)
 
@@ -149,8 +157,7 @@ class IntegerBox(_TorsionFree):
     __slots__ = ("bound",)
 
     def __init__(self, bound: int):
-        if bound < 1:
-            raise StructureError(f"box bound must be >= 1, got {bound}")
+        _check_param("box bound", bound, 1)
         _set(self, "bound", bound)
 
     def normalize(self, v):
@@ -172,10 +179,10 @@ class PrimePower(_Modular):
     __slots__ = ("p", "k")
 
     def __init__(self, p: int, k: int):
+        _check_param("prime", p, 2)
         if not is_prime(p):
             raise StructureError(f"{p} is not prime")
-        if k < 1:
-            raise StructureError(f"exponent must be >= 1, got {k}")
+        _check_param("exponent", k, 1)
         _set(self, "p", p)
         _set(self, "k", k)
         _set(self, "modulus", p ** k)
@@ -192,10 +199,8 @@ class RationalBox(_TorsionFree):
     __slots__ = ("den", "bound")
 
     def __init__(self, den: int, bound: int):
-        if den < 1:
-            raise StructureError(f"denominator must be >= 1, got {den}")
-        if bound < 1:
-            raise StructureError(f"box bound must be >= 1, got {bound}")
+        _check_param("denominator", den, 1)
+        _check_param("box bound", bound, 1)
         _set(self, "den", den)
         _set(self, "bound", bound)
 
@@ -373,6 +378,9 @@ def element_from_jsonable(spec: GroupSpec, data) -> Element:
     if not isinstance(data, list):
         raise StructureError(
             f"an element must be a JSON list of coordinates, got {data!r}")
+    if len(data) != len(spec.factors):
+        raise StructureError(
+            f"expected {len(spec.factors)} coordinates, got {len(data)}")
     coords = []
     for f, v in zip(spec.factors, data):
         if isinstance(f, RationalBox) and isinstance(v, list):

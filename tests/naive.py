@@ -104,3 +104,15 @@ def naive_subgroups(spec):
     elems = list(spec.enumerate())
     return {frozenset(naive_span(gens, spec)) for gens in
             itertools.combinations_with_replacement(elems, len(spec.factors))}
+
+
+def naive_sunflower(family, k):
+    """The lex-first k-tuple (k >= 2) of indices into `family`, a list of
+    sets, whose sets pairwise meet in one common root, as (indices, root),
+    or None."""
+    for idxs in itertools.combinations(range(len(family)), k):
+        meets = {frozenset(family[i] & family[j])
+                 for i, j in itertools.combinations(idxs, 2)}
+        if len(meets) == 1:
+            return idxs, meets.pop()
+    return None

@@ -498,7 +498,16 @@ def test_verify_thm51_shadow_refuses_the_zero_set(capsys):
     assert "support size is 0" in err
 
 
+def test_verify_thm51_shadow_names_the_empty_set(capsys):
+    group = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2})
+    code, out, err = run(capsys, "verify", "--claim", "thm5.1-shadow",
+                         "--group", group, "--elements", "[]")
+    assert (code, out) == (64, "")
+    assert "at least one element" in err
+
+
 _CYCLIC_5 = json.dumps({"factors": [{"kind": "cyclic", "m": 5}]})
+_CYCLIC_3_SQUARED = json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2})
 _RATIONAL = json.dumps({"factors": [{"kind": "rat_box", "den": 2,
                                      "bound": 2}]})
 
@@ -513,18 +522,45 @@ _RATIONAL = json.dumps({"factors": [{"kind": "rat_box", "den": 2,
      "--elements", "[5]"]] + [
     ["colour", "--id", "product_sigma", "--group", _RATIONAL,
      "--element", element]
-    for element in ("[[1]]", "[[1,0]]", '[["a",2]]', "[[1,2,3]]")])
+    for element in ("[[1]]", "[[1,0]]", '[["a",2]]', "[[1,2,3]]")] + [
+    ["colour", "--id", "product_sigma", "--group", _CYCLIC_3_SQUARED,
+     "--element", "[1,2,5,5,5]"],
+    ["verify", "--claim", "thm5.1-shadow", "--group", _CYCLIC_3_SQUARED,
+     "--elements", "[[1,2,5]]"]])
 def test_malformed_element_data_is_usage_error(capsys, argv):
     # a bare number used to reach a zip over its "coordinates", and a
     # rational coordinate other than [numerator, nonzero denominator]
     # an index or a Fraction; each crashed (exit 70) or, for [1,2,3],
-    # read the first two entries
+    # read the first two entries.  Extra coordinates were dropped: the
+    # colour of [1,2,5,5,5] printed [[1,2]] and exited 0
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 64
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("factor", [
+    '{"kind":"cyclic","m":2.5}', '{"kind":"cyclic","m":true}',
+    '{"kind":"cyclic","m":1e400}', '{"kind":"int_box","bound":1.5}',
+    '{"kind":"int_box","bound":true}', '{"kind":"prime_power","p":3,"k":1.5}',
+    '{"kind":"prime_power","p":3,"k":true}',
+    '{"kind":"prime_power","p":2.0,"k":1}',
+    '{"kind":"rat_box","den":2.5,"bound":1}',
+    '{"kind":"rat_box","den":2,"bound":false}'])
+@pytest.mark.parametrize("command", [
+    ["verify", "--claim", "thm5.4"],
+    ["colour", "--id", "product_sigma", "--element", "[1]"]])
+def test_non_integer_group_parameters_are_usage_error(capsys, command,
+                                                       factor):
+    # a float or bool parameter used to crash (exit 70), print a result
+    # (exit 0) or, as the float infinity 1e400, loop forever
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--group", '{"factors":[%s]}' % factor])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (64, "")
+    assert "must be an int" in out.err
 
 
 # -- start-up ----------------------------------------------------------------
@@ -616,13 +652,15 @@ def _ints(lo, hi):
 _SMALL = _ints(1, 4)
 _JUNK = st.sampled_from(["--bogus", "junk", "-1", "{", "", "--n=x", "3.5",
                          "[]", "--claim"])
-# finite groups (the cyclic subgroups of an integer box overflow the
-# closure cap, a crash that exits 70 by design) and malformed JSON
+# finite and torsion-free groups, a float parameter and malformed JSON
 _GROUP = st.sampled_from([
     json.dumps({"factors": [{"kind": "cyclic", "m": 3}] * 2}),
     json.dumps({"factors": [{"kind": "cyclic", "m": 2}] * 3}),
     json.dumps({"factors": [{"kind": "cyclic", "m": 5}]}),
     json.dumps({"factors": [{"kind": "prime_power", "p": 2, "k": 2}] * 2}),
+    json.dumps({"factors": [{"kind": "int_box", "bound": 2}] * 2}),
+    json.dumps({"factors": [{"kind": "rat_box", "den": 2, "bound": 1}]}),
+    json.dumps({"factors": [{"kind": "cyclic", "m": 2.5}]}),
     '{"factors": [', '{"factors": [{"kind": "cyclic"}]}', '{"factors": 3}',
     '{"factors": [{"kind": "torus", "m": 2}]}', "[]", "null", "{}"])
 _FLAGS = {

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import operator
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pattern_forge.colourings import (BranchSet, delta_colouring,
+                                      product_sigma_colouring,
                                       resolve_colouring)
 from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
                                   PreconditionError, PrimePower, RationalBox,
-                                  SizeLimitError)
+                                  SizeLimitError, supp)
 from pattern_forge.tokens import ColourToken, canonical_json
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
-                                  _scan_exhaustive,
                                   check_fs_matrix_identities, first_in_class,
                                   find_monochromatic_ap,
                                   find_monochromatic_fs,
@@ -22,7 +23,8 @@ from pattern_forge.verify import (BranchSetDomain, GroupDomain,
                                   find_monochromatic_subgroup,
                                   fs_support_growth_check, no_seven_norms)
 
-from naive import naive_fs_scan, naive_subgroups, naive_subset_sums
+from naive import (naive_fs_scan, naive_subgroups, naive_subset_sums,
+                   naive_sunflower)
 
 
 # -- monochromatic finite sums ---------------------------------------------------
@@ -503,32 +505,6 @@ def test_span_checks_its_parameters_once(monkeypatch):
         "x": [-3, -3], "ax": [-9, -9]}
 
 
-# -- sunflowers ----------------------------------------------------------------------------
-
-# fs_support_growth_check (thm5.1-shadow) reports "verified" when this
-# scan finds nothing, so its found branch is tested here directly
-
-def test_delta_system_singletons():
-    assert _scan_exhaustive([{1}, {2}, {3}], 3) == ((0, 1, 2), frozenset(), 1)
-
-
-def test_delta_system_common_kernel():
-    assert _scan_exhaustive([{1, 2}, {1, 3}, {1, 4}], 3) == ((0, 1, 2), {1}, 1)
-    # the lex-first hit, after two tuples that are not sunflowers
-    assert _scan_exhaustive([{1, 2}, {2, 3}, {1, 3}, {1, 4}], 3) == (
-        (0, 2, 3), {1}, 3)
-
-
-def test_delta_system_none_exists():
-    assert _scan_exhaustive([{1, 2}, {2, 3}, {1, 3}], 3) == (None, None, 1)
-
-
-def test_delta_system_preconditions():
-    # n == 1: the first set is its own root; n past the family: no tuple
-    assert _scan_exhaustive([{1, 2}, {3}], 1) == ((0,), {1, 2}, 1)
-    assert _scan_exhaustive([{1, 2}], 2) == (None, None, 0)
-
-
 # -- support growth under product sigma -------------------------------------------------
 
 Z3_6 = GroupSpec.cyclic_power(3, 6)
@@ -563,3 +539,90 @@ def test_support_growth_refuses_the_zero_set():
     Z3_2 = GroupSpec.cyclic_power(3, 2)
     with pytest.raises(PreconditionError, match="support size is 0"):
         fs_support_growth_check(Z3_2, [Z3_2.zero()])
+
+
+@st.composite
+def _equal_support_family(draw):
+    """(spec, s, xs): distinct elements of (Z/m)^L or an integer box, all
+    of support size s.  Some families start from an (s + 1)-sunflower
+    with a random root, petals and nonzero values; extra members have
+    random supports of size s."""
+    length = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 6))
+        spec = GroupSpec.cyclic_power(m, length)
+        nonzero = st.integers(1, m - 1)
+    else:
+        bound = draw(st.integers(1, 2))
+        spec = GroupSpec.integer_box(bound, length)
+        nonzero = st.integers(-bound, bound).filter(bool)
+    s = draw(st.integers(1, length))
+
+    def element(support):
+        coords = [0] * length
+        for i in support:
+            coords[i] = draw(nonzero)
+        return spec.element(coords)
+
+    xs = []
+    # a root of size r leaves s + 1 petals of size s - r to place
+    roots = [r for r in range(s + 1) if r + (s + 1) * (s - r) <= length]
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(roots))
+        cells = draw(st.permutations(range(length)))
+        petal = s - r
+        xs += [element(cells[:r] + cells[r + i * petal:r + (i + 1) * petal])
+               for i in range(s + 1)]
+    for _ in range(draw(st.integers(0 if xs else 1, 3))):
+        xs.append(element(draw(st.permutations(range(length)))[:s]))
+    return spec, s, draw(st.permutations(list(dict.fromkeys(xs))))
+
+
+@given(_equal_support_family())
+@settings(max_examples=200)
+def test_support_growth_refuses_every_sunflower(case):
+    # the certificate rests on its precondition check: a family holding
+    # an (s + 1)-sunflower of supports must fail it, by one of the two
+    # cases of the argument in fs_support_growth_check's docstring
+    spec, s, xs = case
+    found = naive_sunflower([supp(x) for x in xs], s + 1)
+    if found is None:
+        try:
+            cert = fs_support_growth_check(spec, xs)
+        except PreconditionError:
+            return
+        assert (cert.status, cert.enumerated) == (
+            "verified", math.comb(len(xs), s + 1))
+        return
+    with pytest.raises(PreconditionError):
+        fs_support_growth_check(spec, xs)
+    idxs, root = found
+    members = [xs[i] for i in idxs]
+    if len(root) < s:
+        # nonempty disjoint petals: the sum outgrows the colour
+        assert len(supp(functools.reduce(operator.add, members))) > s
+    else:
+        # one shared support: distinct members differ in colour
+        assert len({product_sigma_colouring(x) for x in members}) > 1
+
+
+@pytest.mark.parametrize("spec, count", [
+    (GroupSpec.cyclic_power(3, 3), 2), (GroupSpec.cyclic_power(2, 3), 3),
+    (GroupSpec.cyclic_power(4, 2), 0), (GroupSpec((Cyclic(3), Cyclic(9))), 0)])
+def test_support_growth_counts_every_small_monochromatic_set(spec, count):
+    # count: the monochromatic 2- and 3-element sets; every one is a
+    # pair with s >= 2, and none has a third member
+    points = [x for x in spec.enumerate() if not x.is_zero()]
+    checked = 0
+    for n in (2, 3):
+        for combo in itertools.combinations(points, n):
+            colours = {product_sigma_colouring(x)
+                       for x in naive_subset_sums(combo)}
+            if len(colours) != 1:
+                continue
+            cert = fs_support_growth_check(spec, combo)
+            s = len(supp(combo[0]))
+            assert (cert.status, cert.enumerated) == (
+                "verified", math.comb(n, s + 1))
+            checked += 1
+    assert checked == count
