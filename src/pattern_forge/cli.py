@@ -28,8 +28,18 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_SOFTWARE = 70
 
-# the claims whose oracles read --budget; the others refuse it
-_BUDGET_CLAIMS = ("lemma3.1", "thm3.2", "thm4.1")
+# claim id -> (flags it needs, flags it may also take); besides --out and
+# --threads, a claim refuses every other flag rather than ignore it
+CLAIM_FLAGS = {
+    "lemma3.1": (("dim", "bound"), ("budget",)),
+    "thm3.2": (("dim", "bound", "n"), ("budget",)),
+    "thm4.1": (("kappa", "max-set"), ("budget",)),
+    "thm5.4": (("group",), ()),
+    "thm5.5": (("group",), ()),
+    "thm5.6": (("a", "dim", "bound"), ()),
+    "thm2.3": (("group", "alphas", "beta", "gammas", "colouring"), ()),
+    "thm5.1-shadow": (("group", "elements"), ()),
+}
 
 _STATUS_EXIT = {
     "found": EXIT_FOUND,
@@ -99,12 +109,6 @@ def cmd_search(parser, args) -> int:
 # verify
 
 
-def _require(parser, args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            parser.error(f"--claim {args.claim} requires --{name}")
-
-
 def _verify_fs(args, colouring_id: str, domain, n: int):
     """The finite-sums oracle, refusing a region that holds no n-subsets:
     its "verified" would be vacuous."""
@@ -140,40 +144,39 @@ def cmd_verify(parser, args) -> int:
                          find_monochromatic_span, find_monochromatic_subgroup,
                          fs_support_growth_check)
     claim = args.claim
-    if args.budget is not None and claim not in _BUDGET_CLAIMS:
-        parser.error(f"--claim {claim} does not take --budget")
+    if claim not in CLAIM_FLAGS:
+        parser.error(f"unknown claim id {claim!r}")
+    needs, takes = CLAIM_FLAGS[claim]
+    for key, value in vars(args).items():
+        name = key.replace("_", "-")
+        if name in needs and value is None:
+            parser.error(f"--claim {claim} requires --{name}")
+        if (value is not None and name not in needs + takes
+                and name not in ("command", "claim", "out", "threads")):
+            parser.error(f"--claim {claim} does not take --{name}")
     if claim == "lemma3.1":
-        _require(parser, args, ["dim", "bound"])
         cert = _verify_norms(args)
     elif claim == "thm3.2":
-        _require(parser, args, ["dim", "bound", "n"])
         domain = GroupDomain(GroupSpec.integer_box(args.bound, args.dim))
         cert = _verify_fs(args, "sum_squares", domain, args.n)
     elif claim == "thm4.1":
-        _require(parser, args, ["kappa", "max-set"])
         domain = BranchSetDomain(args.kappa, args.max_set)
         cert = _verify_fs(args, "delta", domain, 2)
     elif claim == "thm5.4":
-        _require(parser, args, ["group"])
         cert = find_monochromatic_ap("product_sigma",
                                      _parse_group(parser, args.group))
     elif claim == "thm5.5":
-        _require(parser, args, ["group"])
         cert = find_monochromatic_subgroup(
             "subgroup_parity", _parse_group(parser, args.group))
     elif claim == "thm5.6":
-        _require(parser, args, ["a", "dim", "bound"])
         cert = find_monochromatic_span(args.a, args.dim, args.bound)
     elif claim == "thm2.3":
-        _require(parser, args, ["group", "alphas", "beta", "gammas",
-                                "colouring"])
         spec = _parse_group(parser, args.group)
         alphas = [int(s) for s in args.alphas.split(",")]
         gammas = [int(s) for s in args.gammas.split(",")]
         cert = check_fs_matrix_identities(
             spec, alphas, args.beta, gammas, resolve_colouring(args.colouring))
-    elif claim == "thm5.1-shadow":
-        _require(parser, args, ["group", "elements"])
+    else:  # thm5.1-shadow
         spec = _parse_group(parser, args.group)
         elements = json.loads(args.elements)
         if not isinstance(elements, list):
@@ -181,8 +184,6 @@ def cmd_verify(parser, args) -> int:
                              "each a list of coordinates")
         xs = [element_from_jsonable(spec, e) for e in elements]
         cert = fs_support_growth_check(spec, xs)
-    else:
-        parser.error(f"unknown claim id {claim!r}")
     _emit(args, cert.jsonable(), cert.enumerated)
     return _STATUS_EXIT[cert.status]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .tokens import ColourToken, Record
@@ -45,14 +46,22 @@ class SizeLimitError(ValueError):
     """Raised when an enumeration request exceeds its configured limit."""
 
 
+_TRIAL_LIMIT = 1 << 20
+
+
 def smallest_prime_factor(n: int) -> int:
+    """Exact for n < 2^40, where a composite has a factor up to 2^20.
+    A larger n with no factor up to 2^20 raises SizeLimitError rather
+    than trial-divide for hours."""
     if n < 2:
         raise ValueError(f"no prime factor of {n}")
-    d = 2
-    while d * d <= n:
+    for d in range(2, min(math.isqrt(n), _TRIAL_LIMIT) + 1):
         if n % d == 0:
             return d
-        d += 1
+    if n >= _TRIAL_LIMIT ** 2:
+        raise SizeLimitError(
+            f"{n} has no prime factor up to 2^20, and numbers from 2^40 "
+            f"on are not factored further")
     return n
 
 
@@ -436,10 +445,20 @@ def order(x: Element):
 DEFAULT_FS_LIMIT = 20
 
 
-def fs_set_formal(xs: Sequence[Element]) -> list:
-    """All 2^k - 1 nonempty-subset sums of the k generators, in
+def subset_sums(xs: Sequence, add) -> list:
+    """All 2^k - 1 nonempty-subset sums of the k terms under `add`, in
     increasing bitmask order: the sum over bitmask b is entry b - 1.
-    Each sum adds its generators in index order."""
+    Each sum adds its terms in index order."""
+    out: list = []
+    for x in xs:
+        # the masks with top bit x: x alone, then x after each earlier sum
+        out += [x] + [add(s, x) for s in out]
+    return out
+
+
+def fs_set_formal(xs: Sequence[Element]) -> list:
+    """`subset_sums` of at most DEFAULT_FS_LIMIT distinct generators of
+    one group."""
     xs = list(xs)
     if len(xs) > DEFAULT_FS_LIMIT:
         raise SizeLimitError(
@@ -449,11 +468,7 @@ def fs_set_formal(xs: Sequence[Element]) -> list:
     for x in xs[1:]:
         if x.parent != xs[0].parent:
             raise StructureError("fs_set_formal generators must share a group")
-    out: list = []
-    for x in xs:
-        # the masks with top bit x: x alone, then x after each earlier sum
-        out += [x] + [s + x for s in out]
-    return out
+    return subset_sums(xs, operator.add)
 
 
 # ---------------------------------------------------------------------------

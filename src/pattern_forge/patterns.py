@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Optional, Sequence
+from typing import Optional
 
-from .groups import SizeLimitError
+from .groups import SizeLimitError, subset_sums
 from .tokens import Record
 
 _set = object.__setattr__
@@ -53,25 +53,9 @@ class Pattern(Record):
         _set(self, "l", l)
         _set(self, "rows", rows)
 
-    def row_sum(self, mask: int) -> tuple:
-        """Entrywise sum of the rows selected by bitmask (mod m)."""
-        acc = [0] * self.l
-        for i in range(self.n):
-            if mask >> i & 1:
-                r = self.rows[i]
-                for j in range(self.l):
-                    acc[j] += r[j]
-        if self.m:
-            return tuple(e % self.m for e in acc)
-        return tuple(acc)
-
     def jsonable(self):
         return {"n": self.n, "m": self.m, "l": self.l,
                 "rows": [list(r) for r in self.rows]}
-
-
-def _nonzero_entries(vec: Sequence[int]) -> tuple:
-    return tuple(e for e in vec if e != 0)
 
 
 class AdequacyReport(Record):
@@ -87,11 +71,16 @@ def is_adequate(pattern: Pattern) -> AdequacyReport:
 
     Returns the shared signature when adequate.
     """
-    ref = _nonzero_entries(pattern.row_sum(1))
-    for mask in range(2, 1 << pattern.n):
-        if _nonzero_entries(pattern.row_sum(mask)) != ref:
-            return AdequacyReport(False)
-    return AdequacyReport(True, signature=ref)
+    m = pattern.m
+
+    def add(u, v):
+        return tuple((a + b) % m if m else a + b for a, b in zip(u, v))
+
+    signatures = {tuple(e for e in s if e)
+                  for s in subset_sums(pattern.rows, add)}
+    if len(signatures) != 1:
+        return AdequacyReport(False)
+    return AdequacyReport(True, signature=signatures.pop())
 
 
 def canonical_2_adequate(m: int) -> Pattern:
@@ -177,19 +166,10 @@ def _column_alphabet(n: int, m: int, entry_bound: Optional[int]) -> list:
     return [c for c in itertools.product(entries, repeat=n) if c != zero]
 
 
-def _column_profile(c: tuple, n: int, m: int) -> tuple:
+def _column_profile(c: tuple, m: int) -> tuple:
     """(mask, value) for every nonempty row subset with nonzero sum."""
-    hits = []
-    for mask in range(1, 1 << n):
-        s = 0
-        for i in range(n):
-            if mask >> i & 1:
-                s += c[i]
-        if m:
-            s %= m
-        if s != 0:
-            hits.append((mask, s))
-    return tuple(hits)
+    sums = subset_sums(c, (lambda a, b: (a + b) % m) if m else operator.add)
+    return tuple((mask, s) for mask, s in enumerate(sums, 1) if s)
 
 
 def _constraint_groups(n: int, profiles: list) -> list:
@@ -299,7 +279,7 @@ class _Columns:
                 f"a search with n = {n} over {base} entry values needs "
                 f"more than {_TABLE_CAP} column profile entries")
         alphabet = _column_alphabet(n, m, entry_bound)
-        profiles = [_column_profile(c, n, m) for c in alphabet]
+        profiles = [_column_profile(c, m) for c in alphabet]
         self.n_masks = n_masks = (1 << n) - 1
         # a progress field never exceeds l <= l_max, so it fits in
         # `width` bits; field `mask` of a packed progress vector sits at

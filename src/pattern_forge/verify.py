@@ -16,9 +16,11 @@ from typing import Callable, Optional, Sequence
 
 from .colourings import (BranchSet, check_valuation_base,
                          check_valuation_factors, delta_colouring,
-                         resolve_colouring, valuation_bit)
+                         resolve_colouring, valuation_bit,
+                         valuation_colouring)
 from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, PreconditionError,
-                     SizeLimitError, fs_set_formal, multiples, supp)
+                     SizeLimitError, fs_set_formal, multiples, subset_sums,
+                     supp)
 from .tokens import ColourToken, Record
 
 _set = object.__setattr__
@@ -126,13 +128,7 @@ class BranchSetDomain:
 
     @staticmethod
     def subset_sums(xs: Sequence[BranchSet]) -> list:
-        """The 2^k - 1 nonempty-subset sums in increasing bitmask order,
-        accumulated as `fs_set_formal` does."""
-        add = BranchSetDomain.add
-        out: list = []
-        for x in xs:
-            out += [x] + [add(s, x) for s in out]
-        return out
+        return subset_sums(xs, BranchSetDomain.add)
 
     def describe(self) -> dict:
         return {"kind": "branch_sets", "kappa": self.kappa,
@@ -188,10 +184,11 @@ def first_in_class(members: Sequence[int], n: int, points: Sequence, add,
     the domain's sum.  n must lie in 1..DEFAULT_FS_LIMIT.
 
     Depth-first over the lex-ordered prefixes, keeping the 2^k - 1
-    subset sums of the current prefix: extending it by x computes and
-    colours only x's new sums s + x, and drops the extension at the first
-    one off `token`.  Sound, because every subset sum of a prefix is a
-    subset sum of each of its extensions.  The walk ends once the
+    subset sums of the current prefix in the order of `subset_sums`,
+    built prefix by prefix so that the walk can stop early: extending it
+    by x computes and colours only x's new sums s + x, and drops the
+    extension at the first one off `token`.  Sound, because every subset
+    sum of a prefix is a subset sum of each of its extensions.  The walk ends once the
     lex-smallest completion of a prefix ranks at or past `limit`: every
     later leaf lies lex-after it, and lex order inside `members` is the
     order of `_lex_rank`."""
@@ -392,6 +389,9 @@ def no_seven_norms(dim: int, bound: int,
                              sq, r, len(members), limit)
         if hit is not None:
             x, y, z = (members[i] for i in hit)
+            if (len({x, y, z}) != 3
+                    or {sq(s) for s in subset_sums([x, y, z], vadd)} != {r}):
+                raise AssertionError("witness failed its re-check")
             witness = {"x": list(x), "y": list(y), "z": list(z),
                        "norm_sq": r}
             return Certificate("lemma3.1", desc, COUNTEREXAMPLE,
@@ -499,6 +499,8 @@ def find_monochromatic_span(a: int, dim: int, bound: int) -> Certificate:
             continue
         examined += 1
         if valuation_bit(x.coords, a) == valuation_bit((a * x).coords, a):
+            if valuation_colouring(x, a) != valuation_colouring(a * x, a):
+                raise AssertionError("witness failed its re-check")
             witness = {"x": x.jsonable(), "ax": (a * x).jsonable()}
             return Certificate("thm5.6", desc, COUNTEREXAMPLE,
                                examined, witness)

@@ -1,10 +1,14 @@
 """Independent brute-force oracles used to cross-check the main routines.
 
-These deliberately share no logic with the search engine: they generate
-candidate row tuples directly and test each one with the definitional
-adequacy check.  Rows are grouped by their nonzero-entry sequence first,
-which is sound because the singleton subset sums already force all rows
-of a qualifying tuple into one class.
+These deliberately share no logic with the search engine's pruning:
+they generate candidate row tuples directly and test each one with the
+definitional adequacy check.  Rows are grouped by their nonzero-entry
+sequence first, which is sound because the singleton subset sums
+already force all rows of a qualifying tuple into one class.  The one
+piece the naive adequacy finder shares with the search is
+`groups.subset_sums`, which `is_adequate` and the column profiles both
+call; it is pinned against `naive_subset_sums` below, mask by mask, in
+tests/test_groups.py.
 """
 
 import itertools

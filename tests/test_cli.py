@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pattern_forge
-from pattern_forge.cli import main
+from pattern_forge.cli import CLAIM_FLAGS, main
 from pattern_forge.verify import no_seven_norms
 
 
@@ -416,7 +416,8 @@ def test_unwritable_out_file_leaves_stdout_empty(tmp_path, capsys):
 _CYCLIC_5_CUBED = json.dumps({"factors": [{"kind": "cyclic", "m": 5}] * 3})
 
 
-@pytest.mark.parametrize("argv", [
+# a verified call of each claim that has no budget
+_UNBUDGETED = [
     ["--claim", "thm5.4", "--group", _CYCLIC_5_CUBED],
     ["--claim", "thm5.5", "--group", _CYCLIC_5_CUBED],
     ["--claim", "thm5.6", "--a", "2", "--dim", "1", "--bound", "3"],
@@ -424,7 +425,10 @@ _CYCLIC_5_CUBED = json.dumps({"factors": [{"kind": "cyclic", "m": 5}] * 3})
      "--beta", "1", "--gammas", "2", "--colouring", "product_sigma"],
     ["--claim", "thm5.1-shadow", "--group", _CYCLIC_5_CUBED,
      "--elements", "[[1,4,0],[0,1,4]]"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _UNBUDGETED)
 def test_verify_refuses_budget_it_would_ignore(capsys, argv):
     assert run(capsys, "verify", *argv)[0] == 0
     with pytest.raises(SystemExit) as err:
@@ -433,6 +437,68 @@ def test_verify_refuses_budget_it_would_ignore(capsys, argv):
     assert err.value.code == 64
     assert out.out == ""
     assert "--budget" in out.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--claim", "thm4.1", "--kappa", "2", "--max-set", "2", "--n", "5"],
+     "--n"),
+    (["--claim", "thm5.5", "--group", _CYCLIC_5_CUBED, "--dim", "3"],
+     "--dim"),
+    (["--claim", "thm5.5", "--group", _CYCLIC_5_CUBED, "--elements",
+      "[[1,0,0]]"], "--elements"),
+    (["--claim", "thm5.5", "--group", _CYCLIC_5_CUBED, "--a", "2"], "--a"),
+    (["--claim", "thm3.2", "--dim", "1", "--bound", "1", "--n", "2",
+      "--kappa", "2"], "--kappa"),
+    (["--claim", "lemma3.1", "--dim", "2", "--bound", "1", "--group",
+      _CYCLIC_5_CUBED], "--group"),
+])
+def test_verify_refuses_flags_its_claim_does_not_read(capsys, argv, flag):
+    # a flag the oracle ignores would still land in the --out manifest,
+    # so two equal results could differ on disk
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    out = capsys.readouterr()
+    assert (err.value.code, out.out) == (64, "")
+    assert f"--claim {argv[1]} does not take {flag}" in out.err
+
+
+@pytest.mark.parametrize("argv", _UNBUDGETED)
+def test_unbudgeted_claims_take_out_and_threads(tmp_path, capsys, argv):
+    out_file = tmp_path / "result.json"
+    code, out, _ = run(capsys, "verify", *argv, "--threads", "2",
+                       "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["result"] == json.loads(out)
+
+
+_HUGE_PRIME = 10 ** 18 + 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["colour", "--id", "product_sigma", "--element", "[1]", "--group",
+     json.dumps({"factors": [{"kind": "cyclic", "m": _HUGE_PRIME}]})],
+    ["colour", "--id", "product_sigma", "--element", "[1]", "--group",
+     json.dumps({"factors": [{"kind": "prime_power", "p": _HUGE_PRIME,
+                              "k": 1}]})],
+    ["verify", "--claim", "thm5.6", "--a", str(_HUGE_PRIME), "--dim", "1",
+     "--bound", "1"]])
+def test_huge_prime_is_refused_in_time(argv):
+    # trial division stops at 2^20, so a prime past 2^40 is refused
+    # instead of being factored for hours
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-m", "pattern_forge.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert "2^40" in proc.stderr
+
+
+def test_huge_modulus_with_a_small_factor_is_coloured(capsys):
+    code, out, _ = run(capsys, "colour", "--id", "product_sigma",
+                       "--element", "[1]", "--group",
+                       json.dumps({"factors": [{"kind": "cyclic",
+                                                "m": 2 ** 64}]}))
+    assert (code, out) == (0, "[[1]]\n")
 
 
 def test_verify_unknown_claim(capsys):
@@ -671,9 +737,7 @@ _FLAGS = {
                "--entry-bound": _ints(1, 2),
                "--node-cap": _ints(1, 60),
                "--threads": _ints(1, 2)},
-    "verify": {"--claim": st.sampled_from(
-                   ["lemma3.1", "thm3.2", "thm4.1", "thm5.4", "thm5.5",
-                    "thm5.6", "thm2.3", "thm5.1-shadow", "thm9.9"]),
+    "verify": {"--claim": st.sampled_from([*CLAIM_FLAGS, "thm9.9"]),
                "--dim": _ints(1, 3),
                "--bound": _ints(1, 2),
                "--n": _SMALL,
@@ -703,17 +767,13 @@ _FLAGS = {
 }
 
 
-# the flags each command or claim needs; they are drawn more often, so
-# that most examples get past argument checking
+# the flags each command or claim needs, a claim's read from the CLI's
+# table; they are drawn more often, so that most examples get past
+# argument checking
 _NEEDS = {"search": ["--n", "--m", "--l-max"],
-          "colour": ["--id", "--element"],
-          "lemma3.1": ["--dim", "--bound"],
-          "thm3.2": ["--dim", "--bound", "--n"],
-          "thm4.1": ["--kappa", "--max-set"], "thm5.4": ["--group"],
-          "thm5.5": ["--group"], "thm5.6": ["--a", "--dim", "--bound"],
-          "thm2.3": ["--group", "--alphas", "--beta", "--gammas",
-                     "--colouring"],
-          "thm5.1-shadow": ["--group", "--elements"], "thm9.9": []}
+          "colour": ["--id", "--element"], "thm9.9": [],
+          **{claim: [f"--{name}" for name in needs]
+             for claim, (needs, _) in CLAIM_FLAGS.items()}}
 
 
 @st.composite

@@ -10,9 +10,10 @@ from pattern_forge.groups import (Cyclic, GroupSpec, IntegerBox,
                                   PreconditionError, PrimePower, RationalBox,
                                   SizeLimitError, StructureError,
                                   element_from_jsonable, fs_set_formal,
-                                  multiples, order, project_p, sigma, supp)
+                                  multiples, order, project_p, sigma,
+                                  smallest_prime_factor, subset_sums, supp)
 from pattern_forge.tokens import ColourToken, canonical_json
-from pattern_forge.verify import _cyclic_subgroups
+from pattern_forge.verify import BranchSetDomain, _cyclic_subgroups
 
 from naive import naive_is_independent, naive_span, naive_subset_sums
 
@@ -139,6 +140,15 @@ def test_projection_partition_of_unity():
         assert project_p(project_p(x, p), q) == spec.zero()
 
 
+def test_smallest_prime_factor_is_exact_below_2_to_the_40():
+    # trial division stops at 2^20: 2^40 - 87, the largest prime below
+    # 2^40, is still answered, and a prime past 2^40 is refused
+    assert smallest_prime_factor(2 ** 40 - 87) == 2 ** 40 - 87
+    assert smallest_prime_factor(2 ** 40 + 1) == 257
+    with pytest.raises(SizeLimitError, match="2\\^40"):
+        smallest_prime_factor(10 ** 18 + 3)
+
+
 def test_cyclic_factors_project_by_smallest_prime_divisor():
     spec = GroupSpec((Cyclic(6), Cyclic(15)))
     x = spec.element([1, 1])
@@ -194,6 +204,34 @@ def test_fs_set_formal_tracks_index_sets():
     x, y, z = (Z3_4.basis()[i] for i in range(3))
     assert fs_set_formal([x, y, z]) == [
         x, y, x + y, z, x + z, y + z, x + y + z]
+
+
+_MIXED = GroupSpec((Cyclic(3), IntegerBox(2), PrimePower(2, 2)))
+
+# (terms, add): residues mod m for m in 2..7, coordinate tuples of a
+# mixed group, and branch sets under symmetric difference
+_SUM_CASES = st.one_of(
+    st.integers(2, 7).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(0, m - 1), max_size=6),
+        st.just(lambda a, b: (a + b) % m))),
+    st.tuples(st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2),
+                                 st.integers(0, 3)), max_size=6),
+              st.just(_MIXED.add_coords)),
+    st.tuples(st.lists(st.sampled_from(BranchSetDomain(2, 2).points()),
+                       max_size=6),
+              st.just(BranchSetDomain.add)))
+
+
+@given(_SUM_CASES)
+def test_subset_sums_lists_the_sum_over_mask_b_at_b_minus_1(case):
+    # the one bitmask-order list of the package, pinned against sums
+    # that share no code with it
+    xs, add = case
+    sums = subset_sums(xs, add)
+    assert len(sums) == (1 << len(xs)) - 1
+    for b in range(1, 1 << len(xs)):
+        chosen = [x for i, x in enumerate(xs) if b >> i & 1]
+        assert sums[b - 1] == naive_subset_sums(chosen, add)[-1]
 
 
 def test_fs_set_matches_naive_oracle_on_mixed_factors():

@@ -458,7 +458,7 @@ def _counting_groups(n, m, bound):
     """The counting groups of a region as (masks, lo, hi, g)."""
     alphabet = patterns._column_alphabet(n, m, bound)
     return patterns._constraint_groups(
-        n, [patterns._column_profile(c, n, m) for c in alphabet])
+        n, [patterns._column_profile(c, m) for c in alphabet])
 
 
 @functools.cache

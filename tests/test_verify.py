@@ -346,6 +346,19 @@ def test_no_seven_norms_budget():
     assert no_seven_norms(3, 3, budget=5).status == "inconclusive"
 
 
+@pytest.mark.parametrize("hit", [
+    # 0 three times: every norm is 0, so only distinctness fails
+    lambda members, n: (0,) * n,
+    # the first three vectors of norm 1: (-1, 0) + (0, -1) has norm 2
+    lambda members, n: tuple(members[:n]) if len(members) >= n else None])
+def test_no_seven_norms_rechecks_its_witness(monkeypatch, hit):
+    from pattern_forge import verify
+    monkeypatch.setattr(verify, "first_in_class",
+                        lambda members, n, *rest: hit(members, n))
+    with pytest.raises(AssertionError, match="re-check"):
+        no_seven_norms(2, 1)
+
+
 # the certificates of the bucketed triple scan that preceded the shared
 # finite-sums kernel; at dim 3, bound 3 the norm buckets hold 38,416
 # triples
@@ -498,11 +511,12 @@ def test_span_checks_its_parameters_once(monkeypatch):
     assert (cert.status, cert.enumerated, calls) == ("verified", 48, [3])
     with pytest.raises(ValueError):
         find_monochromatic_span(4, 2, 3)
-    # a witness is still found and reported by the unchecked kernel
+    # the loop reads the unchecked kernel, and its hit is re-checked
+    # through the checked colouring before it is reported
     monkeypatch.setattr(verify, "valuation_bit",
                         lambda coords, a: ColourToken.bit(0))
-    assert find_monochromatic_span(3, 2, 3).witness == {
-        "x": [-3, -3], "ax": [-9, -9]}
+    with pytest.raises(AssertionError, match="re-check"):
+        find_monochromatic_span(3, 2, 3)
 
 
 # -- support growth under product sigma -------------------------------------------------
