@@ -9,9 +9,11 @@ import argparse
 import sys
 import time
 
+from pattern_forge.colourings import product_sigma_colouring
 from pattern_forge.groups import GroupSpec, PrimePower
 from pattern_forge.tokens import canonical_json
 from pattern_forge.verify import (BranchSetDomain, GroupDomain,
+                                  check_fs_matrix_identities,
                                   find_monochromatic_ap,
                                   find_monochromatic_fs,
                                   find_monochromatic_span,
@@ -20,6 +22,9 @@ from pattern_forge.verify import (BranchSetDomain, GroupDomain,
 
 
 def suite():
+    # every claim but thm5.1-shadow, which certifies by argument: its
+    # count C(N, s + 1) is 0 on every known monochromatic set, and a
+    # certificate here must count something
     yield "lemma3.1 d=2 B=5", lambda: no_seven_norms(2, 5)
     yield "lemma3.1 d=2 B=3", lambda: no_seven_norms(2, 3)
     yield "lemma3.1 d=3 B=3", lambda: no_seven_norms(3, 3)
@@ -50,6 +55,9 @@ def suite():
     for a in (2, 3, 5):
         yield (f"thm5.6 a={a} d=3 B=10",
                lambda a=a: find_monochromatic_span(a, 3, 10))
+    yield "thm2.3 (Z5)^8 product_sigma", lambda: check_fs_matrix_identities(
+        GroupSpec.cyclic_power(5, 8), [0, 1, 2], 3, [4, 5, 6],
+        product_sigma_colouring)
 
 
 def main() -> int:

@@ -140,9 +140,9 @@ def cmd_verify(parser, args) -> int:
     from .colourings import resolve_colouring
     from .groups import GroupSpec, element_from_jsonable
     from .verify import (BranchSetDomain, GroupDomain,
-                         check_fs_matrix_identities, find_monochromatic_ap,
-                         find_monochromatic_span, find_monochromatic_subgroup,
-                         fs_support_growth_check)
+                         check_fs_matrix_identities, check_region,
+                         find_monochromatic_ap, find_monochromatic_span,
+                         find_monochromatic_subgroup, fs_support_growth_check)
     claim = args.claim
     if claim not in CLAIM_FLAGS:
         parser.error(f"unknown claim id {claim!r}")
@@ -157,6 +157,8 @@ def cmd_verify(parser, args) -> int:
     if claim == "lemma3.1":
         cert = _verify_norms(args)
     elif claim == "thm3.2":
+        # the box is checked before its dim factors are built
+        check_region(2 * args.bound + 1, args.dim)
         domain = GroupDomain(GroupSpec.integer_box(args.bound, args.dim))
         cert = _verify_fs(args, "sum_squares", domain, args.n)
     elif claim == "thm4.1":
@@ -199,8 +201,7 @@ def cmd_colour(parser, args) -> int:
         if args.branches is None:
             parser.error("--id delta requires --branches")
         strings = json.loads(args.branches)
-        if not (isinstance(strings, list)
-                and all(isinstance(b, str) for b in strings)):
+        if not isinstance(strings, list):
             parser.error("--branches must be a JSON list of 0/1 strings")
         x = BranchSet.from_strings(strings)
         token = delta_colouring(x)

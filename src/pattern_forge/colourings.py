@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 _set = object.__setattr__
 
 __all__ = [
-    "BinaryBranch", "BranchSet", "delta", "delta_colouring",
+    "BranchSet", "delta", "delta_colouring",
     "sum_squares_colouring", "product_sigma_colouring",
     "subgroup_colouring", "check_valuation_base", "check_valuation_factors",
     "valuation_bit", "valuation_colouring", "resolve_colouring",
@@ -39,48 +39,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# binary branches and finite branch sets
-
-
-class BinaryBranch(Record):
-    """A 0/1 word of fixed length, ordered lexicographically."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: tuple):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"branch bits must be 0/1: {bits!r}")
-        _set(self, "bits", bits)
-
-    # branch sets sort and hash their branches on every construction
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.bits,))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits < other.bits
-
-    @classmethod
-    def from_string(cls, s: str) -> "BinaryBranch":
-        return cls(tuple(int(ch) for ch in s))
-
-    def __len__(self):
-        return len(self.bits)
-
-    def __str__(self):
-        return "".join(str(b) for b in self.bits)
+# finite sets of binary branches
 
 
 class BranchSet(Record):
-    """A finite set of equal-length branches; the elements of the Boolean
-    group of branch sets under symmetric difference.  Stored sorted."""
+    """A finite set of equal-length branches, each a string of '0' and
+    '1'; the elements of the Boolean group of branch sets under symmetric
+    difference.  Stored sorted, which for equal-length 0/1 strings is
+    the lexicographic order of their bits."""
 
     __slots__ = ("branches",)
 
@@ -101,28 +67,29 @@ class BranchSet(Record):
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "BranchSet":
-        return cls(tuple(BinaryBranch.from_string(s) for s in strings))
+        """The set of branches read from outside input: each must be a
+        str of ASCII '0' and '1'."""
+        strings = tuple(strings)
+        for s in strings:
+            if not isinstance(s, str) or not set(s) <= {"0", "1"}:
+                raise ValueError(f"a branch must be a string of 0s and 1s, "
+                                 f"got {s!r}")
+        return cls(strings)
 
     def symmetric_difference(self, other: "BranchSet") -> "BranchSet":
         return BranchSet(tuple(
             set(self.branches) ^ set(other.branches)))
 
-    def __len__(self):
-        return len(self.branches)
-
-    def is_zero(self) -> bool:
-        return not self.branches
-
     def jsonable(self):
-        return [str(b) for b in self.branches]
+        return list(self.branches)
 
 
-def delta(f: BinaryBranch, g: BinaryBranch):
+def delta(f: str, g: str):
     """Index of the first disagreement of two equal-length branches, or
     the TOP sentinel when they are equal."""
     if len(f) != len(g):
         raise StructureError("branches have different lengths")
-    for i, (a, b) in enumerate(zip(f.bits, g.bits)):
+    for i, (a, b) in enumerate(zip(f, g)):
         if a != b:
             return i
     return TOP

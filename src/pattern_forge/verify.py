@@ -4,7 +4,8 @@ positive ones.
 
 Every oracle returns a Certificate.  "verified" is only issued after the
 declared region has been enumerated completely; counterexample witnesses
-are re-evaluated outside the search loop before being reported.
+are re-evaluated outside the search loop before being reported.  A
+region of more than REGION_CAP items is refused before it is built.
 """
 
 from __future__ import annotations
@@ -29,11 +30,28 @@ __all__ = [
     "Certificate", "GroupDomain", "BranchSetDomain", "first_in_class",
     "find_monochromatic_fs", "check_fs_matrix_identities", "no_seven_norms",
     "find_monochromatic_ap", "find_monochromatic_subgroup",
-    "find_monochromatic_span", "fs_support_growth_check",
+    "find_monochromatic_span", "fs_support_growth_check", "check_region",
 ]
 
 #: enumeration order contract recorded in every certificate
 ORDER_VERSION = "lex-v1"
+
+#: the most items an enumerating oracle may build: its points, or its
+#: pairs for thm5.4, or for thm5.5 its multiples; the largest region in
+#: use, the 51^3 - 1 nonzero points of a thm5.6 box, fits
+REGION_CAP = 1 << 18
+
+
+def check_region(base: int, exp: int = 1) -> None:
+    """Refuse a region of base ** exp items past REGION_CAP with
+    SizeLimitError.  For base >= 2 an exp at or past the cap's bit
+    length is over the cap, so a huge power is never formed."""
+    if base > 1 and (exp >= REGION_CAP.bit_length()
+                     or base ** exp > REGION_CAP):
+        power = f"{base}^{exp}" if exp != 1 else f"{base}"
+        raise SizeLimitError(
+            f"a region of {power} items exceeds the cap of {REGION_CAP}")
+
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -107,19 +125,22 @@ class BranchSetDomain:
         self.max_size = max_size
 
     def points(self) -> list:
-        from .colourings import BinaryBranch
-        branches = [BinaryBranch(bits)
-                    for bits in itertools.product((0, 1), repeat=self.kappa)]
-        out = []
-        for size in range(self.max_size + 1):
-            for combo in itertools.combinations(branches, size):
-                out.append(BranchSet(combo))
-        return out
+        branches = ["".join(bits)
+                    for bits in itertools.product("01", repeat=self.kappa)]
+        return [BranchSet(combo)
+                for size in range(min(self.max_size, len(branches)) + 1)
+                for combo in itertools.combinations(branches, size)]
 
     def size(self) -> int:
-        """len(self.points()), without building them."""
-        return sum(math.comb(1 << self.kappa, size)
-                   for size in range(self.max_size + 1))
+        """len(self.points()), without building them.  A region past
+        REGION_CAP is refused as it is counted: a kappa at or past the
+        cap's bit length at once, else once the running sum passes it."""
+        check_region(2, self.kappa)
+        branches, total = 1 << self.kappa, 0
+        for size in range(min(self.max_size, branches) + 1):
+            total += math.comb(branches, size)
+            check_region(total)
+        return total
 
     def walk_form(self, points: list, colour):
         """(keys, add, colour) for `first_in_class`: the points
@@ -245,10 +266,12 @@ def find_monochromatic_fs(colouring_id: str, domain, n: int,
     still counts the lex-ordered region: C(N, n) when verified, the
     budget when inconclusive, and one past the lex rank of the first
     qualifying combination on a counterexample.  Sets of more than
-    DEFAULT_FS_LIMIT points are refused before any sum is built."""
+    DEFAULT_FS_LIMIT points are refused before any sum is built, and a
+    domain of more than REGION_CAP points before it is built."""
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
     colour = _resolve_for_domain(colouring_id, domain)
+    check_region(domain.size())
     points = domain.points()
     keys, add, key_colour = domain.walk_form(points, colour)
     col = _cached(key_colour)
@@ -366,6 +389,7 @@ def no_seven_norms(dim: int, bound: int,
     `enumerated` counts triples bucket by bucket (ascending norm, lex
     inside a bucket)."""
     desc = {"dim": dim, "bound": bound}
+    check_region(2 * bound + 1, dim)
     vectors = list(itertools.product(range(-bound, bound + 1), repeat=dim))
 
     def sq(v):
@@ -411,9 +435,11 @@ def no_seven_norms(dim: int, bound: int,
 def find_monochromatic_ap(colouring_id: str, spec: GroupSpec) -> Certificate:
     """Exhaust pairs (a, b), b != 0, for a monochromatic {a, a+b, a+2b}."""
     colour = resolve_colouring(colouring_id)
+    size = spec.size()
+    check_region(size * (size - 1))
     points = list(spec.enumerate())
     desc = {"colouring": colouring_id,
-            "factors": spec.jsonable()["factors"], "size": spec.size()}
+            "factors": spec.jsonable()["factors"], "size": size}
     col = _cached(colour)
 
     examined = 0
@@ -458,8 +484,11 @@ def find_monochromatic_subgroup(colouring_id: str,
     key set to False records that only cyclic subgroups were enumerated.
     An element of infinite order raises PreconditionError."""
     colour = resolve_colouring(colouring_id)
+    size = spec.size()
+    # each of the size - 1 nonzero elements lists at most size multiples
+    check_region(size, 2)
     desc = {"colouring": colouring_id,
-            "factors": spec.jsonable()["factors"], "size": spec.size(),
+            "factors": spec.jsonable()["factors"], "size": size,
             "full_lattice": False}
     col = _cached(colour)
 
@@ -489,6 +518,7 @@ def find_monochromatic_span(a: int, dim: int, bound: int) -> Certificate:
     that the a-adic parity colouring separates x from a*x for every
     nonzero x in the box.  The colouring's checks run once, here, and
     the loop calls its unchecked kernel."""
+    check_region(2 * bound + 1, dim)
     spec = GroupSpec.integer_box(bound, dim)
     desc = {"a": a, "dim": dim, "bound": bound}
     check_valuation_base(a)

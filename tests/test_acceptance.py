@@ -11,9 +11,8 @@ import random
 import subprocess
 import sys
 
-from pattern_forge.colourings import (BinaryBranch, BranchSet,
-                                      delta_colouring, resolve_colouring,
-                                      valuation_colouring)
+from pattern_forge.colourings import (BranchSet, delta_colouring,
+                                      resolve_colouring, valuation_colouring)
 from pattern_forge.groups import GroupSpec, PrimePower, fs_set_formal, sigma
 from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, search)
@@ -78,8 +77,7 @@ def test_criterion_06_branch_matrix_pair_descent():
                                  claim="thm4.1")
     assert cert.status == "verified"
     # direct complete pair enumeration over nonempty sets of size <= 3
-    branches = [BinaryBranch(bits)
-                for bits in itertools.product((0, 1), repeat=3)]
+    branches = ["".join(bits) for bits in itertools.product("01", repeat=3)]
     sets = []
     for size in (1, 2, 3):
         sets.extend(BranchSet(c)

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pkgutil
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -229,9 +230,11 @@ def test_colour_out_file_records_its_input(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("branches", ["[1]", "5", "null", '["01", null]',
-                                      '["0a"]'])
+                                      '["0a"]', '["012"]', '[" 1"]',
+                                      '["01","1"]', '["０１","10"]'])
 def test_colour_delta_refuses_malformed_branches(capsys, branches):
-    # a branch that is not a string used to crash (exit 70)
+    # a branch that is not a string used to crash (exit 70); a branch is
+    # read as ASCII 0s and 1s only, so fullwidth digits are refused too
     try:
         code = main(["colour", "--id", "delta", "--branches", branches])
     except SystemExit as exc:
@@ -499,6 +502,76 @@ def test_huge_modulus_with_a_small_factor_is_coloured(capsys):
                        json.dumps({"factors": [{"kind": "cyclic",
                                                 "m": 2 ** 64}]}))
     assert (code, out) == (0, "[[1]]\n")
+
+
+def _run_in_a_gib(argv):
+    """The CLI in a child whose address space is capped at 1 GiB, so that
+    an enumeration the region cap fails to stop dies instead of filling
+    memory, and one that runs on is stopped by the timeout."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run([sys.executable, "-m", "pattern_forge.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=cap)
+
+
+_CYCLIC_PRIME = json.dumps({"factors": [{"kind": "cyclic",
+                                         "m": 1000000007}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["thm5.4", "--group",
+     json.dumps({"factors": [{"kind": "cyclic", "m": _HUGE_PRIME}]})],
+    ["thm5.4", "--group", _CYCLIC_PRIME],
+    ["thm5.5", "--group", _CYCLIC_PRIME],
+    ["thm5.6", "--a", "2", "--dim", "30", "--bound", "5"],
+    ["thm4.1", "--kappa", "40", "--max-set", "2"],
+    ["thm4.1", "--kappa", "1000000000", "--max-set", "2"],
+    ["thm3.2", "--dim", "30", "--bound", "5", "--n", "3"],
+    ["thm3.2", "--dim", "1000000000", "--bound", "1", "--n", "3"],
+    ["lemma3.1", "--dim", "30", "--bound", "5"],
+], ids=["thm5.4-huge", "thm5.4", "thm5.5", "thm5.6", "thm4.1",
+        "thm4.1-huge", "thm3.2", "thm3.2-huge", "lemma3.1"])
+def test_oversize_region_is_refused_before_enumeration(argv):
+    # without the cap, each of these runs for hours or dies of a
+    # MemoryError (exit 70)
+    proc = _run_in_a_gib(["verify", "--claim", *argv])
+    assert (proc.returncode, proc.stdout) == (64, "")
+    assert "exceeds the cap" in proc.stderr
+
+
+def test_branch_sets_stop_at_every_subset():
+    # 2 branches make 16 sets however large --max-set is, so counting
+    # them stops at set size 4
+    argv = ["verify", "--claim", "thm4.1", "--kappa", "2", "--max-set"]
+    huge = _run_in_a_gib(argv + ["1000000000"])
+    every = _run_in_a_gib(argv + ["4"])
+    assert huge.returncode == every.returncode == 0
+    assert huge.stdout == every.stdout.replace('"max_size":4',
+                                               '"max_size":1000000000')
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--claim", "thm4.1", "--kappa", "3", "--max-set", "3"],
+    ["verify", "--claim", "thm4.1", "--kappa", "4", "--max-set", "3",
+     "--budget", "20000"],
+    ["verify", "--claim", "thm3.2", "--dim", "3", "--bound", "2", "--n", "3"],
+    ["colour", "--id", "delta", "--branches",
+     '["0110","1011","0000","1010","0111"]'],
+], ids=["thm4.1", "thm4.1-budget", "thm3.2", "delta"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(argv):
+    # branch sets hash their str branches, and str hashes are salted
+    # per process
+    outputs = set()
+    for seed in ("1", "31337"):
+        env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "pattern_forge.cli",
+                               *argv], env=env, capture_output=True,
+                              timeout=60)
+        assert proc.returncode in (0, 2), proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_verify_unknown_claim(capsys):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pattern_forge.colourings import (BinaryBranch, BranchSet, delta,
-                                      delta_colouring, ord2,
+from pattern_forge.colourings import (BranchSet, delta, delta_colouring, ord2,
                                       product_sigma_colouring,
                                       resolve_colouring, subgroup_colouring,
                                       sum_squares_colouring,
@@ -17,21 +16,17 @@ from pattern_forge.groups import (Cyclic, GroupSpec, IntegerBox,
 from pattern_forge.tokens import TOP, ColourToken, canonical_json
 
 
-def branch(s):
-    return BinaryBranch.from_string(s)
-
-
 # -- branch distance -----------------------------------------------------------
 
 def test_delta_examples():
-    assert delta(branch("000"), branch("010")) == 1
-    assert delta(branch("010"), branch("010")) is TOP
-    assert delta(branch("011"), branch("100")) == 0
+    assert delta("000", "010") == 1
+    assert delta("010", "010") is TOP
+    assert delta("011", "100") == 0
 
 
 def test_delta_length_mismatch():
     with pytest.raises(StructureError):
-        delta(branch("00"), branch("000"))
+        delta("00", "000")
 
 
 def test_delta_colouring_examples():
@@ -49,6 +44,10 @@ def test_delta_colouring_is_set_semantic():
     a = BranchSet.from_strings(["011", "000", "110"])
     b = BranchSet.from_strings(["110", "011", "000"])
     assert delta_colouring(a) == delta_colouring(b)
+    # stored sorted: string order is the lex order of the bits
+    assert a.branches == b.branches == ("000", "011", "110")
+    assert BranchSet.from_strings(["110", "001", "010"]).branches == (
+        "001", "010", "110")
 
 
 def test_delta_matrix_invariants():
@@ -73,8 +72,8 @@ def test_branchset_symmetric_difference():
 def test_pairwise_descent_exhaustive_small_scale():
     # no pair x != y with c(x) = c(y) = c(x ^ y), checked completely
     for kappa in (2, 3):
-        branches = [BinaryBranch(bits)
-                    for bits in itertools.product((0, 1), repeat=kappa)]
+        branches = ["".join(bits)
+                    for bits in itertools.product("01", repeat=kappa)]
         sets = []
         for size in range(1, 4):
             sets.extend(BranchSet(c)

@@ -3,7 +3,7 @@ class, and the hash of the tuple of fields (of coords for Element)."""
 
 import pytest
 
-from pattern_forge.colourings import BinaryBranch, BranchSet
+from pattern_forge.colourings import BranchSet
 from pattern_forge.groups import (Cyclic, Element, GroupSpec, IntegerBox,
                                   PrimePower, RationalBox)
 from pattern_forge.patterns import (AdequacyReport, Pattern, SearchConfig,
@@ -23,7 +23,6 @@ RECORDS = [
     (RationalBox, lambda: RationalBox(2, 3), ("den", "bound")),
     (GroupSpec, lambda: GroupSpec((Cyclic(5), IntegerBox(2))), ("factors",)),
     (Element, _element, ("parent", "coords")),
-    (BinaryBranch, lambda: BinaryBranch((0, 1, 1)), ("bits",)),
     (BranchSet, lambda: BranchSet.from_strings(["10", "01"]), ("branches",)),
     (Pattern, lambda: canonical_2_adequate(3), ("n", "m", "l", "rows")),
     (AdequacyReport, lambda: AdequacyReport(True, signature=(1, 2)),
@@ -40,7 +39,7 @@ RECORDS = [
 
 
 def test_every_record_class_is_listed():
-    assert len({cls for cls, _, _ in RECORDS}) == 13
+    assert len({cls for cls, _, _ in RECORDS}) == 12
 
 
 @pytest.mark.parametrize("cls,make,names", RECORDS,
@@ -82,14 +81,3 @@ def test_sibling_classes_with_equal_fields_are_unequal():
     assert Cyclic(2) != IntegerBox(2)
     assert PrimePower(3, 2) != RationalBox(3, 2)
     assert repr(PrimePower(3, 2)) == "PrimePower(p=3, k=2)"
-
-
-def test_binary_branches_sort_by_bits():
-    words = ["110", "001", "010", "000", "111", "100"]
-    branches = [BinaryBranch.from_string(w) for w in words]
-    assert [str(b) for b in sorted(branches)] == sorted(words)
-    lo, hi = BinaryBranch((0, 1)), BinaryBranch((1, 0))
-    assert lo < hi
-    assert not (hi < lo or lo < BinaryBranch((0, 1)))
-    with pytest.raises(TypeError):
-        lo < (1, 0)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pattern_forge.cli import CLAIM_FLAGS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -22,8 +24,12 @@ def test_certificate_suite_verifies_every_claim():
     proc = run_script("certificate_suite.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 18
+    assert len(lines) == 19
     assert all(line.startswith("ok ") for line in lines), proc.stdout
+    # thm5.1-shadow alone stays out: it certifies by argument, and its
+    # count is 0 on every known monochromatic set
+    claims = {line.split()[1] for line in lines}
+    assert claims == set(CLAIM_FLAGS) - {"thm5.1-shadow"}
     # a region with nothing to enumerate would verify vacuously
     counts = [int(line.split("enumerated=")[1].split()[0]) for line in lines]
     assert all(count > 0 for count in counts), proc.stdout

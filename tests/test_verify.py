@@ -117,11 +117,55 @@ def test_fs_refuses_empty_sets(n):
     GroupDomain(GroupSpec.integer_box(1, 2)),
     GroupDomain(GroupSpec.cyclic_power(2, 1)),
     GroupDomain(GroupSpec([Cyclic(3), PrimePower(2, 2)])),
-    BranchSetDomain(1, 0), BranchSetDomain(2, 2), BranchSetDomain(2, 5),
+    BranchSetDomain(0, 3), BranchSetDomain(1, 0), BranchSetDomain(2, 2),
+    BranchSetDomain(2, 5), BranchSetDomain(2, 10 ** 9),
     BranchSetDomain(3, 3)])
 def test_domain_size_counts_the_points(domain):
     # the CLI refuses n > size() instead of building the points twice
     assert domain.size() == len(domain.points())
+
+
+# each oracle on a region of more than 80 items and on a neighbour of
+# fewer: under a cap of 80 the first is refused and the second runs
+@pytest.mark.parametrize("over,under", [
+    # (2 bound + 1)^dim points: 81 and 49
+    (lambda: no_seven_norms(2, 4), lambda: no_seven_norms(2, 3)),
+    (lambda: find_monochromatic_span(2, 2, 4),
+     lambda: find_monochromatic_span(2, 2, 3)),
+    (lambda: find_monochromatic_fs(
+        "sum_squares", GroupDomain(GroupSpec.integer_box(4, 2)), 2),
+     lambda: find_monochromatic_fs(
+        "sum_squares", GroupDomain(GroupSpec.integer_box(3, 2)), 2)),
+    # sets of at most 3 (or 2) of 8 branches: 93 and 37
+    (lambda: find_monochromatic_fs("delta", BranchSetDomain(3, 3), 2),
+     lambda: find_monochromatic_fs("delta", BranchSetDomain(3, 2), 2)),
+    # size (size - 1) pairs: 90 and 72
+    (lambda: find_monochromatic_ap("product_sigma", GroupSpec((Cyclic(10),))),
+     lambda: find_monochromatic_ap("product_sigma", GroupSpec((Cyclic(9),)))),
+    # size^2 multiples at most: 81 and 49
+    (lambda: find_monochromatic_subgroup(
+        "subgroup_parity", GroupSpec((PrimePower(3, 2),))),
+     lambda: find_monochromatic_subgroup(
+        "subgroup_parity", GroupSpec((PrimePower(7, 1),)))),
+], ids=["lemma3.1", "thm5.6", "thm3.2", "thm4.1", "thm5.4", "thm5.5"])
+def test_oracles_refuse_a_region_past_the_cap(monkeypatch, over, under):
+    from pattern_forge import verify
+    monkeypatch.setattr(verify, "REGION_CAP", 80)
+    with pytest.raises(SizeLimitError, match="exceeds the cap of 80"):
+        over()
+    assert under().enumerated > 0
+
+
+def test_region_cap_admits_every_region_in_use():
+    from pattern_forge import verify
+    # the largest: the box of a thm5.6 run with dim 3 and bound 25
+    verify.check_region(51, 3)
+    verify.check_region(2, verify.REGION_CAP.bit_length() - 1)
+    verify.check_region(1, 10 ** 18)
+    for base, exp in [(2, verify.REGION_CAP.bit_length()),
+                      (verify.REGION_CAP + 1, 1), (3, 10 ** 18)]:
+        with pytest.raises(SizeLimitError):
+            verify.check_region(base, exp)
 
 
 @pytest.mark.parametrize("n,error", [(0, PreconditionError),
