@@ -181,30 +181,37 @@ def _constraint_groups(n: int, profiles: list) -> list:
     in [r*min A, r*max A] and be congruent to r*min A modulo the gcd of
     (a - min A).  Groups for which that test can never fire are dropped.
     The group of all subsets is always kept; it pins down the possible
-    signature lengths.
+    signature lengths.  Sets of 2 and 3 subsets are tried everywhere;
+    sets of 4 only while the candidates times the columns stay within
+    _TABLE_CAP, and kept only when lower-only (hi == 4, g <= 1) with
+    lo >= 1, the kind _feasible tests in its one packed comparison.
     """
     n_masks = (1 << n) - 1
     all_masks = tuple(range(1, n_masks + 1))
-    groups = []
+    # bit `mask` of a column's hit set is set where it hits `mask`, so
+    # it raises the progress of T by the popcount of its bits in T
+    hit_sets = [sum(1 << mask for mask, _ in hits) for hits in profiles]
 
-    def a_set(masks: tuple) -> tuple:
-        mask_set = set(masks)
-        amounts = set()
-        for hits in profiles:
-            amounts.add(sum(1 for mk, _ in hits if mk in mask_set))
+    def a_set(bits: int) -> tuple:
+        amounts = {(hit & bits).bit_count() for hit in hit_sets}
         lo = min(amounts)
-        hi = max(amounts)
-        g = math.gcd(*(a - lo for a in amounts)) if len(amounts) > 1 else 0
-        return lo, hi, g
+        return lo, max(amounts), math.gcd(*(a - lo for a in amounts))
 
-    lo, hi, g = a_set(all_masks)
-    groups.append((all_masks, lo, hi, g))
+    groups = [(all_masks, *a_set(sum(1 << mask for mask in all_masks)))]
     for size in (2, 3):
         for masks in itertools.combinations(all_masks, size):
-            lo, hi, g = a_set(masks)
+            lo, hi, g = a_set(sum(1 << mask for mask in masks))
             if lo == 0 and hi == size and g == 1:
                 continue  # can never exclude anything
             groups.append((masks, lo, hi, g))
+    if math.comb(n_masks, 4) * len(profiles) <= _TABLE_CAP:
+        for masks in itertools.combinations(all_masks, 4):
+            bits = sum(1 << mask for mask in masks)
+            # a column that misses T makes lo = 0
+            if all(hit & bits for hit in hit_sets):
+                lo, hi, g = a_set(bits)
+                if hi == 4 and g <= 1:
+                    groups.append((masks, lo, hi, g))
     return groups
 
 
@@ -215,7 +222,8 @@ _FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
 # answers); past it they stop growing
 _CACHE_CAP = 1 << 20
 
-# most (column, row subset) pairs a search region may tabulate
+# most (column, row subset) pairs a search region may tabulate, and most
+# (column, set of 4 row subsets) pairs _constraint_groups may evaluate
 _TABLE_CAP = 1 << 17
 
 
@@ -375,7 +383,6 @@ class _Columns:
                            for mask in range(self.n_masks + 1)]
         # per r, the terms _feasible(r) reads; see grow_to()
         self.bounds: list = []
-        self.congruences: list = []
         self.lower_base: list = []
 
     def grow_to(self, l: int) -> None:
@@ -383,13 +390,8 @@ class _Columns:
         the lengths a search reaches, never up to l_max, which may be
         far beyond the length where the search ends."""
         for r in range(len(self.bounds), l + 1):
-            # r*lo + t - 1 turns a floor division into the ceiling of
-            # (S + r*lo) / t
-            self.bounds.append([(get, t, r * lo + t - 1, r * hi)
-                                for get, t, lo, hi, _ in self.groups])
-            self.congruences.append([(get, t, r * lo, g)
-                                     for get, t, lo, _, g in self.groups
-                                     if g > 1])
+            self.bounds.append([(get, t, r * lo, r * (hi - lo), g)
+                                for get, t, lo, hi, g in self.groups])
             self.lower_base.append(self.guard - r * self.lower_lo)
 
 
@@ -447,28 +449,30 @@ class _LengthSearch:
         k_hi = min(p[1:]) + r
         if k_lo > k_hi:
             return False
-        for get, t, r_lo_up, r_hi in columns.bounds[r]:
-            s = sum(get(p))
+        # (S + r*lo, |T|, g) of each group with a congruence
+        terms = []
+        for get, t, r_lo, r_span, g in columns.bounds[r]:
+            s = sum(get(p)) + r_lo
             # ceil((S + r*lo) / t) <= k <= floor((S + r*hi) / t)
-            low = (s + r_lo_up) // t
+            low = -(-s // t)
             if low > k_lo:
                 k_lo = low
-            high = (s + r_hi) // t
+            high = (s + r_span) // t
             if high < k_hi:
                 k_hi = high
             if k_lo > k_hi:
                 return False
+            if g > 1:
+                terms.append((s, t, g))
         guard = columns.guard
         tp = columns.lower_t
         base = columns.lower_base[r] - packed_sums
         if (k_hi * tp + base) & guard != guard:
             return False
-        congruences = columns.congruences[r]
-        if not congruences:
+        if not terms:
             return True
         while (k_lo * tp + base) & guard != guard:
             k_lo += 1
-        terms = [(sum(get(p)) + r_lo, t, g) for get, t, r_lo, g in congruences]
         return any(all((t * k - s_lo) % g == 0 for s_lo, t, g in terms)
                    for k in range(k_lo, k_hi + 1))
 

@@ -57,6 +57,24 @@ def test_search_inconclusive_exit_two(capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("--n", "4", "--m", "5", "--l-max", "8"),
+     '{"status":"exhausted","nodes":27884,"region":{"n":4,"m":5,"l_min":1,'
+     '"l_max":8}}\n'),
+    (("--n", "5", "--m", "3", "--l-max", "6"),
+     '{"status":"exhausted","nodes":724,"region":{"n":5,"m":3,"l_min":1,'
+     '"l_max":6}}\n'),
+    (("--n", "6", "--m", "2", "--l-max", "3"),
+     '{"status":"exhausted","nodes":0,"region":{"n":6,"m":2,"l_min":1,'
+     '"l_max":3}}\n')], ids=["4-5-8", "5-3-6", "6-2-3"])
+def test_search_past_the_size_four_bound_prints_the_same_bytes(capsys, argv,
+                                                               expected):
+    # these regions have too many columns for sets of 4 row subsets, so
+    # their counting groups, nodes and bytes are those of sizes 2 and 3
+    code, out, _ = run(capsys, "search", *argv)
+    assert (code, out) == (1, expected)
+
+
 def test_search_builds_per_length_tables_only_for_lengths_reached(
         capsys, monkeypatch):
     # a region found at l = 3 answers at once however large l_max is;
@@ -81,8 +99,7 @@ def test_search_builds_per_length_tables_only_for_lengths_reached(
                        '"rows":[[0,1,2],[1,2,0]]}}\n' % l_max)
         longest = max(e.l for e in engines)
         columns = engines[0].columns
-        for table in (columns.bounds, columns.congruences,
-                      columns.lower_base):
+        for table in (columns.bounds, columns.lower_base):
             assert len(table) <= longest + 1
 
 

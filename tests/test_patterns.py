@@ -1,9 +1,11 @@
+import collections
 import functools
 import itertools
 import json
 import math
 import operator
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -94,12 +96,44 @@ def test_search_matches_naive_oracle_on_small_grid():
                     (n, m, l_max)
 
 
-def test_search_exhausts_three_rows_mod_three_deeply():
+def _past_size_four(monkeypatch, n, m, bound):
+    """Lower _TABLE_CAP to the region's own profile table.  For n >= 3
+    that is below the C(2^n - 1, 4) candidates times the columns that
+    sets of 4 row subsets need, so the region keeps the counting groups
+    of sizes 2 and 3 alone, as every region past the size-4 bound does."""
+    base = m or 2 * bound + 1
+    monkeypatch.setattr(patterns, "_TABLE_CAP",
+                        (base ** n - 1) * ((1 << n) - 1))
+
+
+# node counts with the size-4 groups, where they cut: the counts pinned
+# below are those of the groups of sizes 2 and 3 alone, which the same
+# regions still give past the size-4 bound.  Measured on an engine
+# whose _feasible is naive_feasible, with no feasibility cache.
+_SIZE_FOUR_NODES = {
+    (3, 3, None, 12): 15_852, (3, 4, None, 9): 5_039, (3, 0, 2, 5): 1_233,
+    (3, 3, None, 8): 1_514, (3, 5, None, 8): 8_024, (3, 0, 1, 8): 1_502,
+    (4, 3, None, 8): 2_661, (3, 4, None, 8): 5_039, (3, 6, None, 8): 23_457,
+    (3, 4, None, 7): 5_039, (3, 6, None, 7): 23_457,
+    (3, 3, None, 19): 459_454}
+
+
+def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
+    """The region's outcome with the size-4 groups, then past their bound."""
+    cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
+    for expected in (_SIZE_FOUR_NODES.get((n, m, bound, l_max), nodes),
+                     nodes):
+        out = search(cfg)
+        assert (out.status, out.nodes) == (status, expected)
+        _past_size_four(monkeypatch, n, m, bound)
+
+
+def test_search_exhausts_three_rows_mod_three_deeply(monkeypatch):
     # independently validated to l = 8 (generate-and-test and the subset
-    # scan over (Z/3)^8 agree); this locks the engine behaviour further out
-    out = search(SearchConfig(n=3, m=3, l_max=12))
-    assert out.status == "exhausted"
-    assert out.nodes == 24_182  # 157,404 without symmetry breaking
+    # scan over (Z/3)^8 agree); this locks the engine behaviour further
+    # out.  Without symmetry breaking: 105,508, and 157,404 past the
+    # size-4 bound.
+    _assert_node_counts(monkeypatch, 3, 3, None, 12, "exhausted", 24_182)
 
 
 # regions small enough for the generate-and-test oracle: (n, m, bound, l_max)
@@ -133,15 +167,17 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
     assert s0 == math.gcd(s0, m) and s0 > 0, (rows, s0)
 
 
+# without symmetry breaking: 44,925 at (4, 2); 18,690 at (3, 4) and
+# 12,524 at (3, 0), or 22,848 and 18,972 past the size-4 bound
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
-    (4, 2, None, 16, "found", 35_713),   # 44,925 without symmetry breaking
-    (3, 4, None, 9, "found", 6_510),     # 22,848
-    (3, 0, 2, 5, "exhausted", 2_073)])   # 18,972
-def test_symmetry_break_node_counts(n, m, bound, l_max, status, nodes):
+    (4, 2, None, 16, "found", 35_713),
+    (3, 4, None, 9, "found", 6_510),
+    (3, 0, 2, 5, "exhausted", 2_073)])
+def test_symmetry_break_node_counts(monkeypatch, n, m, bound, l_max, status,
+                                    nodes):
     # only canonical branches are counted; the lex-first pattern is
     # canonical anyway, so the counts are where a lost break shows
-    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-    assert (out.status, out.nodes) == (status, nodes)
+    _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
 # the engine class itself; tests swap patterns._LengthSearch for
@@ -304,7 +340,10 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
     # keys.  Once a cache is full, which entries it holds depends on the
     # order they came in, so equal counts mean the one-integer keys name
     # the same states in the same order.  The m = 0 region fills nothing
-    # and pins the offset digits.
+    # and pins the offset digits.  The pinned counts are past the size-4
+    # bound; the size-4 groups give those below, with the memo as full.
+    with_size_four = {(3, 3, 4): 8_975, (50, 3, 3): 24_692,
+                      (100, 3, 5): 142_912}.get((cap, n, m), nodes)
     engines = []
 
     class Recorded(patterns._LengthSearch):
@@ -314,9 +353,12 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
 
     monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-    assert (out.status, out.nodes) == (status, nodes)
-    assert full == (max(len(e.memo) for e in engines) == cap)
+    for expected in (with_size_four, nodes):
+        engines.clear()
+        out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+        assert (out.status, out.nodes) == (status, expected)
+        assert full == (max(len(e.memo) for e in engines) == cap)
+        _past_size_four(monkeypatch, n, m, bound)
 
 
 @functools.cache
@@ -406,24 +448,28 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
     (3, 0, 1, 8, "exhausted", 1_890), (4, 3, None, 8, "exhausted", 2_741),
     # 3-bit fields at l = 6 and 7 hold progress values from 4 up
     (3, 4, None, 8, "found", 6_510), (3, 6, None, 8, "found", 34_287)])
-def test_node_counts_across_field_width_boundaries(n, m, bound, l_max, status,
-                                                   nodes):
+def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
+                                                   l_max, status, nodes):
     # counts measured before the feasibility cache and the packed key
-    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-    assert (out.status, out.nodes) == (status, nodes)
+    _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
 @pytest.mark.parametrize("n,m,length,nodes", [
     (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
-def test_field_widths_from_l_max_change_nothing(n, m, length, nodes):
+def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
+                                                nodes):
     # the packed fields are as wide as l_max needs: 13 more lengths add
-    # a bit to every field, and must change no answer and no count
-    exact = search(SearchConfig(n=n, m=m, l_max=length))
-    wide = search(SearchConfig(n=n, m=m, l_max=length + 13))
-    assert (exact.status, exact.pattern.l, exact.nodes) == (
-        "found", length, nodes)
-    assert (wide.status, wide.pattern, wide.nodes) == (
-        exact.status, exact.pattern, exact.nodes)
+    # a bit to every field, and must change no answer and no count,
+    # with the size-4 groups and past their bound
+    for expected in (_SIZE_FOUR_NODES.get((n, m, None, length), nodes),
+                     nodes):
+        exact = search(SearchConfig(n=n, m=m, l_max=length))
+        wide = search(SearchConfig(n=n, m=m, l_max=length + 13))
+        assert (exact.status, exact.pattern.l, exact.nodes) == (
+            "found", length, expected)
+        assert (wide.status, wide.pattern, wide.nodes) == (
+            exact.status, exact.pattern, exact.nodes)
+        _past_size_four(monkeypatch, n, m, None)
 
 
 _R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
@@ -453,12 +499,16 @@ def test_node_cap_outcomes(n, m, l_max, cap, expected):
     assert canonical_json(out.jsonable()) == expected
 
 
-@functools.cache
-def _counting_groups(n, m, bound):
-    """The counting groups of a region as (masks, lo, hi, g)."""
+def _groups_under_the_cap(n, m, bound):
+    """The counting groups of a region as (masks, lo, hi, g), under the
+    _TABLE_CAP in force."""
     alphabet = patterns._column_alphabet(n, m, bound)
     return patterns._constraint_groups(
         n, [patterns._column_profile(c, m) for c in alphabet])
+
+
+# the same, at the module's own _TABLE_CAP, kept across tests
+_counting_groups = functools.cache(_groups_under_the_cap)
 
 
 @functools.cache
@@ -479,14 +529,121 @@ def test_regions_with_congruences(n, m):
     (3, 3, None, 29, 1, 0), (3, 4, None, 29, 0, 0), (3, 5, None, 30, 0, 0),
     (3, 6, None, 29, 0, 0), (2, 3, None, 5, 0, 0), (3, 0, 1, 30, 0, 0),
     (4, 0, 1, 17, 0, 0), (3, 2, None, 28, 8, 7), (4, 2, None, 0, 36, 35)])
-def test_counting_groups_split(n, m, bound, lower_only, looped, congruent):
+def test_counting_groups_split(monkeypatch, n, m, bound, lower_only, looped,
+                               congruent):
     # _feasible tests the lower-only groups (hi == |T|, g <= 1) in one
-    # packed comparison and loops over the rest
-    columns = patterns._Columns(n, m, bound, 12)
-    assert len(columns.lower_only) == lower_only
-    assert len(columns.groups) == looped
-    assert sum(g > 1 for *_, g in columns.groups) == congruent
-    assert len(_counting_groups(n, m, bound)) == lower_only + looped
+    # packed comparison and loops over the rest.  The pinned split is
+    # past the size-4 bound; every size-4 group kept is lower-only, so
+    # they add to the first count alone.
+    size_four = sum(len(masks) == 4
+                    for masks, *_ in _counting_groups(n, m, bound))
+    assert size_four == {(3, 2, None): 0, (2, 3, None): 0, (4, 0, 1): 940,
+                         (4, 2, None): 840}.get((n, m, bound), 35)
+    for lower in (lower_only + size_four, lower_only):
+        columns = patterns._Columns(n, m, bound, 12)
+        assert len(columns.lower_only) == lower
+        assert len(columns.groups) == looped
+        assert sum(g > 1 for *_, g in columns.groups) == congruent
+        _past_size_four(monkeypatch, n, m, bound)
+
+
+@pytest.mark.parametrize("n,m,bound,size_four", [
+    (3, 2, None, True), (3, 15, None, True), (3, 16, None, False),
+    (3, 0, 7, True), (3, 0, 8, False), (4, 3, None, True),
+    (4, 4, None, False), (4, 5, None, False), (5, 3, None, False)])
+def test_size_four_candidates_only_within_the_table_cap(monkeypatch, n, m,
+                                                         bound, size_four):
+    # sets of 4 row subsets are tried only while their number times the
+    # columns stays within _TABLE_CAP; past it not one is evaluated
+    profiles = [patterns._column_profile(c, m)
+                for c in patterns._column_alphabet(n, m, bound)]
+    n_masks = (1 << n) - 1
+    assert (math.comb(n_masks, 4) * len(profiles) <= patterns._TABLE_CAP) \
+        == size_four
+    evaluated = collections.Counter()
+
+    def combinations(masks, size):
+        for combo in itertools.combinations(masks, size):
+            evaluated[size] += 1
+            yield combo
+    monkeypatch.setattr(patterns, "itertools", types.SimpleNamespace(
+        combinations=combinations))
+    patterns._constraint_groups(n, profiles)
+    assert evaluated == {size: math.comb(n_masks, size)
+                         for size in (2, 3, 4) if size < 4 or size_four}
+
+
+def _simplex(n, scale):
+    """All 2^n - 1 nonzero 0/1 columns in counting order, times scale."""
+    return tuple(tuple(scale * (j >> n - 1 - i & 1) for j in range(1, 1 << n))
+                 for i in range(n))
+
+
+# the witnesses search reports, written out, as (n, m, bound) -> rows;
+# (3, 3), (3, 4), (3, 6), (3, 8) and (4, 2) hold size-4 groups
+_WITNESSES = {
+    (2, 3, None): ((0, 1, 2), (1, 2, 0)),
+    (2, 5, None): ((0, 1, 4), (1, 4, 0)),
+    (2, 0, 1): ((0, 1, -1), (1, -1, 0)),
+    (2, 0, 2): ((0, 1, -1), (1, -1, 0)),
+    (3, 2, None): _simplex(3, 1),
+    (3, 3, None): ((0, 0, 0, 1, 1, 0, 2, 2, 0, 1, 1, 1, 2, 2, 0, 2, 1, 2, 0),
+                   (0, 0, 1, 0, 1, 2, 2, 1, 1, 0, 1, 2, 0, 0, 0, 2, 2, 1, 2),
+                   (1, 1, 2, 2, 1, 1, 1, 2, 0, 0, 2, 2, 0, 1, 2, 0, 0, 0, 0)),
+    (3, 4, None): _simplex(3, 2),
+    (3, 6, None): _simplex(3, 3),
+    (3, 8, None): _simplex(3, 4),
+    (4, 2, None): _simplex(4, 1)}
+
+
+@pytest.mark.parametrize("n,m,bound", list(_WITNESSES))
+def test_search_reports_the_written_out_witnesses(n, m, bound):
+    rows = _WITNESSES[n, m, bound]
+    out = search(SearchConfig(n=n, m=m, l_min=len(rows[0]),
+                              l_max=len(rows[0]), entry_bound=bound))
+    assert out.pattern.rows == rows
+
+
+def test_soundness_regions_hold_size_four_groups():
+    assert {(n, m) for n, m, bound in _WITNESSES
+            if any(len(masks) == 4
+                   for masks, *_ in _counting_groups(n, m, bound))} == {
+        (3, 3), (3, 4), (3, 6), (3, 8), (4, 2)}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_counting_groups_hold_on_every_prefix_of_adequate_patterns(data):
+    # adequate patterns from the witnesses: permuting rows and scaling
+    # by a unit keep a pattern adequate, and so does putting adequate
+    # patterns of the same rows side by side, as every subset sum is
+    # then the parts' sums side by side.  No pruning code is called:
+    # each group's demand over the columns left is checked directly.
+    n, m, bound = data.draw(st.sampled_from(list(_WITNESSES)))
+    part = _WITNESSES[n, m, bound]
+    units = ([u for u in range(1, m) if math.gcd(u, m) == 1] if m
+             else [1, -1])
+    rows = [()] * n
+    for _ in range(data.draw(st.integers(1, 3))):
+        order = data.draw(st.permutations(range(n)))
+        u = data.draw(st.sampled_from(units))
+        rows = [row + tuple(u * e % m if m else u * e for e in part[i])
+                for row, i in zip(rows, order)]
+    pattern = Pattern(n, m, len(rows[0]), tuple(rows))
+    report = is_adequate(pattern)
+    assert report.adequate
+    k = len(report.signature)
+    sums = {mask: [sum(rows[i][j] for i in range(n) if mask >> i & 1)
+                   for j in range(pattern.l)] for mask in range(1, 1 << n)}
+    for done in range(pattern.l + 1):
+        r = pattern.l - done
+        progress = {mask: sum(1 for v in col[:done] if (v % m if m else v))
+                    for mask, col in sums.items()}
+        for masks, lo, hi, g in _counting_groups(n, m, bound):
+            demand = len(masks) * k - sum(progress[mk] for mk in masks)
+            assert r * lo <= demand <= r * hi, (rows, done, masks)
+            if g > 1:
+                assert (demand - r * lo) % g == 0, (rows, done, masks)
 
 
 # regions with congruences, with and without lower-only groups, and
@@ -515,12 +672,31 @@ def test_feasible_agrees_with_naive_walk(data):
 @pytest.mark.parametrize("fields,r", [
     ((38,) * 7, 19), ((38,) * 6 + (37,), 19), ((38,) * 6 + (37,), 0),
     ((19,) * 7, 19), ((30, 38, 34, 38, 36, 35, 38), 8),
-    # packed fields one bit narrower get this one wrong
+    # past the size-4 bound packed fields one bit narrower get this one
+    # wrong
     ((23, 17, 22, 23, 21, 19, 17), 17)])
-def test_feasible_at_the_field_width_bound(fields, r):
-    # the packed fields must hold for progress fields up to 2l and r <= l
+def test_feasible_at_the_field_width_bound(monkeypatch, fields, r):
+    # the packed fields must hold for progress fields up to 2l and r <= l,
+    # with the size-4 groups and past their bound
     progress = [0, *fields]
     assert _feasible_on(_engine(3, 3, None, 19), progress, r) == naive_feasible(
+        progress, r, _counting_groups(3, 3, None))
+    _past_size_four(monkeypatch, 3, 3, None)
+    columns = patterns._Columns(3, 3, None, 19)
+    engine = patterns._LengthSearch(3, 3, 19, columns,
+                                    patterns._NodeBudget(None))
+    assert _feasible_on(engine, progress, r) == naive_feasible(
+        progress, r, _groups_under_the_cap(3, 3, None))
+
+
+@pytest.mark.parametrize("fields,r", [
+    ((0,) * 7, 27), ((1, 0, 1, 0, 1, 1, 1), 26)])
+def test_feasible_at_the_size_four_field_width_bound(fields, r):
+    # packed fields one bit narrower get these wrong: at l = 27 a size-4
+    # group with lo = 1 reaches 3r = 81, past the 63 a 7-bit field holds
+    # (at l = 19 it reaches 57, so there the bit to spare is never used)
+    progress = [0, *fields]
+    assert _feasible_on(_engine(3, 3, None, 27), progress, r) == naive_feasible(
         progress, r, _counting_groups(3, 3, None))
 
 
