@@ -229,7 +229,8 @@ _TABLE_CAP = 1 << 17
 
 def _fitting(options, need) -> list:
     """The options that fit a state, in lex order, as (position in
-    options, column, profile, next tie mask, step, lower step, ext).
+    options, column, profile, next tie mask, step images, lower step,
+    ext).
 
     need[mask] is the signature entry the next hit on `mask` must
     produce, or 0 where that hit extends the signature (entries are
@@ -238,7 +239,7 @@ def _fitting(options, need) -> list:
     which it appends (None if it extends nothing).
     """
     fitting = []
-    for pos, (c, hits, next_tied, step, lower_step) in enumerate(options):
+    for pos, (c, hits, next_tied, steps, lower_step) in enumerate(options):
         ext = None
         for mask, v in hits:
             want = need[mask]
@@ -250,7 +251,7 @@ def _fitting(options, need) -> list:
             elif ext != v:
                 break
         else:
-            fitting.append((pos, c, hits, next_tied, step, lower_step, ext))
+            fitting.append((pos, c, hits, next_tied, steps, lower_step, ext))
     return fitting
 
 
@@ -274,6 +275,17 @@ class _Columns:
     by -1 if s0 < 0, which keeps the entry bound), then sort its rows.
     The rows are distinct, so they end up strictly ascending: a canonical
     adequate pattern of the same length.
+
+    Once a state is untied (tie mask 0) no row-order constraint is left
+    below it, and every test the search makes there only relabels under
+    a row permutation pi: column c becomes c∘pi^-1, which hits pi(T)
+    with the value c has on T, so fitting, need and the final test carry
+    over; the alphabet is closed under pi and the amounts of pi(T) are
+    those of T, so the counting groups are too, and with them _feasible.
+    So an untied (progress, sig, r) is exhausted exactly when
+    (pi·progress, sig, r) is, and the memo keys such a child by the
+    least packed image of its progress over the permutations the region
+    tracks (all n! for n <= 4, the identity alone from n = 5 on).
     """
 
     def __init__(self, n: int, m: int, entry_bound, l_max: int):
@@ -309,20 +321,36 @@ class _Columns:
             self.sig_offset = n * entry_bound
         self.split_groups(_constraint_groups(n, profiles), l_max)
         lower_sums = self.lower_sums
-
-        def option(c, hits, still):
-            # the packed steps: 1 into the progress field, and
-            # lower_sums[mask] into the packed group sums G, per hit mask
-            return (c, hits, still,
-                    sum(1 << width * mask for mask, _ in hits),
-                    sum(lower_sums[mask] for mask, _ in hits))
-        # choices[tied]: (column, profile, next tie mask, step, lower
-        # step) in lex order
+        # the packed steps of each column: 1 into the progress field, and
+        # lower_sums[mask] into the packed group sums G, per hit mask
+        step = {c: sum(1 << width * mask for mask, _ in hits)
+                for c, hits in zip(alphabet, profiles)}
+        lower_step = {c: sum(lower_sums[mask] for mask, _ in hits)
+                      for c, hits in zip(alphabet, profiles)}
+        # the row permutations whose images of the progress vector _dfs
+        # carries, identity first.  From n = 5 on the identity alone: the
+        # n! images cost more per child than their merges saved on most
+        # regions measured at n = 5 and 6 (see CHANGES.md).
+        perms = (list(itertools.permutations(range(n))) if n <= 4
+                 else [tuple(range(n))])
+        # the images of the empty progress vector, at the root
+        self.root_images = (0,) * len(perms)
+        # images[c]: the step of c under each permutation, which is the
+        # step of the permuted column; the alphabet holds every column,
+        # so it holds the permuted one too.  Built one permutation at a
+        # time, as n! - 1 lanes over the alphabet.
+        get = step.__getitem__
+        lanes = [map(get, map(operator.itemgetter(*perm), alphabet))
+                 for perm in perms[1:]]
+        images = dict(zip(alphabet, zip(map(get, alphabet), *lanes)))
+        # choices[tied]: (column, profile, next tie mask, step images,
+        # lower step) in lex order
         self.choices = []
         for tied in range(1 << (n - 1)):
             pairs = [i for i in range(n - 1) if tied >> i & 1]
             self.choices.append([
-                option(c, hits, sum(1 << i for i in pairs if c[i] == c[i + 1]))
+                (c, hits, sum(1 << i for i in pairs if c[i] == c[i + 1]),
+                 images[c], lower_step[c])
                 for c, hits in zip(alphabet, profiles)
                 if all(c[i] <= c[i + 1] for i in pairs)])
         # every column is nonzero, so the first one fixes s0: all its
@@ -343,8 +371,9 @@ class _Columns:
         both the signature code: a leading 1, then one base-sig_base
         digit, entry + sig_offset, per entry.  Each part fits below the
         next, and the leading 1 fixes the signature's length, so distinct
-        children get distinct keys.  _dfs builds the code entry by entry
-        as the signature grows."""
+        states get distinct keys.  An untied child's progress is its
+        least row-permutation image (see the class docstring).  _dfs
+        builds the code entry by entry as the signature grows."""
         code = 1
         for e in sig:
             code = code * self.sig_base + e + self.sig_offset
@@ -399,7 +428,9 @@ class _LengthSearch:
     """Depth-first search over the canonical column sequences (see
     _Columns) of one fixed length.  It holds what depends on l: the memo
     of exhausted states, the feasibility answers, and the live progress
-    vector and chosen columns."""
+    vector and chosen columns.  The memo holds the _Columns.memo_key of
+    each child found exhausted; the feasibility cache keys a child by its
+    exact packed progress with r."""
 
     def __init__(self, n: int, m: int, l: int, columns: _Columns,
                  budget: _NodeBudget):
@@ -484,15 +515,18 @@ class _LengthSearch:
         if not self._feasible(self.l, 0, 1):
             return _EXHAUSTED
         # before the first column every adjacent pair of rows is tied
-        return self._dfs(0, (1 << (self.n - 1)) - 1, 0, 0, (), 1)
+        return self._dfs(0, (1 << (self.n - 1)) - 1,
+                         self.columns.root_images, 0, (), 1)
 
-    def _dfs(self, depth: int, tied: int, packed: int, packed_sums: int,
+    def _dfs(self, depth: int, tied: int, images: tuple, packed_sums: int,
              sig: tuple, sig_code: int) -> int:
-        """`packed` is self.progress packed into one integer,
-        `packed_sums` the G of _feasible, `sig` the signature and
-        `sig_code` its code in the memo key (see _Columns.memo_key)."""
+        """`images` holds self.progress packed into one integer under
+        each row permutation of _Columns, identity first, `packed_sums`
+        is the G of _feasible, `sig` the signature and `sig_code` its
+        code in the memo key (see _Columns.memo_key)."""
         columns = self.columns
         p = self.progress
+        packed = images[0]
         if depth == self.l:
             # every field equal means every field at len(sig); a pair
             # still tied is a pair of equal rows
@@ -524,28 +558,31 @@ class _LengthSearch:
         cache = self.feasible_cache
         memo = self.memo
         budget = self.budget
+        add = operator.add
         # every option counts as a node, fitting or not: the ones that
         # fail the signature are spent in one chunk with the next fit
         tried = 0
-        for pos, c, hits, next_tied, step, lower_step, ext in fitting:
+        for pos, c, hits, next_tied, steps, lower_step, ext in fitting:
             budget.used += pos + 1 - tried
             tried = pos + 1
             if budget.used > budget.cap:
                 budget.used = budget.cap + 1
                 return _ABORTED
-            child = packed + step
             # the child's progress with r in the fields above it
-            state = child | rest_field
+            state = packed + steps[0] | rest_field
             feasible = cache.get(state)
             if feasible is False:
                 continue
+            child_images = tuple(map(add, images, steps))
             child_code = sig_code if ext is None else extended_code + ext
             # the memo holds the children found exhausted, checked before
             # descending, so a hit spends no budget; the tie mask is part
-            # of the key, so an entry names one subtree.  A child at full
+            # of the key, so an entry names one subtree, or once untied
+            # its row-permutation orbit (see _Columns).  A child at full
             # length is never stored.
             if rest:
-                key = (state | next_tied << tie_shift
+                key = ((state | next_tied << tie_shift if next_tied
+                        else min(child_images) | rest_field)
                        | child_code << sig_shift)
                 if key in memo:
                     continue
@@ -560,7 +597,8 @@ class _LengthSearch:
                     cache[state] = feasible
             if feasible:
                 self.chosen.append(c)
-                status = self._dfs(depth + 1, next_tied, child, child_sums,
+                status = self._dfs(depth + 1, next_tied, child_images,
+                                   child_sums,
                                    sig if ext is None else sig + (ext,),
                                    child_code)
                 self.chosen.pop()
@@ -591,7 +629,9 @@ def search(cfg: SearchConfig) -> SearchOutcome:
     never appears in a minimal pattern (dropping it preserves adequacy),
     so columns are drawn from the nonzero alphabet; a witness shorter
     than l_min is zero-padded back into the region.  `nodes` counts the
-    candidate columns tried on canonical branches.
+    candidate columns tried on canonical branches.  A child is skipped
+    when its length's memo holds its key (_Columns.memo_key): progress,
+    r, tie mask and signature, up to a row permutation once untied.
 
     "exhausted" certifies that no adequate pattern with the given (n, m)
     exists at any length <= l_max (entries within the bound when m = 0).

@@ -9,12 +9,19 @@ piece the naive adequacy finder shares with the search is
 `groups.subset_sums`, which `is_adequate` and the column profiles both
 call; it is pinned against `naive_subset_sums` below, mask by mask, in
 tests/test_groups.py.
+
+`naive_search` is the reference for the search's node counts: it walks
+the same canonical columns with none of the search's packing, tables or
+caches, and shares only the counting-group list of `_constraint_groups`,
+which tests/test_patterns.py checks by direct arithmetic on every
+prefix of adequate patterns.
 """
 
 import itertools
+import math
 import operator
 
-from pattern_forge.patterns import Pattern, is_adequate
+from pattern_forge.patterns import Pattern, _constraint_groups, is_adequate
 
 
 def all_rows(m, l, bound=None):
@@ -82,6 +89,106 @@ def naive_feasible(progress, r, groups):
         if ok:
             return True
     return False
+
+
+def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None):
+    """(status, nodes, pattern or None) of the canonical-pattern search
+    by plain recursion: the columns in lex order, a per-mask progress
+    list, a tuple signature, naive_feasible over _constraint_groups'
+    list and a set of tuple memo keys, stopped from growing at memo_cap
+    entries per length.  Every candidate column counts as a node, as in
+    `search`.  With merge_rows an untied state's key holds the least of
+    its progress tuple's row-permutation images (n <= 4), else the
+    progress tuple itself."""
+    entries = range(m) if m else range(-bound, bound + 1)
+    masks = range(1, 1 << n)
+    columns = [c for c in itertools.product(entries, repeat=n) if any(c)]
+    hits = {}
+    for c in columns:
+        sums = [(mask, sum(c[i] for i in range(n) if mask >> i & 1))
+                for mask in masks]
+        hits[c] = [(mask, v % m if m else v) for mask, v in sums
+                   if (v % m if m else v)]
+    groups = _constraint_groups(n, [hits[c] for c in columns])
+    perms = list(itertools.permutations(range(n)))
+    if not merge_rows or n > 4:
+        perms = perms[:1]
+    # relabel[k][mask]: the mask its rows move to under perms[k]
+    relabel = [[sum(1 << perm[i] for i in range(n) if mask >> i & 1)
+                for mask in range(1 << n)] for perm in perms]
+
+    def least_image(progress):
+        images = []
+        for to in relabel:
+            image = [0] * (1 << n)
+            for mask in masks:
+                image[to[mask]] = progress[mask]
+            images.append(tuple(image))
+        return min(images)
+
+    def first_column(c):
+        # the first nonzero subset sum fixes s0 == gcd(s0, m)
+        s0 = hits[c][0][1]
+        return s0 == math.gcd(s0, m)
+
+    nodes = 0
+    for l in range(1, l_max + 1):
+        progress = [0] * (1 << n)
+        chosen = []
+        memo = set()
+
+        def dfs(depth, tied, sig):
+            nonlocal nodes
+            if depth == l:
+                if tied == 0 and all(q == len(sig) for q in progress[1:]):
+                    return tuple(tuple(c[i] for c in chosen)
+                                 for i in range(n))
+                return None
+            pairs = [i for i in range(n - 1) if tied >> i & 1]
+            r = l - depth - 1
+            for c in columns:
+                if any(c[i] > c[i + 1] for i in pairs):
+                    continue
+                if depth == 0 and not first_column(c):
+                    continue
+                nodes += 1
+                ext = None
+                fits = True
+                for mask, v in hits[c]:
+                    if progress[mask] < len(sig):
+                        fits = sig[progress[mask]] == v
+                    elif ext is None:
+                        ext = v
+                    else:
+                        fits = ext == v
+                    if not fits:
+                        break
+                if not fits:
+                    continue
+                child_tied = sum(1 << i for i in pairs if c[i] == c[i + 1])
+                child_sig = sig if ext is None else sig + (ext,)
+                for mask, _ in hits[c]:
+                    progress[mask] += 1
+                key = ((least_image(progress) if child_tied == 0
+                        else tuple(progress)), child_tied, child_sig, r)
+                if not (r and key in memo) and naive_feasible(progress, r,
+                                                              groups):
+                    chosen.append(c)
+                    rows = dfs(depth + 1, child_tied, child_sig)
+                    chosen.pop()
+                    if rows is not None:
+                        return rows
+                    if r and (memo_cap is None or len(memo) < memo_cap):
+                        memo.add(key)
+                for mask, _ in hits[c]:
+                    progress[mask] -= 1
+            return None
+
+        if naive_feasible(progress, l, groups):
+            rows = dfs(0, (1 << n - 1) - 1, ())
+            if rows is not None:
+                return "found", nodes, Pattern(n, m, l, rows)
+    return "exhausted", nodes, None
 
 
 def naive_span(gens, spec):

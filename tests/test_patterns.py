@@ -18,7 +18,7 @@ from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, search)
 from pattern_forge.tokens import ColourToken, canonical_json
 
-from naive import naive_feasible, naive_find_adequate
+from naive import naive_feasible, naive_find_adequate, naive_search
 
 
 # -- pattern construction ------------------------------------------------------
@@ -106,33 +106,48 @@ def _past_size_four(monkeypatch, n, m, bound):
                         (base ** n - 1) * ((1 << n) - 1))
 
 
-# node counts with the size-4 groups, where they cut: the counts pinned
-# below are those of the groups of sizes 2 and 3 alone, which the same
-# regions still give past the size-4 bound.  Measured on an engine
-# whose _feasible is naive_feasible, with no feasibility cache.
+# node counts with the size-4 groups, where they cut.  Past the size-4
+# bound a region keeps the groups of sizes 2 and 3 alone and gives its
+# count in _MERGED_NODES, or where the merge moves nothing there, the
+# count its test is given.
 _SIZE_FOUR_NODES = {
-    (3, 3, None, 12): 15_852, (3, 4, None, 9): 5_039, (3, 0, 2, 5): 1_233,
-    (3, 3, None, 8): 1_514, (3, 5, None, 8): 8_024, (3, 0, 1, 8): 1_502,
-    (4, 3, None, 8): 2_661, (3, 4, None, 8): 5_039, (3, 6, None, 8): 23_457,
-    (3, 4, None, 7): 5_039, (3, 6, None, 7): 23_457,
-    (3, 3, None, 19): 459_454}
+    (3, 3, None, 12): 11_016, (3, 4, None, 9): 4_346, (3, 0, 2, 5): 1_233,
+    (3, 3, None, 8): 1_306, (3, 5, None, 8): 7_032, (3, 0, 1, 8): 1_294,
+    (4, 3, None, 8): 2_661, (3, 4, None, 8): 4_346, (3, 6, None, 8): 20_877,
+    (3, 4, None, 7): 4_346, (3, 6, None, 7): 20_877,
+    (3, 3, None, 19): 259_982}
+
+# node counts past the size-4 bound, where the memo's merging of row
+# permutations moves them.  The counts the tests below are given are
+# those of a memo that merges none, past the bound, as
+# naive_search(merge_rows=False) gives them.  naive_search reproduces
+# the merged counts too; see test_naive_search_reproduces_the_pinned_counts.
+_MERGED_NODES = {
+    (3, 3, None, 12): 15_940, (4, 2, None, 16): 7_603, (3, 4, None, 9): 5_691,
+    (3, 3, None, 8): 1_642, (3, 5, None, 8): 10_124, (3, 0, 1, 8): 1_630,
+    (3, 4, None, 8): 5_691, (3, 6, None, 8): 31_062, (3, 4, None, 7): 5_691,
+    (3, 6, None, 7): 31_062, (3, 3, None, 19): 403_654}
 
 
 def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
-    """The region's outcome with the size-4 groups, then past their bound."""
+    """The region's outcome with the size-4 groups, then past their bound,
+    where `nodes` is the count of a memo that merges no row permutation."""
+    key = (n, m, bound, l_max)
+    merged = _MERGED_NODES.get(key, nodes)
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
-    for expected in (_SIZE_FOUR_NODES.get((n, m, bound, l_max), nodes),
-                     nodes):
+    for expected in (_SIZE_FOUR_NODES.get(key, merged), merged):
         out = search(cfg)
         assert (out.status, out.nodes) == (status, expected)
         _past_size_four(monkeypatch, n, m, bound)
+    assert naive_search(n, m, l_max, bound, merge_rows=False)[:2] == (
+        status, nodes)
 
 
 def test_search_exhausts_three_rows_mod_three_deeply(monkeypatch):
     # independently validated to l = 8 (generate-and-test and the subset
     # scan over (Z/3)^8 agree); this locks the engine behaviour further
-    # out.  Without symmetry breaking: 105,508, and 157,404 past the
-    # size-4 bound.
+    # out.  Without symmetry breaking, and before the memo merged row
+    # permutations: 105,508, and 157,404 past the size-4 bound.
     _assert_node_counts(monkeypatch, 3, 3, None, 12, "exhausted", 24_182)
 
 
@@ -167,8 +182,9 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
     assert s0 == math.gcd(s0, m) and s0 > 0, (rows, s0)
 
 
-# without symmetry breaking: 44,925 at (4, 2); 18,690 at (3, 4) and
-# 12,524 at (3, 0), or 22,848 and 18,972 past the size-4 bound
+# without symmetry breaking, and before the memo merged row
+# permutations: 44,925 at (4, 2); 18,690 at (3, 4) and 12,524 at
+# (3, 0), or 22,848 and 18,972 past the size-4 bound
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
     (4, 2, None, 16, "found", 35_713),
     (3, 4, None, 9, "found", 6_510),
@@ -336,14 +352,18 @@ def test_capped_caches_keep_the_outcome(monkeypatch):
     (500, 2, 0, 3, 6, "found", 67, False)])
 def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
                                            l_max, status, nodes, full):
-    # counts measured with (state, tie mask, signature) tuples as memo
-    # keys.  Once a cache is full, which entries it holds depends on the
-    # order they came in, so equal counts mean the one-integer keys name
-    # the same states in the same order.  The m = 0 region fills nothing
-    # and pins the offset digits.  The pinned counts are past the size-4
-    # bound; the size-4 groups give those below, with the memo as full.
-    with_size_four = {(3, 3, 4): 8_975, (50, 3, 3): 24_692,
-                      (100, 3, 5): 142_912}.get((cap, n, m), nodes)
+    # naive_search(memo_cap=cap), whose memo keys are tuples, gives the
+    # same counts.  Once a cache is full, which entries it holds depends
+    # on the order they came in, so equal counts mean the one-integer
+    # keys name the same states, up to a row permutation where untied,
+    # in the same order.  The m = 0 region fills nothing and pins the
+    # offset digits.  The counts given are past the size-4 bound, of a
+    # memo that merges no row permutation; the merge gives those below,
+    # past the bound and with the size-4 groups, with the memo as full.
+    merged = {(3, 3, 4): 10_509, (50, 3, 3): 48_934,
+              (100, 3, 5): 309_484}.get((cap, n, m), nodes)
+    with_size_four = {(3, 3, 4): 8_975, (50, 3, 3): 21_364,
+                      (100, 3, 5): 131_504}.get((cap, n, m), merged)
     engines = []
 
     class Recorded(patterns._LengthSearch):
@@ -353,12 +373,61 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
 
     monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    for expected in (with_size_four, nodes):
+    for expected in (with_size_four, merged):
         engines.clear()
         out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
         assert (out.status, out.nodes) == (status, expected)
         assert full == (max(len(e.memo) for e in engines) == cap)
         _past_size_four(monkeypatch, n, m, bound)
+    assert naive_search(n, m, l_max, bound, merge_rows=False,
+                        memo_cap=cap)[:2] == (status, nodes)
+
+
+# every region whose nodes a test pins, as (n, m, bound, l_max, memo
+# cap or None, past the size-4 bound): the keys of _SIZE_FOUR_NODES,
+# the regions of the node-count tests above, the capped caches and the
+# node-cap region run to its end, each with the size-4 groups and past
+# their bound, then the regions test_cli pins, which are past it anyway
+_PINNED_REGIONS = [(*region, past) for region in [
+    *((*key, None) for key in _SIZE_FOUR_NODES),
+    (4, 2, None, 16, None), (3, 5, None, 4, None), (3, 6, None, 4, None),
+    (3, 0, 2, 4, None), (4, 3, None, 4, None), (3, 2, None, 7, None),
+    (3, 4, None, 9, 3), (3, 3, None, 12, 50), (3, 5, None, 12, 100),
+    (2, 0, 3, 6, 500), (3, 3, None, 10, None)] for past in (False, True)]
+_PINNED_REGIONS += [(2, 3, None, 3, None, False), (4, 5, None, 8, None, False),
+                    (5, 3, None, 6, None, False), (6, 2, None, 3, None, False)]
+
+
+@pytest.mark.parametrize("n,m,bound,l_max,cap,past", _PINNED_REGIONS)
+def test_naive_search_reproduces_the_pinned_counts(monkeypatch, n, m, bound,
+                                                   l_max, cap, past):
+    # naive_search shares no packing, cache or key code with search, so
+    # equal status, nodes and witness bytes back every pin above
+    if past:
+        _past_size_four(monkeypatch, n, m, bound)
+    if cap is not None:
+        monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    status, nodes, pattern = naive_search(n, m, l_max, bound, memo_cap=cap)
+    assert (status, nodes) == (out.status, out.nodes)
+    assert (canonical_json(pattern.jsonable()) if pattern else None) == (
+        canonical_json(out.pattern.jsonable()) if out.pattern else None)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_merging_row_permutations_keeps_the_outcome(data):
+    # the merge skips only subtrees proved exhausted, so status and the
+    # lex-first witness stay, and the states it enters are a subset of
+    # those it enters without merging
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.sampled_from([0, 2, 3] if n == 4 else [0, 2, 3, 4, 5]))
+    bound = data.draw(st.integers(1, 2 if n < 4 else 1)) if m == 0 else None
+    l_max = data.draw(st.integers(1, 5 if n == 4 else 8))
+    merged = naive_search(n, m, l_max, bound)
+    plain = naive_search(n, m, l_max, bound, merge_rows=False)
+    assert (merged[0], merged[2]) == (plain[0], plain[2])
+    assert merged[1] <= plain[1]
 
 
 @functools.cache
@@ -404,13 +473,26 @@ def test_memo_key_decodes_to_its_parts(data):
     assert _decode_memo_key(columns, n, key) == (state, tied, sig)
 
 
+def _packed_images(columns, n, progress):
+    """The packed progress vector under every row permutation: row i
+    moves to perm[i], so the field of a mask moves to the mask of the
+    rows it names."""
+    width = columns.width
+    return [sum(progress[mask] << width * sum(1 << perm[i] for i in range(n)
+                                              if mask >> i & 1)
+                for mask in range(1, 1 << n))
+            for perm in itertools.permutations(range(n))]
+
+
 @pytest.mark.parametrize("n,m,bound,l_max", [
     (3, 3, None, 8), (3, 4, None, 7), (2, 5, None, 6), (3, 0, 1, 6),
-    (3, 0, 2, 5)])
+    (3, 0, 2, 5), (4, 3, None, 8)])
 def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
     # _dfs extends the signature code entry by entry; the code it passes
-    # down must be memo_key's, and every key it stores the memo_key of
-    # a child it descended into
+    # down must be memo_key's.  Every key it stores is the memo_key of a
+    # child it descended into, of the child's own progress when tied and
+    # of the least row-permutation image of it when untied, computed
+    # from the chosen columns alone
     engines = []
 
     class Recorded(patterns._LengthSearch):
@@ -419,25 +501,52 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
             self.children = {}
             engines.append(self)
 
-        def _dfs(self, depth, tied, packed, packed_sums, sig, sig_code):
+        def _dfs(self, depth, tied, images, packed_sums, sig, sig_code):
             columns = self.columns
             assert sig_code == columns.memo_key(0, 0, sig) >> columns.sig_shift
             if 0 < depth < self.l:
+                progress, signature, tie = _prefix_state(
+                    n, m, tuple(self.chosen))
+                assert (signature, tie) == (sig, tied)
+                every = _packed_images(columns, n, progress)
+                # the images _dfs carries, identity first
+                assert images[0] == every[0]
+                assert sorted(images) == sorted(every)
+                packed = min(every) if tied == 0 else every[0]
                 state = packed | self.l - depth << columns.rest_shift
                 key = columns.memo_key(state, tied, sig)
-                self.children[key] = (state, tied, sig)
-            return super()._dfs(depth, tied, packed, packed_sums, sig,
+                self.children[key] = ((state, tied, sig),
+                                      packed != every[0])
+            return super()._dfs(depth, tied, images, packed_sums, sig,
                                 sig_code)
 
     monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
     search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-    stored = 0
+    stored = merged = 0
     for engine in engines:
         for key in engine.memo:
-            assert _decode_memo_key(engine.columns, n, key) == \
-                engine.children[key]
+            parts, moved = engine.children[key]
+            assert _decode_memo_key(engine.columns, n, key) == parts
             stored += 1
-    assert stored > 0
+            merged += moved
+    # some key is stored, and from n = 3 on some untied key is not the
+    # child's own progress
+    assert stored > 0 and (n < 3 or merged > 0)
+
+
+@pytest.mark.parametrize("n,m,l_max", [
+    (1, 3, 2), (2, 3, 3), (3, 3, 4), (4, 3, 4), (5, 3, 6), (6, 2, 3)])
+def test_columns_hold_one_image_per_tracked_permutation(n, m, l_max):
+    # all n! row permutations up to n = 4, the identity alone from n = 5
+    # on, where test_cli pins the stdout bytes of (5, 3, 6) and (6, 2, 3)
+    columns = patterns._Columns(n, m, None, l_max)
+    count = math.factorial(n) if n <= 4 else 1
+    assert columns.root_images == (0,) * count
+    for options in columns.choices:
+        for c, hits, _, images, _ in options:
+            step = sum(1 << columns.width * mask for mask, _ in hits)
+            assert images[0] == step and len(images) == count
+
 
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
     # lengths 3 -> 4: a progress field widens from 2 to 3 bits
@@ -450,7 +559,7 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
     (3, 4, None, 8, "found", 6_510), (3, 6, None, 8, "found", 34_287)])
 def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
                                                    l_max, status, nodes):
-    # counts measured before the feasibility cache and the packed key
+    # naive_search, which packs nothing, gives the same counts
     _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
@@ -460,9 +569,11 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
                                                 nodes):
     # the packed fields are as wide as l_max needs: 13 more lengths add
     # a bit to every field, and must change no answer and no count,
-    # with the size-4 groups and past their bound
-    for expected in (_SIZE_FOUR_NODES.get((n, m, None, length), nodes),
-                     nodes):
+    # with the size-4 groups and past their bound; `nodes` is the count
+    # past the bound of a memo that merges no row permutation
+    key = (n, m, None, length)
+    merged = _MERGED_NODES.get(key, nodes)
+    for expected in (_SIZE_FOUR_NODES.get(key, merged), merged):
         exact = search(SearchConfig(n=n, m=m, l_max=length))
         wide = search(SearchConfig(n=n, m=m, l_max=length + 13))
         assert (exact.status, exact.pattern.l, exact.nodes) == (
@@ -470,6 +581,8 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
         assert (wide.status, wide.pattern, wide.nodes) == (
             exact.status, exact.pattern, exact.nodes)
         _past_size_four(monkeypatch, n, m, None)
+    assert naive_search(n, m, length, merge_rows=False)[:2] == (
+        "found", nodes)
 
 
 _R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
@@ -486,7 +599,10 @@ def _capped(n, m, l_max, cap, expected):
 @pytest.mark.parametrize("n,m,l_max,cap,expected", [
     _capped(3, 3, 10, cap,
             '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, _R33))
-    for cap in (0, 1, 2, 5, 17, 100, 5000)] + [
+    for cap in (0, 1, 2, 5, 17, 100, 3895)] + [
+    # the region is exhausted after 3,896 nodes
+    _capped(3, 3, 10, cap, '{"status":"exhausted","nodes":3896,%s}' % _R33)
+    for cap in (3896, 5000)] + [
     _capped(3, 2, 8, cap,
             '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, _R32))
     for cap in (0, 1, 2, 5, 17)] + [
