@@ -181,10 +181,12 @@ def _constraint_groups(n: int, profiles: list) -> list:
     in [r*min A, r*max A] and be congruent to r*min A modulo the gcd of
     (a - min A).  Groups for which that test can never fire are dropped.
     The group of all subsets is always kept; it pins down the possible
-    signature lengths.  Sets of 2 and 3 subsets are tried everywhere;
-    sets of 4 only while the candidates times the columns stay within
-    _TABLE_CAP, and kept only when lower-only (hi == 4, g <= 1) with
-    lo >= 1, the kind _feasible tests in its one packed comparison.
+    signature lengths.  Sets of 2 subsets are tried everywhere, sets of
+    3 while the candidates times the columns stay within
+    _TABLE_CAP << 7, and sets of 4 only within _TABLE_CAP, and kept
+    only when lower-only (hi == 4, g <= 1) with lo >= 1, the kind
+    _feasible tests in its one packed comparison.  Dropping a group is
+    always sound: it only cuts less.
     """
     n_masks = (1 << n) - 1
     all_masks = tuple(range(1, n_masks + 1))
@@ -198,7 +200,11 @@ def _constraint_groups(n: int, profiles: list) -> list:
         return lo, max(amounts), math.gcd(*(a - lo for a in amounts))
 
     groups = [(all_masks, *a_set(sum(1 << mask for mask in all_masks)))]
-    for size in (2, 3):
+    # sets of 3 only while their number times the columns stays within
+    # _TABLE_CAP << 7: (6, 2) keeps them at 2.5M, (6, 3) drops them at 28.9M
+    sizes = ((2, 3) if math.comb(n_masks, 3) * len(profiles)
+             <= _TABLE_CAP << 7 else (2,))
+    for size in sizes:
         for masks in itertools.combinations(all_masks, size):
             lo, hi, g = a_set(sum(1 << mask for mask in masks))
             if lo == 0 and hi == size and g == 1:
@@ -215,15 +221,19 @@ def _constraint_groups(n: int, profiles: list) -> list:
     return groups
 
 
-_FOUND, _EXHAUSTED, _ABORTED = 0, 1, 2
+_EXHAUSTED, _ABORTED = 1, 2
 
 # entries kept by the fitting-column table of a region and by each of a
-# length's caches (the memo of exhausted states and the feasibility
+# pass's caches (the memo of exhausted states and the feasibility
 # answers); past it they stop growing
 _CACHE_CAP = 1 << 20
 
+# lengths one depth-first pass of the search covers; see _windows
+_WINDOW = 3
+
 # most (column, row subset) pairs a search region may tabulate, and most
 # (column, set of 4 row subsets) pairs _constraint_groups may evaluate
+# (2^7 times as many sets of 3)
 _TABLE_CAP = 1 << 17
 
 
@@ -303,16 +313,16 @@ class _Columns:
         self.n_masks = n_masks = (1 << n) - 1
         # a progress field never exceeds l <= l_max, so it fits in
         # `width` bits; field `mask` of a packed progress vector sits at
-        # bit width*mask, and a length's caches put r above the last one
+        # bit width*mask, and a feasibility key puts r above the last one
         self.width = width = l_max.bit_length()
         self.rest_shift = width * (n_masks + 1)
         # a 1 in every field: a vector with all fields at k packs to k*ones
         self.ones = sum(1 << width * mask for mask in range(1, n_masks + 1))
-        # a memo key (see memo_key) puts the tie mask above r, which is
-        # below l <= l_max, and the signature code above the tie mask.
+        # a memo key (see memo_key) puts the tie mask above the last
+        # field, and the signature code above the tie mask.
         # Entries are nonzero residues, or at m = 0 sums of at most n
         # entries in [-b, b].
-        self.tie_shift = self.rest_shift + width
+        self.tie_shift = self.rest_shift
         self.sig_shift = self.tie_shift + n - 1
         if m:
             self.sig_base, self.sig_offset = m, 0
@@ -424,26 +434,77 @@ class _Columns:
             self.lower_base.append(self.guard - r * self.lower_lo)
 
 
-class _LengthSearch:
-    """Depth-first search over the canonical column sequences (see
-    _Columns) of one fixed length.  It holds what depends on l: the memo
-    of exhausted states, the feasibility answers, and the live progress
-    vector and chosen columns.  The memo holds the _Columns.memo_key of
-    each child found exhausted; the feasibility cache keys a child by its
-    exact packed progress with r."""
+def _known_length(n: int, m: int) -> Optional[int]:
+    """A length at which an adequate pattern is known to exist, or None:
+    1 for one row, 3 for two (canonical_2_adequate), and 2^n - 1 at even
+    m >= 2, the simplex code (every nonzero 0/1 column once) lifted to
+    Z/m by x -> (m/2)*x: every row subset sums to m/2 on 2^(n-1)
+    columns and to 0 on the rest."""
+    if n <= 2:
+        return 2 * n - 1
+    if m and m % 2 == 0:
+        return (1 << n) - 1
+    return None
 
-    def __init__(self, n: int, m: int, l: int, columns: _Columns,
+
+def _windows(n: int, m: int, l_max: int):
+    """The windows of _WINDOW consecutive lengths the search takes in
+    turn, as (lo, hi), from length 1 up to l_max, made one at a time
+    (l_max may be 10^9).  A pass walks its whole window below the length
+    it finds, so one window ends at t = min(l_max, U), U from
+    _known_length (l_max where none is known), and those above t are
+    never reached.  The alignment only moves window edges, so soundness
+    never depends on U."""
+    known = _known_length(n, m)
+    top = l_max if known is None else min(l_max, known)
+    for end in range((top - 1) % _WINDOW + 1, l_max + _WINDOW, _WINDOW):
+        yield max(1, end - _WINDOW + 1), min(end, l_max)
+
+
+class _WindowSearch:
+    """One depth-first pass over the canonical column sequences (see
+    _Columns) of every length in a window [lo, hi], which returns the
+    lex-first canonical pattern of the least length in the window that
+    has one.  It holds what one pass needs: the memo of exhausted
+    states, the feasibility answers, the live progress vector, the
+    chosen columns and `limit`, the longest length still sought.
+
+    A node at depth d is alive for a range of r, the columns still to
+    add: from the least r its column passed _feasible for up to
+    limit - d, and its children for one fewer.  The range holds every r
+    whose length the node can still complete to (a superset where
+    _feasible fails in between), so a subtree is cut only where no
+    length of the window survives.  A node alive for r = 0 that passes
+    the final test is a pattern; the pass records it and lowers `limit`
+    to its length - 1, so what is left of the pass only looks for
+    shorter ones, and the last one recorded is the lex-first of the
+    least length.  A node whose children have no r left stops, and
+    counts no more nodes; once no length of the window is left, every
+    node has stopped.
+
+    Whether a child completes in r more columns depends on its
+    progress, tie mask and signature alone, not on its depth, so the
+    memo maps the _Columns.memo_key of a child, which holds no r, to a
+    bitmask of the r proved exhausted for it: those its subtree was
+    walked for, up to limit - depth as it stood on return, and those
+    below the least r that passed _feasible.  A child is skipped when
+    the bitmask holds every r from its least feasible one up.  The
+    feasibility cache keys a child by its exact packed progress with r
+    above it."""
+
+    def __init__(self, n: int, m: int, lo: int, hi: int, columns: _Columns,
                  budget: _NodeBudget):
         self.n = n
         self.m = m
-        self.l = l
+        self.lo = lo
+        self.limit = hi
         self.columns = columns
         self.budget = budget
-        columns.grow_to(l)
+        columns.grow_to(hi)
         # index by mask, slot 0 unused; the fields of `packed` (see _dfs)
         self.progress = [0] * (columns.n_masks + 1)
         self.chosen: list = []
-        self.memo: set = set()
+        self.memo: dict = {}
         # _feasible(r, ...) reads only r, the progress vector and the
         # region's group terms, so its answers are cached under the
         # packed progress with r in the fields above it
@@ -512,28 +573,37 @@ class _LengthSearch:
                      for i in range(self.n))
 
     def run(self) -> int:
-        if not self._feasible(self.l, 0, 1):
-            return _EXHAUSTED
-        # before the first column every adjacent pair of rows is tied
-        return self._dfs(0, (1 << (self.n - 1)) - 1,
-                         self.columns.root_images, 0, (), 1)
+        # the root is alive from the least length its empty progress
+        # vector passes _feasible for
+        for r in range(self.lo, self.limit + 1):
+            if self._feasible(r, 0, 1):
+                # before the first column every adjacent pair of rows
+                # is tied
+                return self._dfs(0, r, (1 << (self.n - 1)) - 1,
+                                 self.columns.root_images, 0, (), 1)
+        return _EXHAUSTED
 
-    def _dfs(self, depth: int, tied: int, images: tuple, packed_sums: int,
-             sig: tuple, sig_code: int) -> int:
-        """`images` holds self.progress packed into one integer under
-        each row permutation of _Columns, identity first, `packed_sums`
-        is the G of _feasible, `sig` the signature and `sig_code` its
-        code in the memo key (see _Columns.memo_key)."""
+    def _dfs(self, depth: int, r_lo: int, tied: int, images: tuple,
+             packed_sums: int, sig: tuple, sig_code: int) -> int:
+        """The node is alive for r from `r_lo` up to self.limit - depth
+        (see the class docstring).  `images` holds self.progress packed
+        into one integer under each row permutation of _Columns,
+        identity first, `packed_sums` is the G of _feasible, `sig` the
+        signature and `sig_code` its code in the memo key (see
+        _Columns.memo_key).  Returns _ABORTED past the node cap, else
+        _EXHAUSTED, a find included: self.result and self.limit tell."""
         columns = self.columns
         p = self.progress
         packed = images[0]
-        if depth == self.l:
+        if not r_lo:
             # every field equal means every field at len(sig); a pair
             # still tied is a pair of equal rows
-            if tied or packed != len(sig) * columns.ones:
+            if not tied and packed == len(sig) * columns.ones:
+                self.result = Pattern(self.n, self.m, depth, self._rows())
+                self.limit = depth - 1
                 return _EXHAUSTED
-            self.result = Pattern(self.n, self.m, self.l, self._rows())
-            return _FOUND
+            if depth == self.limit:
+                return _EXHAUSTED
 
         # no field exceeds len(sig), and a mask at len(sig) extends the
         # signature: it reads the 0 appended here.  need[0] is unused.
@@ -548,8 +618,14 @@ class _LengthSearch:
                 table[table_key] = entry
         fitting, total = entry
 
-        rest = self.l - depth - 1
-        rest_field = rest << columns.rest_shift
+        # a child is alive for r in [lo, hi]: one column fewer than this
+        # node's r, and no length past the limit
+        lo = r_lo - 1 if r_lo else 0
+        hi = self.limit - depth - 1
+        # the r of [lo, hi], as memo bits
+        wanted = (2 << hi) - (1 << lo)
+        rest_shift = columns.rest_shift
+        lo_field = lo << rest_shift
         tie_shift = columns.tie_shift
         sig_shift = columns.sig_shift
         # the child's code is sig_code, or this plus the entry it appends
@@ -568,47 +644,67 @@ class _LengthSearch:
             if budget.used > budget.cap:
                 budget.used = budget.cap + 1
                 return _ABORTED
-            # the child's progress with r in the fields above it
-            state = packed + steps[0] | rest_field
-            feasible = cache.get(state)
+            # the child's progress; the cache keys it with r above it.
+            # r runs up from lo past the answers cached as False.
+            child = packed + steps[0]
+            r = lo
+            feasible = cache.get(child | lo_field)
+            while feasible is False and r < hi:
+                r += 1
+                feasible = cache.get(child | r << rest_shift)
             if feasible is False:
                 continue
             child_images = tuple(map(add, images, steps))
             child_code = sig_code if ext is None else extended_code + ext
-            # the memo holds the children found exhausted, checked before
-            # descending, so a hit spends no budget; the tie mask is part
-            # of the key, so an entry names one subtree, or once untied
-            # its row-permutation orbit (see _Columns).  A child at full
-            # length is never stored.
-            if rest:
-                key = ((state | next_tied << tie_shift if next_tied
-                        else min(child_images) | rest_field)
+            # the memo is checked before descending, so a hit spends no
+            # budget; the tie mask is part of the key, so an entry names
+            # one subtree, or once untied its row-permutation orbit (see
+            # _Columns).  A child with no column left to add (hi == 0)
+            # is neither looked up nor stored.  The child is skipped when
+            # the memo holds every r from its least feasible one up; r is
+            # at most that here, so a hit now is a hit then.
+            done = 0
+            if hi:
+                key = ((child | next_tied << tie_shift if next_tied
+                        else min(child_images))
                        | child_code << sig_shift)
-                if key in memo:
+                done = memo.get(key, 0)
+                if not (wanted >> r << r) & ~done:
                     continue
             child_sums = packed_sums + lower_step
             for mask, _ in hits:
                 p[mask] += 1
-            if feasible is None:
-                feasible = self._feasible(
-                    rest, child_sums, sig_len if ext is None else sig_len + 1)
+            k_lo = sig_len if ext is None else sig_len + 1
+            while feasible is None:
+                feasible = self._feasible(r, child_sums, k_lo)
                 # skipping an insert is always safe: _feasible is pure
                 if len(cache) < _CACHE_CAP:
-                    cache[state] = feasible
-            if feasible:
+                    cache[child | r << rest_shift] = feasible
+                while feasible is False and r < hi:
+                    r += 1
+                    feasible = cache.get(child | r << rest_shift)
+            if feasible and (wanted >> r << r) & ~done:
                 self.chosen.append(c)
-                status = self._dfs(depth + 1, next_tied, child_images,
+                status = self._dfs(depth + 1, r, next_tied, child_images,
                                    child_sums,
                                    sig if ext is None else sig + (ext,),
                                    child_code)
                 self.chosen.pop()
-                if status != _EXHAUSTED:
-                    # undo before unwinding so callers see a clean state
+                top = self.limit - depth - 1
+                if status == _ABORTED or top < lo:
+                    # aborted, or a find below left no length for this
+                    # node: undo before unwinding so callers see a
+                    # clean state, and count nothing more
                     for mask, _ in hits:
                         p[mask] -= 1
                     return status
-                if rest and len(memo) < _CACHE_CAP:
-                    memo.add(key)
+                if top < hi:
+                    hi = top
+                    wanted = (2 << hi) - (1 << lo)
+                # the subtree stores only keys of more progress, so the
+                # entry is still `done`; stored bits are never 0
+                if hi and (done or len(memo) < _CACHE_CAP):
+                    memo[key] = done | wanted
             for mask, _ in hits:
                 p[mask] -= 1
 
@@ -622,29 +718,33 @@ class _LengthSearch:
 def search(cfg: SearchConfig) -> SearchOutcome:
     """Exhaustively search the configured region for an adequate pattern.
 
-    Lengths are swept in ascending order starting from 1; candidate
-    columns are tried in lexicographic order, so the reported pattern is
-    the lex-first canonical one (see _LengthSearch) and depends on the
-    region only.  The search runs on one thread.  An all-zero column
-    never appears in a minimal pattern (dropping it preserves adequacy),
-    so columns are drawn from the nonzero alphabet; a witness shorter
-    than l_min is zero-padded back into the region.  `nodes` counts the
-    candidate columns tried on canonical branches.  A child is skipped
-    when its length's memo holds its key (_Columns.memo_key): progress,
-    r, tie mask and signature, up to a row permutation once untied.
+    Lengths are swept in ascending order starting from 1, one
+    depth-first pass per window of _WINDOW lengths (see _windows);
+    candidate columns are tried in lexicographic order, and a pass
+    returns the lex-first canonical pattern of the least length in its
+    window that has one (see _WindowSearch), so the reported pattern
+    depends on the region only.  The search runs on one thread.  An
+    all-zero column never appears in a minimal pattern (dropping it
+    preserves adequacy), so columns are drawn from the nonzero alphabet;
+    a witness shorter than l_min is zero-padded back into the region.
+    `nodes` counts the candidate columns tried on canonical branches,
+    and depends on the window edges as well as the region.  A child is
+    skipped when its pass's memo has proved exhausted every r the child
+    could be alive for, under its key (_Columns.memo_key): progress, tie
+    mask and signature, up to a row permutation once untied.
 
     "exhausted" certifies that no adequate pattern with the given (n, m)
     exists at any length <= l_max (entries within the bound when m = 0).
     """
     budget = _NodeBudget(cfg.node_cap)
     columns = _Columns(cfg.n, cfg.m, cfg.entry_bound, cfg.l_max)
-    for l in range(1, cfg.l_max + 1):
-        engine = _LengthSearch(cfg.n, cfg.m, l, columns, budget)
-        status = engine.run()
-        if status == _ABORTED:
+    for lo, hi in _windows(cfg.n, cfg.m, cfg.l_max):
+        engine = _WindowSearch(cfg.n, cfg.m, lo, hi, columns, budget)
+        # an abort after a find leaves shorter lengths unsearched
+        if engine.run() == _ABORTED:
             return SearchOutcome("inconclusive", budget.used, cfg.region())
-        if status == _FOUND:
-            pattern = engine.result
+        pattern = engine.result
+        if pattern is not None:
             if pattern.l < cfg.l_min:
                 pad = cfg.l_min - pattern.l
                 rows = tuple(r + (0,) * pad for r in pattern.rows)

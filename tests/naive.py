@@ -14,13 +14,15 @@ tests/test_groups.py.
 the same canonical columns with none of the search's packing, tables or
 caches, and shares only the counting-group list of `_constraint_groups`,
 which tests/test_patterns.py checks by direct arithmetic on every
-prefix of adequate patterns.
+prefix of adequate patterns, and the window size `_WINDOW`, so that a
+test can set both engines to one length per pass.
 """
 
 import itertools
 import math
 import operator
 
+from pattern_forge import patterns
 from pattern_forge.patterns import Pattern, _constraint_groups, is_adequate
 
 
@@ -95,11 +97,22 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None):
     """(status, nodes, pattern or None) of the canonical-pattern search
     by plain recursion: the columns in lex order, a per-mask progress
     list, a tuple signature, naive_feasible over _constraint_groups'
-    list and a set of tuple memo keys, stopped from growing at memo_cap
-    entries per length.  Every candidate column counts as a node, as in
-    `search`.  With merge_rows an untied state's key holds the least of
-    its progress tuple's row-permutation images (n <= 4), else the
-    progress tuple itself."""
+    list and a dict from tuple memo keys to the set of r proved
+    exhausted, stopped from taking new keys at memo_cap per pass.  Every
+    candidate column counts as a node, as in `search`.  With merge_rows
+    an untied state's key holds the least of its progress tuple's
+    row-permutation images (n <= 4), else the progress tuple itself.
+
+    The lengths are searched in passes over windows of
+    patterns._WINDOW lengths (read at call time), the top one of those
+    up to t ending at t: n = 1 has a pattern at length 1, n = 2 at 3,
+    and an even m >= 2 at 2^n - 1; else t = l_max.  In a pass a node is
+    alive for r (columns still to add) from the least r its column
+    passed naive_feasible for up to the longest length still sought,
+    and its children for one fewer.  A find lowers that length to one
+    below its own, and a node stops, counting nothing more, once its
+    children have no r left."""
+    window = patterns._WINDOW
     entries = range(m) if m else range(-bound, bound + 1)
     masks = range(1, 1 << n)
     columns = [c for c in itertools.product(entries, repeat=n) if any(c)]
@@ -131,22 +144,40 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None):
         s0 = hits[c][0][1]
         return s0 == math.gcd(s0, m)
 
+    if n == 1:
+        top = 1
+    elif n == 2:
+        top = 3
+    elif m % 2 == 0 and m > 0:
+        top = 2 ** n - 1
+    else:
+        top = l_max
+    top = min(top, l_max)
+    tops = list(range(top, 0, -window))[::-1]
+    tops += list(range(top + window, l_max + window, window))
+    windows = [(max(1, t - window + 1), min(t, l_max)) for t in tops]
+
     nodes = 0
-    for l in range(1, l_max + 1):
+    for lo, hi in windows:
         progress = [0] * (1 << n)
         chosen = []
-        memo = set()
+        memo = {}
+        limit = hi
+        found = None
 
-        def dfs(depth, tied, sig):
-            nonlocal nodes
-            if depth == l:
-                if tied == 0 and all(q == len(sig) for q in progress[1:]):
-                    return tuple(tuple(c[i] for c in chosen)
-                                 for i in range(n))
-                return None
+        def dfs(depth, r_lo, tied, sig):
+            nonlocal nodes, limit, found
+            if r_lo == 0 and tied == 0 and all(q == len(sig)
+                                               for q in progress[1:]):
+                found = tuple(tuple(c[i] for c in chosen) for i in range(n))
+                limit = depth - 1
+                return
             pairs = [i for i in range(n - 1) if tied >> i & 1]
-            r = l - depth - 1
+            child_lo = max(0, r_lo - 1)
             for c in columns:
+                child_hi = limit - depth - 1
+                if child_hi < child_lo:
+                    return
                 if any(c[i] > c[i + 1] for i in pairs):
                     continue
                 if depth == 0 and not first_column(c):
@@ -170,24 +201,33 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None):
                 for mask, _ in hits[c]:
                     progress[mask] += 1
                 key = ((least_image(progress) if child_tied == 0
-                        else tuple(progress)), child_tied, child_sig, r)
-                if not (r and key in memo) and naive_feasible(progress, r,
-                                                              groups):
+                        else tuple(progress)), child_tied, child_sig)
+                least = next((r for r in range(child_lo, child_hi + 1)
+                              if naive_feasible(progress, r, groups)), None)
+                # a child is skipped when the memo holds the least r it
+                # passes naive_feasible for and every r above that
+                if least is not None and not (child_hi and set(range(
+                        least, child_hi + 1)) <= memo.get(key, set())):
                     chosen.append(c)
-                    rows = dfs(depth + 1, child_tied, child_sig)
+                    dfs(depth + 1, least, child_tied, child_sig)
                     chosen.pop()
-                    if rows is not None:
-                        return rows
-                    if r and (memo_cap is None or len(memo) < memo_cap):
-                        memo.add(key)
+                    child_hi = limit - depth - 1
+                    # exhausted: every r the child was walked for, and
+                    # those below the first it passed naive_feasible for
+                    if child_hi and child_hi >= child_lo and (
+                            key in memo or memo_cap is None
+                            or len(memo) < memo_cap):
+                        memo.setdefault(key, set()).update(
+                            range(child_lo, child_hi + 1))
                 for mask, _ in hits[c]:
                     progress[mask] -= 1
-            return None
 
-        if naive_feasible(progress, l, groups):
-            rows = dfs(0, (1 << n - 1) - 1, ())
-            if rows is not None:
-                return "found", nodes, Pattern(n, m, l, rows)
+        for r in range(lo, hi + 1):
+            if naive_feasible(progress, r, groups):
+                dfs(0, r, (1 << n - 1) - 1, ())
+                break
+        if found is not None:
+            return "found", nodes, Pattern(n, m, len(found[0]), found)
     return "exhausted", nodes, None
 
 

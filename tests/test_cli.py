@@ -59,48 +59,58 @@ def test_search_inconclusive_exit_two(capsys):
 
 @pytest.mark.parametrize("argv,expected", [
     (("--n", "4", "--m", "5", "--l-max", "8"),
-     '{"status":"exhausted","nodes":27884,"region":{"n":4,"m":5,"l_min":1,'
+     '{"status":"exhausted","nodes":%d,"region":{"n":4,"m":5,"l_min":1,'
      '"l_max":8}}\n'),
     (("--n", "5", "--m", "3", "--l-max", "6"),
-     '{"status":"exhausted","nodes":724,"region":{"n":5,"m":3,"l_min":1,'
+     '{"status":"exhausted","nodes":%d,"region":{"n":5,"m":3,"l_min":1,'
      '"l_max":6}}\n'),
     (("--n", "6", "--m", "2", "--l-max", "3"),
-     '{"status":"exhausted","nodes":0,"region":{"n":6,"m":2,"l_min":1,'
+     '{"status":"exhausted","nodes":%d,"region":{"n":6,"m":2,"l_min":1,'
      '"l_max":3}}\n')], ids=["4-5-8", "5-3-6", "6-2-3"])
-def test_search_past_the_size_four_bound_prints_the_same_bytes(capsys, argv,
-                                                               expected):
+def test_search_past_the_size_four_bound_prints_the_same_bytes(
+        capsys, monkeypatch, argv, expected):
     # these regions have too many columns for sets of 4 row subsets, so
-    # their counting groups, nodes and bytes are those of sizes 2 and 3
-    code, out, _ = run(capsys, "search", *argv)
-    assert (code, out) == (1, expected)
+    # their counting groups, nodes and bytes are those of sizes 2 and 3;
+    # nodes one length per pass, then three
+    from pattern_forge import patterns
+    nodes = {"4": (27884, 13733), "5": (724, 384), "6": (0, 0)}[argv[1]]
+    for window, count in zip((1, 3), nodes):
+        monkeypatch.setattr(patterns, "_WINDOW", window)
+        code, out, _ = run(capsys, "search", *argv)
+        assert (code, out) == (1, expected % count)
 
 
 def test_search_builds_per_length_tables_only_for_lengths_reached(
         capsys, monkeypatch):
     # a region found at l = 3 answers at once however large l_max is;
     # l_max = 10^4 comes first, so a table sized by l_max fails there
-    # instead of filling memory at 10^9
+    # instead of filling memory at 10^9.  The tables grow to the top of
+    # the last window searched, and the windows are made one at a time.
     from pattern_forge import patterns
-    engines = []
+    tops = []
 
-    class Recorded(patterns._LengthSearch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            engines.append(self)
+    class Recorded(patterns._WindowSearch):
+        def __init__(self, n, m, lo, hi, columns, budget):
+            super().__init__(n, m, lo, hi, columns, budget)
+            tops.append((hi, columns))
 
-    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     for l_max in (10 ** 4, 10 ** 9):
-        engines.clear()
-        code, out, _ = run(capsys, "search", "--n", "2", "--m", "3",
-                           "--l-max", str(l_max))
-        assert code == 0
-        assert out == ('{"status":"found","nodes":26,"region":{"n":2,"m":3,'
-                       '"l_min":1,"l_max":%d},"pattern":{"n":2,"m":3,"l":3,'
-                       '"rows":[[0,1,2],[1,2,0]]}}\n' % l_max)
-        longest = max(e.l for e in engines)
-        columns = engines[0].columns
-        for table in (columns.bounds, columns.lower_base):
-            assert len(table) <= longest + 1
+        # nodes one length per pass, then three
+        for window, nodes in ((1, 26), (3, 22)):
+            monkeypatch.setattr(patterns, "_WINDOW", window)
+            tops.clear()
+            code, out, _ = run(capsys, "search", "--n", "2", "--m", "3",
+                               "--l-max", str(l_max))
+            assert code == 0
+            assert out == ('{"status":"found","nodes":%d,"region":{"n":2,'
+                           '"m":3,"l_min":1,"l_max":%d},"pattern":{"n":2,'
+                           '"m":3,"l":3,"rows":[[0,1,2],[1,2,0]]}}\n'
+                           % (nodes, l_max))
+            longest, columns = max(tops)
+            assert longest == 3
+            for table in (columns.bounds, columns.lower_base):
+                assert len(table) <= longest + 1
 
 
 def test_search_missing_flag_is_usage_error(capsys):

@@ -6,9 +6,10 @@ import math
 import operator
 import random
 import types
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pattern_forge import patterns
@@ -96,20 +97,28 @@ def test_search_matches_naive_oracle_on_small_grid():
                     (n, m, l_max)
 
 
-def _past_size_four(monkeypatch, n, m, bound):
+# the module's own bound on tabulated pairs and its window of lengths
+_TABLE_CAP = patterns._TABLE_CAP
+_WINDOW = patterns._WINDOW
+
+
+def _past_size_four(monkeypatch, n, m, bound, past=True):
     """Lower _TABLE_CAP to the region's own profile table.  For n >= 3
     that is below the C(2^n - 1, 4) candidates times the columns that
     sets of 4 row subsets need, so the region keeps the counting groups
-    of sizes 2 and 3 alone, as every region past the size-4 bound does."""
+    of sizes 2 and 3 alone, as every region past the size-4 bound does.
+    With past=False, put the module's own _TABLE_CAP back."""
     base = m or 2 * bound + 1
     monkeypatch.setattr(patterns, "_TABLE_CAP",
-                        (base ** n - 1) * ((1 << n) - 1))
+                        (base ** n - 1) * ((1 << n) - 1) if past
+                        else _TABLE_CAP)
 
 
-# node counts with the size-4 groups, where they cut.  Past the size-4
-# bound a region keeps the groups of sizes 2 and 3 alone and gives its
-# count in _MERGED_NODES, or where the merge moves nothing there, the
-# count its test is given.
+# node counts with the size-4 groups, where they cut, searching one
+# length per pass (_WINDOW = 1).  Past the size-4 bound a region keeps
+# the groups of sizes 2 and 3 alone and gives its count in
+# _MERGED_NODES, or where the merge moves nothing there, the count its
+# test is given.
 _SIZE_FOUR_NODES = {
     (3, 3, None, 12): 11_016, (3, 4, None, 9): 4_346, (3, 0, 2, 5): 1_233,
     (3, 3, None, 8): 1_306, (3, 5, None, 8): 7_032, (3, 0, 1, 8): 1_294,
@@ -117,10 +126,10 @@ _SIZE_FOUR_NODES = {
     (3, 4, None, 7): 4_346, (3, 6, None, 7): 20_877,
     (3, 3, None, 19): 259_982}
 
-# node counts past the size-4 bound, where the memo's merging of row
-# permutations moves them.  The counts the tests below are given are
-# those of a memo that merges none, past the bound, as
-# naive_search(merge_rows=False) gives them.  naive_search reproduces
+# node counts past the size-4 bound, one length per pass, where the
+# memo's merging of row permutations moves them.  The counts the tests
+# below are given are those of a memo that merges none, past the bound,
+# as naive_search(merge_rows=False) gives them.  naive_search reproduces
 # the merged counts too; see test_naive_search_reproduces_the_pinned_counts.
 _MERGED_NODES = {
     (3, 3, None, 12): 15_940, (4, 2, None, 16): 7_603, (3, 4, None, 9): 5_691,
@@ -128,17 +137,43 @@ _MERGED_NODES = {
     (3, 4, None, 8): 5_691, (3, 6, None, 8): 31_062, (3, 4, None, 7): 5_691,
     (3, 6, None, 7): 31_062, (3, 3, None, 19): 403_654}
 
+# node counts with the module's _WINDOW of 3 lengths per pass, as (with
+# the size-4 groups, past their bound), of every region the tests below
+# pin one length per pass
+_WINDOWED_NODES = {
+    (3, 3, None, 12): (5_042, 8_084), (3, 4, None, 9): (2_380, 3_433),
+    (3, 0, 2, 5): (910, 1_750), (3, 3, None, 8): (860, 988),
+    (3, 5, None, 8): (4_705, 6_309), (3, 0, 1, 8): (857, 985),
+    (4, 3, None, 8): (1_346, 1_346), (3, 4, None, 8): (2_380, 3_433),
+    (3, 6, None, 8): (10_942, 19_072), (3, 4, None, 7): (2_380, 3_433),
+    (3, 6, None, 7): (10_942, 19_072), (3, 3, None, 19): (147_269, 211_761),
+    (4, 2, None, 16): (7_603, 7_603), (3, 5, None, 4): (104, 104),
+    (3, 6, None, 4): (647, 647), (3, 0, 2, 4): (166, 166),
+    (4, 3, None, 4): (39, 39), (3, 2, None, 7): (28, 28)}
+
+
+def _pinned_counts(key, nodes):
+    """{window: (nodes with the size-4 groups, nodes past their bound)}
+    of a region whose test gives `nodes`, the count one length per pass
+    past the bound of a memo that merges no row permutation."""
+    merged = _MERGED_NODES.get(key, nodes)
+    return {1: (_SIZE_FOUR_NODES.get(key, merged), merged),
+            _WINDOW: _WINDOWED_NODES[key]}
+
 
 def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
-    """The region's outcome with the size-4 groups, then past their bound,
-    where `nodes` is the count of a memo that merges no row permutation."""
-    key = (n, m, bound, l_max)
-    merged = _MERGED_NODES.get(key, nodes)
+    """The region's outcome with the size-4 groups, then past their
+    bound, one length per pass and then with the module's _WINDOW; then
+    `nodes` on naive_search one length per pass, past the bound, with a
+    memo that merges no row permutation."""
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
-    for expected in (_SIZE_FOUR_NODES.get(key, merged), merged):
-        out = search(cfg)
-        assert (out.status, out.nodes) == (status, expected)
-        _past_size_four(monkeypatch, n, m, bound)
+    for window, counts in _pinned_counts((n, m, bound, l_max), nodes).items():
+        monkeypatch.setattr(patterns, "_WINDOW", window)
+        for past, expected in zip((False, True), counts):
+            _past_size_four(monkeypatch, n, m, bound, past)
+            out = search(cfg)
+            assert (out.status, out.nodes) == (status, expected), window
+    monkeypatch.setattr(patterns, "_WINDOW", 1)
     assert naive_search(n, m, l_max, bound, merge_rows=False)[:2] == (
         status, nodes)
 
@@ -196,9 +231,9 @@ def test_symmetry_break_node_counts(monkeypatch, n, m, bound, l_max, status,
     _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
-# the engine class itself; tests swap patterns._LengthSearch for
+# the engine class itself; tests swap patterns._WindowSearch for
 # checking subclasses
-_LENGTH_SEARCH = patterns._LengthSearch
+_WINDOW_SEARCH = patterns._WindowSearch
 
 
 @functools.cache
@@ -249,9 +284,9 @@ def _decode(columns, key):
 
 
 def _feasible_on(engine, progress, r):
-    """_feasible on `progress`, on a new engine of the same length and
-    region, with G and k_lo computed from the vector itself."""
-    fresh = _LENGTH_SEARCH(engine.n, engine.m, engine.l, engine.columns,
+    """_feasible on `progress`, on a new engine of the same region, with
+    G and k_lo computed from the vector itself."""
+    fresh = _WINDOW_SEARCH(engine.n, engine.m, 1, max(1, r), engine.columns,
                            patterns._NodeBudget(None))
     fresh.progress = list(progress)
     packed_sums = sum(map(operator.mul, progress, engine.columns.lower_sums))
@@ -272,8 +307,10 @@ class _CheckedCache(dict):
         engine = self.engine
         progress, r = _decode(engine.columns, key)
         assert progress[0] == 0
-        # the lookup comes before the child column is appended
-        assert r == engine.l - len(engine.chosen) - 1
+        # the lookup comes before the child column is appended; r is
+        # within the child's window of r
+        depth = len(engine.chosen)
+        assert max(0, engine.lo - depth - 1) <= r <= engine.limit - depth - 1
         _assert_child_of_prefix(engine, progress)
         return progress, r
 
@@ -283,7 +320,7 @@ class _CheckedCache(dict):
         if cached is not None:
             self.hits += 1
             assert cached == _feasible_on(self.engine, progress, r), (
-                self.engine.l, self.engine.chosen, progress, r)
+                self.engine.lo, self.engine.chosen, progress, r)
         return cached
 
     def __setitem__(self, key, answer):
@@ -308,7 +345,7 @@ def test_feasibility_cache_hits_match_a_fresh_call(monkeypatch, n, m, bound,
                                                    l_max):
     caches = []
 
-    class Checked(patterns._LengthSearch):
+    class Checked(patterns._WindowSearch):
         def __init__(self, *args):
             super().__init__(*args)
             self.feasible_cache = _CheckedCache(self)
@@ -316,9 +353,12 @@ def test_feasibility_cache_hits_match_a_fresh_call(monkeypatch, n, m, bound,
 
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
     plain = search(cfg)
-    monkeypatch.setattr(patterns, "_LengthSearch", Checked)
+    monkeypatch.setattr(patterns, "_WindowSearch", Checked)
     assert search(cfg) == plain
-    assert len(caches) == (plain.pattern.l if plain.pattern else l_max)
+    # one pass per window, up to the one holding the witness
+    longest = plain.pattern.l if plain.pattern else l_max
+    assert len(caches) == sum(lo <= longest for lo, _ in
+                              patterns._windows(n, m, l_max))
     assert all(len(c) <= patterns._CACHE_CAP for c in caches)
     if plain.nodes > 100:
         assert sum(c.hits for c in caches) > 0
@@ -329,14 +369,14 @@ def test_capped_caches_keep_the_outcome(monkeypatch):
     # only the node count may grow
     engines = []
 
-    class Recorded(patterns._LengthSearch):
+    class Recorded(patterns._WindowSearch):
         def __init__(self, *args):
             super().__init__(*args)
             engines.append(self)
 
     cfg = SearchConfig(n=3, m=4, l_max=9)
     plain = search(cfg)
-    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", 3)
     capped = search(cfg)
     assert (capped.status, capped.pattern) == (plain.status, plain.pattern)
@@ -357,28 +397,37 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
     # on the order they came in, so equal counts mean the one-integer
     # keys name the same states, up to a row permutation where untied,
     # in the same order.  The m = 0 region fills nothing and pins the
-    # offset digits.  The counts given are past the size-4 bound, of a
-    # memo that merges no row permutation; the merge gives those below,
-    # past the bound and with the size-4 groups, with the memo as full.
+    # offset digits.  The counts given are one length per pass, past
+    # the size-4 bound, of a memo that merges no row permutation; the
+    # merge gives those below, with the size-4 groups and past the
+    # bound, one length per pass and then with the module's _WINDOW,
+    # with the memo as full.
     merged = {(3, 3, 4): 10_509, (50, 3, 3): 48_934,
               (100, 3, 5): 309_484}.get((cap, n, m), nodes)
     with_size_four = {(3, 3, 4): 8_975, (50, 3, 3): 21_364,
                       (100, 3, 5): 131_504}.get((cap, n, m), merged)
+    windowed = {(3, 3, 4): (5_545, 6_787), (50, 3, 3): (11_412, 33_096),
+                (100, 3, 5): (70_348, 204_144), (500, 2, 0): (57, 57)}
     engines = []
 
-    class Recorded(patterns._LengthSearch):
+    class Recorded(patterns._WindowSearch):
         def __init__(self, *args):
             super().__init__(*args)
             engines.append(self)
 
-    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    for expected in (with_size_four, merged):
-        engines.clear()
-        out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-        assert (out.status, out.nodes) == (status, expected)
-        assert full == (max(len(e.memo) for e in engines) == cap)
-        _past_size_four(monkeypatch, n, m, bound)
+    for window, counts in ((1, (with_size_four, merged)),
+                           (_WINDOW, windowed[cap, n, m])):
+        monkeypatch.setattr(patterns, "_WINDOW", window)
+        for past, expected in zip((False, True), counts):
+            _past_size_four(monkeypatch, n, m, bound, past)
+            engines.clear()
+            out = search(SearchConfig(n=n, m=m, l_max=l_max,
+                                      entry_bound=bound))
+            assert (out.status, out.nodes) == (status, expected)
+            assert full == (max(len(e.memo) for e in engines) == cap)
+    monkeypatch.setattr(patterns, "_WINDOW", 1)
     assert naive_search(n, m, l_max, bound, merge_rows=False,
                         memo_cap=cap)[:2] == (status, nodes)
 
@@ -402,16 +451,21 @@ _PINNED_REGIONS += [(2, 3, None, 3, None, False), (4, 5, None, 8, None, False),
 def test_naive_search_reproduces_the_pinned_counts(monkeypatch, n, m, bound,
                                                    l_max, cap, past):
     # naive_search shares no packing, cache or key code with search, so
-    # equal status, nodes and witness bytes back every pin above
+    # equal status, nodes and witness bytes back every pin above.  Where
+    # the memo fills, one length per pass too: there a memo of r-sets
+    # must take new keys where the memo of (state, r) keys did.
     if past:
         _past_size_four(monkeypatch, n, m, bound)
     if cap is not None:
         monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-    status, nodes, pattern = naive_search(n, m, l_max, bound, memo_cap=cap)
-    assert (status, nodes) == (out.status, out.nodes)
-    assert (canonical_json(pattern.jsonable()) if pattern else None) == (
-        canonical_json(out.pattern.jsonable()) if out.pattern else None)
+    for window in (_WINDOW,) if cap is None else (1, _WINDOW):
+        monkeypatch.setattr(patterns, "_WINDOW", window)
+        out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+        status, nodes, pattern = naive_search(n, m, l_max, bound,
+                                              memo_cap=cap)
+        assert (status, nodes) == (out.status, out.nodes)
+        assert (canonical_json(pattern.jsonable()) if pattern else None) == (
+            canonical_json(out.pattern.jsonable()) if out.pattern else None)
 
 
 @given(st.data())
@@ -428,6 +482,73 @@ def test_merging_row_permutations_keeps_the_outcome(data):
     plain = naive_search(n, m, l_max, bound, merge_rows=False)
     assert (merged[0], merged[2]) == (plain[0], plain[2])
     assert merged[1] <= plain[1]
+
+
+# (n, m, bound) -> the longest l_max at which naive_find_adequate
+# answers within about a tenth of a second: one and two rows find their
+# patterns at l = 1 and 3, three rows mod 2 at l = 7, the rest find none
+_FIND_REGIONS = {(n, m, None): 9 for n in (1, 2) for m in range(2, 8)}
+_FIND_REGIONS.update({
+    (1, 0, 1): 9, (2, 0, 1): 9, (3, 2, None): 9, (3, 3, None): 5,
+    (3, 4, None): 5, (3, 5, None): 4, (3, 6, None): 4, (3, 7, None): 3,
+    (3, 0, 1): 5, (4, 2, None): 6, (4, 3, None): 4, (4, 4, None): 4,
+    (4, 5, None): 3, (4, 6, None): 3, (4, 7, None): 3, (4, 0, 1): 4})
+_naive_find = functools.cache(naive_find_adequate)
+
+
+@functools.cache
+def _one_length_per_pass(n, m, bound, l_max):
+    with mock.patch.object(patterns, "_WINDOW", 1):
+        return search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+
+
+@given(region=st.sampled_from(sorted(_FIND_REGIONS, key=str)),
+       l_max=st.integers(1, 9), known=st.integers(1, 12),
+       cap=st.none() | st.integers(0, 3000))
+# the shortest pattern, at l = 3 and 7, at the top, the middle and the
+# bottom of its window
+@example(region=(2, 3, None), l_max=9, known=3, cap=None)
+@example(region=(2, 3, None), l_max=9, known=4, cap=None)
+@example(region=(2, 3, None), l_max=9, known=5, cap=None)
+@example(region=(3, 2, None), l_max=9, known=7, cap=None)
+@example(region=(3, 2, None), l_max=9, known=8, cap=None)
+@example(region=(3, 2, None), l_max=9, known=9, cap=None)
+@settings(max_examples=80, deadline=None)
+def test_windows_anywhere_keep_status_and_witness(region, l_max, known, cap):
+    # the windows are aligned by the length _known_length gives; any
+    # length in its place only moves window edges, so the status is the
+    # generate-and-test oracle's, the witness as short as its, and the
+    # witness bytes those of a search of one length per pass
+    n, m, bound = region
+    l_max = min(l_max, _FIND_REGIONS[region])
+    with mock.patch.object(patterns, "_known_length", lambda n, m: known):
+        out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound,
+                                  node_cap=cap))
+    if out.status == "inconclusive":
+        assert out.nodes == cap + 1
+        return
+    assert cap is None or out.nodes <= cap
+    naive = _naive_find(n, m, l_max, bound)
+    assert out.status == ("found" if naive else "exhausted")
+    if naive:
+        assert out.pattern.l == naive.l
+        assert canonical_json(out.pattern.jsonable()) == canonical_json(
+            _one_length_per_pass(n, m, bound, l_max).pattern.jsonable())
+
+
+@pytest.mark.parametrize("n,m,known,l_maxes", [
+    (3, 4, 7, range(7, 13)), (3, 6, 7, range(7, 13)), (2, 5, 3, range(3, 13))],
+    ids=["3-4", "3-6", "2-5"])
+def test_nodes_do_not_depend_on_l_max_past_a_known_length(n, m, known,
+                                                          l_maxes):
+    # the windows end at the length where a pattern is known to exist,
+    # whatever l_max lies past it, so the search walks the same nodes
+    assert patterns._known_length(n, m) == known
+    outs = {l_max: search(SearchConfig(n=n, m=m, l_max=l_max))
+            for l_max in l_maxes}
+    assert len({(out.status, out.nodes, out.pattern)
+                for out in outs.values()}) == 1
+    assert outs[known].pattern.l == known
 
 
 @functools.cache
@@ -492,19 +613,22 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
     # down must be memo_key's.  Every key it stores is the memo_key of a
     # child it descended into, of the child's own progress when tied and
     # of the least row-permutation image of it when untied, computed
-    # from the chosen columns alone
+    # from the chosen columns alone, and it maps to a nonzero bitmask of
+    # r that lengths of the window reach from the child's depth
     engines = []
 
-    class Recorded(patterns._LengthSearch):
+    class Recorded(patterns._WindowSearch):
         def __init__(self, *args):
             super().__init__(*args)
+            self.top = self.limit
             self.children = {}
             engines.append(self)
 
-        def _dfs(self, depth, tied, images, packed_sums, sig, sig_code):
+        def _dfs(self, depth, r_lo, tied, images, packed_sums, sig,
+                 sig_code):
             columns = self.columns
             assert sig_code == columns.memo_key(0, 0, sig) >> columns.sig_shift
-            if 0 < depth < self.l:
+            if depth:
                 progress, signature, tie = _prefix_state(
                     n, m, tuple(self.chosen))
                 assert (signature, tie) == (sig, tied)
@@ -513,20 +637,23 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
                 assert images[0] == every[0]
                 assert sorted(images) == sorted(every)
                 packed = min(every) if tied == 0 else every[0]
-                state = packed | self.l - depth << columns.rest_shift
-                key = columns.memo_key(state, tied, sig)
-                self.children[key] = ((state, tied, sig),
-                                      packed != every[0])
-            return super()._dfs(depth, tied, images, packed_sums, sig,
+                key = columns.memo_key(packed, tied, sig)
+                self.children.setdefault(key, set()).add(
+                    ((packed, tied, sig), packed != every[0], depth))
+            return super()._dfs(depth, r_lo, tied, images, packed_sums, sig,
                                 sig_code)
 
-    monkeypatch.setattr(patterns, "_LengthSearch", Recorded)
+    monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
     stored = merged = 0
     for engine in engines:
-        for key in engine.memo:
-            parts, moved = engine.children[key]
+        for key, bits in engine.memo.items():
+            (parts, moved, _), *_ = engine.children[key]
             assert _decode_memo_key(engine.columns, n, key) == parts
+            # the r of a length in the window, from some depth the key
+            # was entered at
+            deepest = min(depth for *_, depth in engine.children[key])
+            assert 0 < bits < 2 << engine.top - deepest
             stored += 1
             merged += moved
     # some key is stored, and from n = 3 on some untied key is not the
@@ -567,20 +694,23 @@ def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
     (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
 def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
                                                 nodes):
-    # the packed fields are as wide as l_max needs: 13 more lengths add
+    # the packed fields are as wide as l_max needs: 15 more lengths add
     # a bit to every field, and must change no answer and no count,
-    # with the size-4 groups and past their bound; `nodes` is the count
-    # past the bound of a memo that merges no row permutation
-    key = (n, m, None, length)
-    merged = _MERGED_NODES.get(key, nodes)
-    for expected in (_SIZE_FOUR_NODES.get(key, merged), merged):
-        exact = search(SearchConfig(n=n, m=m, l_max=length))
-        wide = search(SearchConfig(n=n, m=m, l_max=length + 13))
-        assert (exact.status, exact.pattern.l, exact.nodes) == (
-            "found", length, expected)
-        assert (wide.status, wide.pattern, wide.nodes) == (
-            exact.status, exact.pattern, exact.nodes)
-        _past_size_four(monkeypatch, n, m, None)
+    # with the size-4 groups and past their bound, one length per pass
+    # and three; 15 is a multiple of both, so no window edge moves.
+    # `nodes` is the count one length per pass past the bound of a
+    # memo that merges no row permutation.
+    for window, counts in _pinned_counts((n, m, None, length), nodes).items():
+        monkeypatch.setattr(patterns, "_WINDOW", window)
+        for past, expected in zip((False, True), counts):
+            _past_size_four(monkeypatch, n, m, None, past)
+            exact = search(SearchConfig(n=n, m=m, l_max=length))
+            wide = search(SearchConfig(n=n, m=m, l_max=length + 15))
+            assert (exact.status, exact.pattern.l, exact.nodes) == (
+                "found", length, expected)
+            assert (wide.status, wide.pattern, wide.nodes) == (
+                exact.status, exact.pattern, exact.nodes)
+    monkeypatch.setattr(patterns, "_WINDOW", 1)
     assert naive_search(n, m, length, merge_rows=False)[:2] == (
         "found", nodes)
 
@@ -589,30 +719,51 @@ _R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
 _R32 = '"region":{"n":3,"m":2,"l_min":1,"l_max":8}'
 _P32 = ('"pattern":{"n":3,"m":2,"l":7,"rows":[[0,0,0,1,1,1,1],'
         '[0,1,1,0,0,1,1],[1,0,1,0,1,0,1]]}')
+_R34 = '"region":{"n":3,"m":4,"l_min":1,"l_max":9}'
+_P34 = ('"pattern":{"n":3,"m":4,"l":7,"rows":[[0,0,0,2,2,2,2],'
+        '[0,2,2,0,0,2,2],[2,0,2,0,2,0,2]]}')
 
 
-def _capped(n, m, l_max, cap, expected):
+def _cap_outcome(cap, nodes, status, region, pattern=None):
+    """The bytes of a run capped at `cap` of a region that ends `status`
+    after `nodes` nodes."""
+    if cap < nodes:
+        return '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, region)
+    return '{"status":"%s","nodes":%d,%s}' % (
+        status, nodes, region if pattern is None else region + "," + pattern)
+
+
+def _capped(n, m, l_max, cap, outcomes):
+    """A case of test_node_cap_outcomes: per window, (nodes, status,
+    region bytes[, pattern bytes]) of the region run to its end."""
+    expected = {window: _cap_outcome(cap, *outcome)
+                for window, outcome in outcomes.items()}
     return pytest.param(n, m, l_max, cap, expected,
                         id=f"{n}-{m}-{l_max}-{cap}")
 
 
 @pytest.mark.parametrize("n,m,l_max,cap,expected", [
-    _capped(3, 3, 10, cap,
-            '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, _R33))
-    for cap in (0, 1, 2, 5, 17, 100, 3895)] + [
-    # the region is exhausted after 3,896 nodes
-    _capped(3, 3, 10, cap, '{"status":"exhausted","nodes":3896,%s}' % _R33)
-    for cap in (3896, 5000)] + [
-    _capped(3, 2, 8, cap,
-            '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, _R32))
-    for cap in (0, 1, 2, 5, 17)] + [
-    _capped(3, 2, 8, cap, '{"status":"found","nodes":28,%s,%s}' % (_R32, _P32))
-    for cap in (100, 5000)])
-def test_node_cap_outcomes(n, m, l_max, cap, expected):
+    # the region is exhausted after 3,896 nodes one length per pass, and
+    # after 1,973 three per pass
+    _capped(3, 3, 10, cap, {1: (3896, "exhausted", _R33),
+                            3: (1973, "exhausted", _R33)})
+    for cap in (0, 1, 2, 5, 17, 100, 1972, 1973, 3895, 3896, 5000)] + [
+    _capped(3, 2, 8, cap, {1: (28, "found", _R32, _P32),
+                           3: (28, "found", _R32, _P32)})
+    for cap in (0, 1, 2, 5, 17, 100, 5000)] + [
+    # three per pass, the witness is recorded at 1,176 nodes, and the
+    # pass spends 1,204 more proving l = 5 and 6 empty; a cap in between
+    # leaves them unproved, so the run is inconclusive
+    _capped(3, 4, 9, cap, {1: (4346, "found", _R34, _P34),
+                           3: (2380, "found", _R34, _P34)})
+    for cap in (1176, 2379, 2380)])
+def test_node_cap_outcomes(monkeypatch, n, m, l_max, cap, expected):
     # outputs measured when every candidate column was spent one by one;
     # the search now spends the columns that fail the signature in chunks
-    out = search(SearchConfig(n=n, m=m, l_max=l_max, node_cap=cap))
-    assert canonical_json(out.jsonable()) == expected
+    for window, outcome in expected.items():
+        monkeypatch.setattr(patterns, "_WINDOW", window)
+        out = search(SearchConfig(n=n, m=m, l_max=l_max, node_cap=cap))
+        assert canonical_json(out.jsonable()) == outcome
 
 
 def _groups_under_the_cap(n, m, bound):
@@ -631,7 +782,8 @@ _counting_groups = functools.cache(_groups_under_the_cap)
 def _engine(n, m, bound=None, l=12):
     """One length-l engine per region, kept across examples: building
     the tables of (4, 4) takes a good part of a second."""
-    return patterns._LengthSearch(n, m, l, patterns._Columns(n, m, bound, l),
+    return patterns._WindowSearch(n, m, l, l,
+                                  patterns._Columns(n, m, bound, l),
                                   patterns._NodeBudget(None))
 
 
@@ -687,6 +839,32 @@ def test_size_four_candidates_only_within_the_table_cap(monkeypatch, n, m,
     patterns._constraint_groups(n, profiles)
     assert evaluated == {size: math.comb(n_masks, size)
                          for size in (2, 3, 4) if size < 4 or size_four}
+
+
+@pytest.mark.parametrize("n,m,size_three", [
+    (4, 7, True), (6, 2, True), (6, 3, False), (7, 2, False)])
+def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m,
+                                                     size_three):
+    # sets of 3 row subsets are tried only while their number times the
+    # columns stays within _TABLE_CAP << 7: (4, 7) at 1.1M and (6, 2) at
+    # 2.5M keep them (and (5, 5) at 14.0M), (6, 3) at 28.9M and (7, 2) at
+    # 42.3M try none (nor (8, 2) at 696M), and no set of 4 either
+    profiles = [patterns._column_profile(c, m)
+                for c in patterns._column_alphabet(n, m, None)]
+    n_masks = (1 << n) - 1
+    assert (math.comb(n_masks, 3) * len(profiles)
+            <= patterns._TABLE_CAP << 7) == size_three
+    evaluated = collections.Counter()
+
+    def combinations(masks, size):
+        for combo in itertools.combinations(masks, size):
+            evaluated[size] += 1
+            yield combo
+    monkeypatch.setattr(patterns, "itertools", types.SimpleNamespace(
+        combinations=combinations))
+    patterns._constraint_groups(n, profiles)
+    assert evaluated == {size: math.comb(n_masks, size)
+                         for size in (2, 3) if size < 3 or size_three}
 
 
 def _simplex(n, scale):
@@ -799,7 +977,7 @@ def test_feasible_at_the_field_width_bound(monkeypatch, fields, r):
         progress, r, _counting_groups(3, 3, None))
     _past_size_four(monkeypatch, 3, 3, None)
     columns = patterns._Columns(3, 3, None, 19)
-    engine = patterns._LengthSearch(3, 3, 19, columns,
+    engine = patterns._WindowSearch(3, 3, 19, 19, columns,
                                     patterns._NodeBudget(None))
     assert _feasible_on(engine, progress, r) == naive_feasible(
         progress, r, _groups_under_the_cap(3, 3, None))
@@ -825,7 +1003,7 @@ def test_congruence_scan_applies_the_packed_test_at_each_k():
     columns = patterns._Columns(2, 2, None, 4)
     columns.split_groups(groups, 4)
     assert (len(columns.groups), len(columns.lower_only)) == (1, 1)
-    engine = patterns._LengthSearch(2, 2, 4, columns,
+    engine = patterns._WindowSearch(2, 2, 4, 4, columns,
                                     patterns._NodeBudget(None))
     progress = [0, 0, 1, 0]
     assert naive_feasible(progress, 2, groups) is False
@@ -840,14 +1018,15 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
     calls = []
     groups = _counting_groups(n, m, bound)
 
-    class Checked(patterns._LengthSearch):
+    class Checked(patterns._WindowSearch):
         def _feasible(self, r, packed_sums, k_lo):
             # the live progress is the state the call asks about: the
-            # empty one at the root, else the chosen prefix plus the
-            # column under test; G and k_lo are carried, not recomputed
+            # empty one at the root (every column hits some subset),
+            # else the chosen prefix plus the column under test; G and
+            # k_lo are carried, not recomputed
             p = list(self.progress)
-            if r == self.l:
-                assert not self.chosen and not any(p)
+            if not any(p):
+                assert not self.chosen and self.lo <= r <= self.limit
             else:
                 _assert_child_of_prefix(self, p)
             assert packed_sums == sum(map(operator.mul, p,
@@ -860,7 +1039,7 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
 
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
     plain = search(cfg)
-    monkeypatch.setattr(patterns, "_LengthSearch", Checked)
+    monkeypatch.setattr(patterns, "_WindowSearch", Checked)
     assert search(cfg) == plain
     assert len(calls) > 0
 
@@ -892,7 +1071,7 @@ class _CheckedTable(dict):
     """A region's fitting-column table that checks every entry it stores
     or returns against a direct scan of the options its key names (tie
     mask -1: the depth-0 options), in the state computed from the
-    columns the engine of the current length has chosen."""
+    columns the engine of the current window has chosen."""
 
     def __init__(self):
         super().__init__()
@@ -929,10 +1108,10 @@ class _CheckedTable(dict):
 def test_fitting_table_matches_a_direct_scan(monkeypatch, n, m, bound, l_max):
     tables = []
 
-    class Checked(patterns._LengthSearch):
-        def __init__(self, n, m, l, columns, budget):
-            super().__init__(n, m, l, columns, budget)
-            # one table per region, shared by its lengths
+    class Checked(patterns._WindowSearch):
+        def __init__(self, n, m, lo, hi, columns, budget):
+            super().__init__(n, m, lo, hi, columns, budget)
+            # one table per region, shared by its windows
             if not isinstance(columns.fitting, _CheckedTable):
                 assert not columns.fitting
                 columns.fitting = _CheckedTable()
@@ -941,7 +1120,7 @@ def test_fitting_table_matches_a_direct_scan(monkeypatch, n, m, bound, l_max):
 
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
     plain = search(cfg)
-    monkeypatch.setattr(patterns, "_LengthSearch", Checked)
+    monkeypatch.setattr(patterns, "_WindowSearch", Checked)
     assert search(cfg) == plain
     assert len(tables) == 1 and len(tables[0]) > 0
     if plain.nodes > 1000:
