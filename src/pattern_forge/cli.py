@@ -16,7 +16,9 @@ call pays only for those: ``--version`` loads no group arithmetic,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 from . import __version__
@@ -302,5 +304,29 @@ def main(argv=None) -> int:
         return EXIT_SOFTWARE
 
 
+def run() -> int:
+    """The process entry: `main()` on sys.argv, then `gc.freeze()`, also
+    when `main()` raises SystemExit.  The collections interpreter
+    shutdown runs then skip every object alive, which the OS reclaims at
+    exit anyway.  `main()` itself leaves the collector alone, since
+    tests and scripts call it in process.
+
+    stdout is flushed here, so that a reader that closed early exits 70
+    whether stdout is buffered or not, rather than with the run's code
+    and then Python's 120 from a failed flush at exit."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten bytes go to devnull, where exit can flush them
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("pattern-forge: stdout closed before the result was written",
+              file=sys.stderr)
+        code = EXIT_SOFTWARE
+    finally:
+        gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -121,6 +121,8 @@ class BranchSetDomain:
         return a.symmetric_difference(b)
 
     def __init__(self, kappa: int, max_size: int):
+        if kappa < 0:
+            raise PreconditionError(f"need kappa >= 0, got {kappa}")
         self.kappa = kappa
         self.max_size = max_size
 
@@ -270,6 +272,8 @@ def find_monochromatic_fs(colouring_id: str, domain, n: int,
     domain of more than REGION_CAP points before it is built."""
     if n < 1:
         raise PreconditionError(f"need n >= 1, got {n}")
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"need budget >= 0, got {budget}")
     colour = _resolve_for_domain(colouring_id, domain)
     check_region(domain.size())
     points = domain.points()
@@ -277,7 +281,7 @@ def find_monochromatic_fs(colouring_id: str, domain, n: int,
     col = _cached(key_colour)
     desc = {"colouring": colouring_id, "n": n, **domain.describe()}
     total = math.comb(len(points), n)
-    limit = total if budget is None else max(0, min(budget, total))
+    limit = total if budget is None else min(budget, total)
 
     classes: dict = {}
     for i, x in enumerate(keys):
@@ -388,6 +392,8 @@ def no_seven_norms(dim: int, bound: int,
     of one squared norm goes through `first_in_class`.
     `enumerated` counts triples bucket by bucket (ascending norm, lex
     inside a bucket)."""
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"need budget >= 0, got {budget}")
     desc = {"dim": dim, "bound": bound}
     check_region(2 * bound + 1, dim)
     vectors = list(itertools.product(range(-bound, bound + 1), repeat=dim))
@@ -407,8 +413,7 @@ def no_seven_norms(dim: int, bound: int,
         # a bucket of fewer than three vectors, such as {0}, has an empty
         # region and passes through
         region = math.comb(len(members), 3)
-        limit = region if budget is None else max(
-            0, min(region, budget - examined))
+        limit = region if budget is None else min(region, budget - examined)
         hit = first_in_class(list(range(len(members))), 3, members, vadd,
                              sq, r, len(members), limit)
         if hit is not None:

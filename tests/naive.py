@@ -93,11 +93,34 @@ def naive_feasible(progress, r, groups):
     return False
 
 
-def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None):
+def _columns(n, m, bound):
+    """The nonzero columns in lex order, and each one's (mask, value)
+    list of the row subsets it gives a nonzero sum."""
+    entries = range(m) if m else range(-bound, bound + 1)
+    columns = [c for c in itertools.product(entries, repeat=n) if any(c)]
+    hits = {}
+    for c in columns:
+        sums = [(mask, sum(c[i] for i in range(n) if mask >> i & 1))
+                for mask in range(1, 1 << n)]
+        hits[c] = [(mask, v % m if m else v) for mask, v in sums
+                   if (v % m if m else v)]
+    return columns, hits
+
+
+def naive_groups(n, m, bound=None):
+    """_constraint_groups' list of counting groups (masks, lo, hi, g)
+    for the region, read at call time."""
+    columns, hits = _columns(n, m, bound)
+    return _constraint_groups(n, [hits[c] for c in columns])
+
+
+def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
+                 groups=None):
     """(status, nodes, pattern or None) of the canonical-pattern search
     by plain recursion: the columns in lex order, a per-mask progress
-    list, a tuple signature, naive_feasible over _constraint_groups'
-    list and a dict from tuple memo keys to the set of r proved
+    list, a tuple signature, naive_feasible over `groups` (by default
+    _constraint_groups' list for the region, as naive_groups gives it)
+    and a dict from tuple memo keys to the set of r proved
     exhausted, stopped from taking new keys at memo_cap per pass.  Every
     candidate column counts as a node, as in `search`.  With merge_rows
     an untied state's key holds the least of its progress tuple's
@@ -113,16 +136,10 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None):
     below its own, and a node stops, counting nothing more, once its
     children have no r left."""
     window = patterns._WINDOW
-    entries = range(m) if m else range(-bound, bound + 1)
     masks = range(1, 1 << n)
-    columns = [c for c in itertools.product(entries, repeat=n) if any(c)]
-    hits = {}
-    for c in columns:
-        sums = [(mask, sum(c[i] for i in range(n) if mask >> i & 1))
-                for mask in masks]
-        hits[c] = [(mask, v % m if m else v) for mask, v in sums
-                   if (v % m if m else v)]
-    groups = _constraint_groups(n, [hits[c] for c in columns])
+    columns, hits = _columns(n, m, bound)
+    if groups is None:
+        groups = _constraint_groups(n, [hits[c] for c in columns])
     perms = list(itertools.permutations(range(n)))
     if not merge_rows or n > 4:
         perms = perms[:1]

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import gc
 import importlib
 import io
 import itertools
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pattern_forge
-from pattern_forge.cli import CLAIM_FLAGS, main
+from pattern_forge.cli import CLAIM_FLAGS, main, run as run_process
 from pattern_forge.verify import no_seven_norms
 
 
@@ -435,6 +437,29 @@ def test_verify_thm23_index_outside_basis_is_usage_error(
     assert "generator range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--claim", "thm4.1", "--kappa", "4", "--max-set", "3", "--budget", "-5"],
+    ["--claim", "lemma3.1", "--dim", "2", "--bound", "2", "--budget", "-1"],
+    ["--claim", "thm3.2", "--dim", "3", "--bound", "2", "--n", "3",
+     "--budget", "-1"]], ids=["thm4.1", "lemma3.1", "thm3.2"])
+def test_verify_negative_budget_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (64, "")
+    assert "budget >= 0" in err
+    # a budget of 0 is a scan that examines nothing
+    argv[-1] = "0"
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 2
+    assert json.loads(out)["enumerated"] == 0
+
+
+def test_verify_negative_kappa_names_kappa(capsys):
+    code, out, err = run(capsys, "verify", "--claim", "thm4.1",
+                         "--kappa", "-1", "--max-set", "3")
+    assert (code, out) == (64, "")
+    assert err == "pattern-forge: need kappa >= 0, got -1\n"
+
+
 def test_unwritable_out_file_leaves_stdout_empty(tmp_path, capsys):
     code, out, _ = run(capsys, "search", "--n", "2", "--m", "3",
                        "--l-max", "3", "--out",
@@ -805,6 +830,109 @@ def test_star_import_of_every_module_with_all():
             exec(f"from pattern_forge.{info.name} import *", {})
             checked.add(info.name)
     assert {"colourings", "patterns", "verify"} <= checked
+
+
+# -- process entry -----------------------------------------------------------
+
+# the argv of each workload BENCHMARK.json gates, as perfbench/run.py
+# passes it to `python -m pattern_forge.cli`
+_GATED = {
+    "search-n3-m3": ["search", "--n", "3", "--m", "3", "--l-max", "19"],
+    "fs-sum-squares": ["verify", "--claim", "thm3.2", "--dim", "3",
+                       "--bound", "2", "--n", "3"],
+}
+
+
+def _child(argv, **kwargs):
+    env = kwargs.pop("env", dict(os.environ, PYTHONPATH=_SRC))
+    return subprocess.run([sys.executable, "-m", "pattern_forge.cli", *argv],
+                          env=env, timeout=60, **kwargs)
+
+
+def test_gated_argv_lists_are_the_benchmark_workloads():
+    bench = json.loads((Path(_SRC).parent / "BENCHMARK.json").read_text())
+    assert sorted(w["name"] for w in bench["workloads"]) == sorted(_GATED)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "3", "--m", "3", "--l-max", "8"],
+    ["verify", "--claim", "thm4.1", "--kappa", "2", "--max-set", "2"],
+    ["--version"], ["search", "--bogus"]],
+    ids=["search", "verify", "version", "usage"])
+def test_main_leaves_the_collector_alone(capsys, argv):
+    # tests and scripts call main() in process: only run() freezes
+    before = gc.get_freeze_count()
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--claim", "thm4.1", "--kappa", "2", "--max-set", "2"], 0),
+    (["verify", "--claim", "thm4.1", "--kappa", "-1", "--max-set", "2"], 64),
+    (["--version"], 0), (["search", "--bogus"], 64)],
+    ids=["verify", "refused", "version", "usage"])
+def test_run_freezes_once_after_main_however_it_ends(monkeypatch, capsys,
+                                                     argv, code):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(1))
+    monkeypatch.setattr(sys, "argv", ["pattern-forge", *argv])
+    try:
+        got = run_process()
+    except SystemExit as exc:
+        got = exc.code
+    capsys.readouterr()
+    assert (got, frozen) == (code, [1])
+
+
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_child_writes_the_bytes_of_in_process_main(tmp_path, capsys, name):
+    path = tmp_path / "result.json"
+    argv = [*_GATED[name], "--out", str(path)]
+    code, out, _ = run(capsys, *argv)
+    written = path.read_bytes()
+    path.unlink()
+    proc = _child(argv, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (code, out.encode()), proc.stderr
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_closed_stdout_exits_70(name, buffered):
+    # the result cannot be delivered: neither its own code nor Python's
+    # 120 for a flush that fails at exit
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _child(_GATED[name], env=env, stdout=write_end,
+                      stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 70, proc.stderr
+
+
+def test_installed_command_is_the_process_entry():
+    # an installed pattern-forge runs the function `python -m
+    # pattern_forge.cli` runs, so both freeze before exit
+    pyproject = (Path(_SRC).parent / "pyproject.toml").read_text()
+    target, = [line.split("=", 1)[1].strip().strip('"')
+               for line in pyproject.splitlines()
+               if line.startswith("pattern-forge =")]
+    assert target == "pattern_forge.cli:run"
+    module, _, name = target.partition(":")
+    source = Path(importlib.import_module(module).__file__).read_text()
+    block, = [node for node in ast.parse(source).body
+              if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(line) for line in block.body] == [
+        f"sys.exit({name}())"]
 
 
 # -- argv fuzzing ------------------------------------------------------------

@@ -19,7 +19,8 @@ from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, search)
 from pattern_forge.tokens import ColourToken, canonical_json
 
-from naive import naive_feasible, naive_find_adequate, naive_search
+from naive import (naive_feasible, naive_find_adequate, naive_groups,
+                   naive_search)
 
 
 # -- pattern construction ------------------------------------------------------
@@ -466,6 +467,31 @@ def test_naive_search_reproduces_the_pinned_counts(monkeypatch, n, m, bound,
         assert (status, nodes) == (out.status, out.nodes)
         assert (canonical_json(pattern.jsonable()) if pattern else None) == (
             canonical_json(out.pattern.jsonable()) if out.pattern else None)
+
+
+# the pinned regions for the naive engine with the groups of sizes 2-3
+# alone, which leaves out (4, 2, None, 16): there the engine walks
+# 249,066 nodes, not 7,603, in about 13 s
+_SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
+                               for n, m, bound, l_max, cap, _ in _PINNED_REGIONS
+                               if (n, m, l_max) != (4, 2, 16)}, key=str)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max,cap", _SMALL_GROUP_REGIONS)
+def test_groups_of_sizes_two_and_three_keep_the_outcome(n, m, bound, l_max,
+                                                        cap):
+    # dropping a counting group only cuts less, so the groups of 2 or 3
+    # row subsets alone (without the size-4 groups, and for n >= 3
+    # without the group of all subsets) give the full list's status and
+    # witness; only the nodes walked may grow
+    full = naive_groups(n, m, bound)
+    small = [g for g in full if 2 <= len(g[0]) <= 3]
+    with_full = naive_search(n, m, l_max, bound, memo_cap=cap, groups=full)
+    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small)
+    assert with_small[0] == with_full[0]
+    assert (canonical_json(with_small[2].jsonable()) if with_small[2]
+            else None) == (canonical_json(with_full[2].jsonable())
+                           if with_full[2] else None)
 
 
 @given(st.data())

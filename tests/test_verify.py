@@ -98,6 +98,28 @@ def test_fs_budget_gives_inconclusive():
     assert cert.enumerated == 10
 
 
+# a budget below 0 is a bad input, not an empty scan: it is refused, as
+# SearchConfig refuses a node_cap below 0
+@pytest.mark.parametrize("call", [
+    lambda: find_monochromatic_fs(
+        "sum_squares", GroupDomain(GroupSpec.integer_box(2, 3)), 3,
+        budget=-1),
+    lambda: find_monochromatic_fs("delta", BranchSetDomain(4, 3), 2,
+                                  budget=-5),
+    lambda: no_seven_norms(3, 3, budget=-3)],
+    ids=["thm3.2", "thm4.1", "lemma3.1"])
+def test_negative_budget_is_refused(call):
+    with pytest.raises(PreconditionError, match="budget >= 0, got -"):
+        call()
+
+
+def test_branch_set_domain_refuses_a_negative_kappa():
+    # not Python's "negative shift count" from 1 << kappa in size()
+    with pytest.raises(PreconditionError, match="kappa >= 0, got -1"):
+        BranchSetDomain(-1, 3)
+    assert BranchSetDomain(0, 3).size() == 2
+
+
 def test_fs_sum_squares_no_monochromatic_triples_in_small_box():
     # complete enumeration; the pair case just above shows n=2 differs
     domain = GroupDomain(GroupSpec.integer_box(2, 3))
@@ -411,8 +433,7 @@ def test_no_seven_norms_rechecks_its_witness(monkeypatch, hit):
     (3, 4, None, "verified", 126_960), (4, 2, None, "verified", 545_872),
     (3, 3, 0, "inconclusive", 0), (3, 3, 5, "inconclusive", 5),
     (3, 3, 38_415, "inconclusive", 38_415),
-    (3, 3, 38_416, "verified", 38_416), (3, 3, 38_417, "verified", 38_416),
-    (3, 3, -3, "inconclusive", 0)])
+    (3, 3, 38_416, "verified", 38_416), (3, 3, 38_417, "verified", 38_416)])
 def test_no_seven_norms_certificates(dim, bound, budget, status, enumerated):
     cert = no_seven_norms(dim, bound, budget=budget)
     assert canonical_json(cert.jsonable()) == json.dumps(
