@@ -57,6 +57,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # argparse drops an OSError here, so --version or --help would exit
+    # 0 into a closed stdout; raised, it makes run() exit 70
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        print(message, end="", file=file, flush=True)
+
 
 def _emit(args, result: dict, nodes: int) -> None:
     # the file goes first: if writing it fails, stdout stays empty
@@ -292,8 +299,6 @@ def main(argv=None) -> int:
                 "colour": cmd_colour}
     try:
         return handlers[args.command](parser, args)
-    except SystemExit:
-        raise
     except (ValueError, KeyError) as exc:
         print(f"pattern-forge: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -236,11 +236,13 @@ _WINDOW = 3
 # (2^7 times as many sets of 3)
 _TABLE_CAP = 1 << 17
 
+# a packed progress field is one byte, so no length passes _LONGEST
+_FIELD, _LONGEST = 8, 255
+
 
 def _fitting(options, need) -> list:
     """The options that fit a state, in lex order, as (position in
-    options, column, profile, next tie mask, step images, lower step,
-    ext).
+    options, column, next tie mask, step images, lower step, ext).
 
     need[mask] is the signature entry the next hit on `mask` must
     produce, or 0 where that hit extends the signature (entries are
@@ -261,7 +263,7 @@ def _fitting(options, need) -> list:
             elif ext != v:
                 break
         else:
-            fitting.append((pos, c, hits, next_tied, steps, lower_step, ext))
+            fitting.append((pos, c, next_tied, steps, lower_step, ext))
     return fitting
 
 
@@ -311,19 +313,16 @@ class _Columns:
         alphabet = _column_alphabet(n, m, entry_bound)
         profiles = [_column_profile(c, m) for c in alphabet]
         self.n_masks = n_masks = (1 << n) - 1
-        # a progress field never exceeds l <= l_max, so it fits in
-        # `width` bits; field `mask` of a packed progress vector sits at
-        # bit width*mask, and a feasibility key puts r above the last one
-        self.width = width = l_max.bit_length()
-        self.rest_shift = width * (n_masks + 1)
+        # field `mask` of a packed progress is its byte `mask`, as no
+        # field passes l <= _LONGEST; a feasibility key puts r above them
+        self.rest_shift = _FIELD * (n_masks + 1)
         # a 1 in every field: a vector with all fields at k packs to k*ones
-        self.ones = sum(1 << width * mask for mask in range(1, n_masks + 1))
+        self.ones = sum(1 << _FIELD * mask for mask in range(1, n_masks + 1))
         # a memo key (see memo_key) puts the tie mask above the last
         # field, and the signature code above the tie mask.
         # Entries are nonzero residues, or at m = 0 sums of at most n
         # entries in [-b, b].
-        self.tie_shift = self.rest_shift
-        self.sig_shift = self.tie_shift + n - 1
+        self.sig_shift = self.rest_shift + n - 1
         if m:
             self.sig_base, self.sig_offset = m, 0
         else:
@@ -333,7 +332,7 @@ class _Columns:
         lower_sums = self.lower_sums
         # the packed steps of each column: 1 into the progress field, and
         # lower_sums[mask] into the packed group sums G, per hit mask
-        step = {c: sum(1 << width * mask for mask, _ in hits)
+        step = {c: sum(1 << _FIELD * mask for mask, _ in hits)
                 for c, hits in zip(alphabet, profiles)}
         lower_step = {c: sum(lower_sums[mask] for mask, _ in hits)
                       for c, hits in zip(alphabet, profiles)}
@@ -387,7 +386,7 @@ class _Columns:
         code = 1
         for e in sig:
             code = code * self.sig_base + e + self.sig_offset
-        return state | tied << self.tie_shift | code << self.sig_shift
+        return state | tied << self.rest_shift | code << self.sig_shift
 
     def split_groups(self, groups, l_max: int) -> None:
         """Split the counting groups (masks, lo, hi, g) into those
@@ -466,8 +465,8 @@ class _WindowSearch:
     _Columns) of every length in a window [lo, hi], which returns the
     lex-first canonical pattern of the least length in the window that
     has one.  It holds what one pass needs: the memo of exhausted
-    states, the feasibility answers, the live progress vector, the
-    chosen columns and `limit`, the longest length still sought.
+    states, the feasibility answers, the chosen columns and `limit`, the
+    longest length still sought.
 
     A node at depth d is alive for a range of r, the columns still to
     add: from the least r its column passed _feasible for up to
@@ -501,8 +500,6 @@ class _WindowSearch:
         self.columns = columns
         self.budget = budget
         columns.grow_to(hi)
-        # index by mask, slot 0 unused; the fields of `packed` (see _dfs)
-        self.progress = [0] * (columns.n_masks + 1)
         self.chosen: list = []
         self.memo: dict = {}
         # _feasible(r, ...) reads only r, the progress vector and the
@@ -511,10 +508,12 @@ class _WindowSearch:
         self.feasible_cache: dict = {}
         self.result: Optional[Pattern] = None
 
-    def _feasible(self, r: int, packed_sums: int, k_lo: int) -> bool:
-        """Can the current state be completed with r more columns?
+    def _feasible(self, r: int, p: bytes, packed_sums: int,
+                  k_lo: int) -> bool:
+        """Can a state of progress p be completed with r more columns?
 
-        `packed_sums` is G below, and k_lo is max(1, max p): the
+        p[mask] is the progress of `mask` (p[0] = 0), the packed progress
+        as bytes; `packed_sums` is G below, and k_lo is max(1, max p): the
         signature length, as no progress field passes it and the last
         entry came from a field that reached it (1 at the root).
 
@@ -536,7 +535,6 @@ class _WindowSearch:
         starts at the first k that does.  As max p <= k <= min p + r and
         |T|*max p >= S >= |T|*min p, a field holds a value in [-r*lo,
         r*(|T| - lo)], within l*|T| of 0 whatever the progress."""
-        p = self.progress
         columns = self.columns
         k_hi = min(p[1:]) + r
         if k_lo > k_hi:
@@ -576,7 +574,7 @@ class _WindowSearch:
         # the root is alive from the least length its empty progress
         # vector passes _feasible for
         for r in range(self.lo, self.limit + 1):
-            if self._feasible(r, 0, 1):
+            if self._feasible(r, bytes(self.columns.n_masks + 1), 0, 1):
                 # before the first column every adjacent pair of rows
                 # is tied
                 return self._dfs(0, r, (1 << (self.n - 1)) - 1,
@@ -586,14 +584,13 @@ class _WindowSearch:
     def _dfs(self, depth: int, r_lo: int, tied: int, images: tuple,
              packed_sums: int, sig: tuple, sig_code: int) -> int:
         """The node is alive for r from `r_lo` up to self.limit - depth
-        (see the class docstring).  `images` holds self.progress packed
-        into one integer under each row permutation of _Columns,
+        (see the class docstring).  `images` holds the progress vector
+        packed into one integer under each row permutation of _Columns,
         identity first, `packed_sums` is the G of _feasible, `sig` the
         signature and `sig_code` its code in the memo key (see
         _Columns.memo_key).  Returns _ABORTED past the node cap, else
         _EXHAUSTED, a find included: self.result and self.limit tell."""
         columns = self.columns
-        p = self.progress
         packed = images[0]
         if not r_lo:
             # every field equal means every field at len(sig); a pair
@@ -607,7 +604,9 @@ class _WindowSearch:
 
         # no field exceeds len(sig), and a mask at len(sig) extends the
         # signature: it reads the 0 appended here.  need[0] is unused.
-        need = tuple(map((sig + (0,)).__getitem__, p))
+        size = columns.n_masks + 1
+        need = tuple(map((sig + (0,)).__getitem__,
+                         packed.to_bytes(size, "little")))
         table_key = (tied if depth else -1, need)
         table = columns.fitting
         entry = table.get(table_key)
@@ -626,7 +625,6 @@ class _WindowSearch:
         wanted = (2 << hi) - (1 << lo)
         rest_shift = columns.rest_shift
         lo_field = lo << rest_shift
-        tie_shift = columns.tie_shift
         sig_shift = columns.sig_shift
         # the child's code is sig_code, or this plus the entry it appends
         extended_code = sig_code * columns.sig_base + columns.sig_offset
@@ -638,7 +636,7 @@ class _WindowSearch:
         # every option counts as a node, fitting or not: the ones that
         # fail the signature are spent in one chunk with the next fit
         tried = 0
-        for pos, c, hits, next_tied, steps, lower_step, ext in fitting:
+        for pos, c, next_tied, steps, lower_step, ext in fitting:
             budget.used += pos + 1 - tried
             tried = pos + 1
             if budget.used > budget.cap:
@@ -665,18 +663,17 @@ class _WindowSearch:
             # at most that here, so a hit now is a hit then.
             done = 0
             if hi:
-                key = ((child | next_tied << tie_shift if next_tied
+                key = ((child | next_tied << rest_shift if next_tied
                         else min(child_images))
                        | child_code << sig_shift)
                 done = memo.get(key, 0)
                 if not (wanted >> r << r) & ~done:
                     continue
             child_sums = packed_sums + lower_step
-            for mask, _ in hits:
-                p[mask] += 1
             k_lo = sig_len if ext is None else sig_len + 1
             while feasible is None:
-                feasible = self._feasible(r, child_sums, k_lo)
+                feasible = self._feasible(r, child.to_bytes(size, "little"),
+                                          child_sums, k_lo)
                 # skipping an insert is always safe: _feasible is pure
                 if len(cache) < _CACHE_CAP:
                     cache[child | r << rest_shift] = feasible
@@ -693,10 +690,7 @@ class _WindowSearch:
                 top = self.limit - depth - 1
                 if status == _ABORTED or top < lo:
                     # aborted, or a find below left no length for this
-                    # node: undo before unwinding so callers see a
-                    # clean state, and count nothing more
-                    for mask, _ in hits:
-                        p[mask] -= 1
+                    # node: count nothing more
                     return status
                 if top < hi:
                     hi = top
@@ -705,8 +699,6 @@ class _WindowSearch:
                 # entry is still `done`; stored bits are never 0
                 if hi and (done or len(memo) < _CACHE_CAP):
                     memo[key] = done | wanted
-            for mask, _ in hits:
-                p[mask] -= 1
 
         budget.used += total - tried
         if budget.used > budget.cap:
@@ -737,8 +729,10 @@ def search(cfg: SearchConfig) -> SearchOutcome:
     exists at any length <= l_max (entries within the bound when m = 0).
     """
     budget = _NodeBudget(cfg.node_cap)
-    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound, cfg.l_max)
+    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound, min(cfg.l_max, _LONGEST))
     for lo, hi in _windows(cfg.n, cfg.m, cfg.l_max):
+        if hi > _LONGEST:
+            raise SizeLimitError(f"no search reaches past length {_LONGEST}")
         engine = _WindowSearch(cfg.n, cfg.m, lo, hi, columns, budget)
         # an abort after a find leaves shorter lengths unsearched
         if engine.run() == _ABORTED:

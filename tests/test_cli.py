@@ -115,6 +115,18 @@ def test_search_builds_per_length_tables_only_for_lengths_reached(
                 assert len(table) <= longest + 1
 
 
+def test_search_refuses_a_window_past_length_255(capsys, monkeypatch):
+    # a progress field is one byte, so a window reaching length 256 is
+    # refused before it starts, with nothing on stdout
+    from pattern_forge import patterns
+    monkeypatch.setattr(patterns, "_windows",
+                        lambda n, m, l_max: iter([(254, 256)]))
+    code, out, err = run(capsys, "search", "--n", "3", "--m", "3",
+                         "--l-max", "300")
+    assert (code, out) == (64, "")
+    assert "255" in err
+
+
 def test_search_missing_flag_is_usage_error(capsys):
     code, err = run_usage(capsys, "search", "--n", "3", "--m", "2")
     assert code == 64
@@ -898,12 +910,17 @@ def test_child_writes_the_bytes_of_in_process_main(tmp_path, capsys, name):
     assert path.read_bytes() == written
 
 
+# the gated workloads, and the calls argparse answers itself
+_CLOSED_STDOUT = {**_GATED, "version": ["--version"], "help": ["--help"]}
+
+
 @pytest.mark.parametrize("buffered", [False, True],
                          ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("name", sorted(_GATED))
+@pytest.mark.parametrize("name", sorted(_CLOSED_STDOUT))
 def test_closed_stdout_exits_70(name, buffered):
     # the result cannot be delivered: neither its own code nor Python's
-    # 120 for a flush that fails at exit
+    # 120 for a flush that fails at exit, nor the 0 of a --version or
+    # --help whose write argparse would drop
     env = dict(os.environ, PYTHONPATH=_SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
@@ -911,7 +928,7 @@ def test_closed_stdout_exits_70(name, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _child(_GATED[name], env=env, stdout=write_end,
+        proc = _child(_CLOSED_STDOUT[name], env=env, stdout=write_end,
                       stderr=subprocess.PIPE)
     finally:
         os.close(write_end)

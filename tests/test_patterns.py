@@ -278,20 +278,20 @@ def _assert_child_of_prefix(engine, progress):
 
 def _decode(columns, key):
     """The progress vector and r packed into a feasibility key."""
-    width = columns.width
+    width = patterns._FIELD
     progress = [key >> width * mask & (1 << width) - 1
                 for mask in range(columns.n_masks + 1)]
     return progress, key >> columns.rest_shift
 
 
 def _feasible_on(engine, progress, r):
-    """_feasible on `progress`, on a new engine of the same region, with
-    G and k_lo computed from the vector itself."""
+    """_feasible on `progress`, passed as bytes, on a new engine of the
+    same region, with G and k_lo computed from the vector itself."""
     fresh = _WINDOW_SEARCH(engine.n, engine.m, 1, max(1, r), engine.columns,
                            patterns._NodeBudget(None))
-    fresh.progress = list(progress)
     packed_sums = sum(map(operator.mul, progress, engine.columns.lower_sums))
-    return fresh._feasible(r, packed_sums, max(1, max(progress)))
+    return fresh._feasible(r, bytes(progress), packed_sums,
+                           max(1, max(progress)))
 
 
 class _CheckedCache(dict):
@@ -325,9 +325,10 @@ class _CheckedCache(dict):
         return cached
 
     def __setitem__(self, key, answer):
-        # an answer is stored under the state it was computed on
+        # an answer is stored under the state it was computed on, the
+        # progress bytes of the engine's last _feasible call
         progress, _ = self._decoded(key)
-        assert progress == self.engine.progress, (self.engine.chosen, key)
+        assert progress == list(self.engine.asked), (self.engine.chosen, key)
         super().__setitem__(key, answer)
 
 
@@ -351,6 +352,10 @@ def test_feasibility_cache_hits_match_a_fresh_call(monkeypatch, n, m, bound,
             super().__init__(*args)
             self.feasible_cache = _CheckedCache(self)
             caches.append(self.feasible_cache)
+
+        def _feasible(self, r, p, packed_sums, k_lo):
+            self.asked = p
+            return super()._feasible(r, p, packed_sums, k_lo)
 
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
     plain = search(cfg)
@@ -583,8 +588,8 @@ def _key_columns(n, m, bound, l_max):
 
 
 def _decode_memo_key(columns, n, key):
-    state = key & ((1 << columns.tie_shift) - 1)
-    tied = key >> columns.tie_shift & ((1 << n - 1) - 1)
+    state = key & ((1 << columns.rest_shift) - 1)
+    tied = key >> columns.rest_shift & ((1 << n - 1) - 1)
     code = key >> columns.sig_shift
     sig = []
     while code > 1:
@@ -607,7 +612,7 @@ def test_memo_key_decodes_to_its_parts(data):
              else st.integers(1, top))
     # every part at its widest: all state bits and tie bits set, and a
     # signature of l_max extreme entries
-    full_state = (1 << columns.tie_shift) - 1
+    full_state = (1 << columns.rest_shift) - 1
     state = data.draw(st.one_of(st.just(full_state),
                                 st.integers(0, full_state)))
     tied = data.draw(st.sampled_from([0, (1 << n - 1) - 1]) | st.integers(
@@ -624,7 +629,7 @@ def _packed_images(columns, n, progress):
     """The packed progress vector under every row permutation: row i
     moves to perm[i], so the field of a mask moves to the mask of the
     rows it names."""
-    width = columns.width
+    width = patterns._FIELD
     return [sum(progress[mask] << width * sum(1 << perm[i] for i in range(n)
                                               if mask >> i & 1)
                 for mask in range(1, 1 << n))
@@ -697,22 +702,25 @@ def test_columns_hold_one_image_per_tracked_permutation(n, m, l_max):
     assert columns.root_images == (0,) * count
     for options in columns.choices:
         for c, hits, _, images, _ in options:
-            step = sum(1 << columns.width * mask for mask, _ in hits)
+            step = sum(1 << patterns._FIELD * mask for mask, _ in hits)
             assert images[0] == step and len(images) == count
 
 
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
-    # lengths 3 -> 4: a progress field widens from 2 to 3 bits
+    # lengths 3 -> 4, where progress fields widened from 2 to 3 bits
+    # while they were as wide as l_max needed
     (3, 5, None, 4, "exhausted", 208), (3, 6, None, 4, "exhausted", 1_294),
     (3, 0, 2, 4, "exhausted", 332), (4, 3, None, 4, "exhausted", 49),
     # lengths 7 -> 8: from 3 to 4 bits
     (3, 3, None, 8, "exhausted", 1_902), (3, 5, None, 8, "exhausted", 11_364),
     (3, 0, 1, 8, "exhausted", 1_890), (4, 3, None, 8, "exhausted", 2_741),
-    # 3-bit fields at l = 6 and 7 hold progress values from 4 up
+    # progress values from 4 up at l = 6 and 7, once held in 3 bits
     (3, 4, None, 8, "found", 6_510), (3, 6, None, 8, "found", 34_287)])
 def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
                                                    l_max, status, nodes):
-    # naive_search, which packs nothing, gives the same counts
+    # progress fields are one byte at every l_max now, so these counts
+    # pin the packing at lengths where it once changed.  naive_search,
+    # which packs nothing, gives the same counts
     _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
@@ -720,10 +728,11 @@ def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
     (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
 def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
                                                 nodes):
-    # the packed fields are as wide as l_max needs: 15 more lengths add
-    # a bit to every field, and must change no answer and no count,
-    # with the size-4 groups and past their bound, one length per pass
-    # and three; 15 is a multiple of both, so no window edge moves.
+    # progress fields are one byte at every l_max, but the lower-only
+    # group fields of _feasible are as wide as l_max needs: 15 more
+    # lengths widen them, and must change no answer and no count, with
+    # the size-4 groups and past their bound, one length per pass and
+    # three; 15 is a multiple of both, so no window edge moves.
     # `nodes` is the count one length per pass past the bound of a
     # memo that merges no row permutation.
     for window, counts in _pinned_counts((n, m, None, length), nodes).items():
@@ -1045,12 +1054,15 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
     groups = _counting_groups(n, m, bound)
 
     class Checked(patterns._WindowSearch):
-        def _feasible(self, r, packed_sums, k_lo):
-            # the live progress is the state the call asks about: the
-            # empty one at the root (every column hits some subset),
-            # else the chosen prefix plus the column under test; G and
-            # k_lo are carried, not recomputed
-            p = list(self.progress)
+        def _feasible(self, r, progress, packed_sums, k_lo):
+            # the progress bytes decode to the state the call asks
+            # about: the empty one at the root (every column hits some
+            # subset), else the chosen prefix plus the column under
+            # test; G and k_lo are carried, not recomputed
+            assert type(progress) is bytes
+            assert len(progress) == self.columns.n_masks + 1
+            p = list(progress)
+            assert p[0] == 0
             if not any(p):
                 assert not self.chosen and self.lo <= r <= self.limit
             else:
@@ -1058,7 +1070,7 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
             assert packed_sums == sum(map(operator.mul, p,
                                           self.columns.lower_sums))
             assert k_lo == max(1, max(p))
-            answer = super()._feasible(r, packed_sums, k_lo)
+            answer = super()._feasible(r, progress, packed_sums, k_lo)
             assert answer == naive_feasible(p, r, groups)
             calls.append(answer)
             return answer
@@ -1089,7 +1101,7 @@ def _direct_scan(options, progress, signature):
             if not ok:
                 break
         if ok:
-            out.append((pos, c, hits, next_tied, step, lower_step, ext))
+            out.append((pos, c, next_tied, step, lower_step, ext))
     return out
 
 
@@ -1167,6 +1179,28 @@ def test_table_size_refusal_is_arithmetic(monkeypatch):
                 SearchConfig(n=10 ** 9, m=2, l_max=1)]:
         with pytest.raises(SizeLimitError):
             search(cfg)
+
+
+def test_search_refuses_a_window_past_length_255(monkeypatch):
+    # progress fields are one byte: a window reaching 256 is refused
+    # before it starts, while one ending at 255 runs
+    tops = []
+
+    class Recorded(patterns._WindowSearch):
+        def __init__(self, n, m, lo, hi, columns, budget):
+            super().__init__(n, m, lo, hi, columns, budget)
+            tops.append(hi)
+
+    monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
+    monkeypatch.setattr(patterns, "_windows",
+                        lambda n, m, l_max: iter([(1, 3), (254, 256)]))
+    with pytest.raises(SizeLimitError):
+        search(SearchConfig(n=3, m=3, l_max=300))
+    assert tops == [3]
+    monkeypatch.setattr(patterns, "_windows",
+                        lambda n, m, l_max: iter([(253, 255)]))
+    out = search(SearchConfig(n=2, m=3, l_max=300, node_cap=100))
+    assert (out.status, tops) == ("inconclusive", [3, 255])
 
 
 def test_search_integer_entries_exhausts_and_matches_oracle():
