@@ -302,6 +302,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"pattern-forge: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # an unbuffered stdout whose reader closed: run() reports it
+        raise
     except Exception:
         # a crash must not exit with a result code
         import traceback

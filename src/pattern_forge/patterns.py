@@ -240,21 +240,23 @@ _TABLE_CAP = 1 << 17
 _FIELD, _LONGEST = 8, 255
 
 
-def _fitting(options, need) -> list:
+def _fitting(options, need: str, offset: int) -> list:
     """The options that fit a state, in lex order, as (position in
-    options, column, next tie mask, step images, lower step, ext).
+    options, column, next tie mask, step images, sum step, ext).
 
-    need[mask] is the signature entry the next hit on `mask` must
-    produce, or 0 where that hit extends the signature (entries are
-    never 0).  A column fits when every hit on a fixed mask gives the
-    needed value and all its extending hits agree on one value, `ext`,
-    which it appends (None if it extends nothing).
+    need[mask] is the code, entry + offset, of the signature entry the
+    next hit on `mask` must produce, or the padding code chr(offset)
+    where that hit extends the signature (entries are never 0, so no
+    entry has that code).  A column fits when every hit on a fixed mask
+    gives the needed value and all its extending hits agree on one
+    value, `ext`, which it appends (None if it extends nothing).
     """
+    wants = [ord(code) - offset for code in need]
     fitting = []
-    for pos, (c, hits, next_tied, steps, lower_step) in enumerate(options):
+    for pos, (c, hits, next_tied, steps, sum_step) in enumerate(options):
         ext = None
         for mask, v in hits:
-            want = need[mask]
+            want = wants[mask]
             if want:
                 if want != v:
                     break
@@ -263,7 +265,7 @@ def _fitting(options, need) -> list:
             elif ext != v:
                 break
         else:
-            fitting.append((pos, c, next_tied, steps, lower_step, ext))
+            fitting.append((pos, c, next_tied, steps, sum_step, ext))
     return fitting
 
 
@@ -272,6 +274,12 @@ class _Columns:
     l_max: the constraint groups, per tie mask the allowed columns with
     their packed increments, the fitting-column table, and per r the
     group terms _feasible(r) reads.
+
+    A search state carries its signature as a str of codes, one
+    character chr(entry + sig_offset) per entry; sig_offset is 0 for
+    m >= 2, as entries are nonzero residues, and n*b at m = 0, as an
+    entry is a sum of at most n entries in [-b, b].  The padding code
+    `pad`, chr(sig_offset), is no entry's code.
 
     Only canonical patterns are explored: rows in strictly ascending lex
     order, and a first signature entry s0 with s0 == gcd(s0, m) (s0 > 0
@@ -319,23 +327,22 @@ class _Columns:
         # a 1 in every field: a vector with all fields at k packs to k*ones
         self.ones = sum(1 << _FIELD * mask for mask in range(1, n_masks + 1))
         # a memo key (see memo_key) puts the tie mask above the last
-        # field, and the signature code above the tie mask.
-        # Entries are nonzero residues, or at m = 0 sums of at most n
-        # entries in [-b, b].
+        # field, and the signature code above the tie mask
         self.sig_shift = self.rest_shift + n - 1
         if m:
             self.sig_base, self.sig_offset = m, 0
         else:
             self.sig_base = 2 * n * entry_bound + 1
             self.sig_offset = n * entry_bound
+        self.pad = chr(self.sig_offset)
         self.split_groups(_constraint_groups(n, profiles), l_max)
-        lower_sums = self.lower_sums
+        sum_units = self.sum_units
         # the packed steps of each column: 1 into the progress field, and
-        # lower_sums[mask] into the packed group sums G, per hit mask
+        # sum_units[mask] into the packed group sums G, per hit mask
         step = {c: sum(1 << _FIELD * mask for mask, _ in hits)
                 for c, hits in zip(alphabet, profiles)}
-        lower_step = {c: sum(lower_sums[mask] for mask, _ in hits)
-                      for c, hits in zip(alphabet, profiles)}
+        sum_step = {c: sum(sum_units[mask] for mask, _ in hits)
+                    for c, hits in zip(alphabet, profiles)}
         # the row permutations whose images of the progress vector _dfs
         # carries, identity first.  From n = 5 on the identity alone: the
         # n! images cost more per child than their merges saved on most
@@ -353,13 +360,13 @@ class _Columns:
                  for perm in perms[1:]]
         images = dict(zip(alphabet, zip(map(get, alphabet), *lanes)))
         # choices[tied]: (column, profile, next tie mask, step images,
-        # lower step) in lex order
+        # sum step) in lex order
         self.choices = []
         for tied in range(1 << (n - 1)):
             pairs = [i for i in range(n - 1) if tied >> i & 1]
             self.choices.append([
                 (c, hits, sum(1 << i for i in pairs if c[i] == c[i + 1]),
-                 images[c], lower_step[c])
+                 images[c], sum_step[c])
                 for c, hits in zip(alphabet, profiles)
                 if all(c[i] <= c[i + 1] for i in pairs)])
         # every column is nonzero, so the first one fixes s0: all its
@@ -374,39 +381,41 @@ class _Columns:
         # shares the table.
         self.fitting: dict = {}
 
-    def memo_key(self, state: int, tied: int, sig: tuple) -> int:
+    def memo_key(self, state: int, tied: int, sig: str) -> int:
         """The memo's key for a child, one integer: `state` (the packed
         progress with r above it), the tie mask above that, and above
         both the signature code: a leading 1, then one base-sig_base
-        digit, entry + sig_offset, per entry.  Each part fits below the
-        next, and the leading 1 fixes the signature's length, so distinct
-        states get distinct keys.  An untied child's progress is its
-        least row-permutation image (see the class docstring).  _dfs
-        builds the code entry by entry as the signature grows."""
+        digit per entry, its code entry + sig_offset (`sig` is the str of
+        those codes).  Each part fits below the next, and the leading 1
+        fixes the signature's length, so distinct states get distinct
+        keys.  An untied child's progress is its least row-permutation
+        image (see the class docstring).  _dfs builds the code entry by
+        entry as the signature grows."""
         code = 1
-        for e in sig:
-            code = code * self.sig_base + e + self.sig_offset
+        for entry_code in sig:
+            code = code * self.sig_base + ord(entry_code)
         return state | tied << self.rest_shift | code << self.sig_shift
 
     def split_groups(self, groups, l_max: int) -> None:
-        """Split the counting groups (masks, lo, hi, g) into those
-        _feasible tests one by one, as (getter, |T|, lo, hi, g), and the
-        lower-only ones (hi == |T|, g <= 1), as (masks, lo), which it
-        tests all at once in fields of one integer.  Slot 0 of a
-        progress vector is always 0: getting it too leaves the sum over
-        T unchanged and makes the getter return a tuple even for
-        |T| = 1."""
-        self.groups = []
-        self.lower_only = lower = []
+        """Give every counting group (masks, lo, hi, g) a field of the
+        packed group sums G (see _feasible), which holds its S.  The
+        lower-only groups (hi == |T|, g <= 1), kept as (masks, lo), take
+        the low fields, which _feasible tests all at once.  Each other
+        group takes a field above them, kept as (shift, field mask, |T|,
+        lo, hi, g), which _feasible reads with a shift and a mask and
+        tests on its own."""
+        lower, looped = [], []
         for masks, lo, hi, g in groups:
             if hi == len(masks) and g <= 1:
                 lower.append((masks, lo))
             else:
-                self.groups.append(
-                    (operator.itemgetter(0, *masks), len(masks), lo, hi, g))
+                looped.append((masks, lo, hi, g))
+        self.lower_only = lower
         # one field of `fw` bits per lower-only group; a field is within
         # l*|T| <= l_max*|T| of its guard bit 2^(fw-1) (see _feasible),
-        # so it stays in [0, 2^fw) and never borrows from its neighbour
+        # so it stays in [0, 2^fw) and never borrows from its neighbour.
+        # Its S <= l*|T| stays below 2^(fw-1) too, so the lower-only
+        # part of G never carries into the fields above.
         fw = (l_max * max((len(masks) for masks, _ in lower),
                           default=1)).bit_length() + 1
 
@@ -415,10 +424,22 @@ class _Columns:
         self.guard = pack([1 << fw - 1] * len(lower))
         self.lower_t = pack([len(masks) for masks, _ in lower])
         self.lower_lo = pack([lo for _, lo in lower])
+        # (shift, masks) of every field of G.  A field above the
+        # lower-only ones holds its S <= |T|*_LONGEST exactly, as no
+        # progress field passes one byte.
+        fields = [(fw * i, masks) for i, (masks, _) in enumerate(lower)]
+        shift = fw * len(lower)
+        self.groups = []
+        for masks, lo, hi, g in looped:
+            t = len(masks)
+            width = (t * _LONGEST).bit_length()
+            self.groups.append((shift, (1 << width) - 1, t, lo, hi, g))
+            fields.append((shift, masks))
+            shift += width
         # a 1 in the field of every group holding the mask, so that
-        # sum(p[mask] * lower_sums[mask]) packs the group sums S
-        self.lower_sums = [pack([mask in masks for masks, _ in lower])
-                           for mask in range(self.n_masks + 1)]
+        # sum(p[mask] * sum_units[mask]) packs the group sums G
+        self.sum_units = [sum(1 << at for at, masks in fields if mask in masks)
+                          for mask in range(self.n_masks + 1)]
         # per r, the terms _feasible(r) reads; see grow_to()
         self.bounds: list = []
         self.lower_base: list = []
@@ -428,8 +449,8 @@ class _Columns:
         the lengths a search reaches, never up to l_max, which may be
         far beyond the length where the search ends."""
         for r in range(len(self.bounds), l + 1):
-            self.bounds.append([(get, t, r * lo, r * (hi - lo), g)
-                                for get, t, lo, hi, g in self.groups])
+            self.bounds.append([(shift, field, t, r * lo, r * (hi - lo), g)
+                                for shift, field, t, lo, hi, g in self.groups])
             self.lower_base.append(self.guard - r * self.lower_lo)
 
 
@@ -513,15 +534,18 @@ class _WindowSearch:
         """Can a state of progress p be completed with r more columns?
 
         p[mask] is the progress of `mask` (p[0] = 0), the packed progress
-        as bytes; `packed_sums` is G below, and k_lo is max(1, max p): the
-        signature length, as no progress field passes it and the last
-        entry came from a field that reached it (1 at the root).
+        as bytes, read here only for its minimum; `packed_sums` is G
+        below, and k_lo is max(1, max p): the signature length, as no
+        progress field passes it and the last entry came from a field
+        that reached it (1 at the root).
 
         Only if some common final length k lets every counting group T
         take its demand |T|*k - S (S: the progress summed over T) in r
         columns: r*lo <= |T|*k - S <= r*hi, an interval of k per group,
         plus a congruence mod g where g > 1.  The demand is then never
-        negative, because lo >= 0.
+        negative, because lo >= 0.  G packs the S of every group, one
+        field each (see _Columns.split_groups); a group that is not
+        lower-only reads its S with a shift and a mask.
 
         A lower-only group (hi == |T|, g <= 1) never lowers k_hi: its
         upper bound floor((S + r*|T|)/|T|) = floor(S/|T|) + r is at least
@@ -529,20 +553,22 @@ class _WindowSearch:
         bound ceil((S + r*lo)/|T|) <= k holds exactly when
         |T|*k - r*lo - S >= 0, and then at every larger k too.  So once
         the other groups have fixed k_hi, all lower-only groups hold at
-        k_hi exactly when every field of k_hi*lower_t + lower_base[r] - G
-        keeps its guard bit, where G packs their sums S.  A k tried for
-        a congruence must pass the same test at that k, so the scan
+        k_hi exactly when every lower-only field of
+        k_hi*lower_t + lower_base[r] - G keeps its guard bit.  A k tried
+        for a congruence must pass the same test at that k, so the scan
         starts at the first k that does.  As max p <= k <= min p + r and
         |T|*max p >= S >= |T|*min p, a field holds a value in [-r*lo,
-        r*(|T| - lo)], within l*|T| of 0 whatever the progress."""
+        r*(|T| - lo)], within l*|T| of 0 whatever the progress.  The
+        fields of the other groups sit above the guard bits, so what
+        they subtract never reaches those bits."""
         columns = self.columns
         k_hi = min(p[1:]) + r
         if k_lo > k_hi:
             return False
         # (S + r*lo, |T|, g) of each group with a congruence
         terms = []
-        for get, t, r_lo, r_span, g in columns.bounds[r]:
-            s = sum(get(p)) + r_lo
+        for shift, field, t, r_lo, r_span, g in columns.bounds[r]:
+            s = (packed_sums >> shift & field) + r_lo
             # ceil((S + r*lo) / t) <= k <= floor((S + r*hi) / t)
             low = -(-s // t)
             if low > k_lo:
@@ -578,18 +604,25 @@ class _WindowSearch:
                 # before the first column every adjacent pair of rows
                 # is tied
                 return self._dfs(0, r, (1 << (self.n - 1)) - 1,
-                                 self.columns.root_images, 0, (), 1)
+                                 self.columns.root_images, 0, "", 1)
         return _EXHAUSTED
 
     def _dfs(self, depth: int, r_lo: int, tied: int, images: tuple,
-             packed_sums: int, sig: tuple, sig_code: int) -> int:
+             packed_sums: int, sig: str, sig_code: int) -> int:
         """The node is alive for r from `r_lo` up to self.limit - depth
         (see the class docstring).  `images` holds the progress vector
         packed into one integer under each row permutation of _Columns,
         identity first, `packed_sums` is the G of _feasible, `sig` the
-        signature and `sig_code` its code in the memo key (see
-        _Columns.memo_key).  Returns _ABORTED past the node cap, else
-        _EXHAUSTED, a find included: self.result and self.limit tell."""
+        signature as a str of codes (see _Columns) and `sig_code` its
+        code in the memo key (see _Columns.memo_key).
+
+        A child is settled in this order: the feasibility cache, then
+        _feasible where the cache has no answer, fix its least feasible
+        r; only a feasible child forms its progress images, its memo key
+        and its memo probe, and it is entered unless the memo holds every
+        r from that least one up.  Returns _ABORTED past the node cap,
+        else _EXHAUSTED, a find included: self.result and self.limit
+        tell."""
         columns = self.columns
         packed = images[0]
         if not r_lo:
@@ -603,16 +636,17 @@ class _WindowSearch:
                 return _EXHAUSTED
 
         # no field exceeds len(sig), and a mask at len(sig) extends the
-        # signature: it reads the 0 appended here.  need[0] is unused.
+        # signature: it reads the padding code appended here.  need[0]
+        # is unused.
         size = columns.n_masks + 1
-        need = tuple(map((sig + (0,)).__getitem__,
-                         packed.to_bytes(size, "little")))
+        need = packed.to_bytes(size, "little").decode("latin-1").translate(
+            sig + columns.pad)
         table_key = (tied if depth else -1, need)
         table = columns.fitting
         entry = table.get(table_key)
         if entry is None:
             options = columns.choices[tied] if depth else columns.first_choices
-            entry = (_fitting(options, need), len(options))
+            entry = (_fitting(options, need, columns.sig_offset), len(options))
             if len(table) < _CACHE_CAP:
                 table[table_key] = entry
         fitting, total = entry
@@ -627,7 +661,8 @@ class _WindowSearch:
         lo_field = lo << rest_shift
         sig_shift = columns.sig_shift
         # the child's code is sig_code, or this plus the entry it appends
-        extended_code = sig_code * columns.sig_base + columns.sig_offset
+        sig_offset = columns.sig_offset
+        extended_code = sig_code * columns.sig_base + sig_offset
         sig_len = len(sig)
         cache = self.feasible_cache
         memo = self.memo
@@ -636,21 +671,35 @@ class _WindowSearch:
         # every option counts as a node, fitting or not: the ones that
         # fail the signature are spent in one chunk with the next fit
         tried = 0
-        for pos, c, next_tied, steps, lower_step, ext in fitting:
+        for pos, c, next_tied, steps, sum_step, ext in fitting:
             budget.used += pos + 1 - tried
             tried = pos + 1
             if budget.used > budget.cap:
                 budget.used = budget.cap + 1
                 return _ABORTED
             # the child's progress; the cache keys it with r above it.
-            # r runs up from lo past the answers cached as False.
+            # r runs up from lo past the answers cached as False, and
+            # past those _feasible gives where the cache has none, to
+            # the child's least feasible r.
             child = packed + steps[0]
             r = lo
             feasible = cache.get(child | lo_field)
             while feasible is False and r < hi:
                 r += 1
                 feasible = cache.get(child | r << rest_shift)
-            if feasible is False:
+            child_sums = packed_sums + sum_step
+            if feasible is None:
+                p = child.to_bytes(size, "little")
+                k_lo = sig_len if ext is None else sig_len + 1
+                while feasible is None:
+                    feasible = self._feasible(r, p, child_sums, k_lo)
+                    # skipping an insert is always safe: _feasible is pure
+                    if len(cache) < _CACHE_CAP:
+                        cache[child | r << rest_shift] = feasible
+                    while feasible is False and r < hi:
+                        r += 1
+                        feasible = cache.get(child | r << rest_shift)
+            if not feasible:
                 continue
             child_images = tuple(map(add, images, steps))
             child_code = sig_code if ext is None else extended_code + ext
@@ -659,8 +708,7 @@ class _WindowSearch:
             # one subtree, or once untied its row-permutation orbit (see
             # _Columns).  A child with no column left to add (hi == 0)
             # is neither looked up nor stored.  The child is skipped when
-            # the memo holds every r from its least feasible one up; r is
-            # at most that here, so a hit now is a hit then.
+            # the memo holds every r from its least feasible one up.
             done = 0
             if hi:
                 key = ((child | next_tied << rest_shift if next_tied
@@ -669,36 +717,25 @@ class _WindowSearch:
                 done = memo.get(key, 0)
                 if not (wanted >> r << r) & ~done:
                     continue
-            child_sums = packed_sums + lower_step
-            k_lo = sig_len if ext is None else sig_len + 1
-            while feasible is None:
-                feasible = self._feasible(r, child.to_bytes(size, "little"),
-                                          child_sums, k_lo)
-                # skipping an insert is always safe: _feasible is pure
-                if len(cache) < _CACHE_CAP:
-                    cache[child | r << rest_shift] = feasible
-                while feasible is False and r < hi:
-                    r += 1
-                    feasible = cache.get(child | r << rest_shift)
-            if feasible and (wanted >> r << r) & ~done:
-                self.chosen.append(c)
-                status = self._dfs(depth + 1, r, next_tied, child_images,
-                                   child_sums,
-                                   sig if ext is None else sig + (ext,),
-                                   child_code)
-                self.chosen.pop()
-                top = self.limit - depth - 1
-                if status == _ABORTED or top < lo:
-                    # aborted, or a find below left no length for this
-                    # node: count nothing more
-                    return status
-                if top < hi:
-                    hi = top
-                    wanted = (2 << hi) - (1 << lo)
-                # the subtree stores only keys of more progress, so the
-                # entry is still `done`; stored bits are never 0
-                if hi and (done or len(memo) < _CACHE_CAP):
-                    memo[key] = done | wanted
+            self.chosen.append(c)
+            status = self._dfs(depth + 1, r, next_tied, child_images,
+                               child_sums,
+                               sig if ext is None
+                               else sig + chr(ext + sig_offset),
+                               child_code)
+            self.chosen.pop()
+            top = self.limit - depth - 1
+            if status == _ABORTED or top < lo:
+                # aborted, or a find below left no length for this
+                # node: count nothing more
+                return status
+            if top < hi:
+                hi = top
+                wanted = (2 << hi) - (1 << lo)
+            # the subtree stores only keys of more progress, so the
+            # entry is still `done`; stored bits are never 0
+            if hi and (done or len(memo) < _CACHE_CAP):
+                memo[key] = done | wanted
 
         budget.used += total - tried
         if budget.used > budget.cap:

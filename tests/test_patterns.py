@@ -289,7 +289,7 @@ def _feasible_on(engine, progress, r):
     same region, with G and k_lo computed from the vector itself."""
     fresh = _WINDOW_SEARCH(engine.n, engine.m, 1, max(1, r), engine.columns,
                            patterns._NodeBudget(None))
-    packed_sums = sum(map(operator.mul, progress, engine.columns.lower_sums))
+    packed_sums = sum(map(operator.mul, progress, engine.columns.sum_units))
     return fresh._feasible(r, bytes(progress), packed_sums,
                            max(1, max(progress)))
 
@@ -587,7 +587,13 @@ def _key_columns(n, m, bound, l_max):
     return patterns._Columns(n, m, bound, l_max)
 
 
+def _codes(columns, entries):
+    """A signature as the str of codes the search carries."""
+    return "".join(chr(e + columns.sig_offset) for e in entries)
+
+
 def _decode_memo_key(columns, n, key):
+    """(state, tie mask, signature entries) of a memo key."""
     state = key & ((1 << columns.rest_shift) - 1)
     tied = key >> columns.rest_shift & ((1 << n - 1) - 1)
     code = key >> columns.sig_shift
@@ -621,7 +627,7 @@ def test_memo_key_decodes_to_its_parts(data):
     sig = tuple(data.draw(st.one_of(
         st.lists(entry, max_size=l_max),
         st.lists(extremes, min_size=l_max, max_size=l_max))))
-    key = columns.memo_key(state, tied, sig)
+    key = columns.memo_key(state, tied, _codes(columns, sig))
     assert _decode_memo_key(columns, n, key) == (state, tied, sig)
 
 
@@ -662,7 +668,7 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
             if depth:
                 progress, signature, tie = _prefix_state(
                     n, m, tuple(self.chosen))
-                assert (signature, tie) == (sig, tied)
+                assert (_codes(columns, signature), tie) == (sig, tied)
                 every = _packed_images(columns, n, progress)
                 # the images _dfs carries, identity first
                 assert images[0] == every[0]
@@ -670,7 +676,7 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
                 packed = min(every) if tied == 0 else every[0]
                 key = columns.memo_key(packed, tied, sig)
                 self.children.setdefault(key, set()).add(
-                    ((packed, tied, sig), packed != every[0], depth))
+                    ((packed, tied, signature), packed != every[0], depth))
             return super()._dfs(depth, r_lo, tied, images, packed_sums, sig,
                                 sig_code)
 
@@ -1003,16 +1009,23 @@ def test_feasible_agrees_with_naive_walk(data):
     ((19,) * 7, 19), ((30, 38, 34, 38, 36, 35, 38), 8),
     # past the size-4 bound packed fields one bit narrower get this one
     # wrong
-    ((23, 17, 22, 23, 21, 19, 17), 17)])
+    ((23, 17, 22, 23, 21, 19, 17), 17),
+    # progress bytes at their limit, at l = 128: the group of all 7
+    # subsets is looped over, and a field of it narrower than 7*255
+    # gets these wrong
+    ((255,) * 7, 0), ((255,) * 7, 128)])
 def test_feasible_at_the_field_width_bound(monkeypatch, fields, r):
     # the packed fields must hold for progress fields up to 2l and r <= l,
-    # with the size-4 groups and past their bound
+    # with the size-4 groups and past their bound, at l = 19, or at the
+    # least l with every field within 2l
+    l = max(19, -(-max(fields) // 2))
     progress = [0, *fields]
-    assert _feasible_on(_engine(3, 3, None, 19), progress, r) == naive_feasible(
+    assert _feasible_on(_engine(3, 3, None, l), progress, r) == naive_feasible(
         progress, r, _counting_groups(3, 3, None))
     _past_size_four(monkeypatch, 3, 3, None)
-    columns = patterns._Columns(3, 3, None, 19)
-    engine = patterns._WindowSearch(3, 3, 19, 19, columns,
+    columns = patterns._Columns(3, 3, None, l)
+    assert columns.groups
+    engine = patterns._WindowSearch(3, 3, l, l, columns,
                                     patterns._NodeBudget(None))
     assert _feasible_on(engine, progress, r) == naive_feasible(
         progress, r, _groups_under_the_cap(3, 3, None))
@@ -1068,7 +1081,7 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
             else:
                 _assert_child_of_prefix(self, p)
             assert packed_sums == sum(map(operator.mul, p,
-                                          self.columns.lower_sums))
+                                          self.columns.sum_units))
             assert k_lo == max(1, max(p))
             answer = super()._feasible(r, progress, packed_sums, k_lo)
             assert answer == naive_feasible(p, r, groups)
@@ -1121,8 +1134,9 @@ class _CheckedTable(dict):
         columns = engine.columns
         progress, signature, tied = _prefix_state(engine.n, engine.m,
                                                   tuple(engine.chosen))
-        need = tuple(signature[q] if q < len(signature) else 0
-                     for q in progress)
+        # an entry of 0 encodes to the padding code
+        need = _codes(columns, (signature[q] if q < len(signature) else 0
+                                for q in progress))
         assert key == (tied if engine.chosen else -1, need), engine.chosen
         options = (columns.choices[tied] if engine.chosen
                    else columns.first_choices)
@@ -1201,6 +1215,20 @@ def test_search_refuses_a_window_past_length_255(monkeypatch):
                         lambda n, m, l_max: iter([(253, 255)]))
     out = search(SearchConfig(n=2, m=3, l_max=300, node_cap=100))
     assert (out.status, tops) == ("inconclusive", [3, 255])
+
+
+@pytest.mark.parametrize("n,m,bound,code,nodes,rows", [
+    (2, 0, 100, 400, 45_550, ((0, 1, -1), (1, -1, 0))),
+    (2, 209, None, 208, 88_168, ((0, 1, 208), (1, 208, 0))),
+    (1, 1000, None, 999, 1, ((1,),))], ids=["2-0-100", "2-209", "1-1000"])
+def test_signature_codes_past_one_byte(n, m, bound, code, nodes, rows):
+    # the signature is carried as a str of codes entry + sig_offset, the
+    # largest `code` here: past ASCII, and for two regions past one
+    # byte, so a table of byte codes could not hold them
+    columns = patterns._Columns(n, m, bound, 3)
+    assert columns.sig_offset + (n * bound if m == 0 else m - 1) == code
+    out = search(SearchConfig(n=n, m=m, l_max=3, entry_bound=bound))
+    assert (out.status, out.nodes, out.pattern.rows) == ("found", nodes, rows)
 
 
 def test_search_integer_entries_exhausts_and_matches_oracle():
