@@ -148,13 +148,18 @@ class SearchOutcome(Record):
 
 class _NodeBudget:
     """Candidate columns tried so far, over all lengths of one search.
-    Past `cap` the search aborts with `used` left at cap + 1."""
+    Past `cap` _WindowSearch._dfs raises _NodeCapReached, and search
+    reports cap + 1 nodes."""
 
     __slots__ = ("used", "cap")
 
     def __init__(self, cap):
         self.used = 0
         self.cap = math.inf if cap is None else cap
+
+
+class _NodeCapReached(Exception):
+    """The search has tried more candidate columns than its node cap."""
 
 
 def _column_alphabet(n: int, m: int, entry_bound: Optional[int]) -> list:
@@ -191,8 +196,9 @@ def _constraint_groups(n: int, profiles: list) -> list:
     n_masks = (1 << n) - 1
     all_masks = tuple(range(1, n_masks + 1))
     # bit `mask` of a column's hit set is set where it hits `mask`, so
-    # it raises the progress of T by the popcount of its bits in T
-    hit_sets = [sum(1 << mask for mask, _ in hits) for hits in profiles]
+    # it raises the progress of T by the popcount of its bits in T.
+    # Columns share hit sets, so each distinct one is kept once.
+    hit_sets = {sum(1 << mask for mask, _ in hits) for hits in profiles}
 
     def a_set(bits: int) -> tuple:
         amounts = {(hit & bits).bit_count() for hit in hit_sets}
@@ -220,8 +226,6 @@ def _constraint_groups(n: int, profiles: list) -> list:
                     groups.append((masks, lo, hi, g))
     return groups
 
-
-_EXHAUSTED, _ABORTED = 1, 2
 
 # entries kept by the fitting-column table of a region and by each of a
 # pass's caches (the memo of exhausted states and the feasibility
@@ -271,9 +275,9 @@ def _fitting(options, need: str, offset: int) -> list:
 
 class _Columns:
     """The tables of a search region, shared by every length up to
-    l_max: the constraint groups, per tie mask the allowed columns with
-    their packed increments, the fitting-column table, and per r the
-    group terms _feasible(r) reads.
+    l_max: the constraint groups with the terms _feasible(r) reads per
+    r <= l_max, per tie mask the allowed columns with their packed
+    increments, and the fitting-column table.
 
     A search state carries its signature as a str of codes, one
     character chr(entry + sig_offset) per entry; sig_offset is 0 for
@@ -286,7 +290,9 @@ class _Columns:
     at m = 0).  Row order is kept by a bitmask `tied` whose bit i says
     rows i and i + 1 agree on every column so far; on a tied pair only
     columns with c[i] <= c[i+1] are allowed, and the pair unties at the
-    first <.
+    first <.  The root draws from one more list, under the tie mask
+    1 << (n - 1), which no pair of rows produces: the all-tied columns
+    whose nonzero subset sums all equal a canonical s0.
 
     Sound per length: permuting rows keeps the subset sums, and scaling
     by a unit u of Z/m maps every signature entry s to u*s.  Given any
@@ -369,16 +375,16 @@ class _Columns:
                  images[c], sum_step[c])
                 for c, hits in zip(alphabet, profiles)
                 if all(c[i] <= c[i + 1] for i in pairs)])
-        # every column is nonzero, so the first one fixes s0: all its
-        # nonzero subset sums must equal s0.  gcd(s0, 0) = |s0|, so at
-        # m = 0 the test reads s0 > 0.
-        self.first_choices = [(c, hits, *steps)
-                              for c, hits, *steps in self.choices[-1]
-                              if hits[0][1] == math.gcd(hits[0][1], m)]
-        # (tie mask, need) -> (fitting options, number of options); see
-        # _fitting.  Depth 0 draws from first_choices, under tie mask -1.
-        # Neither the options nor need depend on l, so every length
-        # shares the table.
+        # the root's list, choices[1 << (n - 1)]: every column is
+        # nonzero, so the first one fixes s0, and all its nonzero subset
+        # sums must equal s0.  gcd(s0, 0) = |s0|, so at m = 0 the test
+        # reads s0 > 0.
+        self.choices.append([(c, hits, *steps)
+                             for c, hits, *steps in self.choices[-1]
+                             if hits[0][1] == math.gcd(hits[0][1], m)])
+        # (tie mask, need) -> fitting options; see _fitting.  Neither
+        # the options nor need depend on l, so every length shares the
+        # table.
         self.fitting: dict = {}
 
     def memo_key(self, state: int, tied: int, sig: str) -> int:
@@ -440,18 +446,13 @@ class _Columns:
         # sum(p[mask] * sum_units[mask]) packs the group sums G
         self.sum_units = [sum(1 << at for at, masks in fields if mask in masks)
                           for mask in range(self.n_masks + 1)]
-        # per r, the terms _feasible(r) reads; see grow_to()
-        self.bounds: list = []
-        self.lower_base: list = []
-
-    def grow_to(self, l: int) -> None:
-        """Extend the per-r group terms to every r <= l.  They grow with
-        the lengths a search reaches, never up to l_max, which may be
-        far beyond the length where the search ends."""
-        for r in range(len(self.bounds), l + 1):
-            self.bounds.append([(shift, field, t, r * lo, r * (hi - lo), g)
-                                for shift, field, t, lo, hi, g in self.groups])
-            self.lower_base.append(self.guard - r * self.lower_lo)
+        # per r <= l_max, the terms _feasible(r) reads: at most
+        # _LONGEST + 1 of each, as search caps l_max at _LONGEST
+        self.bounds = [[(shift, field, t, r * lo, r * (hi - lo), g)
+                        for shift, field, t, lo, hi, g in self.groups]
+                       for r in range(l_max + 1)]
+        self.lower_base = [self.guard - r * self.lower_lo
+                           for r in range(l_max + 1)]
 
 
 def _known_length(n: int, m: int) -> Optional[int]:
@@ -520,7 +521,6 @@ class _WindowSearch:
         self.limit = hi
         self.columns = columns
         self.budget = budget
-        columns.grow_to(hi)
         self.chosen: list = []
         self.memo: dict = {}
         # _feasible(r, ...) reads only r, the progress vector and the
@@ -596,33 +596,35 @@ class _WindowSearch:
         return tuple(tuple(col[i] for col in self.chosen)
                      for i in range(self.n))
 
-    def run(self) -> int:
-        # the root is alive from the least length its empty progress
-        # vector passes _feasible for
+    def run(self) -> None:
+        """Walk the window from the root, which is alive from the least
+        length its empty progress vector passes _feasible for, under the
+        root's tie mask (see _Columns).  A find is left in self.result;
+        past the node cap _NodeCapReached propagates."""
         for r in range(self.lo, self.limit + 1):
             if self._feasible(r, bytes(self.columns.n_masks + 1), 0, 1):
-                # before the first column every adjacent pair of rows
-                # is tied
-                return self._dfs(0, r, (1 << (self.n - 1)) - 1,
-                                 self.columns.root_images, 0, "", 1)
-        return _EXHAUSTED
+                self._dfs(0, r, 1 << (self.n - 1), self.columns.root_images,
+                          0, "", 1)
+                return
 
     def _dfs(self, depth: int, r_lo: int, tied: int, images: tuple,
-             packed_sums: int, sig: str, sig_code: int) -> int:
+             packed_sums: int, sig: str, sig_code: int) -> None:
         """The node is alive for r from `r_lo` up to self.limit - depth
-        (see the class docstring).  `images` holds the progress vector
+        (see the class docstring).  `tied` is its tie mask, the root's
+        at depth 0 (see _Columns), `images` holds the progress vector
         packed into one integer under each row permutation of _Columns,
         identity first, `packed_sums` is the G of _feasible, `sig` the
         signature as a str of codes (see _Columns) and `sig_code` its
         code in the memo key (see _Columns.memo_key).
 
-        A child is settled in this order: the feasibility cache, then
-        _feasible where the cache has no answer, fix its least feasible
-        r; only a feasible child forms its progress images, its memo key
-        and its memo probe, and it is entered unless the memo holds every
-        r from that least one up.  Returns _ABORTED past the node cap,
-        else _EXHAUSTED, a find included: self.result and self.limit
-        tell."""
+        Each fitting child is settled in this order: one loop over r
+        from the child's least, reading the feasibility cache and
+        calling _feasible where it has no answer, fixes the least
+        feasible r; only a feasible child forms its progress images,
+        its memo key and its memo probe, and it is entered unless the
+        memo holds every r from that least one up.  A find sets
+        self.result and lowers self.limit; past the node cap the charge
+        raises _NodeCapReached."""
         columns = self.columns
         packed = images[0]
         if not r_lo:
@@ -631,9 +633,9 @@ class _WindowSearch:
             if not tied and packed == len(sig) * columns.ones:
                 self.result = Pattern(self.n, self.m, depth, self._rows())
                 self.limit = depth - 1
-                return _EXHAUSTED
+                return
             if depth == self.limit:
-                return _EXHAUSTED
+                return
 
         # no field exceeds len(sig), and a mask at len(sig) extends the
         # signature: it reads the padding code appended here.  need[0]
@@ -641,15 +643,12 @@ class _WindowSearch:
         size = columns.n_masks + 1
         need = packed.to_bytes(size, "little").decode("latin-1").translate(
             sig + columns.pad)
-        table_key = (tied if depth else -1, need)
         table = columns.fitting
-        entry = table.get(table_key)
-        if entry is None:
-            options = columns.choices[tied] if depth else columns.first_choices
-            entry = (_fitting(options, need, columns.sig_offset), len(options))
+        fitting = table.get((tied, need))
+        if fitting is None:
+            fitting = _fitting(columns.choices[tied], need, columns.sig_offset)
             if len(table) < _CACHE_CAP:
-                table[table_key] = entry
-        fitting, total = entry
+                table[tied, need] = fitting
 
         # a child is alive for r in [lo, hi]: one column fewer than this
         # node's r, and no length past the limit
@@ -675,30 +674,31 @@ class _WindowSearch:
             budget.used += pos + 1 - tried
             tried = pos + 1
             if budget.used > budget.cap:
-                budget.used = budget.cap + 1
-                return _ABORTED
-            # the child's progress; the cache keys it with r above it.
-            # r runs up from lo past the answers cached as False, and
-            # past those _feasible gives where the cache has none, to
-            # the child's least feasible r.
+                raise _NodeCapReached
+            # the child's progress, and `state` its key in the cache: the
+            # progress with r above it.  r runs up from lo to the child's
+            # least feasible r, or to hi; the progress bytes are built on
+            # the child's first cache miss.
             child = packed + steps[0]
-            r = lo
-            feasible = cache.get(child | lo_field)
-            while feasible is False and r < hi:
-                r += 1
-                feasible = cache.get(child | r << rest_shift)
             child_sums = packed_sums + sum_step
-            if feasible is None:
-                p = child.to_bytes(size, "little")
-                k_lo = sig_len if ext is None else sig_len + 1
-                while feasible is None:
-                    feasible = self._feasible(r, p, child_sums, k_lo)
+            state = child | lo_field
+            r = lo
+            p = None
+            while True:
+                feasible = cache.get(state)
+                if feasible is None:
+                    if p is None:
+                        p = child.to_bytes(size, "little")
+                    feasible = self._feasible(
+                        r, p, child_sums,
+                        sig_len if ext is None else sig_len + 1)
                     # skipping an insert is always safe: _feasible is pure
                     if len(cache) < _CACHE_CAP:
-                        cache[child | r << rest_shift] = feasible
-                    while feasible is False and r < hi:
-                        r += 1
-                        feasible = cache.get(child | r << rest_shift)
+                        cache[state] = feasible
+                if feasible or r == hi:
+                    break
+                r += 1
+                state += 1 << rest_shift
             if not feasible:
                 continue
             child_images = tuple(map(add, images, steps))
@@ -718,17 +718,15 @@ class _WindowSearch:
                 if not (wanted >> r << r) & ~done:
                     continue
             self.chosen.append(c)
-            status = self._dfs(depth + 1, r, next_tied, child_images,
-                               child_sums,
-                               sig if ext is None
-                               else sig + chr(ext + sig_offset),
-                               child_code)
+            self._dfs(depth + 1, r, next_tied, child_images, child_sums,
+                      sig if ext is None else sig + chr(ext + sig_offset),
+                      child_code)
             self.chosen.pop()
             top = self.limit - depth - 1
-            if status == _ABORTED or top < lo:
-                # aborted, or a find below left no length for this
-                # node: count nothing more
-                return status
+            if top < lo:
+                # a find below left no length for this node: count
+                # nothing more
+                return
             if top < hi:
                 hi = top
                 wanted = (2 << hi) - (1 << lo)
@@ -737,11 +735,9 @@ class _WindowSearch:
             if hi and (done or len(memo) < _CACHE_CAP):
                 memo[key] = done | wanted
 
-        budget.used += total - tried
+        budget.used += len(columns.choices[tied]) - tried
         if budget.used > budget.cap:
-            budget.used = budget.cap + 1
-            return _ABORTED
-        return _EXHAUSTED
+            raise _NodeCapReached
 
 
 def search(cfg: SearchConfig) -> SearchOutcome:
@@ -771,9 +767,12 @@ def search(cfg: SearchConfig) -> SearchOutcome:
         if hi > _LONGEST:
             raise SizeLimitError(f"no search reaches past length {_LONGEST}")
         engine = _WindowSearch(cfg.n, cfg.m, lo, hi, columns, budget)
-        # an abort after a find leaves shorter lengths unsearched
-        if engine.run() == _ABORTED:
-            return SearchOutcome("inconclusive", budget.used, cfg.region())
+        try:
+            engine.run()
+        except _NodeCapReached:
+            # a cap hit after a find leaves shorter lengths unsearched
+            return SearchOutcome("inconclusive", cfg.node_cap + 1,
+                                 cfg.region())
         pattern = engine.result
         if pattern is not None:
             if pattern.l < cfg.l_min:

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 from .colourings import (BranchSet, check_valuation_base,
                          check_valuation_factors, delta_colouring,
-                         resolve_colouring, valuation_bit,
-                         valuation_colouring)
+                         product_sigma_colouring, resolve_colouring,
+                         valuation_bit, valuation_colouring)
 from .groups import (DEFAULT_FS_LIMIT, Element, GroupSpec, PreconditionError,
                      SizeLimitError, fs_set_formal, multiples, subset_sums,
                      supp)
@@ -346,8 +346,8 @@ def check_fs_matrix_identities(spec: GroupSpec, alphas: Sequence[int],
     gens = spec.basis()
 
     def d(i: int, j: int) -> ColourToken:
-        lo, hi = min(i, j), max(i, j)
-        return colouring(gens[hi] - gens[lo])
+        # every call has i < j, by the index precondition above
+        return colouring(gens[j] - gens[i])
 
     col0 = [gens[beta] - gens[a] for a in alphas]
     col1 = [gens[g] - gens[beta] for g in gammas]
@@ -567,8 +567,6 @@ def fs_support_growth_check(spec: GroupSpec, xs: Sequence[Element]) -> Certifica
     Monochromaticity is a precondition; violating it is an input error,
     not a counterexample.  So are the empty set and the set {0}: the
     argument needs an element and a support size s >= 1."""
-    from .colourings import product_sigma_colouring
-
     xs = list(xs)
     if not xs:
         raise PreconditionError(

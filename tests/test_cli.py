@@ -82,12 +82,14 @@ def test_search_past_the_size_four_bound_prints_the_same_bytes(
         assert (code, out) == (1, expected % count)
 
 
-def test_search_builds_per_length_tables_only_for_lengths_reached(
+def test_search_builds_per_length_tables_up_to_length_255(
         capsys, monkeypatch):
     # a region found at l = 3 answers at once however large l_max is;
     # l_max = 10^4 comes first, so a table sized by l_max fails there
-    # instead of filling memory at 10^9.  The tables grow to the top of
-    # the last window searched, and the windows are made one at a time.
+    # instead of filling memory at 10^9.  The per-r tables are built
+    # with the columns for every r up to l_max capped at 255, the
+    # longest length a search reaches, and the windows are made one at
+    # a time.
     from pattern_forge import patterns
     tops = []
 
@@ -112,7 +114,7 @@ def test_search_builds_per_length_tables_only_for_lengths_reached(
             longest, columns = max(tops)
             assert longest == 3
             for table in (columns.bounds, columns.lower_base):
-                assert len(table) <= longest + 1
+                assert len(table) == min(l_max, 255) + 1
 
 
 def test_search_refuses_a_window_past_length_255(capsys, monkeypatch):

@@ -908,6 +908,20 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m,
                          for size in (2, 3) if size < 3 or size_three}
 
 
+@pytest.mark.parametrize("n,m,bound", [
+    (3, 3, None), (3, 12, None), (4, 2, None), (3, 2, None), (2, 0, 2),
+    (3, 0, 1)])
+def test_counting_groups_read_each_hit_set_once(n, m, bound):
+    # a group's amounts depend only on which hit sets occur, so passing
+    # every profile twice changes no group.  On these regions doubling
+    # the columns moves no candidate past the size-3 or size-4 bound.
+    profiles = [patterns._column_profile(c, m)
+                for c in patterns._column_alphabet(n, m, bound)]
+    groups = patterns._constraint_groups(n, profiles)
+    assert len(groups) > 1
+    assert patterns._constraint_groups(n, profiles + profiles) == groups
+
+
 def _simplex(n, scale):
     """All 2^n - 1 nonzero 0/1 columns in counting order, times scale."""
     return tuple(tuple(scale * (j >> n - 1 - i & 1) for j in range(1, 1 << n))
@@ -1121,8 +1135,8 @@ def _direct_scan(options, progress, signature):
 class _CheckedTable(dict):
     """A region's fitting-column table that checks every entry it stores
     or returns against a direct scan of the options its key names (tie
-    mask -1: the depth-0 options), in the state computed from the
-    columns the engine of the current window has chosen."""
+    mask 1 << (n - 1): the root's options), in the state computed from
+    the columns the engine of the current window has chosen."""
 
     def __init__(self):
         super().__init__()
@@ -1137,10 +1151,10 @@ class _CheckedTable(dict):
         # an entry of 0 encodes to the padding code
         need = _codes(columns, (signature[q] if q < len(signature) else 0
                                 for q in progress))
-        assert key == (tied if engine.chosen else -1, need), engine.chosen
-        options = (columns.choices[tied] if engine.chosen
-                   else columns.first_choices)
-        return _direct_scan(options, progress, signature), len(options)
+        if not engine.chosen:
+            tied = 1 << (engine.n - 1)
+        assert key == (tied, need), engine.chosen
+        return _direct_scan(columns.choices[tied], progress, signature)
 
     def get(self, key):
         entry = super().get(key)

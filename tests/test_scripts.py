@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from pattern_forge.cli import CLAIM_FLAGS
+from pattern_forge.patterns import SearchConfig, search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,8 +37,19 @@ def test_certificate_suite_verifies_every_claim():
 
 
 def test_pattern_frontier_small_grid():
-    proc = run_script("pattern_frontier.py", "--n-max", "2", "--moduli",
+    proc = run_script("pattern_frontier.py", "--n-max", "3", "--moduli",
                       "2,3", "--l-max", "4")
     assert proc.returncode == 0, proc.stderr
-    # a header and one row per (n, m)
-    assert len(proc.stdout.splitlines()) == 1 + 2 * 2
+    # a header and one row per (n, m), each with the result and nodes of
+    # the library's own search of that region; the n = 3 rows find nothing
+    # at l <= 4
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["n", "m", "result", "nodes", "cpu_s"]
+    expected = []
+    for n in (1, 2, 3):
+        for m in (2, 3):
+            out = search(SearchConfig(n=n, m=m, l_max=4))
+            result = (f"l={out.pattern.l}" if out.status == "found"
+                      else "none<=4")
+            expected.append([str(n), str(m), result, str(out.nodes)])
+    assert [row.split()[:4] for row in rows] == expected
