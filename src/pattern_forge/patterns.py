@@ -206,10 +206,7 @@ def _constraint_groups(n: int, profiles: list) -> list:
         return lo, max(amounts), math.gcd(*(a - lo for a in amounts))
 
     groups = [(all_masks, *a_set(sum(1 << mask for mask in all_masks)))]
-    # sets of 3 only while their number times the columns stays within
-    # _TABLE_CAP << 7: (6, 2) keeps them at 2.5M, (6, 3) drops them at 28.9M
-    sizes = ((2, 3) if math.comb(n_masks, 3) * len(profiles)
-             <= _TABLE_CAP << 7 else (2,))
+    sizes = (2, 3) if _sets_of_three_fit(n, len(profiles)) else (2,)
     for size in sizes:
         for masks in itertools.combinations(all_masks, size):
             lo, hi, g = a_set(sum(1 << mask for mask in masks))
@@ -225,6 +222,42 @@ def _constraint_groups(n: int, profiles: list) -> list:
                 if hi == 4 and g <= 1:
                     groups.append((masks, lo, hi, g))
     return groups
+
+
+def _sets_of_three_fit(n: int, n_columns: int) -> bool:
+    """Whether the sets of 3 row subsets, and with them the triangles,
+    are tried: while their number times the columns stays within
+    _TABLE_CAP << 7.  (6, 2) keeps them at 2.5M, (6, 3) drops them at
+    28.9M and (7, 2) at 42.3M."""
+    return math.comb((1 << n) - 1, 3) * n_columns <= _TABLE_CAP << 7
+
+
+def _triangles(n: int, n_columns: int) -> list:
+    """The triangle bound, as (X, Y, Z): k >= p_Y + p_Z - p_X.
+
+    Take disjoint nonempty row sets A and B and C = A | B (as masks).
+    Every column sums to c_C = c_A + c_B on them, over Z/m and over Z,
+    so no column makes exactly one of the three sums nonzero: per
+    column h_X <= h_Y + h_Z for each labelling (X; Y, Z) of the triple,
+    h_X being 1 where the column hits X.  Summed over the columns still
+    to add, where mask X still needs k - p_X hits, that is
+    k - p_X <= (k - p_Y) + (k - p_Z).  The set of triples is closed
+    under row permutations, so _feasible stays invariant under them.
+    All 3*(3^n - 2^(n+1) + 1)/2 of them, 18 at n = 3 and 75 at n = 4,
+    within the cap of the sets of 3 (see _sets_of_three_fit), and none
+    past it; dropping one is always sound."""
+    if not _sets_of_three_fit(n, n_columns):
+        return []
+    out = []
+    for c in range(1, 1 << n):
+        # each split of C into A < B, over the nonempty proper submasks A
+        a = c - 1 & c
+        while a:
+            b = c ^ a
+            if a < b:
+                out += [(c, a, b), (a, b, c), (b, a, c)]
+            a = a - 1 & c
+    return out
 
 
 # entries kept by the fitting-column table of a region and by each of a
@@ -275,9 +308,10 @@ def _fitting(options, need: str, offset: int) -> list:
 
 class _Columns:
     """The tables of a search region, shared by every length up to
-    l_max: the constraint groups with the terms _feasible(r) reads per
-    r <= l_max, per tie mask the allowed columns with their packed
-    increments, and the fitting-column table.
+    l_max: the constraint groups and the triangles (see _triangles) with
+    the terms _feasible(r) reads per r <= l_max, per tie mask the
+    allowed columns with their packed increments, and the fitting-column
+    table.
 
     A search state carries its signature as a str of codes, one
     character chr(entry + sig_offset) per entry; sig_offset is 0 for
@@ -307,7 +341,8 @@ class _Columns:
     a row permutation pi: column c becomes c∘pi^-1, which hits pi(T)
     with the value c has on T, so fitting, need and the final test carry
     over; the alphabet is closed under pi and the amounts of pi(T) are
-    those of T, so the counting groups are too, and with them _feasible.
+    those of T, so the counting groups are too, the triangles are
+    closed under pi as well, and with them _feasible.
     So an untied (progress, sig, r) is exhausted exactly when
     (pi·progress, sig, r) is, and the memo keys such a child by the
     least packed image of its progress over the permutations the region
@@ -341,7 +376,8 @@ class _Columns:
             self.sig_base = 2 * n * entry_bound + 1
             self.sig_offset = n * entry_bound
         self.pad = chr(self.sig_offset)
-        self.split_groups(_constraint_groups(n, profiles), l_max)
+        self.split_groups(_constraint_groups(n, profiles),
+                          _triangles(n, len(profiles)), l_max)
         sum_units = self.sum_units
         # the packed steps of each column: 1 into the progress field, and
         # sum_units[mask] into the packed group sums G, per hit mask
@@ -402,14 +438,17 @@ class _Columns:
             code = code * self.sig_base + ord(entry_code)
         return state | tied << self.rest_shift | code << self.sig_shift
 
-    def split_groups(self, groups, l_max: int) -> None:
-        """Give every counting group (masks, lo, hi, g) a field of the
-        packed group sums G (see _feasible), which holds its S.  The
-        lower-only groups (hi == |T|, g <= 1), kept as (masks, lo), take
-        the low fields, which _feasible tests all at once.  Each other
-        group takes a field above them, kept as (shift, field mask, |T|,
-        lo, hi, g), which _feasible reads with a shift and a mask and
-        tests on its own."""
+    def split_groups(self, groups, triangles, l_max: int) -> None:
+        """Give every counting group (masks, lo, hi, g) and every
+        triangle (X, Y, Z) (see _triangles) a field of the packed sums G
+        (see _feasible).  The lower-only groups (hi == |T|, g <= 1),
+        kept as (masks, lo), take the low fields, holding their S, and
+        the triangles the fields above those, holding
+        p_Y + p_Z - p_X + l_max: _feasible tests all of these at once,
+        a triangle as a lower-only group with |T| = 1 and lo = 0.  Each
+        other group takes a field above them, kept as (shift, field
+        mask, |T|, lo, hi, g), which _feasible reads with a shift and a
+        mask and tests on its own."""
         lower, looped = [], []
         for masks, lo, hi, g in groups:
             if hi == len(masks) and g <= 1:
@@ -417,24 +456,33 @@ class _Columns:
             else:
                 looped.append((masks, lo, hi, g))
         self.lower_only = lower
-        # one field of `fw` bits per lower-only group; a field is within
-        # l*|T| <= l_max*|T| of its guard bit 2^(fw-1) (see _feasible),
-        # so it stays in [0, 2^fw) and never borrows from its neighbour.
-        # Its S <= l*|T| stays below 2^(fw-1) too, so the lower-only
-        # part of G never carries into the fields above.
-        fw = (l_max * max((len(masks) for masks, _ in lower),
-                          default=1)).bit_length() + 1
+        self.triangles = triangles
+        # one field of `fw` bits per lower-only group and per triangle,
+        # each within l*|T| of its guard bit 2^(fw-1) (see _feasible), a
+        # triangle's within l, so it stays in [0, 2^fw) and never
+        # borrows from its neighbour.  A group's S <= l*|T| and a
+        # triangle's sum, in [0, 3*l] as every progress field is at most
+        # l, stay below 2^fw too (a triangle counts as |T| = 2 here), so
+        # the lower-only part of G never carries into the fields above.
+        widest = max([len(masks) for masks, _ in lower]
+                     + [2] * bool(triangles), default=1)
+        fw = (l_max * widest).bit_length() + 1
+        n_lower = len(lower) + len(triangles)
 
         def pack(values):
             return sum(v << fw * i for i, v in enumerate(values))
-        self.guard = pack([1 << fw - 1] * len(lower))
-        self.lower_t = pack([len(masks) for masks, _ in lower])
+        self.guard = pack([1 << fw - 1] * n_lower)
+        self.lower_t = pack([len(masks) for masks, _ in lower]
+                            + [1] * len(triangles))
         self.lower_lo = pack([lo for _, lo in lower])
-        # (shift, masks) of every field of G.  A field above the
+        # G at the root: l_max in every triangle field, the bias that
+        # keeps its sum from going negative; base[r] adds it back
+        self.root_sums = pack([0] * len(lower) + [l_max] * len(triangles))
+        # (shift, masks) of every group field of G.  A field above the
         # lower-only ones holds its S <= |T|*_LONGEST exactly, as no
         # progress field passes one byte.
         fields = [(fw * i, masks) for i, (masks, _) in enumerate(lower)]
-        shift = fw * len(lower)
+        shift = fw * n_lower
         self.groups = []
         for masks, lo, hi, g in looped:
             t = len(masks)
@@ -442,16 +490,23 @@ class _Columns:
             self.groups.append((shift, (1 << width) - 1, t, lo, hi, g))
             fields.append((shift, masks))
             shift += width
-        # a 1 in the field of every group holding the mask, so that
-        # sum(p[mask] * sum_units[mask]) packs the group sums G
-        self.sum_units = [sum(1 << at for at, masks in fields if mask in masks)
-                          for mask in range(self.n_masks + 1)]
+        # a 1 in the field of every group holding the mask and of every
+        # triangle with the mask as Y or Z, a -1 in that of every
+        # triangle with it as X, so that root_sums plus
+        # sum(p[mask] * sum_units[mask]) packs G
+        units = [sum(1 << at for at, masks in fields if mask in masks)
+                 for mask in range(self.n_masks + 1)]
+        for i, (x, y, z) in enumerate(triangles, len(lower)):
+            units[y] += 1 << fw * i
+            units[z] += 1 << fw * i
+            units[x] -= 1 << fw * i
+        self.sum_units = units
         # per r <= l_max, the terms _feasible(r) reads: at most
         # _LONGEST + 1 of each, as search caps l_max at _LONGEST
         self.bounds = [[(shift, field, t, r * lo, r * (hi - lo), g)
                         for shift, field, t, lo, hi, g in self.groups]
                        for r in range(l_max + 1)]
-        self.lower_base = [self.guard - r * self.lower_lo
+        self.lower_base = [self.guard + self.root_sums - r * self.lower_lo
                            for r in range(l_max + 1)]
 
 
@@ -543,22 +598,31 @@ class _WindowSearch:
         take its demand |T|*k - S (S: the progress summed over T) in r
         columns: r*lo <= |T|*k - S <= r*hi, an interval of k per group,
         plus a congruence mod g where g > 1.  The demand is then never
-        negative, because lo >= 0.  G packs the S of every group, one
-        field each (see _Columns.split_groups); a group that is not
-        lower-only reads its S with a shift and a mask.
+        negative, because lo >= 0.  And k must pass the triangle bound
+        k >= p_Y + p_Z - p_X of every triangle (X, Y, Z) (see
+        _triangles).  G packs the S of every group and the
+        p_Y + p_Z - p_X + l_max of every triangle, one field each (see
+        _Columns.split_groups); a group that is not lower-only reads its
+        S with a shift and a mask.
 
         A lower-only group (hi == |T|, g <= 1) never lowers k_hi: its
         upper bound floor((S + r*|T|)/|T|) = floor(S/|T|) + r is at least
         min p + r, where k_hi starts, since min p <= S/|T|.  Its lower
         bound ceil((S + r*lo)/|T|) <= k holds exactly when
-        |T|*k - r*lo - S >= 0, and then at every larger k too.  So once
-        the other groups have fixed k_hi, all lower-only groups hold at
-        k_hi exactly when every lower-only field of
-        k_hi*lower_t + lower_base[r] - G keeps its guard bit.  A k tried
-        for a congruence must pass the same test at that k, so the scan
-        starts at the first k that does.  As max p <= k <= min p + r and
-        |T|*max p >= S >= |T|*min p, a field holds a value in [-r*lo,
-        r*(|T| - lo)], within l*|T| of 0 whatever the progress.  The
+        |T|*k - r*lo - S >= 0, and then at every larger k too.  A
+        triangle is such a bound, with |T| = 1 and lo = 0, on
+        S = p_Y + p_Z - p_X; its upper side k - S <= 2r already follows
+        from max p <= k <= min p + r.  So once the other groups have
+        fixed k_hi, all lower-only groups and triangles hold at k_hi
+        exactly when every lower-only field of
+        k_hi*lower_t + lower_base[r] - G keeps its guard bit
+        (lower_base[r] adds back the l_max that G holds in each
+        triangle field).  A k tried for a congruence must pass the same
+        test at that k, so the scan starts at the first k that does.  As
+        max p <= k <= min p + r and |T|*max p >= S >= |T|*min p, a group
+        field holds a value in [-r*lo, r*(|T| - lo)], within l*|T| of 0
+        whatever the progress, and a triangle field one in
+        [p_X - p_Z, r + p_X - p_Z], within l of 0 as p_X <= l - r.  The
         fields of the other groups sit above the guard bits, so what
         they subtract never reaches those bits."""
         columns = self.columns
@@ -601,10 +665,12 @@ class _WindowSearch:
         length its empty progress vector passes _feasible for, under the
         root's tie mask (see _Columns).  A find is left in self.result;
         past the node cap _NodeCapReached propagates."""
+        columns = self.columns
         for r in range(self.lo, self.limit + 1):
-            if self._feasible(r, bytes(self.columns.n_masks + 1), 0, 1):
-                self._dfs(0, r, 1 << (self.n - 1), self.columns.root_images,
-                          0, "", 1)
+            if self._feasible(r, bytes(columns.n_masks + 1),
+                              columns.root_sums, 1):
+                self._dfs(0, r, 1 << (self.n - 1), columns.root_images,
+                          columns.root_sums, "", 1)
                 return
 
     def _dfs(self, depth: int, r_lo: int, tied: int, images: tuple,

@@ -15,7 +15,8 @@ the same canonical columns with none of the search's packing, tables or
 caches, and shares only the counting-group list of `_constraint_groups`,
 which tests/test_patterns.py checks by direct arithmetic on every
 prefix of adequate patterns, and the window size `_WINDOW`, so that a
-test can set both engines to one length per pass.
+test can set both engines to one length per pass.  Its triangle bound
+is its own: a plain loop over the disjoint pairs of row subsets.
 """
 
 import itertools
@@ -73,11 +74,24 @@ def naive_fs_scan(colour, points, n, budget=None, add=operator.add):
     return "verified", examined, None
 
 
-def naive_feasible(progress, r, groups):
+def naive_disjoint_pairs(n):
+    """Every unordered pair (A, B), A < B, of disjoint nonempty row
+    subsets of n rows, as masks."""
+    masks = range(1, 1 << n)
+    return [(a, b) for a in masks for b in masks if a < b and not a & b]
+
+
+def naive_feasible(progress, r, groups, triangles=True):
     """Can `progress` (indexed by row-subset mask, slot 0 unused) be
     completed in r more columns?  A plain walk over every common final
-    length k, testing each counting group (masks, lo, hi, g) at that k."""
+    length k, testing each counting group (masks, lo, hi, g) at that k,
+    and with `triangles` the triangle bound: a column's sum on A | B is
+    its sum on A plus its sum on B, so of the three it never makes
+    exactly one nonzero, and the hits still needed on any one of A, B
+    and A | B are at most those still needed on the other two."""
     p = progress
+    n = (len(p) - 1).bit_length()
+    pairs = naive_disjoint_pairs(n) if triangles else []
     for k in range(max(1, max(p[1:])), min(p[1:]) + r + 1):
         ok = True
         for masks, lo, hi, g in groups:
@@ -88,9 +102,16 @@ def naive_feasible(progress, r, groups):
             if g > 1 and (demand - r * lo) % g:
                 ok = False
                 break
-        if ok:
+        if ok and all(_hits_left_fit(k - p[a], k - p[b], k - p[a | b])
+                      for a, b in pairs):
             return True
     return False
+
+
+def _hits_left_fit(da, db, dc):
+    """No one of the hits still needed on A, B and A | B exceeds the
+    other two together."""
+    return da <= db + dc and db <= da + dc and dc <= da + db
 
 
 def _columns(n, m, bound):
@@ -115,16 +136,19 @@ def naive_groups(n, m, bound=None):
 
 
 def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
-                 groups=None):
+                 groups=None, triangles=True):
     """(status, nodes, pattern or None) of the canonical-pattern search
     by plain recursion: the columns in lex order, a per-mask progress
     list, a tuple signature, naive_feasible over `groups` (by default
     _constraint_groups' list for the region, as naive_groups gives it)
-    and a dict from tuple memo keys to the set of r proved
-    exhausted, stopped from taking new keys at memo_cap per pass.  Every
-    candidate column counts as a node, as in `search`.  With merge_rows
-    an untied state's key holds the least of its progress tuple's
-    row-permutation images (n <= 4), else the progress tuple itself.
+    and, with `triangles`, the triangle bound (which `search` keeps
+    within the cap of the sets of 3 row subsets, so on every region
+    this engine can walk), and a dict from tuple memo keys to the set of
+    r proved exhausted, stopped from taking new keys at memo_cap per
+    pass.  Every candidate column counts as a node, as in `search`.
+    With merge_rows an untied state's key holds the least of its
+    progress tuple's row-permutation images (n <= 4), else the progress
+    tuple itself.
 
     The lengths are searched in passes over windows of
     patterns._WINDOW lengths (read at call time), the top one of those
@@ -220,7 +244,8 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
                 key = ((least_image(progress) if child_tied == 0
                         else tuple(progress)), child_tied, child_sig)
                 least = next((r for r in range(child_lo, child_hi + 1)
-                              if naive_feasible(progress, r, groups)), None)
+                              if naive_feasible(progress, r, groups,
+                                                triangles)), None)
                 # a child is skipped when the memo holds the least r it
                 # passes naive_feasible for and every r above that
                 if least is not None and not (child_hi and set(range(
@@ -240,7 +265,7 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
                     progress[mask] -= 1
 
         for r in range(lo, hi + 1):
-            if naive_feasible(progress, r, groups):
+            if naive_feasible(progress, r, groups, triangles):
                 dfs(0, r, (1 << n - 1) - 1, ())
                 break
         if found is not None:

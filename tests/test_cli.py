@@ -72,10 +72,12 @@ def test_search_inconclusive_exit_two(capsys):
 def test_search_past_the_size_four_bound_prints_the_same_bytes(
         capsys, monkeypatch, argv, expected):
     # these regions have too many columns for sets of 4 row subsets, so
-    # their counting groups, nodes and bytes are those of sizes 2 and 3;
-    # nodes one length per pass, then three
+    # their counting groups, nodes and bytes are those of sizes 2 and 3
+    # and the triangle bound; nodes one length per pass, then three
+    # (before the triangle bound (27884, 13733) at (4, 5) and 724 one
+    # length per pass at (5, 3))
     from pattern_forge import patterns
-    nodes = {"4": (27884, 13733), "5": (724, 384), "6": (0, 0)}[argv[1]]
+    nodes = {"4": (6404, 2271), "5": (458, 384), "6": (0, 0)}[argv[1]]
     for window, count in zip((1, 3), nodes):
         monkeypatch.setattr(patterns, "_WINDOW", window)
         code, out, _ = run(capsys, "search", *argv)

@@ -115,75 +115,66 @@ def _past_size_four(monkeypatch, n, m, bound, past=True):
                         else _TABLE_CAP)
 
 
-# node counts with the size-4 groups, where they cut, searching one
-# length per pass (_WINDOW = 1).  Past the size-4 bound a region keeps
-# the groups of sizes 2 and 3 alone and gives its count in
-# _MERGED_NODES, or where the merge moves nothing there, the count its
-# test is given.
-_SIZE_FOUR_NODES = {
-    (3, 3, None, 12): 11_016, (3, 4, None, 9): 4_346, (3, 0, 2, 5): 1_233,
-    (3, 3, None, 8): 1_306, (3, 5, None, 8): 7_032, (3, 0, 1, 8): 1_294,
-    (4, 3, None, 8): 2_661, (3, 4, None, 8): 4_346, (3, 6, None, 8): 20_877,
-    (3, 4, None, 7): 4_346, (3, 6, None, 7): 20_877,
-    (3, 3, None, 19): 259_982}
-
-# node counts past the size-4 bound, one length per pass, where the
-# memo's merging of row permutations moves them.  The counts the tests
-# below are given are those of a memo that merges none, past the bound,
-# as naive_search(merge_rows=False) gives them.  naive_search reproduces
-# the merged counts too; see test_naive_search_reproduces_the_pinned_counts.
-_MERGED_NODES = {
-    (3, 3, None, 12): 15_940, (4, 2, None, 16): 7_603, (3, 4, None, 9): 5_691,
-    (3, 3, None, 8): 1_642, (3, 5, None, 8): 10_124, (3, 0, 1, 8): 1_630,
-    (3, 4, None, 8): 5_691, (3, 6, None, 8): 31_062, (3, 4, None, 7): 5_691,
-    (3, 6, None, 7): 31_062, (3, 3, None, 19): 403_654}
-
-# node counts with the module's _WINDOW of 3 lengths per pass, as (with
-# the size-4 groups, past their bound), of every region the tests below
-# pin one length per pass
-_WINDOWED_NODES = {
-    (3, 3, None, 12): (5_042, 8_084), (3, 4, None, 9): (2_380, 3_433),
-    (3, 0, 2, 5): (910, 1_750), (3, 3, None, 8): (860, 988),
-    (3, 5, None, 8): (4_705, 6_309), (3, 0, 1, 8): (857, 985),
-    (4, 3, None, 8): (1_346, 1_346), (3, 4, None, 8): (2_380, 3_433),
-    (3, 6, None, 8): (10_942, 19_072), (3, 4, None, 7): (2_380, 3_433),
-    (3, 6, None, 7): (10_942, 19_072), (3, 3, None, 19): (147_269, 211_761),
-    (4, 2, None, 16): (7_603, 7_603), (3, 5, None, 4): (104, 104),
-    (3, 6, None, 4): (647, 647), (3, 0, 2, 4): (166, 166),
-    (4, 3, None, 4): (39, 39), (3, 2, None, 7): (28, 28)}
+# node counts of every region the tests below pin, with the triangle
+# bound: one length per pass (_WINDOW = 1) with the size-4 groups and
+# past their bound, then the module's _WINDOW of 3 lengths per pass with
+# them and past their bound.  CHANGES.md lists the counts before the
+# triangle bound beside these.
+_NODES = {
+    (3, 3, None, 12): (7_688, 7_792, 4_470, 4_496),
+    (3, 4, None, 9): (3_386, 3_503, 2_380, 2_497),
+    (3, 0, 2, 5): (489, 489, 166, 166),
+    (3, 3, None, 8): (760, 838, 314, 314),
+    (3, 5, None, 8): (3_932, 4_304, 1_605, 1_605),
+    (3, 0, 1, 8): (748, 826, 311, 311),
+    (4, 3, None, 8): (803, 803, 295, 295),
+    (3, 4, None, 8): (3_386, 3_503, 2_380, 2_497),
+    (3, 6, None, 8): (16_757, 17_382, 10_942, 11_567),
+    (3, 4, None, 7): (3_386, 3_503, 2_380, 2_497),
+    (3, 6, None, 7): (16_757, 17_382, 10_942, 11_567),
+    (3, 3, None, 19): (151_848, 157_958, 86_507, 88_119),
+    (4, 2, None, 16): (4_293, 4_293, 4_293, 4_293),
+    (3, 5, None, 4): (208, 208, 104, 104),
+    (3, 6, None, 4): (1_294, 1_294, 647, 647),
+    (3, 0, 2, 4): (332, 332, 166, 166),
+    (4, 3, None, 4): (49, 49, 39, 39),
+    (3, 2, None, 7): (28, 28, 28, 28)}
 
 
-def _pinned_counts(key, nodes):
+def _pinned_counts(key):
     """{window: (nodes with the size-4 groups, nodes past their bound)}
-    of a region whose test gives `nodes`, the count one length per pass
-    past the bound of a memo that merges no row permutation."""
-    merged = _MERGED_NODES.get(key, nodes)
-    return {1: (_SIZE_FOUR_NODES.get(key, merged), merged),
-            _WINDOW: _WINDOWED_NODES[key]}
+    of a region, as _NODES gives them."""
+    counts = _NODES[key]
+    return {1: counts[:2], _WINDOW: counts[2:]}
 
 
 def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
     """The region's outcome with the size-4 groups, then past their
-    bound, one length per pass and then with the module's _WINDOW; then
-    `nodes` on naive_search one length per pass, past the bound, with a
-    memo that merges no row permutation."""
+    bound, one length per pass and then with the module's _WINDOW, and
+    naive_search's one length per pass past the bound.  `nodes` is the
+    count before the triangle bound, one length per pass past the bound
+    with a memo that merges no row permutation, as
+    naive_search(triangles=False, merge_rows=False) gives it."""
+    key = (n, m, bound, l_max)
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
-    for window, counts in _pinned_counts((n, m, bound, l_max), nodes).items():
+    for window, counts in _pinned_counts(key).items():
         monkeypatch.setattr(patterns, "_WINDOW", window)
         for past, expected in zip((False, True), counts):
             _past_size_four(monkeypatch, n, m, bound, past)
             out = search(cfg)
             assert (out.status, out.nodes) == (status, expected), window
     monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, l_max, bound, merge_rows=False)[:2] == (
-        status, nodes)
+    assert naive_search(n, m, l_max, bound)[:2] == (status, _NODES[key][1])
+    assert naive_search(n, m, l_max, bound, merge_rows=False,
+                        triangles=False)[:2] == (status, nodes)
 
 
 def test_search_exhausts_three_rows_mod_three_deeply(monkeypatch):
     # independently validated to l = 8 (generate-and-test and the subset
     # scan over (Z/3)^8 agree); this locks the engine behaviour further
     # out.  Without symmetry breaking, and before the memo merged row
-    # permutations: 105,508, and 157,404 past the size-4 bound.
+    # permutations and the triangle bound: 105,508, and 157,404 past the
+    # size-4 bound.
     _assert_node_counts(monkeypatch, 3, 3, None, 12, "exhausted", 24_182)
 
 
@@ -219,8 +210,9 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
 
 
 # without symmetry breaking, and before the memo merged row
-# permutations: 44,925 at (4, 2); 18,690 at (3, 4) and 12,524 at
-# (3, 0), or 22,848 and 18,972 past the size-4 bound
+# permutations and the triangle bound: 44,925 at (4, 2); 18,690 at
+# (3, 4) and 12,524 at (3, 0), or 22,848 and 18,972 past the size-4
+# bound
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
     (4, 2, None, 16, "found", 35_713),
     (3, 4, None, 9, "found", 6_510),
@@ -287,9 +279,11 @@ def _decode(columns, key):
 def _feasible_on(engine, progress, r):
     """_feasible on `progress`, passed as bytes, on a new engine of the
     same region, with G and k_lo computed from the vector itself."""
-    fresh = _WINDOW_SEARCH(engine.n, engine.m, 1, max(1, r), engine.columns,
+    columns = engine.columns
+    fresh = _WINDOW_SEARCH(engine.n, engine.m, 1, max(1, r), columns,
                            patterns._NodeBudget(None))
-    packed_sums = sum(map(operator.mul, progress, engine.columns.sum_units))
+    packed_sums = columns.root_sums + sum(map(operator.mul, progress,
+                                              columns.sum_units))
     return fresh._feasible(r, bytes(progress), packed_sums,
                            max(1, max(progress)))
 
@@ -403,17 +397,16 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
     # on the order they came in, so equal counts mean the one-integer
     # keys name the same states, up to a row permutation where untied,
     # in the same order.  The m = 0 region fills nothing and pins the
-    # offset digits.  The counts given are one length per pass, past
-    # the size-4 bound, of a memo that merges no row permutation; the
-    # merge gives those below, with the size-4 groups and past the
+    # offset digits.  The counts given are those before the triangle
+    # bound, one length per pass, past the size-4 bound, of a memo that
+    # merges no row permutation.  With the bound and the merge the
+    # counts are those below, with the size-4 groups and past the
     # bound, one length per pass and then with the module's _WINDOW,
     # with the memo as full.
-    merged = {(3, 3, 4): 10_509, (50, 3, 3): 48_934,
-              (100, 3, 5): 309_484}.get((cap, n, m), nodes)
-    with_size_four = {(3, 3, 4): 8_975, (50, 3, 3): 21_364,
-                      (100, 3, 5): 131_504}.get((cap, n, m), merged)
-    windowed = {(3, 3, 4): (5_545, 6_787), (50, 3, 3): (11_412, 33_096),
-                (100, 3, 5): (70_348, 204_144), (500, 2, 0): (57, 57)}
+    counts = {(3, 3, 4): (6_551, 6_668, 5_545, 5_662),
+              (50, 3, 3): (12_238, 12_368, 9_020, 9_072),
+              (100, 3, 5): (77_564, 77_936, 58_940, 58_940),
+              (500, 2, 0): (67, 67, 57, 57)}[cap, n, m]
     engines = []
 
     class Recorded(patterns._WindowSearch):
@@ -423,10 +416,9 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
 
     monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    for window, counts in ((1, (with_size_four, merged)),
-                           (_WINDOW, windowed[cap, n, m])):
+    for window, pair in ((1, counts[:2]), (_WINDOW, counts[2:])):
         monkeypatch.setattr(patterns, "_WINDOW", window)
-        for past, expected in zip((False, True), counts):
+        for past, expected in zip((False, True), pair):
             _past_size_four(monkeypatch, n, m, bound, past)
             engines.clear()
             out = search(SearchConfig(n=n, m=m, l_max=l_max,
@@ -434,19 +426,19 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
             assert (out.status, out.nodes) == (status, expected)
             assert full == (max(len(e.memo) for e in engines) == cap)
     monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, l_max, bound, merge_rows=False,
-                        memo_cap=cap)[:2] == (status, nodes)
+    assert naive_search(n, m, l_max, bound, memo_cap=cap)[:2] == (
+        status, counts[1])
+    assert naive_search(n, m, l_max, bound, merge_rows=False, memo_cap=cap,
+                        triangles=False)[:2] == (status, nodes)
 
 
 # every region whose nodes a test pins, as (n, m, bound, l_max, memo
-# cap or None, past the size-4 bound): the keys of _SIZE_FOUR_NODES,
-# the regions of the node-count tests above, the capped caches and the
-# node-cap region run to its end, each with the size-4 groups and past
-# their bound, then the regions test_cli pins, which are past it anyway
+# cap or None, past the size-4 bound): the keys of _NODES, the capped
+# caches and the node-cap region run to its end, each with the size-4
+# groups and past their bound, then the regions test_cli pins, which
+# are past it anyway
 _PINNED_REGIONS = [(*region, past) for region in [
-    *((*key, None) for key in _SIZE_FOUR_NODES),
-    (4, 2, None, 16, None), (3, 5, None, 4, None), (3, 6, None, 4, None),
-    (3, 0, 2, 4, None), (4, 3, None, 4, None), (3, 2, None, 7, None),
+    *((*key, None) for key in _NODES),
     (3, 4, None, 9, 3), (3, 3, None, 12, 50), (3, 5, None, 12, 100),
     (2, 0, 3, 6, 500), (3, 3, None, 10, None)] for past in (False, True)]
 _PINNED_REGIONS += [(2, 3, None, 3, None, False), (4, 5, None, 8, None, False),
@@ -476,7 +468,7 @@ def test_naive_search_reproduces_the_pinned_counts(monkeypatch, n, m, bound,
 
 # the pinned regions for the naive engine with the groups of sizes 2-3
 # alone, which leaves out (4, 2, None, 16): there the engine walks
-# 249,066 nodes, not 7,603, in about 13 s
+# 249,066 nodes, not 4,293, in about 13 s
 _SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
                                for n, m, bound, l_max, cap, _ in _PINNED_REGIONS
                                if (n, m, l_max) != (4, 2, 16)}, key=str)
@@ -485,14 +477,16 @@ _SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
 @pytest.mark.parametrize("n,m,bound,l_max,cap", _SMALL_GROUP_REGIONS)
 def test_groups_of_sizes_two_and_three_keep_the_outcome(n, m, bound, l_max,
                                                         cap):
-    # dropping a counting group only cuts less, so the groups of 2 or 3
-    # row subsets alone (without the size-4 groups, and for n >= 3
-    # without the group of all subsets) give the full list's status and
-    # witness; only the nodes walked may grow
+    # dropping a counting group or the triangle bound only cuts less, so
+    # the groups of 2 or 3 row subsets alone (without the size-4 groups,
+    # and for n >= 3 without the group of all subsets), and without the
+    # triangle bound, give the status and witness of the full list with
+    # the bound; only the nodes walked may grow
     full = naive_groups(n, m, bound)
     small = [g for g in full if 2 <= len(g[0]) <= 3]
     with_full = naive_search(n, m, l_max, bound, memo_cap=cap, groups=full)
-    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small)
+    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small,
+                              triangles=False)
     assert with_small[0] == with_full[0]
     assert (canonical_json(with_small[2].jsonable()) if with_small[2]
             else None) == (canonical_json(with_full[2].jsonable())
@@ -642,9 +636,11 @@ def _packed_images(columns, n, progress):
             for perm in itertools.permutations(range(n))]
 
 
+# (3, 0, 2) and (4, 3) one length longer than before the triangle bound,
+# which leaves no untied child at l_max 5 and 8
 @pytest.mark.parametrize("n,m,bound,l_max", [
     (3, 3, None, 8), (3, 4, None, 7), (2, 5, None, 6), (3, 0, 1, 6),
-    (3, 0, 2, 5), (4, 3, None, 8)])
+    (3, 0, 2, 6), (4, 3, None, 9)])
 def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
     # _dfs extends the signature code entry by entry; the code it passes
     # down must be memo_key's.  Every key it stores is the memo_key of a
@@ -739,9 +735,9 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
     # lengths widen them, and must change no answer and no count, with
     # the size-4 groups and past their bound, one length per pass and
     # three; 15 is a multiple of both, so no window edge moves.
-    # `nodes` is the count one length per pass past the bound of a
-    # memo that merges no row permutation.
-    for window, counts in _pinned_counts((n, m, None, length), nodes).items():
+    # `nodes` is the count before the triangle bound, one length per
+    # pass past the bound of a memo that merges no row permutation.
+    for window, counts in _pinned_counts((n, m, None, length)).items():
         monkeypatch.setattr(patterns, "_WINDOW", window)
         for past, expected in zip((False, True), counts):
             _past_size_four(monkeypatch, n, m, None, past)
@@ -752,8 +748,8 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
             assert (wide.status, wide.pattern, wide.nodes) == (
                 exact.status, exact.pattern, exact.nodes)
     monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, length, merge_rows=False)[:2] == (
-        "found", nodes)
+    assert naive_search(n, m, length, merge_rows=False, triangles=False)[:2] \
+        == ("found", nodes)
 
 
 _R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
@@ -784,20 +780,23 @@ def _capped(n, m, l_max, cap, outcomes):
 
 
 @pytest.mark.parametrize("n,m,l_max,cap,expected", [
-    # the region is exhausted after 3,896 nodes one length per pass, and
-    # after 1,973 three per pass
-    _capped(3, 3, 10, cap, {1: (3896, "exhausted", _R33),
-                            3: (1973, "exhausted", _R33)})
-    for cap in (0, 1, 2, 5, 17, 100, 1972, 1973, 3895, 3896, 5000)] + [
+    # the region is exhausted after 2,908 nodes one length per pass, and
+    # after 1,557 three per pass (3,896 and 1,973 before the triangle
+    # bound, the edges of the caps from 1,972 up)
+    _capped(3, 3, 10, cap, {1: (2908, "exhausted", _R33),
+                            3: (1557, "exhausted", _R33)})
+    for cap in (0, 1, 2, 5, 17, 100, 1556, 1557, 1972, 1973, 2907, 2908,
+                3895, 3896, 5000)] + [
     _capped(3, 2, 8, cap, {1: (28, "found", _R32, _P32),
                            3: (28, "found", _R32, _P32)})
     for cap in (0, 1, 2, 5, 17, 100, 5000)] + [
     # three per pass, the witness is recorded at 1,176 nodes, and the
     # pass spends 1,204 more proving l = 5 and 6 empty; a cap in between
-    # leaves them unproved, so the run is inconclusive
-    _capped(3, 4, 9, cap, {1: (4346, "found", _R34, _P34),
+    # leaves them unproved, so the run is inconclusive.  One length per
+    # pass the run ends at 3,386 nodes (4,346 before the triangle bound).
+    _capped(3, 4, 9, cap, {1: (3386, "found", _R34, _P34),
                            3: (2380, "found", _R34, _P34)})
-    for cap in (1176, 2379, 2380)])
+    for cap in (1176, 2379, 2380, 3385, 3386)])
 def test_node_cap_outcomes(monkeypatch, n, m, l_max, cap, expected):
     # outputs measured when every candidate column was spent one by one;
     # the search now spends the columns that fail the signature in chunks
@@ -843,7 +842,8 @@ def test_counting_groups_split(monkeypatch, n, m, bound, lower_only, looped,
     # _feasible tests the lower-only groups (hi == |T|, g <= 1) in one
     # packed comparison and loops over the rest.  The pinned split is
     # past the size-4 bound; every size-4 group kept is lower-only, so
-    # they add to the first count alone.
+    # they add to the first count alone.  The triangles join the packed
+    # comparison on either side of the bound.
     size_four = sum(len(masks) == 4
                     for masks, *_ in _counting_groups(n, m, bound))
     assert size_four == {(3, 2, None): 0, (2, 3, None): 0, (4, 0, 1): 940,
@@ -851,6 +851,7 @@ def test_counting_groups_split(monkeypatch, n, m, bound, lower_only, looped,
     for lower in (lower_only + size_four, lower_only):
         columns = patterns._Columns(n, m, bound, 12)
         assert len(columns.lower_only) == lower
+        assert len(columns.triangles) == 3 * (3 ** n - 2 ** (n + 1) + 1) // 2
         assert len(columns.groups) == looped
         assert sum(g > 1 for *_, g in columns.groups) == congruent
         _past_size_four(monkeypatch, n, m, bound)
@@ -908,6 +909,36 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m,
                          for size in (2, 3) if size < 3 or size_three}
 
 
+@pytest.mark.parametrize("n,m,fields", [
+    (1, 3, 0), (2, 3, 3), (3, 3, 18), (4, 7, 75), (6, 2, 903), (6, 3, 0),
+    (7, 2, 0)])
+def test_triangles_only_within_the_size_three_cap(n, m, fields):
+    # every labelling (X; Y, Z) of disjoint nonempty A, B and A | B,
+    # 3*(3^n - 2^(n+1) + 1)/2 of them, while the sets of 3 row subsets
+    # are tried ((4, 7) and (6, 2)), and none where they are not ((6, 3),
+    # and (7, 2), which would carry 2,898 fields)
+    n_columns = len(patterns._column_alphabet(n, m, None))
+    fit = math.comb((1 << n) - 1, 3) * n_columns <= patterns._TABLE_CAP << 7
+    assert fit == (n < 6 or (n, m) == (6, 2))
+    triangles = patterns._triangles(n, n_columns)
+    masks = range(1, 1 << n)
+    every = {t for a in masks for b in masks if a < b and not a & b
+             for t in ((a | b, a, b), (a, b, a | b), (b, a, a | b))}
+    assert len(every) == 3 * (3 ** n - 2 ** (n + 1) + 1) // 2
+    assert len(triangles) == fields
+    assert set(triangles) == (every if fit else set())
+
+
+def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
+    # (3, 3): C(7, 3) sets of 3 times 26 columns is 910, within 8 << 7
+    # but past 7 << 7
+    for cap, fields in ((8, 18), (7, 0)):
+        monkeypatch.setattr(patterns, "_TABLE_CAP", cap)
+        assert len(patterns._triangles(3, 26)) == fields
+        sizes = {len(masks) for masks, *_ in _groups_under_the_cap(3, 3, None)}
+        assert (3 in sizes) == bool(fields)
+
+
 @pytest.mark.parametrize("n,m,bound", [
     (3, 3, None), (3, 12, None), (4, 2, None), (3, 2, None), (2, 0, 2),
     (3, 0, 1)])
@@ -960,14 +991,14 @@ def test_soundness_regions_hold_size_four_groups():
         (3, 3), (3, 4), (3, 6), (3, 8), (4, 2)}
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_counting_groups_hold_on_every_prefix_of_adequate_patterns(data):
-    # adequate patterns from the witnesses: permuting rows and scaling
-    # by a unit keep a pattern adequate, and so does putting adequate
-    # patterns of the same rows side by side, as every subset sum is
-    # then the parts' sums side by side.  No pruning code is called:
-    # each group's demand over the columns left is checked directly.
+def _witness_prefixes(data):
+    """(n, m, bound, k, prefixes) of an adequate pattern drawn from the
+    witnesses: permuting rows and scaling by a unit keep a pattern
+    adequate, and so does putting adequate patterns of the same rows
+    side by side, as every subset sum is then the parts' sums side by
+    side.  k is its signature length, and prefixes holds (r, progress)
+    for every prefix, r the columns left and progress[mask] the nonzero
+    entries of the mask's sum over the prefix."""
     n, m, bound = data.draw(st.sampled_from(list(_WITNESSES)))
     part = _WITNESSES[n, m, bound]
     units = ([u for u in range(1, m) if math.gcd(u, m) == 1] if m
@@ -981,18 +1012,45 @@ def test_counting_groups_hold_on_every_prefix_of_adequate_patterns(data):
     pattern = Pattern(n, m, len(rows[0]), tuple(rows))
     report = is_adequate(pattern)
     assert report.adequate
-    k = len(report.signature)
     sums = {mask: [sum(rows[i][j] for i in range(n) if mask >> i & 1)
                    for j in range(pattern.l)] for mask in range(1, 1 << n)}
-    for done in range(pattern.l + 1):
-        r = pattern.l - done
-        progress = {mask: sum(1 for v in col[:done] if (v % m if m else v))
-                    for mask, col in sums.items()}
+    prefixes = [(pattern.l - done,
+                 {mask: sum(1 for v in col[:done] if (v % m if m else v))
+                  for mask, col in sums.items()})
+                for done in range(pattern.l + 1)]
+    return n, m, bound, len(report.signature), prefixes
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_counting_groups_hold_on_every_prefix_of_adequate_patterns(data):
+    # no pruning code is called: each group's demand over the columns
+    # left is checked directly
+    n, m, bound, k, prefixes = _witness_prefixes(data)
+    for r, progress in prefixes:
         for masks, lo, hi, g in _counting_groups(n, m, bound):
             demand = len(masks) * k - sum(progress[mk] for mk in masks)
-            assert r * lo <= demand <= r * hi, (rows, done, masks)
+            assert r * lo <= demand <= r * hi, (progress, r, masks)
             if g > 1:
-                assert (demand - r * lo) % g == 0, (rows, done, masks)
+                assert (demand - r * lo) % g == 0, (progress, r, masks)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_triangle_bound_holds_on_every_prefix_of_adequate_patterns(data):
+    # k >= p_Y + p_Z - p_X for every labelling (X; Y, Z) of disjoint
+    # nonempty row sets A, B and A | B, checked directly on every prefix
+    # with no pruning code: as p_A + p_B + p_C - 2*p_X <= k
+    n, m, bound, k, prefixes = _witness_prefixes(data)
+    masks = range(1, 1 << n)
+    for _, p in prefixes:
+        for a in masks:
+            for b in masks:
+                if a & b:
+                    continue
+                total = p[a] + p[b] + p[a | b]
+                for x in (a, b, a | b):
+                    assert total - 2 * p[x] <= k, (p, a, b, x)
 
 
 # regions with congruences, with and without lower-only groups, and
@@ -1016,6 +1074,29 @@ def test_feasible_agrees_with_naive_walk(data):
     r = data.draw(st.integers(0, 12))
     assert _feasible_on(engine, progress, r) == naive_feasible(
         progress, r, _counting_groups(n, m, bound)), (progress, r)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_feasible_is_invariant_under_row_permutations(data):
+    # the memo keys an untied child by the least row-permutation image
+    # of its progress, which is sound only where _feasible answers every
+    # image alike.  States as search meets them at length 12: a depth d,
+    # progress fields within d, and r up to 12 - d.
+    n, m = data.draw(st.sampled_from([(3, 2), (3, 3), (3, 5), (4, 2),
+                                      (4, 3)]))
+    engine = _engine(n, m)
+    depth = data.draw(st.integers(0, 12))
+    low = data.draw(st.integers(max(0, depth - 4), depth))
+    progress = [0] + [data.draw(st.integers(low, depth))
+                      for _ in range(1, 1 << n)]
+    r = data.draw(st.integers(0, 12 - depth))
+    perm = data.draw(st.permutations(range(n)))
+    image = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        image[sum(1 << perm[i] for i in range(n) if mask >> i & 1)] = \
+            progress[mask]
+    assert _feasible_on(engine, image, r) == _feasible_on(engine, progress, r)
 
 
 @pytest.mark.parametrize("fields,r", [
@@ -1063,12 +1144,12 @@ def test_congruence_scan_applies_the_packed_test_at_each_k():
     # it fails the packed test.
     groups = [((2,), 0, 2, 2), ((1,), 1, 1, 0)]
     columns = patterns._Columns(2, 2, None, 4)
-    columns.split_groups(groups, 4)
+    columns.split_groups(groups, [], 4)
     assert (len(columns.groups), len(columns.lower_only)) == (1, 1)
     engine = patterns._WindowSearch(2, 2, 4, 4, columns,
                                     patterns._NodeBudget(None))
     progress = [0, 0, 1, 0]
-    assert naive_feasible(progress, 2, groups) is False
+    assert naive_feasible(progress, 2, groups, triangles=False) is False
     assert _feasible_on(engine, progress, 2) is False
 
 
@@ -1094,8 +1175,8 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
                 assert not self.chosen and self.lo <= r <= self.limit
             else:
                 _assert_child_of_prefix(self, p)
-            assert packed_sums == sum(map(operator.mul, p,
-                                          self.columns.sum_units))
+            assert packed_sums == self.columns.root_sums + sum(
+                map(operator.mul, p, self.columns.sum_units))
             assert k_lo == max(1, max(p))
             answer = super()._feasible(r, progress, packed_sums, k_lo)
             assert answer == naive_feasible(p, r, groups)

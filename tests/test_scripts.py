@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pattern_forge.cli import CLAIM_FLAGS
 from pattern_forge.patterns import SearchConfig, search
 
@@ -53,3 +55,43 @@ def test_pattern_frontier_small_grid():
                       else "none<=4")
             expected.append([str(n), str(m), result, str(out.nodes)])
     assert [row.split()[:4] for row in rows] == expected
+
+
+def test_pattern_frontier_integer_entries():
+    # modulus 0 searches integer entries within --entry-bound
+    proc = run_script("pattern_frontier.py", "--n-max", "3", "--moduli",
+                      "0,3", "--l-max", "4", "--entry-bound", "1")
+    assert proc.returncode == 0, proc.stderr
+    _, *rows = proc.stdout.splitlines()
+    expected = []
+    for n in (1, 2, 3):
+        for m, bound in ((0, 1), (3, None)):
+            out = search(SearchConfig(n=n, m=m, l_max=4, entry_bound=bound))
+            result = (f"l={out.pattern.l}" if out.status == "found"
+                      else "none<=4")
+            expected.append([str(n), str(m), result, str(out.nodes)])
+    assert [row.split()[:4] for row in rows] == expected
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--moduli", "0"), "needs --entry-bound"),
+    (("--moduli", "0", "--entry-bound", "0"), "needs --entry-bound"),
+    (("--moduli", "3", "--entry-bound", "1"), "only with modulus 0"),
+    (("--moduli", "1"), "must be >= 2"),
+    (("--moduli", "-3"), "must be >= 2"),
+    (("--moduli", "2,x"), "comma list of ints"),
+    (("--l-max", "0"), "--l-max must be >= 1"),
+    (("--n-max", "0"), "--n-max must be >= 1"),
+    (("--node-cap", "-1"), "--node-cap must be >= 0"),
+    # (5, 7) has more column profile entries than a search tabulates;
+    # the rows up to n = 4 are printed first
+    (("--n-max", "5", "--moduli", "7", "--l-max", "1"), "n = 5, m = 7")],
+    ids=["m0-no-bound", "m0-bound-0", "bound-unread", "m1", "m-negative",
+         "m-not-int", "l-max-0", "n-max-0", "node-cap-negative",
+         "size-limit"])
+def test_pattern_frontier_refuses_bad_input(argv, message):
+    # a usage error, exit 2 with argparse's message, never a traceback
+    proc = run_script("pattern_frontier.py", *argv)
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
