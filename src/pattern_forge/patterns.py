@@ -186,15 +186,12 @@ def _constraint_groups(n: int, profiles: list) -> list:
     in [r*min A, r*max A] and be congruent to r*min A modulo the gcd of
     (a - min A).  Groups for which that test can never fire are dropped.
     The group of all subsets is always kept; it pins down the possible
-    signature lengths.  Sets of 2 subsets are tried everywhere, sets of
-    3 while the candidates times the columns stay within
-    _TABLE_CAP << 7, and sets of 4 only within _TABLE_CAP, and kept
-    only when lower-only (hi == 4, g <= 1) with lo >= 1, the kind
-    _feasible tests in its one packed comparison.  Dropping a group is
-    always sound: it only cuts less.
+    signature lengths.  Sets of 2 subsets are tried everywhere, and sets
+    of 3 while the candidates times the columns stay within
+    _TABLE_CAP << 7.  Dropping a group is always sound: it only cuts
+    less.
     """
-    n_masks = (1 << n) - 1
-    all_masks = tuple(range(1, n_masks + 1))
+    all_masks = tuple(range(1, 1 << n))
     # bit `mask` of a column's hit set is set where it hits `mask`, so
     # it raises the progress of T by the popcount of its bits in T.
     # Columns share hit sets, so each distinct one is kept once.
@@ -213,14 +210,6 @@ def _constraint_groups(n: int, profiles: list) -> list:
             if lo == 0 and hi == size and g == 1:
                 continue  # can never exclude anything
             groups.append((masks, lo, hi, g))
-    if math.comb(n_masks, 4) * len(profiles) <= _TABLE_CAP:
-        for masks in itertools.combinations(all_masks, 4):
-            bits = sum(1 << mask for mask in masks)
-            # a column that misses T makes lo = 0
-            if all(hit & bits for hit in hit_sets):
-                lo, hi, g = a_set(bits)
-                if hi == 4 and g <= 1:
-                    groups.append((masks, lo, hi, g))
     return groups
 
 
@@ -268,9 +257,9 @@ _CACHE_CAP = 1 << 20
 # lengths one depth-first pass of the search covers; see _windows
 _WINDOW = 3
 
-# most (column, row subset) pairs a search region may tabulate, and most
-# (column, set of 4 row subsets) pairs _constraint_groups may evaluate
-# (2^7 times as many sets of 3)
+# most (column, row subset) pairs a search region may tabulate;
+# _TABLE_CAP << 7 caps the (column, set of 3 row subsets) pairs
+# _constraint_groups may evaluate (see _sets_of_three_fit)
 _TABLE_CAP = 1 << 17
 
 # a packed progress field is one byte, so no length passes _LONGEST

@@ -130,7 +130,9 @@ def _columns(n, m, bound):
 
 def naive_groups(n, m, bound=None):
     """_constraint_groups' list of counting groups (masks, lo, hi, g)
-    for the region, read at call time."""
+    for the region: the group of all row subsets and the sets of 2 and
+    3 of them that can exclude something, under the _TABLE_CAP in force
+    at call time."""
     columns, hits = _columns(n, m, bound)
     return _constraint_groups(n, [hits[c] for c in columns])
 

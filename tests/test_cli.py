@@ -71,11 +71,12 @@ def test_search_inconclusive_exit_two(capsys):
      '"l_max":3}}\n')], ids=["4-5-8", "5-3-6", "6-2-3"])
 def test_search_past_the_size_four_bound_prints_the_same_bytes(
         capsys, monkeypatch, argv, expected):
-    # these regions have too many columns for sets of 4 row subsets, so
-    # their counting groups, nodes and bytes are those of sizes 2 and 3
-    # and the triangle bound; nodes one length per pass, then three
-    # (before the triangle bound (27884, 13733) at (4, 5) and 724 one
-    # length per pass at (5, 3))
+    # these regions always had too many columns for the size-4 counting
+    # groups, now gone from every region, so their bytes did not move
+    # when those groups went: the counting groups of sizes 2 and 3 and
+    # the triangle bound; nodes one length per pass, then three (before
+    # the triangle bound (27884, 13733) at (4, 5) and 724 one length per
+    # pass at (5, 3))
     from pattern_forge import patterns
     nodes = {"4": (6404, 2271), "5": (458, 384), "6": (0, 0)}[argv[1]]
     for window, count in zip((1, 3), nodes):

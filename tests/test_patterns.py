@@ -103,68 +103,43 @@ _TABLE_CAP = patterns._TABLE_CAP
 _WINDOW = patterns._WINDOW
 
 
-def _past_size_four(monkeypatch, n, m, bound, past=True):
-    """Lower _TABLE_CAP to the region's own profile table.  For n >= 3
-    that is below the C(2^n - 1, 4) candidates times the columns that
-    sets of 4 row subsets need, so the region keeps the counting groups
-    of sizes 2 and 3 alone, as every region past the size-4 bound does.
-    With past=False, put the module's own _TABLE_CAP back."""
-    base = m or 2 * bound + 1
-    monkeypatch.setattr(patterns, "_TABLE_CAP",
-                        (base ** n - 1) * ((1 << n) - 1) if past
-                        else _TABLE_CAP)
-
-
 # node counts of every region the tests below pin, with the triangle
-# bound: one length per pass (_WINDOW = 1) with the size-4 groups and
-# past their bound, then the module's _WINDOW of 3 lengths per pass with
-# them and past their bound.  CHANGES.md lists the counts before the
-# triangle bound beside these.
+# bound: one length per pass (_WINDOW = 1), then the module's _WINDOW of
+# 3 lengths per pass.  CHANGES.md lists earlier counts beside these.
 _NODES = {
-    (3, 3, None, 12): (7_688, 7_792, 4_470, 4_496),
-    (3, 4, None, 9): (3_386, 3_503, 2_380, 2_497),
-    (3, 0, 2, 5): (489, 489, 166, 166),
-    (3, 3, None, 8): (760, 838, 314, 314),
-    (3, 5, None, 8): (3_932, 4_304, 1_605, 1_605),
-    (3, 0, 1, 8): (748, 826, 311, 311),
-    (4, 3, None, 8): (803, 803, 295, 295),
-    (3, 4, None, 8): (3_386, 3_503, 2_380, 2_497),
-    (3, 6, None, 8): (16_757, 17_382, 10_942, 11_567),
-    (3, 4, None, 7): (3_386, 3_503, 2_380, 2_497),
-    (3, 6, None, 7): (16_757, 17_382, 10_942, 11_567),
-    (3, 3, None, 19): (151_848, 157_958, 86_507, 88_119),
-    (4, 2, None, 16): (4_293, 4_293, 4_293, 4_293),
-    (3, 5, None, 4): (208, 208, 104, 104),
-    (3, 6, None, 4): (1_294, 1_294, 647, 647),
-    (3, 0, 2, 4): (332, 332, 166, 166),
-    (4, 3, None, 4): (49, 49, 39, 39),
-    (3, 2, None, 7): (28, 28, 28, 28)}
-
-
-def _pinned_counts(key):
-    """{window: (nodes with the size-4 groups, nodes past their bound)}
-    of a region, as _NODES gives them."""
-    counts = _NODES[key]
-    return {1: counts[:2], _WINDOW: counts[2:]}
+    (3, 3, None, 12): (7_792, 4_496),
+    (3, 4, None, 9): (3_503, 2_497),
+    (3, 0, 2, 5): (489, 166),
+    (3, 3, None, 8): (838, 314),
+    (3, 5, None, 8): (4_304, 1_605),
+    (3, 0, 1, 8): (826, 311),
+    (4, 3, None, 8): (803, 295),
+    (3, 4, None, 8): (3_503, 2_497),
+    (3, 6, None, 8): (17_382, 11_567),
+    (3, 4, None, 7): (3_503, 2_497),
+    (3, 6, None, 7): (17_382, 11_567),
+    (3, 3, None, 19): (157_958, 88_119),
+    (4, 2, None, 16): (4_293, 4_293),
+    (3, 5, None, 4): (208, 104),
+    (3, 6, None, 4): (1_294, 647),
+    (3, 0, 2, 4): (332, 166),
+    (4, 3, None, 4): (49, 39),
+    (3, 2, None, 7): (28, 28)}
 
 
 def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
-    """The region's outcome with the size-4 groups, then past their
-    bound, one length per pass and then with the module's _WINDOW, and
-    naive_search's one length per pass past the bound.  `nodes` is the
-    count before the triangle bound, one length per pass past the bound
-    with a memo that merges no row permutation, as
-    naive_search(triangles=False, merge_rows=False) gives it."""
-    key = (n, m, bound, l_max)
+    """The region's outcome one length per pass and then with the
+    module's _WINDOW; test_naive_search_reproduces_the_pinned_counts
+    checks naive_search against both.  `nodes` is the count before the
+    triangle bound, one length per pass with a memo that merges no row
+    permutation, as naive_search(triangles=False, merge_rows=False)
+    gives it."""
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
-    for window, counts in _pinned_counts(key).items():
+    for window, expected in zip((1, _WINDOW), _NODES[n, m, bound, l_max]):
         monkeypatch.setattr(patterns, "_WINDOW", window)
-        for past, expected in zip((False, True), counts):
-            _past_size_four(monkeypatch, n, m, bound, past)
-            out = search(cfg)
-            assert (out.status, out.nodes) == (status, expected), window
+        out = search(cfg)
+        assert (out.status, out.nodes) == (status, expected), window
     monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, l_max, bound)[:2] == (status, _NODES[key][1])
     assert naive_search(n, m, l_max, bound, merge_rows=False,
                         triangles=False)[:2] == (status, nodes)
 
@@ -173,8 +148,7 @@ def test_search_exhausts_three_rows_mod_three_deeply(monkeypatch):
     # independently validated to l = 8 (generate-and-test and the subset
     # scan over (Z/3)^8 agree); this locks the engine behaviour further
     # out.  Without symmetry breaking, and before the memo merged row
-    # permutations and the triangle bound: 105,508, and 157,404 past the
-    # size-4 bound.
+    # permutations and the triangle bound: 157,404.
     _assert_node_counts(monkeypatch, 3, 3, None, 12, "exhausted", 24_182)
 
 
@@ -210,9 +184,8 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
 
 
 # without symmetry breaking, and before the memo merged row
-# permutations and the triangle bound: 44,925 at (4, 2); 18,690 at
-# (3, 4) and 12,524 at (3, 0), or 22,848 and 18,972 past the size-4
-# bound
+# permutations and the triangle bound: 44,925 at (4, 2), 22,848 at
+# (3, 4) and 18,972 at (3, 0)
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
     (4, 2, None, 16, "found", 35_713),
     (3, 4, None, 9, "found", 6_510),
@@ -393,20 +366,19 @@ def test_capped_caches_keep_the_outcome(monkeypatch):
 def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
                                            l_max, status, nodes, full):
     # naive_search(memo_cap=cap), whose memo keys are tuples, gives the
-    # same counts.  Once a cache is full, which entries it holds depends
-    # on the order they came in, so equal counts mean the one-integer
-    # keys name the same states, up to a row permutation where untied,
-    # in the same order.  The m = 0 region fills nothing and pins the
-    # offset digits.  The counts given are those before the triangle
-    # bound, one length per pass, past the size-4 bound, of a memo that
-    # merges no row permutation.  With the bound and the merge the
-    # counts are those below, with the size-4 groups and past the
-    # bound, one length per pass and then with the module's _WINDOW,
-    # with the memo as full.
-    counts = {(3, 3, 4): (6_551, 6_668, 5_545, 5_662),
-              (50, 3, 3): (12_238, 12_368, 9_020, 9_072),
-              (100, 3, 5): (77_564, 77_936, 58_940, 58_940),
-              (500, 2, 0): (67, 67, 57, 57)}[cap, n, m]
+    # same counts (see test_naive_search_reproduces_the_pinned_counts).
+    # Once a cache is full, which entries it holds depends on the order
+    # they came in, so equal counts mean the one-integer keys name the
+    # same states, up to a row permutation where untied, in the same
+    # order.  The m = 0 region fills nothing and pins the offset digits.
+    # The counts given are those before the triangle bound, one length
+    # per pass, of a memo that merges no row permutation.  With the
+    # bound and the merge the counts are those below, one length per
+    # pass and then with the module's _WINDOW, with the memo as full.
+    counts = {(3, 3, 4): (6_668, 5_662),
+              (50, 3, 3): (12_368, 9_072),
+              (100, 3, 5): (77_936, 58_940),
+              (500, 2, 0): (67, 57)}[cap, n, m]
     engines = []
 
     class Recorded(patterns._WindowSearch):
@@ -416,54 +388,46 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
 
     monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    for window, pair in ((1, counts[:2]), (_WINDOW, counts[2:])):
+    for window, expected in zip((1, _WINDOW), counts):
         monkeypatch.setattr(patterns, "_WINDOW", window)
-        for past, expected in zip((False, True), pair):
-            _past_size_four(monkeypatch, n, m, bound, past)
-            engines.clear()
-            out = search(SearchConfig(n=n, m=m, l_max=l_max,
-                                      entry_bound=bound))
-            assert (out.status, out.nodes) == (status, expected)
-            assert full == (max(len(e.memo) for e in engines) == cap)
+        engines.clear()
+        out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+        assert (out.status, out.nodes) == (status, expected)
+        assert full == (max(len(e.memo) for e in engines) == cap)
     monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, l_max, bound, memo_cap=cap)[:2] == (
-        status, counts[1])
     assert naive_search(n, m, l_max, bound, merge_rows=False, memo_cap=cap,
                         triangles=False)[:2] == (status, nodes)
 
 
 # every region whose nodes a test pins, as (n, m, bound, l_max, memo
-# cap or None, past the size-4 bound): the keys of _NODES, the capped
-# caches and the node-cap region run to its end, each with the size-4
-# groups and past their bound, then the regions test_cli pins, which
-# are past it anyway
-_PINNED_REGIONS = [(*region, past) for region in [
+# cap or None, one length per pass): the keys of _NODES, the capped
+# caches and the node-cap region run to its end, each one length per
+# pass and with the module's _WINDOW, then the regions test_cli pins
+# with the module's _WINDOW
+_PINNED_REGIONS = [(*region, one_per_pass) for region in [
     *((*key, None) for key in _NODES),
     (3, 4, None, 9, 3), (3, 3, None, 12, 50), (3, 5, None, 12, 100),
-    (2, 0, 3, 6, 500), (3, 3, None, 10, None)] for past in (False, True)]
+    (2, 0, 3, 6, 500), (3, 3, None, 10, None)]
+    for one_per_pass in (False, True)]
 _PINNED_REGIONS += [(2, 3, None, 3, None, False), (4, 5, None, 8, None, False),
                     (5, 3, None, 6, None, False), (6, 2, None, 3, None, False)]
 
 
-@pytest.mark.parametrize("n,m,bound,l_max,cap,past", _PINNED_REGIONS)
+@pytest.mark.parametrize("n,m,bound,l_max,cap,one_per_pass", _PINNED_REGIONS)
 def test_naive_search_reproduces_the_pinned_counts(monkeypatch, n, m, bound,
-                                                   l_max, cap, past):
+                                                   l_max, cap, one_per_pass):
     # naive_search shares no packing, cache or key code with search, so
     # equal status, nodes and witness bytes back every pin above.  Where
-    # the memo fills, one length per pass too: there a memo of r-sets
-    # must take new keys where the memo of (state, r) keys did.
-    if past:
-        _past_size_four(monkeypatch, n, m, bound)
+    # the memo fills, a memo of r-sets must take new keys where the memo
+    # of (state, r) keys did.
     if cap is not None:
         monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    for window in (_WINDOW,) if cap is None else (1, _WINDOW):
-        monkeypatch.setattr(patterns, "_WINDOW", window)
-        out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
-        status, nodes, pattern = naive_search(n, m, l_max, bound,
-                                              memo_cap=cap)
-        assert (status, nodes) == (out.status, out.nodes)
-        assert (canonical_json(pattern.jsonable()) if pattern else None) == (
-            canonical_json(out.pattern.jsonable()) if out.pattern else None)
+    monkeypatch.setattr(patterns, "_WINDOW", 1 if one_per_pass else _WINDOW)
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    status, nodes, pattern = naive_search(n, m, l_max, bound, memo_cap=cap)
+    assert (status, nodes) == (out.status, out.nodes)
+    assert (canonical_json(pattern.jsonable()) if pattern else None) == (
+        canonical_json(out.pattern.jsonable()) if out.pattern else None)
 
 
 # the pinned regions for the naive engine with the groups of sizes 2-3
@@ -478,10 +442,10 @@ _SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
 def test_groups_of_sizes_two_and_three_keep_the_outcome(n, m, bound, l_max,
                                                         cap):
     # dropping a counting group or the triangle bound only cuts less, so
-    # the groups of 2 or 3 row subsets alone (without the size-4 groups,
-    # and for n >= 3 without the group of all subsets), and without the
-    # triangle bound, give the status and witness of the full list with
-    # the bound; only the nodes walked may grow
+    # the groups of 2 or 3 row subsets alone (for n >= 3 without the
+    # group of all subsets), and without the triangle bound, give the
+    # status and witness of the full list with the bound; only the nodes
+    # walked may grow
     full = naive_groups(n, m, bound)
     small = [g for g in full if 2 <= len(g[0]) <= 3]
     with_full = naive_search(n, m, l_max, bound, memo_cap=cap, groups=full)
@@ -732,24 +696,36 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
                                                 nodes):
     # progress fields are one byte at every l_max, but the lower-only
     # group fields of _feasible are as wide as l_max needs: 15 more
-    # lengths widen them, and must change no answer and no count, with
-    # the size-4 groups and past their bound, one length per pass and
-    # three; 15 is a multiple of both, so no window edge moves.
-    # `nodes` is the count before the triangle bound, one length per
-    # pass past the bound of a memo that merges no row permutation.
-    for window, counts in _pinned_counts((n, m, None, length)).items():
+    # lengths widen them, and must change no answer and no count, one
+    # length per pass and three; 15 is a multiple of both, so no window
+    # edge moves.  `nodes` is the count before the triangle bound, one
+    # length per pass of a memo that merges no row permutation.
+    for window, expected in zip((1, _WINDOW), _NODES[n, m, None, length]):
         monkeypatch.setattr(patterns, "_WINDOW", window)
-        for past, expected in zip((False, True), counts):
-            _past_size_four(monkeypatch, n, m, None, past)
-            exact = search(SearchConfig(n=n, m=m, l_max=length))
-            wide = search(SearchConfig(n=n, m=m, l_max=length + 15))
-            assert (exact.status, exact.pattern.l, exact.nodes) == (
-                "found", length, expected)
-            assert (wide.status, wide.pattern, wide.nodes) == (
-                exact.status, exact.pattern, exact.nodes)
+        exact = search(SearchConfig(n=n, m=m, l_max=length))
+        wide = search(SearchConfig(n=n, m=m, l_max=length + 15))
+        assert (exact.status, exact.pattern.l, exact.nodes) == (
+            "found", length, expected)
+        assert (wide.status, wide.pattern, wide.nodes) == (
+            exact.status, exact.pattern, exact.nodes)
     monkeypatch.setattr(patterns, "_WINDOW", 1)
     assert naive_search(n, m, length, merge_rows=False, triangles=False)[:2] \
         == ("found", nodes)
+
+
+@pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
+    (4, 3, None, 20, "exhausted", 183_501),
+    (4, 3, None, 24, "exhausted", 855_835),
+    (4, 2, None, 24, "found", 4_293),
+    (4, 0, 1, 12, "exhausted", 6_089)])
+def test_four_row_node_counts(n, m, bound, l_max, status, nodes):
+    # regions that held 935, 840 and 940 size-4 groups, whose status,
+    # witness and nodes stayed when those groups went; pinned on search
+    # alone
+    out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
+    assert (out.status, out.nodes) == (status, nodes)
+    if out.pattern:
+        assert out.pattern.rows == _simplex(n, 1)
 
 
 _R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
@@ -780,23 +756,26 @@ def _capped(n, m, l_max, cap, outcomes):
 
 
 @pytest.mark.parametrize("n,m,l_max,cap,expected", [
-    # the region is exhausted after 2,908 nodes one length per pass, and
-    # after 1,557 three per pass (3,896 and 1,973 before the triangle
-    # bound, the edges of the caps from 1,972 up)
-    _capped(3, 3, 10, cap, {1: (2908, "exhausted", _R33),
-                            3: (1557, "exhausted", _R33)})
-    for cap in (0, 1, 2, 5, 17, 100, 1556, 1557, 1972, 1973, 2907, 2908,
-                3895, 3896, 5000)] + [
+    # the region is exhausted after 2,986 nodes one length per pass, and
+    # after 1,635 three per pass; the edges of earlier counts stay as
+    # caps: 2,908 and 1,557 with the size-4 groups, 3,896 and 1,973
+    # before the triangle bound
+    _capped(3, 3, 10, cap, {1: (2986, "exhausted", _R33),
+                            3: (1635, "exhausted", _R33)})
+    for cap in (0, 1, 2, 5, 17, 100, 1556, 1557, 1634, 1635, 1972, 1973,
+                2907, 2908, 2985, 2986, 3895, 3896, 5000)] + [
     _capped(3, 2, 8, cap, {1: (28, "found", _R32, _P32),
                            3: (28, "found", _R32, _P32)})
     for cap in (0, 1, 2, 5, 17, 100, 5000)] + [
-    # three per pass, the witness is recorded at 1,176 nodes, and the
+    # three per pass, the witness is recorded at 1,293 nodes, and the
     # pass spends 1,204 more proving l = 5 and 6 empty; a cap in between
     # leaves them unproved, so the run is inconclusive.  One length per
-    # pass the run ends at 3,386 nodes (4,346 before the triangle bound).
-    _capped(3, 4, 9, cap, {1: (3386, "found", _R34, _P34),
-                           3: (2380, "found", _R34, _P34)})
-    for cap in (1176, 2379, 2380, 3385, 3386)])
+    # pass the run ends at 3,503 nodes.  The edges of the size-4 groups'
+    # counts stay as caps: the witness came at 1,176, and the runs ended
+    # at 3,386 and 2,380.
+    _capped(3, 4, 9, cap, {1: (3503, "found", _R34, _P34),
+                           3: (2497, "found", _R34, _P34)})
+    for cap in (1176, 1293, 2379, 2380, 2496, 2497, 3385, 3386, 3502, 3503)])
 def test_node_cap_outcomes(monkeypatch, n, m, l_max, cap, expected):
     # outputs measured when every candidate column was spent one by one;
     # the search now spends the columns that fail the signature in chunks
@@ -837,62 +816,34 @@ def test_regions_with_congruences(n, m):
     (3, 3, None, 29, 1, 0), (3, 4, None, 29, 0, 0), (3, 5, None, 30, 0, 0),
     (3, 6, None, 29, 0, 0), (2, 3, None, 5, 0, 0), (3, 0, 1, 30, 0, 0),
     (4, 0, 1, 17, 0, 0), (3, 2, None, 28, 8, 7), (4, 2, None, 0, 36, 35)])
-def test_counting_groups_split(monkeypatch, n, m, bound, lower_only, looped,
-                               congruent):
+def test_counting_groups_split(n, m, bound, lower_only, looped, congruent):
     # _feasible tests the lower-only groups (hi == |T|, g <= 1) in one
-    # packed comparison and loops over the rest.  The pinned split is
-    # past the size-4 bound; every size-4 group kept is lower-only, so
-    # they add to the first count alone.  The triangles join the packed
-    # comparison on either side of the bound.
-    size_four = sum(len(masks) == 4
-                    for masks, *_ in _counting_groups(n, m, bound))
-    assert size_four == {(3, 2, None): 0, (2, 3, None): 0, (4, 0, 1): 940,
-                         (4, 2, None): 840}.get((n, m, bound), 35)
-    for lower in (lower_only + size_four, lower_only):
-        columns = patterns._Columns(n, m, bound, 12)
-        assert len(columns.lower_only) == lower
-        assert len(columns.triangles) == 3 * (3 ** n - 2 ** (n + 1) + 1) // 2
-        assert len(columns.groups) == looped
-        assert sum(g > 1 for *_, g in columns.groups) == congruent
-        _past_size_four(monkeypatch, n, m, bound)
+    # packed comparison and loops over the rest.  The triangles join the
+    # packed comparison.
+    columns = patterns._Columns(n, m, bound, 12)
+    assert len(columns.lower_only) == lower_only
+    assert len(columns.triangles) == 3 * (3 ** n - 2 ** (n + 1) + 1) // 2
+    assert len(columns.groups) == looped
+    assert sum(g > 1 for *_, g in columns.groups) == congruent
 
 
-@pytest.mark.parametrize("n,m,bound,size_four", [
-    (3, 2, None, True), (3, 15, None, True), (3, 16, None, False),
-    (3, 0, 7, True), (3, 0, 8, False), (4, 3, None, True),
-    (4, 4, None, False), (4, 5, None, False), (5, 3, None, False)])
-def test_size_four_candidates_only_within_the_table_cap(monkeypatch, n, m,
-                                                         bound, size_four):
-    # sets of 4 row subsets are tried only while their number times the
-    # columns stays within _TABLE_CAP; past it not one is evaluated
-    profiles = [patterns._column_profile(c, m)
-                for c in patterns._column_alphabet(n, m, bound)]
-    n_masks = (1 << n) - 1
-    assert (math.comb(n_masks, 4) * len(profiles) <= patterns._TABLE_CAP) \
-        == size_four
-    evaluated = collections.Counter()
-
-    def combinations(masks, size):
-        for combo in itertools.combinations(masks, size):
-            evaluated[size] += 1
-            yield combo
-    monkeypatch.setattr(patterns, "itertools", types.SimpleNamespace(
-        combinations=combinations))
-    patterns._constraint_groups(n, profiles)
-    assert evaluated == {size: math.comb(n_masks, size)
-                         for size in (2, 3, 4) if size < 4 or size_four}
-
-
-@pytest.mark.parametrize("n,m,size_three", [
-    (4, 7, True), (6, 2, True), (6, 3, False), (7, 2, False)])
-def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m,
+@pytest.mark.parametrize("n,m,bound,size_three", [
+    pytest.param(n, m, bound, size_three, id="-".join(
+        map(str, (n, m, *[bound] * (m == 0), size_three))))
+    for n, m, bound, size_three in [
+        (4, 7, None, True), (6, 2, None, True), (6, 3, None, False),
+        (7, 2, None, False), (3, 2, None, True), (3, 15, None, True),
+        (3, 0, 7, True), (4, 3, None, True)]])
+def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
                                                      size_three):
     # sets of 3 row subsets are tried only while their number times the
     # columns stays within _TABLE_CAP << 7: (4, 7) at 1.1M and (6, 2) at
     # 2.5M keep them (and (5, 5) at 14.0M), (6, 3) at 28.9M and (7, 2) at
-    # 42.3M try none (nor (8, 2) at 696M), and no set of 4 either
+    # 42.3M try none (nor (8, 2) at 696M).  No set of 4 is tried on any
+    # region, not even on those few columns make cheap: (3, 2) with 7,
+    # (3, 15) with 3,374, (3, 0) at bound 7 with 3,374 and (4, 3) with 80.
     profiles = [patterns._column_profile(c, m)
-                for c in patterns._column_alphabet(n, m, None)]
+                for c in patterns._column_alphabet(n, m, bound)]
     n_masks = (1 << n) - 1
     assert (math.comb(n_masks, 3) * len(profiles)
             <= patterns._TABLE_CAP << 7) == size_three
@@ -945,7 +896,7 @@ def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
 def test_counting_groups_read_each_hit_set_once(n, m, bound):
     # a group's amounts depend only on which hit sets occur, so passing
     # every profile twice changes no group.  On these regions doubling
-    # the columns moves no candidate past the size-3 or size-4 bound.
+    # the columns moves no candidate past the size-3 bound.
     profiles = [patterns._column_profile(c, m)
                 for c in patterns._column_alphabet(n, m, bound)]
     groups = patterns._constraint_groups(n, profiles)
@@ -959,8 +910,7 @@ def _simplex(n, scale):
                  for i in range(n))
 
 
-# the witnesses search reports, written out, as (n, m, bound) -> rows;
-# (3, 3), (3, 4), (3, 6), (3, 8) and (4, 2) hold size-4 groups
+# the witnesses search reports, written out, as (n, m, bound) -> rows
 _WITNESSES = {
     (2, 3, None): ((0, 1, 2), (1, 2, 0)),
     (2, 5, None): ((0, 1, 4), (1, 4, 0)),
@@ -982,13 +932,6 @@ def test_search_reports_the_written_out_witnesses(n, m, bound):
     out = search(SearchConfig(n=n, m=m, l_min=len(rows[0]),
                               l_max=len(rows[0]), entry_bound=bound))
     assert out.pattern.rows == rows
-
-
-def test_soundness_regions_hold_size_four_groups():
-    assert {(n, m) for n, m, bound in _WITNESSES
-            if any(len(masks) == 4
-                   for masks, *_ in _counting_groups(n, m, bound))} == {
-        (3, 3), (3, 4), (3, 6), (3, 8), (4, 2)}
 
 
 def _witness_prefixes(data):
@@ -1102,38 +1045,20 @@ def test_feasible_is_invariant_under_row_permutations(data):
 @pytest.mark.parametrize("fields,r", [
     ((38,) * 7, 19), ((38,) * 6 + (37,), 19), ((38,) * 6 + (37,), 0),
     ((19,) * 7, 19), ((30, 38, 34, 38, 36, 35, 38), 8),
-    # past the size-4 bound packed fields one bit narrower get this one
-    # wrong
+    # packed fields one bit narrower get this one wrong
     ((23, 17, 22, 23, 21, 19, 17), 17),
     # progress bytes at their limit, at l = 128: the group of all 7
     # subsets is looped over, and a field of it narrower than 7*255
     # gets these wrong
     ((255,) * 7, 0), ((255,) * 7, 128)])
-def test_feasible_at_the_field_width_bound(monkeypatch, fields, r):
+def test_feasible_at_the_field_width_bound(fields, r):
     # the packed fields must hold for progress fields up to 2l and r <= l,
-    # with the size-4 groups and past their bound, at l = 19, or at the
-    # least l with every field within 2l
+    # at l = 19, or at the least l with every field within 2l
     l = max(19, -(-max(fields) // 2))
     progress = [0, *fields]
-    assert _feasible_on(_engine(3, 3, None, l), progress, r) == naive_feasible(
-        progress, r, _counting_groups(3, 3, None))
-    _past_size_four(monkeypatch, 3, 3, None)
-    columns = patterns._Columns(3, 3, None, l)
-    assert columns.groups
-    engine = patterns._WindowSearch(3, 3, l, l, columns,
-                                    patterns._NodeBudget(None))
+    engine = _engine(3, 3, None, l)
+    assert engine.columns.groups
     assert _feasible_on(engine, progress, r) == naive_feasible(
-        progress, r, _groups_under_the_cap(3, 3, None))
-
-
-@pytest.mark.parametrize("fields,r", [
-    ((0,) * 7, 27), ((1, 0, 1, 0, 1, 1, 1), 26)])
-def test_feasible_at_the_size_four_field_width_bound(fields, r):
-    # packed fields one bit narrower get these wrong: at l = 27 a size-4
-    # group with lo = 1 reaches 3r = 81, past the 63 a 7-bit field holds
-    # (at l = 19 it reaches 57, so there the bit to spare is never used)
-    progress = [0, *fields]
-    assert _feasible_on(_engine(3, 3, None, 27), progress, r) == naive_feasible(
         progress, r, _counting_groups(3, 3, None))
 
 
