@@ -4,11 +4,14 @@ the frontier: minimal witness length found, or the exhausted bound, with
 the nodes and the CPU seconds (time.process_time) of each search, which
 other processes on the machine do not inflate as they do wall time.
 Modulus 0 searches integer entries within --entry-bound, which only
-that modulus reads.
+that modulus reads.  With --json each (n, m) is one line of JSON
+instead: its region, status, nodes, witness length `l` (null unless
+found) and cpu_s.
 
 Example:
     python scripts/pattern_frontier.py --n-max 4 --moduli 2,3,4,5 --l-max 9
     python scripts/pattern_frontier.py --moduli 0,3 --entry-bound 1
+    python scripts/pattern_frontier.py --n-max 3 --moduli 5,7 --json
 """
 
 import argparse
@@ -17,6 +20,7 @@ import time
 
 from pattern_forge.groups import SizeLimitError
 from pattern_forge.patterns import SearchConfig, search
+from pattern_forge.tokens import canonical_json
 
 
 def main() -> int:
@@ -26,6 +30,8 @@ def main() -> int:
     parser.add_argument("--l-max", type=int, default=8)
     parser.add_argument("--entry-bound", type=int, default=None)
     parser.add_argument("--node-cap", type=int, default=None)
+    parser.add_argument("--json", action="store_true",
+                        help="one JSON line per (n, m) instead of a table")
     args = parser.parse_args()
 
     try:
@@ -47,7 +53,8 @@ def main() -> int:
     elif args.entry_bound is not None:
         parser.error("--entry-bound is read only with modulus 0")
 
-    print(f"{'n':>3} {'m':>3} {'result':>12} {'nodes':>10} {'cpu_s':>8}")
+    if not args.json:
+        print(f"{'n':>3} {'m':>3} {'result':>12} {'nodes':>10} {'cpu_s':>8}")
     for n in range(1, args.n_max + 1):
         for m in moduli:
             t0 = time.process_time()
@@ -58,6 +65,12 @@ def main() -> int:
             except SizeLimitError as exc:
                 parser.error(f"n = {n}, m = {m}: {exc}")
             cpu = time.process_time() - t0
+            if args.json:
+                print(canonical_json({
+                    **out.region, "status": out.status, "nodes": out.nodes,
+                    "l": out.pattern.l if out.pattern else None,
+                    "cpu_s": round(cpu, 4)}), flush=True)
+                continue
             if out.status == "found":
                 result = f"l={out.pattern.l}"
             elif out.status == "exhausted":

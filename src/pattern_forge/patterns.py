@@ -177,39 +177,172 @@ def _column_profile(c: tuple, m: int) -> tuple:
     return tuple((mask, s) for mask, s in enumerate(sums, 1) if s)
 
 
-def _constraint_groups(n: int, profiles: list) -> list:
-    """Counting constraints the demand vector must satisfy.
+def _hull_facets(points: list) -> Optional[list]:
+    """The facets of the convex hull of `points`, distinct integer
+    vectors of one length d, as sorted (w, b): w.x >= b holds on every
+    point and is tight on a facet, with w and b integers of gcd 1.  None
+    when the hull is not d-dimensional.
 
-    For a small set T of row subsets, every column raises the total
-    progress of T by one of a fixed set A of amounts (precomputed from
-    the alphabet).  Over r remaining columns the total T-demand must lie
-    in [r*min A, r*max A] and be congruent to r*min A modulo the gcd of
-    (a - min A).  Groups for which that test can never fire are dropped.
-    The group of all subsets is always kept; it pins down the possible
-    signature lengths.  Sets of 2 subsets are tried everywhere, and sets
-    of 3 while the candidates times the columns stay within
-    _TABLE_CAP << 7.  Dropping a group is always sound: it only cuts
-    less.
+    Exact double description (Motzkin et al. 1953; Fukuda and Prodon,
+    "Double description method revisited", 1996) in integers: the valid
+    inequalities (b', w) with b' + w.x >= 0 on every point form the cone
+    {y : a.y >= 0} over the rows a = (1, x), pointed when the hull is
+    full-dimensional, and its extreme rays are the facets.  The rays of
+    d + 1 independent rows seed it; each further row keeps the rays on
+    its nonnegative side, and joins every adjacent pair across it, two
+    rays being adjacent when no third ray is tight on every row that
+    both are tight on."""
+    d = len(points[0])
+    # rows in descending order: at 18 hit sets of three rows, taking the
+    # points with the most ones first halves the rays kept in between
+    rows = [(1, *x) for x in sorted(points, reverse=True)]
+    # d + 1 linearly independent rows, by fraction-free elimination
+    basis, echelon = [], []
+    for i, row in enumerate(rows):
+        v = row
+        for col, pivot in echelon:
+            if v[col]:
+                a, f = pivot[col], v[col]
+                v = [x * a - y * f for x, y in zip(v, pivot)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is not None:
+            echelon.append((col, v))
+            basis.append(i)
+            if len(basis) > d:
+                break
+    else:
+        return None
+    # the seed rays are the columns of the inverse of the basis rows:
+    # fraction-free Gauss-Jordan leaves D_i times row i of the inverse
+    # in the right half of row i
+    size = d + 1
+    aug = [[*rows[i], *(int(j == k) for j in range(size))]
+           for k, i in enumerate(basis)]
+    for k in range(size):
+        p = next(i for i in range(k, size) if aug[i][k])
+        aug[k], aug[p] = aug[p], aug[k]
+        pivot = aug[k]
+        for i in range(size):
+            f = aug[i][k]
+            if i != k and f:
+                a = pivot[k]
+                v = [x * a - y * f for x, y in zip(aug[i], pivot)]
+                g = math.gcd(*v)
+                aug[i] = [x // g for x in v]
+    scale = math.lcm(*(aug[i][i] for i in range(size)))
+    rays = []
+    for j in range(size):
+        v = [aug[i][size + j] * (scale // aug[i][i]) for i in range(size)]
+        g = math.gcd(*v)
+        v = [x // g for x in v]
+        zero = sum(1 << i for i in basis
+                   if not sum(map(operator.mul, rows[i], v)))
+        rays.append((v, zero))
+    # rays adjacent in a cone of dimension d + 1 share d - 1 tight rows
+    need = d - 1
+    chosen = set(basis)
+    for j, row in enumerate(rows):
+        if j in chosen:
+            continue
+        bit = 1 << j
+        positive, negative, kept = [], [], []
+        for v, zero in rays:
+            s = sum(map(operator.mul, row, v))
+            if s > 0:
+                positive.append((v, zero, s))
+                kept.append((v, zero))
+            elif s < 0:
+                negative.append((v, zero, s))
+            else:
+                kept.append((v, zero | bit))
+        zeros = [zero for _, zero in rays]
+        for vp, zp, sp in positive:
+            for vn, zn, sn in negative:
+                common = zp & zn
+                if common.bit_count() < need:
+                    continue
+                # distinct extreme rays have distinct tight sets
+                for z in zeros:
+                    if common & z == common and z != zp and z != zn:
+                        break
+                else:
+                    v = [sp * y - sn * x for x, y in zip(vp, vn)]
+                    g = math.gcd(*v)
+                    kept.append(([x // g for x in v], common | bit))
+        rays = kept
+    return sorted((tuple(v[1:]), -v[0]) for v, _ in rays)
+
+
+def _constraint_groups(n: int, profiles: list) -> list:
+    """Counting constraints the demand vector must satisfy, as weighted
+    groups (weights, lo, hi, g), `weights` a tuple of (mask, coefficient)
+    pairs in mask order.
+
+    Every column raises w.p, the weighted progress, by one of a fixed
+    set A of amounts (taken over the alphabet's hit sets).  So over r
+    remaining columns that end every mask at k, the demand
+    w.(k*1 - p) must lie in [r*min A, r*max A] and be congruent to
+    r*min A modulo the gcd g of (a - min A).  The bound holds whatever
+    the weights, so only which groups are tried depends on the code
+    below; dropping a group is always sound, as it only cuts less.
+
+    For n <= 3, where the hull of the hit sets (H, 0/1 vectors indexed
+    by mask) is full-dimensional, the weights are its facet normals
+    (see _hull_facets): the demand lies in r*conv(H) exactly when every
+    facet holds, so that is the exact LP bound on the demand, and it
+    implies every 0/1 group and triangle below at every k.  Elsewhere
+    (n >= 4, m = 2, one row) the groups are 0/1: the set of all
+    subsets, which pins down the possible signature lengths, the sets
+    of 2 subsets, the sets of 3 while their number times the columns
+    stays within _TABLE_CAP << 7 (see _sets_of_three_fit), and the
+    triangles (see _triangles).  A group is dropped where it can never
+    exclude anything: where its amounts span the box max p <= k <=
+    min p + r alone implies (lo the sum of its negative coefficients,
+    hi that of its positive ones) and g <= 1.
     """
     all_masks = tuple(range(1, 1 << n))
-    # bit `mask` of a column's hit set is set where it hits `mask`, so
-    # it raises the progress of T by the popcount of its bits in T.
+    # bit `mask` of a column's hit set is set where it hits `mask`.
     # Columns share hit sets, so each distinct one is kept once.
-    hit_sets = {sum(1 << mask for mask, _ in hits) for hits in profiles}
-
-    def a_set(bits: int) -> tuple:
-        amounts = {(hit & bits).bit_count() for hit in hit_sets}
-        lo = min(amounts)
-        return lo, max(amounts), math.gcd(*(a - lo for a in amounts))
-
-    groups = [(all_masks, *a_set(sum(1 << mask for mask in all_masks)))]
-    sizes = (2, 3) if _sets_of_three_fit(n, len(profiles)) else (2,)
-    for size in sizes:
-        for masks in itertools.combinations(all_masks, size):
-            lo, hi, g = a_set(sum(1 << mask for mask in masks))
-            if lo == 0 and hi == size and g == 1:
-                continue  # can never exclude anything
-            groups.append((masks, lo, hi, g))
+    hit_sets = sorted({sum(1 << mask for mask, _ in hits)
+                       for hits in profiles})
+    facets = None
+    if n <= 3:
+        facets = _hull_facets([tuple(hit >> mask & 1 for mask in all_masks)
+                               for hit in hit_sets])
+    if facets:
+        candidates = [tuple((mask, c) for mask, c in zip(all_masks, w) if c)
+                      for w, _ in facets]
+    else:
+        sizes = (2, 3) if _sets_of_three_fit(n, len(profiles)) else (2,)
+        candidates = [tuple((mask, 1) for mask in masks)
+                      for masks in (all_masks, *(
+                          masks for size in sizes
+                          for masks in itertools.combinations(all_masks,
+                                                              size)))]
+        candidates += [tuple(sorted(((x, -1), (y, 1), (z, 1))))
+                       for x, y, z in _triangles(n, len(profiles))]
+    # column[mask] holds bit `mask` of every hit set, one byte each, so
+    # the bytes of sum(c * column[mask]) less neg in every byte are a
+    # group's amounts less neg, the sum of its negative coefficients:
+    # each in [0, |w|_1], within a byte, as |w|_1 <= 255.  That holds
+    # for the group of all 2^n - 1 subsets, as the table cap keeps
+    # n <= 8, and for a facet at n <= 3, whose coefficients are 7 x 7
+    # determinants of 0s and 1s (Cramer's rule on 7 hit vectors), at
+    # most 32 in size.
+    width = len(hit_sets)
+    ones = sum(1 << 8 * j for j in range(width))
+    column = [sum((hit >> mask & 1) << 8 * j for j, hit in enumerate(hit_sets))
+              for mask in range(1 << n)]
+    groups = []
+    for weights in candidates:
+        neg = sum(c for _, c in weights if c < 0)
+        amounts = set((sum(c * column[mask] for mask, c in weights)
+                       - neg * ones).to_bytes(width, "little"))
+        lo, hi = min(amounts), max(amounts)
+        g = math.gcd(*(a - lo for a in amounts))
+        if g <= 1 and lo == 0 and hi == sum(abs(c) for _, c in weights):
+            continue  # can never exclude anything
+        groups.append((weights, lo + neg, hi + neg, g))
     return groups
 
 
@@ -230,11 +363,13 @@ def _triangles(n: int, n_columns: int) -> list:
     column h_X <= h_Y + h_Z for each labelling (X; Y, Z) of the triple,
     h_X being 1 where the column hits X.  Summed over the columns still
     to add, where mask X still needs k - p_X hits, that is
-    k - p_X <= (k - p_Y) + (k - p_Z).  The set of triples is closed
-    under row permutations, so _feasible stays invariant under them.
-    All 3*(3^n - 2^(n+1) + 1)/2 of them, 18 at n = 3 and 75 at n = 4,
-    within the cap of the sets of 3 (see _sets_of_three_fit), and none
-    past it; dropping one is always sound."""
+    k - p_X <= (k - p_Y) + (k - p_Z): the lower side of the weighted
+    group e_Y + e_Z - e_X, whose amounts lie in [0, 2].  The set of
+    triples is closed under row permutations, so _feasible stays
+    invariant under them.  All 3*(3^n - 2^(n+1) + 1)/2 of them, 18 at
+    n = 3 and 75 at n = 4, within the cap of the sets of 3 (see
+    _sets_of_three_fit), and none past it; dropping one is always
+    sound."""
     if not _sets_of_three_fit(n, n_columns):
         return []
     out = []
@@ -297,8 +432,8 @@ def _fitting(options, need: str, offset: int) -> list:
 
 class _Columns:
     """The tables of a search region, shared by every length up to
-    l_max: the constraint groups and the triangles (see _triangles) with
-    the terms _feasible(r) reads per r <= l_max, per tie mask the
+    l_max: the constraint groups (see _constraint_groups) packed for
+    _feasible with the terms it reads per r <= l_max, per tie mask the
     allowed columns with their packed increments, and the fitting-column
     table.
 
@@ -329,9 +464,10 @@ class _Columns:
     below it, and every test the search makes there only relabels under
     a row permutation pi: column c becomes c∘pi^-1, which hits pi(T)
     with the value c has on T, so fitting, need and the final test carry
-    over; the alphabet is closed under pi and the amounts of pi(T) are
-    those of T, so the counting groups are too, the triangles are
-    closed under pi as well, and with them _feasible.
+    over; the alphabet is closed under pi, so its hit sets are, and so
+    the facets of their hull, the 0/1 groups and the triangles are too
+    (pi maps each group to one with the same amounts), and with them
+    _feasible.
     So an untied (progress, sig, r) is exhausted exactly when
     (pi·progress, sig, r) is, and the memo keys such a child by the
     least packed image of its progress over the permutations the region
@@ -365,8 +501,7 @@ class _Columns:
             self.sig_base = 2 * n * entry_bound + 1
             self.sig_offset = n * entry_bound
         self.pad = chr(self.sig_offset)
-        self.split_groups(_constraint_groups(n, profiles),
-                          _triangles(n, len(profiles)), l_max)
+        self.split_groups(_constraint_groups(n, profiles), l_max)
         sum_units = self.sum_units
         # the packed steps of each column: 1 into the progress field, and
         # sum_units[mask] into the packed group sums G, per hit mask
@@ -427,76 +562,98 @@ class _Columns:
             code = code * self.sig_base + ord(entry_code)
         return state | tied << self.rest_shift | code << self.sig_shift
 
-    def split_groups(self, groups, triangles, l_max: int) -> None:
-        """Give every counting group (masks, lo, hi, g) and every
-        triangle (X, Y, Z) (see _triangles) a field of the packed sums G
-        (see _feasible).  The lower-only groups (hi == |T|, g <= 1),
-        kept as (masks, lo), take the low fields, holding their S, and
-        the triangles the fields above those, holding
-        p_Y + p_Z - p_X + l_max: _feasible tests all of these at once,
-        a triangle as a lower-only group with |T| = 1 and lo = 0.  Each
-        other group takes a field above them, kept as (shift, field
-        mask, |T|, lo, hi, g), which _feasible reads with a shift and a
-        mask and tests on its own."""
-        lower, looped = [], []
-        for masks, lo, hi, g in groups:
-            if hi == len(masks) and g <= 1:
-                lower.append((masks, lo))
-            else:
-                looped.append((masks, lo, hi, g))
-        self.lower_only = lower
-        self.triangles = triangles
-        # one field of `fw` bits per lower-only group and per triangle,
-        # each within l*|T| of its guard bit 2^(fw-1) (see _feasible), a
-        # triangle's within l, so it stays in [0, 2^fw) and never
-        # borrows from its neighbour.  A group's S <= l*|T| and a
-        # triangle's sum, in [0, 3*l] as every progress field is at most
-        # l, stay below 2^fw too (a triangle counts as |T| = 2 here), so
-        # the lower-only part of G never carries into the fields above.
-        widest = max([len(masks) for masks, _ in lower]
-                     + [2] * bool(triangles), default=1)
-        fw = (l_max * widest).bit_length() + 1
-        n_lower = len(lower) + len(triangles)
+    def split_groups(self, groups, l_max: int) -> None:
+        """Pack the sides of every counting group (weights, lo, hi, g)
+        (see _constraint_groups) into fields of the packed sums G, for
+        _feasible.  With W the sum of the weights and S = w.p, a group
+        holds at the final length k when both of its sides do:
 
-        def pack(values):
-            return sum(v << fw * i for i, v in enumerate(values))
-        self.guard = pack([1 << fw - 1] * n_lower)
-        self.lower_t = pack([len(masks) for masks, _ in lower]
-                            + [1] * len(triangles))
-        self.lower_lo = pack([lo for _, lo in lower])
-        # G at the root: l_max in every triangle field, the bias that
-        # keeps its sum from going negative; base[r] adds it back
-        self.root_sums = pack([0] * len(lower) + [l_max] * len(triangles))
-        # (shift, masks) of every group field of G.  A field above the
-        # lower-only ones holds its S <= |T|*_LONGEST exactly, as no
-        # progress field passes one byte.
-        fields = [(fw * i, masks) for i, (masks, _) in enumerate(lower)]
-        shift = fw * n_lower
-        self.groups = []
-        for masks, lo, hi, g in looped:
-            t = len(masks)
-            width = (t * _LONGEST).bit_length()
-            self.groups.append((shift, (1 << width) - 1, t, lo, hi, g))
-            fields.append((shift, masks))
-            shift += width
-        # a 1 in the field of every group holding the mask and of every
-        # triangle with the mask as Y or Z, a -1 in that of every
-        # triangle with it as X, so that root_sums plus
-        # sum(p[mask] * sum_units[mask]) packs G
-        units = [sum(1 << at for at, masks in fields if mask in masks)
-                 for mask in range(self.n_masks + 1)]
-        for i, (x, y, z) in enumerate(triangles, len(lower)):
-            units[y] += 1 << fw * i
-            units[z] += 1 << fw * i
-            units[x] -= 1 << fw * i
+            lower side   W*k - S - r*lo >= 0
+            upper side   r*hi - W*k + S >= 0
+
+        Each side is a*k + r*c - v.p >= 0 (a = W, c = -lo, v = w on the
+        lower side; a = -W, c = hi, v = -w on the upper one).  A side
+        with a >= 0, which holds from some k up, takes a field in the low
+        section of G, which _feasible reads as k*lower + lower_base[r] - G;
+        one with a < 0, which holds up to some k, a field in the high
+        section, read as upper_base[r] + G - k*upper.  A low field of G
+        holds bias + v.p, a high one bias - v.p, the bias 255 times the
+        sum of the negative coefficients' sizes, so that every field of G
+        lies in [0, 255*|w|_1] while no progress field passes one byte.
+
+        A side the box max p <= k <= min p + r implies takes no field:
+        the lower one where lo is the sum of the negative weights, the
+        upper one where hi is that of the positive ones.  But a group
+        with g > 1 keeps its side with a >= 0 whatever: at every k its
+        field holds, past the guard bit, a value congruent mod g to
+        +-(W*k - S - r*lo) (hi - lo is a multiple of g), and _feasible
+        reads the congruence there, as (shift, field mask, g, guard
+        bit mod g) in `congruences`.  Groups whose congruences are the
+        same up to a unit of Z/g (at (3, 3), 28 facets with g = 3) share
+        one entry."""
+        # a side as (|a|, c, sign, weights, bias): its field of G holds
+        # bias + sign*S, sign being the sign of v.p in the field
+        low, high, congruences = [], [], {}
+        widest = 1
+        for weights, lo, hi, g in groups:
+            w_sum = sum(x for _, x in weights)
+            neg = sum(x for _, x in weights if x < 0)
+            pos = sum(x for _, x in weights if x > 0)
+            widest = max(widest, pos - neg)
+            for a, c, sigma, implied in ((w_sum, -lo, 1, lo == neg),
+                                         (-w_sum, hi, -1, hi == pos)):
+                if a >= 0 and g > 1:
+                    # the condition a*k + r*c - v.p == 0 mod g, scaled
+                    # by a unit to make its first unit entry 1; the
+                    # first side with it is read
+                    values = (a, c, *(sigma * x for _, x in weights))
+                    u = next((pow(e, -1, g) for e in values
+                              if math.gcd(e, g) == 1), 1)
+                    key = (g, tuple(mask for mask, _ in weights),
+                           *(u * e % g for e in values))
+                    first = congruences.setdefault(key, len(low))
+                    if implied and first != len(low):
+                        continue
+                elif implied:
+                    continue
+                sign = sigma if a >= 0 else -sigma
+                (low if a >= 0 else high).append(
+                    (abs(a), c, sign, weights,
+                     _LONGEST * (-neg if sign > 0 else pos)))
+        # every tested value is guard bit + a*k + r*c - v.p, at k in
+        # the box, which is within r*|w|_1 <= 255*widest of the guard
+        # bit, so it stays in [0, 2^fw) and never borrows from the next
+        # field; and G's low fields, below 2^fw too, never carry into
+        # the high section
+        fw = (_LONGEST * widest).bit_length() + 1
+        half = 1 << fw - 1
+        n_low = len(low)
+        fields = low + high
+
+        def pack(values, start=0):
+            return sum(x << fw * i for i, x in enumerate(values, start))
+        self.lower_guard = pack([half] * n_low)
+        self.upper_guard = pack([half] * len(high), n_low)
+        self.lower = pack([a for a, *_ in low])
+        self.upper = pack([a for a, *_ in high], n_low)
+        biases = [bias for *_, bias in fields]
+        self.root_sums = pack(biases)
+        # root_sums plus sum(p[mask] * sum_units[mask]) packs G
+        units = [0] * (self.n_masks + 1)
+        for i, (_, _, sign, weights, _) in enumerate(fields):
+            for mask, x in weights:
+                units[mask] += sign * x << fw * i
         self.sum_units = units
-        # per r <= l_max, the terms _feasible(r) reads: at most
-        # _LONGEST + 1 of each, as search caps l_max at _LONGEST
-        self.bounds = [[(shift, field, t, r * lo, r * (hi - lo), g)
-                        for shift, field, t, lo, hi, g in self.groups]
-                       for r in range(l_max + 1)]
-        self.lower_base = [self.guard + self.root_sums - r * self.lower_lo
-                           for r in range(l_max + 1)]
+        # per r <= l_max, at most _LONGEST + 1 of each, as search caps
+        # l_max at _LONGEST
+        low_c = pack([c for _, c, *_ in low])
+        high_c = pack([c for _, c, *_ in high], n_low)
+        low_0 = self.lower_guard + pack(biases[:n_low])
+        high_0 = self.upper_guard - pack(biases[n_low:], n_low)
+        self.lower_base = [low_0 + r * low_c for r in range(l_max + 1)]
+        self.upper_base = [high_0 + r * high_c for r in range(l_max + 1)]
+        self.congruences = [(fw * i, (1 << fw) - 1, g, half % g)
+                            for (g, *_), i in congruences.items()]
 
 
 def _known_length(n: int, m: int) -> Optional[int]:
@@ -578,72 +735,71 @@ class _WindowSearch:
         """Can a state of progress p be completed with r more columns?
 
         p[mask] is the progress of `mask` (p[0] = 0), the packed progress
-        as bytes, read here only for its minimum; `packed_sums` is G
-        below, and k_lo is max(1, max p): the signature length, as no
-        progress field passes it and the last entry came from a field
-        that reached it (1 at the root).
+        as bytes, read here only for its minimum; `packed_sums` is the G
+        of _Columns.split_groups, and k_lo is max(1, max p): the
+        signature length, as no progress field passes it and the last
+        entry came from a field that reached it (1 at the root).
 
-        Only if some common final length k lets every counting group T
-        take its demand |T|*k - S (S: the progress summed over T) in r
-        columns: r*lo <= |T|*k - S <= r*hi, an interval of k per group,
-        plus a congruence mod g where g > 1.  The demand is then never
-        negative, because lo >= 0.  And k must pass the triangle bound
-        k >= p_Y + p_Z - p_X of every triangle (X, Y, Z) (see
-        _triangles).  G packs the S of every group and the
-        p_Y + p_Z - p_X + l_max of every triangle, one field each (see
-        _Columns.split_groups); a group that is not lower-only reads its
-        S with a shift and a mask.
-
-        A lower-only group (hi == |T|, g <= 1) never lowers k_hi: its
-        upper bound floor((S + r*|T|)/|T|) = floor(S/|T|) + r is at least
-        min p + r, where k_hi starts, since min p <= S/|T|.  Its lower
-        bound ceil((S + r*lo)/|T|) <= k holds exactly when
-        |T|*k - r*lo - S >= 0, and then at every larger k too.  A
-        triangle is such a bound, with |T| = 1 and lo = 0, on
-        S = p_Y + p_Z - p_X; its upper side k - S <= 2r already follows
-        from max p <= k <= min p + r.  So once the other groups have
-        fixed k_hi, all lower-only groups and triangles hold at k_hi
-        exactly when every lower-only field of
-        k_hi*lower_t + lower_base[r] - G keeps its guard bit
-        (lower_base[r] adds back the l_max that G holds in each
-        triangle field).  A k tried for a congruence must pass the same
-        test at that k, so the scan starts at the first k that does.  As
-        max p <= k <= min p + r and |T|*max p >= S >= |T|*min p, a group
-        field holds a value in [-r*lo, r*(|T| - lo)], within l*|T| of 0
-        whatever the progress, and a triangle field one in
-        [p_X - p_Z, r + p_X - p_Z], within l of 0 as p_X <= l - r.  The
-        fields of the other groups sit above the guard bits, so what
-        they subtract never reaches those bits."""
+        Only if some common final length k in the box
+        k_lo <= k <= min p + r = k_hi passes every side of every counting
+        group (see _Columns.split_groups), and, for each group with
+        g > 1, its congruence.  A side with a >= 0 that holds at k holds
+        at every larger k, and one with a < 0 at every smaller k, so:
+        the low sides must hold at k_hi and the high ones at k_lo; with
+        no congruence, k_hi passes if the high sides hold there too;
+        else the least k passing every low side, found by bisection
+        between the two, is the one k to try the high sides at, and the
+        k from there up while they hold are the ones to try the
+        congruences at.
+        Each test reads every field of a section at once: the packed
+        value keeps a field's guard bit exactly where the side holds, as
+        no field borrows from the next at a k in the box (see
+        split_groups).  The low section sits below the high one, so the
+        garbage the low test leaves above it is never read, and the high
+        test adds G's low fields, which stay below their section's top."""
         columns = self.columns
         k_hi = min(p[1:]) + r
         if k_lo > k_hi:
             return False
-        # (S + r*lo, |T|, g) of each group with a congruence
-        terms = []
-        for shift, field, t, r_lo, r_span, g in columns.bounds[r]:
-            s = (packed_sums >> shift & field) + r_lo
-            # ceil((S + r*lo) / t) <= k <= floor((S + r*hi) / t)
-            low = -(-s // t)
-            if low > k_lo:
-                k_lo = low
-            high = (s + r_span) // t
-            if high < k_hi:
-                k_hi = high
-            if k_lo > k_hi:
-                return False
-            if g > 1:
-                terms.append((s, t, g))
-        guard = columns.guard
-        tp = columns.lower_t
+        lower = columns.lower
+        guard = columns.lower_guard
         base = columns.lower_base[r] - packed_sums
-        if (k_hi * tp + base) & guard != guard:
+        if (k_hi * lower + base) & guard != guard:
             return False
+        upper = columns.upper
+        up_guard = columns.upper_guard
+        up_base = columns.upper_base[r] + packed_sums
+        terms = columns.congruences
+        if not terms and (up_base - k_hi * upper) & up_guard == up_guard:
+            return True
+        if (up_base - k_lo * upper) & up_guard != up_guard:
+            return False
+        x = k_lo * lower + base
+        if x & guard != guard:
+            # the low sides fail at lo and hold at hi
+            lo, hi = k_lo, k_hi
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if (mid * lower + base) & guard == guard:
+                    hi = mid
+                else:
+                    lo = mid
+            k_lo = hi
+            if (up_base - k_lo * upper) & up_guard != up_guard:
+                return False
+            x = k_lo * lower + base
         if not terms:
             return True
-        while (k_lo * tp + base) & guard != guard:
-            k_lo += 1
-        return any(all((t * k - s_lo) % g == 0 for s_lo, t, g in terms)
-                   for k in range(k_lo, k_hi + 1))
+        k = k_lo
+        while not all((x >> shift & field) % g == res
+                      for shift, field, g, res in terms):
+            if k == k_hi:
+                return False
+            k += 1
+            if (up_base - k * upper) & up_guard != up_guard:
+                return False
+            x += lower
+        return True
 
     def _rows(self) -> tuple:
         return tuple(tuple(col[i] for col in self.chosen)

@@ -14,9 +14,11 @@ tests/test_groups.py.
 the same canonical columns with none of the search's packing, tables or
 caches, and shares only the counting-group list of `_constraint_groups`,
 which tests/test_patterns.py checks by direct arithmetic on every
-prefix of adequate patterns, and the window size `_WINDOW`, so that a
-test can set both engines to one length per pass.  Its triangle bound
-is its own: a plain loop over the disjoint pairs of row subsets.
+prefix of adequate patterns, against `naive_counting_groups` (its own
+0/1 groups and triangles) where the list has no facets, and against
+`naive_hull_facets` (a brute force over every facet candidate) where
+it does, and the window size `_WINDOW`, so that a test can set both
+engines to one length per pass.
 """
 
 import itertools
@@ -81,37 +83,70 @@ def naive_disjoint_pairs(n):
     return [(a, b) for a in masks for b in masks if a < b and not a & b]
 
 
-def naive_feasible(progress, r, groups, triangles=True):
+def naive_feasible(progress, r, groups):
     """Can `progress` (indexed by row-subset mask, slot 0 unused) be
     completed in r more columns?  A plain walk over every common final
-    length k, testing each counting group (masks, lo, hi, g) at that k,
-    and with `triangles` the triangle bound: a column's sum on A | B is
-    its sum on A plus its sum on B, so of the three it never makes
-    exactly one nonzero, and the hits still needed on any one of A, B
-    and A | B are at most those still needed on the other two."""
+    length k, testing each counting group (weights, lo, hi, g), weights
+    a tuple of (mask, coefficient) pairs, at that k: its demand
+    w.(k*1 - p) must lie in [r*lo, r*hi], and where g > 1 be congruent
+    to r*lo mod g."""
     p = progress
-    n = (len(p) - 1).bit_length()
-    pairs = naive_disjoint_pairs(n) if triangles else []
     for k in range(max(1, max(p[1:])), min(p[1:]) + r + 1):
-        ok = True
-        for masks, lo, hi, g in groups:
-            demand = len(masks) * k - sum(p[mk] for mk in masks)
-            if demand < 0 or not r * lo <= demand <= r * hi:
-                ok = False
+        for weights, lo, hi, g in groups:
+            demand = sum(c * (k - p[mask]) for mask, c in weights)
+            if not r * lo <= demand <= r * hi:
                 break
             if g > 1 and (demand - r * lo) % g:
-                ok = False
                 break
-        if ok and all(_hits_left_fit(k - p[a], k - p[b], k - p[a | b])
-                      for a, b in pairs):
+        else:
             return True
     return False
 
 
-def _hits_left_fit(da, db, dc):
-    """No one of the hits still needed on A, B and A | B exceeds the
-    other two together."""
-    return da <= db + dc and db <= da + dc and dc <= da + db
+def naive_hull_facets(points):
+    """The facets of the convex hull of `points` (integer tuples of one
+    length d), as the sorted (w, b) with w.x >= b on every point, tight
+    on d affinely independent ones, and w, b coprime integers; None when
+    no d + 1 points are affinely independent.  A brute force over every
+    d-subset: the hyperplane through it, solved by exact integer
+    elimination (Fractions took about 1.3 s on 13 points in R^7), is a
+    facet when every point lies on one side of it."""
+    d = len(points[0])
+    facets = set()
+    for subset in itertools.combinations(points, d):
+        # (w, -b) spans the null space of the rows (x, 1) when they
+        # have rank d
+        rows = [[*x, 1] for x in subset]
+        pivots = []
+        for col in range(d + 1):
+            i = len(pivots)
+            at = next((j for j in range(i, d) if rows[j][col]), None)
+            if at is None:
+                continue
+            rows[i], rows[at] = rows[at], rows[i]
+            for j in range(d):
+                f = rows[j][col]
+                if j != i and f:
+                    a = rows[i][col]
+                    rows[j] = [x * a - y * f for x, y in zip(rows[j], rows[i])]
+            pivots.append(col)
+        if len(pivots) < d:
+            continue
+        free = next(c for c in range(d + 1) if c not in pivots)
+        scale = math.lcm(*(rows[i][col] for i, col in enumerate(pivots)))
+        y = [0] * (d + 1)
+        y[free] = scale
+        for i, col in enumerate(pivots):
+            y[col] = -rows[i][free] * scale // rows[i][col]
+        g = math.gcd(*y)
+        w, b = [v // g for v in y[:d]], -y[d] // g
+        sides = {(dot > b) - (dot < b) for dot in
+                 (sum(map(operator.mul, w, x)) for x in points)}
+        if sides == {0, 1}:
+            facets.add((tuple(w), b))
+        elif sides == {0, -1}:
+            facets.add((tuple(-v for v in w), -b))
+    return sorted(facets) or None
 
 
 def _columns(n, m, bound):
@@ -129,28 +164,73 @@ def _columns(n, m, bound):
 
 
 def naive_groups(n, m, bound=None):
-    """_constraint_groups' list of counting groups (masks, lo, hi, g)
-    for the region: the group of all row subsets and the sets of 2 and
-    3 of them that can exclude something, under the _TABLE_CAP in force
+    """_constraint_groups' list of weighted counting groups
+    (weights, lo, hi, g) for the region, under the _TABLE_CAP in force
     at call time."""
     columns, hits = _columns(n, m, bound)
     return _constraint_groups(n, [hits[c] for c in columns])
 
 
+def naive_hit_vectors(n, m, bound=None):
+    """The distinct 0/1 vectors, indexed by mask 1 .. 2^n - 1, of the
+    row subsets a nonzero column hits."""
+    columns, hits = _columns(n, m, bound)
+    return sorted({tuple(int(any(mk == mask for mk, _ in hits[c]))
+                         for mask in range(1, 1 << n)) for c in columns})
+
+
+def naive_counting_groups(n, m, bound=None, triangles=True):
+    """The 0/1 counting groups as weighted groups: the set of all row
+    subsets, every set of 2 of them, and every set of 3 while their
+    number times the columns stays within patterns._TABLE_CAP << 7 (read
+    at call time), then, within that same cap and with `triangles`,
+    e_Y + e_Z - e_X for each labelling (X; Y, Z) of disjoint nonempty A,
+    B and A | B.  Each gets lo, hi and g from the amounts w.h over the
+    hit vectors h, and is left out where it can exclude nothing: where
+    lo and hi are the sums of its negative and positive coefficients
+    and g <= 1."""
+    vectors = naive_hit_vectors(n, m, bound)
+    masks = range(1, 1 << n)
+    n_columns = len(_columns(n, m, bound)[0])
+    threes = math.comb(len(masks), 3) * n_columns <= patterns._TABLE_CAP << 7
+    candidates = [{mask: 1 for mask in masks}]
+    for size in (2, 3) if threes else (2,):
+        candidates += [{mask: 1 for mask in combo}
+                       for combo in itertools.combinations(masks, size)]
+    if triangles and threes:
+        for a, b in naive_disjoint_pairs(n):
+            for x, y, z in ((a | b, a, b), (a, b, a | b), (b, a, a | b)):
+                candidates.append({x: -1, y: 1, z: 1})
+    groups = []
+    for w in candidates:
+        amounts = {sum(c * h[mask - 1] for mask, c in w.items())
+                   for h in vectors}
+        lo, hi = min(amounts), max(amounts)
+        g = math.gcd(*(a - lo for a in amounts))
+        if (g <= 1 and lo == sum(c for c in w.values() if c < 0)
+                and hi == sum(c for c in w.values() if c > 0)):
+            continue
+        groups.append((tuple(sorted(w.items())), lo, hi, g))
+    return groups
+
+
+class _NodeCapReached(Exception):
+    """naive_search has counted more nodes than its node cap."""
+
+
 def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
-                 groups=None, triangles=True):
+                 groups=None, node_cap=None):
     """(status, nodes, pattern or None) of the canonical-pattern search
     by plain recursion: the columns in lex order, a per-mask progress
     list, a tuple signature, naive_feasible over `groups` (by default
-    _constraint_groups' list for the region, as naive_groups gives it)
-    and, with `triangles`, the triangle bound (which `search` keeps
-    within the cap of the sets of 3 row subsets, so on every region
-    this engine can walk), and a dict from tuple memo keys to the set of
-    r proved exhausted, stopped from taking new keys at memo_cap per
-    pass.  Every candidate column counts as a node, as in `search`.
-    With merge_rows an untied state's key holds the least of its
-    progress tuple's row-permutation images (n <= 4), else the progress
-    tuple itself.
+    _constraint_groups' list for the region, as naive_groups gives it),
+    and a dict from tuple memo keys to the set of r proved exhausted,
+    stopped from taking new keys at memo_cap per pass.  Every candidate
+    column counts as a node, as in `search`, and past `node_cap` nodes
+    the search stops as ("inconclusive", node_cap + 1, None).  With
+    merge_rows an untied state's key holds the least of its progress
+    tuple's row-permutation images (n <= 4), else the progress tuple
+    itself.
 
     The lengths are searched in passes over windows of
     patterns._WINDOW lengths (read at call time), the top one of those
@@ -226,6 +306,8 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
                 if depth == 0 and not first_column(c):
                     continue
                 nodes += 1
+                if node_cap is not None and nodes > node_cap:
+                    raise _NodeCapReached
                 ext = None
                 fits = True
                 for mask, v in hits[c]:
@@ -246,8 +328,7 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
                 key = ((least_image(progress) if child_tied == 0
                         else tuple(progress)), child_tied, child_sig)
                 least = next((r for r in range(child_lo, child_hi + 1)
-                              if naive_feasible(progress, r, groups,
-                                                triangles)), None)
+                              if naive_feasible(progress, r, groups)), None)
                 # a child is skipped when the memo holds the least r it
                 # passes naive_feasible for and every r above that
                 if least is not None and not (child_hi and set(range(
@@ -266,10 +347,13 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
                 for mask, _ in hits[c]:
                     progress[mask] -= 1
 
-        for r in range(lo, hi + 1):
-            if naive_feasible(progress, r, groups, triangles):
-                dfs(0, r, (1 << n - 1) - 1, ())
-                break
+        try:
+            for r in range(lo, hi + 1):
+                if naive_feasible(progress, r, groups):
+                    dfs(0, r, (1 << n - 1) - 1, ())
+                    break
+        except _NodeCapReached:
+            return "inconclusive", node_cap + 1, None
         if found is not None:
             return "found", nodes, Pattern(n, m, len(found[0]), found)
     return "exhausted", nodes, None

@@ -116,7 +116,7 @@ def test_search_builds_per_length_tables_up_to_length_255(
                            % (nodes, l_max))
             longest, columns = max(tops)
             assert longest == 3
-            for table in (columns.bounds, columns.lower_base):
+            for table in (columns.lower_base, columns.upper_base):
                 assert len(table) == min(l_max, 255) + 1
 
 

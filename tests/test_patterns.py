@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import types
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -19,7 +20,8 @@ from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, search)
 from pattern_forge.tokens import ColourToken, canonical_json
 
-from naive import (naive_feasible, naive_find_adequate, naive_groups,
+from naive import (naive_counting_groups, naive_feasible, naive_find_adequate,
+                   naive_groups, naive_hit_vectors, naive_hull_facets,
                    naive_search)
 
 
@@ -103,37 +105,45 @@ _TABLE_CAP = patterns._TABLE_CAP
 _WINDOW = patterns._WINDOW
 
 
-# node counts of every region the tests below pin, with the triangle
-# bound: one length per pass (_WINDOW = 1), then the module's _WINDOW of
-# 3 lengths per pass.  CHANGES.md lists earlier counts beside these.
+# node counts of every region the tests below pin, with the facet groups
+# at n = 3 and the triangle bound elsewhere: one length per pass
+# (_WINDOW = 1), then the module's _WINDOW of 3 lengths per pass.
+# CHANGES.md lists earlier counts beside these.
 _NODES = {
-    (3, 3, None, 12): (7_792, 4_496),
-    (3, 4, None, 9): (3_503, 2_497),
-    (3, 0, 2, 5): (489, 166),
-    (3, 3, None, 8): (838, 314),
-    (3, 5, None, 8): (4_304, 1_605),
-    (3, 0, 1, 8): (826, 311),
+    (3, 3, None, 12): (2_480, 2_025),
+    (3, 4, None, 9): (2_627, 1_991),
+    (3, 0, 2, 5): (341, 166),
+    (3, 3, None, 8): (155, 132),
+    (3, 5, None, 8): (3_018, 1_605),
+    (3, 0, 1, 8): (378, 277),
     (4, 3, None, 8): (803, 295),
-    (3, 4, None, 8): (3_503, 2_497),
-    (3, 6, None, 8): (17_382, 11_567),
-    (3, 4, None, 7): (3_503, 2_497),
-    (3, 6, None, 7): (17_382, 11_567),
-    (3, 3, None, 19): (157_958, 88_119),
+    (3, 4, None, 8): (2_627, 1_991),
+    (3, 6, None, 8): (12_217, 8_832),
+    (3, 4, None, 7): (2_627, 1_991),
+    (3, 6, None, 7): (12_217, 8_832),
+    (3, 3, None, 19): (73_966, 48_677),
     (4, 2, None, 16): (4_293, 4_293),
-    (3, 5, None, 4): (208, 104),
-    (3, 6, None, 4): (1_294, 647),
-    (3, 0, 2, 4): (332, 166),
+    (3, 5, None, 4): (134, 104),
+    (3, 6, None, 4): (684, 592),
+    (3, 0, 2, 4): (184, 166),
     (4, 3, None, 4): (49, 39),
     (3, 2, None, 7): (28, 28)}
+
+
+def _zero_one_groups(n, m, bound):
+    """The 0/1 counting groups of a region, without the triangle bound
+    and the facets: the groups the counts `nodes` of the pins below were
+    taken with."""
+    return naive_counting_groups(n, m, bound, triangles=False)
 
 
 def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
     """The region's outcome one length per pass and then with the
     module's _WINDOW; test_naive_search_reproduces_the_pinned_counts
     checks naive_search against both.  `nodes` is the count before the
-    triangle bound, one length per pass with a memo that merges no row
-    permutation, as naive_search(triangles=False, merge_rows=False)
-    gives it."""
+    triangle bound and the facets, one length per pass with a memo that
+    merges no row permutation, as naive_search over the 0/1 groups
+    alone (_zero_one_groups) with merge_rows=False gives it."""
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
     for window, expected in zip((1, _WINDOW), _NODES[n, m, bound, l_max]):
         monkeypatch.setattr(patterns, "_WINDOW", window)
@@ -141,14 +151,15 @@ def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
         assert (out.status, out.nodes) == (status, expected), window
     monkeypatch.setattr(patterns, "_WINDOW", 1)
     assert naive_search(n, m, l_max, bound, merge_rows=False,
-                        triangles=False)[:2] == (status, nodes)
+                        groups=_zero_one_groups(n, m, bound))[:2] == (
+                            status, nodes)
 
 
 def test_search_exhausts_three_rows_mod_three_deeply(monkeypatch):
     # independently validated to l = 8 (generate-and-test and the subset
     # scan over (Z/3)^8 agree); this locks the engine behaviour further
     # out.  Without symmetry breaking, and before the memo merged row
-    # permutations and the triangle bound: 157,404.
+    # permutations, the triangle bound and the facets: 157,404.
     _assert_node_counts(monkeypatch, 3, 3, None, 12, "exhausted", 24_182)
 
 
@@ -184,8 +195,8 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
 
 
 # without symmetry breaking, and before the memo merged row
-# permutations and the triangle bound: 44,925 at (4, 2), 22,848 at
-# (3, 4) and 18,972 at (3, 0)
+# permutations, the triangle bound and the facets: 44,925 at (4, 2),
+# 22,848 at (3, 4) and 18,972 at (3, 0)
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
     (4, 2, None, 16, "found", 35_713),
     (3, 4, None, 9, "found", 6_510),
@@ -358,9 +369,11 @@ def test_capped_caches_keep_the_outcome(monkeypatch):
     assert max(len(e.memo) for e in engines) == 3
 
 
+# at a cap of 50 on (3, 3) up to 12, the memo no longer fills one length
+# per pass with the facets, so that case takes a cap of 30
 @pytest.mark.parametrize("cap,n,m,bound,l_max,status,nodes,full", [
     (3, 3, 4, None, 9, "found", 10_572, True),
-    (50, 3, 3, None, 12, "exhausted", 51_430, True),
+    (30, 3, 3, None, 12, "exhausted", 53_458, True),
     (100, 3, 5, None, 12, "exhausted", 319_032, True),
     (500, 2, 0, 3, 6, "found", 67, False)])
 def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
@@ -371,13 +384,14 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
     # they came in, so equal counts mean the one-integer keys name the
     # same states, up to a row permutation where untied, in the same
     # order.  The m = 0 region fills nothing and pins the offset digits.
-    # The counts given are those before the triangle bound, one length
-    # per pass, of a memo that merges no row permutation.  With the
-    # bound and the merge the counts are those below, one length per
-    # pass and then with the module's _WINDOW, with the memo as full.
-    counts = {(3, 3, 4): (6_668, 5_662),
-              (50, 3, 3): (12_368, 9_072),
-              (100, 3, 5): (77_936, 58_940),
+    # The counts given are those before the triangle bound and the
+    # facets, one length per pass, of a memo that merges no row
+    # permutation.  With the bounds and the merge the counts are those
+    # below, one length per pass and then with the module's _WINDOW,
+    # with the memo as full.
+    counts = {(3, 3, 4): (5_666, 5_030),
+              (30, 3, 3): (3_104, 2_675),
+              (100, 3, 5): (38_850, 23_014),
               (500, 2, 0): (67, 57)}[cap, n, m]
     engines = []
 
@@ -396,17 +410,21 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
         assert full == (max(len(e.memo) for e in engines) == cap)
     monkeypatch.setattr(patterns, "_WINDOW", 1)
     assert naive_search(n, m, l_max, bound, merge_rows=False, memo_cap=cap,
-                        triangles=False)[:2] == (status, nodes)
+                        groups=_zero_one_groups(n, m, bound))[:2] == (
+                            status, nodes)
 
 
 # every region whose nodes a test pins, as (n, m, bound, l_max, memo
 # cap or None, one length per pass): the keys of _NODES, the capped
-# caches and the node-cap region run to its end, each one length per
+# caches (and (3, 3) up to 12 at the cap of 50 it took before the
+# facets, where its memo fills with three lengths per pass only) and
+# the node-cap region run to its end, each one length per
 # pass and with the module's _WINDOW, then the regions test_cli pins
 # with the module's _WINDOW
 _PINNED_REGIONS = [(*region, one_per_pass) for region in [
     *((*key, None) for key in _NODES),
-    (3, 4, None, 9, 3), (3, 3, None, 12, 50), (3, 5, None, 12, 100),
+    (3, 4, None, 9, 3), (3, 3, None, 12, 50), (3, 3, None, 12, 30),
+    (3, 5, None, 12, 100),
     (2, 0, 3, 6, 500), (3, 3, None, 10, None)]
     for one_per_pass in (False, True)]
 _PINNED_REGIONS += [(2, 3, None, 3, None, False), (4, 5, None, 8, None, False),
@@ -441,16 +459,16 @@ _SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
 @pytest.mark.parametrize("n,m,bound,l_max,cap", _SMALL_GROUP_REGIONS)
 def test_groups_of_sizes_two_and_three_keep_the_outcome(n, m, bound, l_max,
                                                         cap):
-    # dropping a counting group or the triangle bound only cuts less, so
-    # the groups of 2 or 3 row subsets alone (for n >= 3 without the
-    # group of all subsets), and without the triangle bound, give the
-    # status and witness of the full list with the bound; only the nodes
-    # walked may grow
+    # dropping a counting group only cuts less, so the 0/1 groups of 2
+    # or 3 row subsets alone (for n >= 3 without the group of all
+    # subsets), without the triangle bound and the facets, give the
+    # status and witness of the region's own list; only the nodes walked
+    # may grow
     full = naive_groups(n, m, bound)
-    small = [g for g in full if 2 <= len(g[0]) <= 3]
+    small = [g for g in _zero_one_groups(n, m, bound)
+             if 2 <= len(g[0]) <= 3]
     with_full = naive_search(n, m, l_max, bound, memo_cap=cap, groups=full)
-    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small,
-                              triangles=False)
+    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small)
     assert with_small[0] == with_full[0]
     assert (canonical_json(with_small[2].jsonable()) if with_small[2]
             else None) == (canonical_json(with_full[2].jsonable())
@@ -686,7 +704,7 @@ def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
                                                    l_max, status, nodes):
     # progress fields are one byte at every l_max now, so these counts
     # pin the packing at lengths where it once changed.  naive_search,
-    # which packs nothing, gives the same counts
+    # which packs nothing, gives the same counts over the 0/1 groups
     _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
@@ -694,12 +712,13 @@ def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
     (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
 def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
                                                 nodes):
-    # progress fields are one byte at every l_max, but the lower-only
-    # group fields of _feasible are as wide as l_max needs: 15 more
-    # lengths widen them, and must change no answer and no count, one
-    # length per pass and three; 15 is a multiple of both, so no window
-    # edge moves.  `nodes` is the count before the triangle bound, one
-    # length per pass of a memo that merges no row permutation.
+    # progress fields are one byte at every l_max, and the fields of G
+    # take their width from 255, so 15 more lengths change only the
+    # number of per-r terms _Columns builds, and must change no answer
+    # and no count, one length per pass and three; 15 is a multiple of
+    # both, so no window edge moves.  `nodes` is the count before the
+    # triangle bound and the facets, one length per pass of a memo that
+    # merges no row permutation.
     for window, expected in zip((1, _WINDOW), _NODES[n, m, None, length]):
         monkeypatch.setattr(patterns, "_WINDOW", window)
         exact = search(SearchConfig(n=n, m=m, l_max=length))
@@ -709,8 +728,9 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
         assert (wide.status, wide.pattern, wide.nodes) == (
             exact.status, exact.pattern, exact.nodes)
     monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, length, merge_rows=False, triangles=False)[:2] \
-        == ("found", nodes)
+    assert naive_search(n, m, length, merge_rows=False,
+                        groups=_zero_one_groups(n, m, None))[:2] == (
+                            "found", nodes)
 
 
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
@@ -728,61 +748,42 @@ def test_four_row_node_counts(n, m, bound, l_max, status, nodes):
         assert out.pattern.rows == _simplex(n, 1)
 
 
-_R33 = '"region":{"n":3,"m":3,"l_min":1,"l_max":10}'
-_R32 = '"region":{"n":3,"m":2,"l_min":1,"l_max":8}'
-_P32 = ('"pattern":{"n":3,"m":2,"l":7,"rows":[[0,0,0,1,1,1,1],'
-        '[0,1,1,0,0,1,1],[1,0,1,0,1,0,1]]}')
-_R34 = '"region":{"n":3,"m":4,"l_min":1,"l_max":9}'
-_P34 = ('"pattern":{"n":3,"m":4,"l":7,"rows":[[0,0,0,2,2,2,2],'
-        '[0,2,2,0,0,2,2],[2,0,2,0,2,0,2]]}')
+def _capped(n, m, l_max, caps):
+    """The cases of test_node_cap_outcomes on one region."""
+    return [pytest.param(n, m, l_max, cap, id=f"{n}-{m}-{l_max}-{cap}")
+            for cap in caps]
 
 
-def _cap_outcome(cap, nodes, status, region, pattern=None):
-    """The bytes of a run capped at `cap` of a region that ends `status`
-    after `nodes` nodes."""
-    if cap < nodes:
-        return '{"status":"inconclusive","nodes":%d,%s}' % (cap + 1, region)
-    return '{"status":"%s","nodes":%d,%s}' % (
-        status, nodes, region if pattern is None else region + "," + pattern)
-
-
-def _capped(n, m, l_max, cap, outcomes):
-    """A case of test_node_cap_outcomes: per window, (nodes, status,
-    region bytes[, pattern bytes]) of the region run to its end."""
-    expected = {window: _cap_outcome(cap, *outcome)
-                for window, outcome in outcomes.items()}
-    return pytest.param(n, m, l_max, cap, expected,
-                        id=f"{n}-{m}-{l_max}-{cap}")
-
-
-@pytest.mark.parametrize("n,m,l_max,cap,expected", [
-    # the region is exhausted after 2,986 nodes one length per pass, and
-    # after 1,635 three per pass; the edges of earlier counts stay as
-    # caps: 2,908 and 1,557 with the size-4 groups, 3,896 and 1,973
-    # before the triangle bound
-    _capped(3, 3, 10, cap, {1: (2986, "exhausted", _R33),
-                            3: (1635, "exhausted", _R33)})
-    for cap in (0, 1, 2, 5, 17, 100, 1556, 1557, 1634, 1635, 1972, 1973,
-                2907, 2908, 2985, 2986, 3895, 3896, 5000)] + [
-    _capped(3, 2, 8, cap, {1: (28, "found", _R32, _P32),
-                           3: (28, "found", _R32, _P32)})
-    for cap in (0, 1, 2, 5, 17, 100, 5000)] + [
-    # three per pass, the witness is recorded at 1,293 nodes, and the
-    # pass spends 1,204 more proving l = 5 and 6 empty; a cap in between
+@pytest.mark.parametrize("n,m,l_max,cap", [
+    # the region is exhausted after 2,063 nodes one length per pass, and
+    # after 1,273 three per pass; the edges of earlier counts stay as
+    # caps: 2,986 and 1,635 before the facets, 2,908 and 1,557 with the
+    # size-4 groups, 3,896 and 1,973 before the triangle bound
+    *_capped(3, 3, 10, (0, 1, 2, 5, 17, 100, 1272, 1273, 1556, 1557, 1634,
+                        1635, 1972, 1973, 2062, 2063, 2907, 2908, 2985, 2986,
+                        3895, 3896, 5000)),
+    *_capped(3, 2, 8, (0, 1, 2, 5, 17, 100, 5000)),
+    # three per pass, the witness is recorded at 923 nodes, and the pass
+    # spends 1,068 more proving l = 5 and 6 empty; a cap in between
     # leaves them unproved, so the run is inconclusive.  One length per
-    # pass the run ends at 3,503 nodes.  The edges of the size-4 groups'
-    # counts stay as caps: the witness came at 1,176, and the runs ended
-    # at 3,386 and 2,380.
-    _capped(3, 4, 9, cap, {1: (3503, "found", _R34, _P34),
-                           3: (2497, "found", _R34, _P34)})
-    for cap in (1176, 1293, 2379, 2380, 2496, 2497, 3385, 3386, 3502, 3503)])
-def test_node_cap_outcomes(monkeypatch, n, m, l_max, cap, expected):
-    # outputs measured when every candidate column was spent one by one;
-    # the search now spends the columns that fail the signature in chunks
-    for window, outcome in expected.items():
+    # pass the run ends at 2,627 nodes.  The edges of earlier counts stay
+    # as caps: before the facets the witness came at 1,293 and the runs
+    # ended at 3,503 and 2,497, with the size-4 groups at 1,176, 3,386
+    # and 2,380.
+    *_capped(3, 4, 9, (923, 1176, 1293, 1990, 1991, 2379, 2380, 2496, 2497,
+                       2626, 2627, 3385, 3386, 3502, 3503))])
+def test_node_cap_outcomes(monkeypatch, n, m, l_max, cap):
+    # the search spends the columns that fail the signature in chunks;
+    # naive_search spends every candidate column one by one and stops
+    # past the cap, so equal bytes at the caps on either side of each
+    # run's end back every edge
+    cfg = SearchConfig(n=n, m=m, l_max=l_max, node_cap=cap)
+    for window in (1, _WINDOW):
         monkeypatch.setattr(patterns, "_WINDOW", window)
-        out = search(SearchConfig(n=n, m=m, l_max=l_max, node_cap=cap))
-        assert canonical_json(out.jsonable()) == outcome
+        status, nodes, pattern = naive_search(n, m, l_max, node_cap=cap)
+        expected = patterns.SearchOutcome(status, nodes, cfg.region(), pattern)
+        assert canonical_json(search(cfg).jsonable()) == canonical_json(
+            expected.jsonable()), window
 
 
 def _groups_under_the_cap(n, m, bound):
@@ -812,19 +813,39 @@ def test_regions_with_congruences(n, m):
     assert any(g > 1 for *_, g in _counting_groups(n, m, None))
 
 
-@pytest.mark.parametrize("n,m,bound,lower_only,looped,congruent", [
-    (3, 3, None, 29, 1, 0), (3, 4, None, 29, 0, 0), (3, 5, None, 30, 0, 0),
-    (3, 6, None, 29, 0, 0), (2, 3, None, 5, 0, 0), (3, 0, 1, 30, 0, 0),
+def _hull_region(n, m):
+    """Whether _constraint_groups gives the region facets: its hit sets
+    span a full-dimensional hull at n = 2 and 3 but for m = 2."""
+    return 2 <= n <= 3 and m != 2
+
+
+@pytest.mark.parametrize("n,m,bound,one_sided,two_sided,congruent", [
+    (3, 3, None, 12, 28, 28), (3, 4, None, 38, 0, 0), (3, 5, None, 31, 5, 0),
+    (3, 6, None, 38, 0, 0), (2, 3, None, 1, 0, 0), (3, 0, 1, 16, 36, 0),
     (4, 0, 1, 17, 0, 0), (3, 2, None, 28, 8, 7), (4, 2, None, 0, 36, 35)])
-def test_counting_groups_split(n, m, bound, lower_only, looped, congruent):
-    # _feasible tests the lower-only groups (hi == |T|, g <= 1) in one
-    # packed comparison and loops over the rest.  The triangles join the
-    # packed comparison.
+def test_counting_groups_split(n, m, bound, one_sided, two_sided, congruent):
+    # _feasible tests every group side in one of two packed comparisons
+    # (see _Columns.split_groups).  A group the box bounds on one side,
+    # with g <= 1, takes one field (the lower-only 0/1 groups, hi == |T|);
+    # the others take two, or keep one for their congruence.  The
+    # triangles, counted apart, give way to the facets where those come
+    # in.  Congruences equal up to a unit share one entry: at (3, 3) the
+    # 28 facets with g = 3 share one.
+    hull = _hull_region(n, m)
+    groups = _counting_groups(n, m, bound)
+    triangles = [w for w, *_ in groups if not hull and min(dict(w).values()) < 0]
+    assert len(triangles) == (0 if hull else
+                              3 * (3 ** n - 2 ** (n + 1) + 1) // 2)
+    rest = [(dict(w), lo, hi, g) for w, lo, hi, g in groups
+            if hull or min(dict(w).values()) > 0]
+    one = sum(g <= 1 and (lo == sum(c for c in w.values() if c < 0))
+              + (hi == sum(c for c in w.values() if c > 0)) == 1
+              for w, lo, hi, g in rest)
+    assert (one, len(rest) - one, sum(g > 1 for *_, g in rest)) == (
+        one_sided, two_sided, congruent)
     columns = patterns._Columns(n, m, bound, 12)
-    assert len(columns.lower_only) == lower_only
-    assert len(columns.triangles) == 3 * (3 ** n - 2 ** (n + 1) + 1) // 2
-    assert len(columns.groups) == looped
-    assert sum(g > 1 for *_, g in columns.groups) == congruent
+    assert len(columns.congruences) == {(3, 3): 1, (3, 2): 7, (4, 2): 35}.get(
+        (n, m), 0)
 
 
 @pytest.mark.parametrize("n,m,bound,size_three", [
@@ -840,8 +861,9 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
     # columns stays within _TABLE_CAP << 7: (4, 7) at 1.1M and (6, 2) at
     # 2.5M keep them (and (5, 5) at 14.0M), (6, 3) at 28.9M and (7, 2) at
     # 42.3M try none (nor (8, 2) at 696M).  No set of 4 is tried on any
-    # region, not even on those few columns make cheap: (3, 2) with 7,
-    # (3, 15) with 3,374, (3, 0) at bound 7 with 3,374 and (4, 3) with 80.
+    # region, not even on those few columns make cheap: (3, 2) with 7
+    # and (4, 3) with 80.  Where the facets come in, no set is tried at
+    # all: (3, 15) with 3,374 columns and (3, 0) at bound 7 with 3,374.
     profiles = [patterns._column_profile(c, m)
                 for c in patterns._column_alphabet(n, m, bound)]
     n_masks = (1 << n) - 1
@@ -856,8 +878,9 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
     monkeypatch.setattr(patterns, "itertools", types.SimpleNamespace(
         combinations=combinations))
     patterns._constraint_groups(n, profiles)
-    assert evaluated == {size: math.comb(n_masks, size)
-                         for size in (2, 3) if size < 3 or size_three}
+    assert evaluated == ({} if _hull_region(n, m) else
+                         {size: math.comb(n_masks, size)
+                          for size in (2, 3) if size < 3 or size_three})
 
 
 @pytest.mark.parametrize("n,m,fields", [
@@ -881,13 +904,15 @@ def test_triangles_only_within_the_size_three_cap(n, m, fields):
 
 
 def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
-    # (3, 3): C(7, 3) sets of 3 times 26 columns is 910, within 8 << 7
-    # but past 7 << 7
-    for cap, fields in ((8, 18), (7, 0)):
+    # (3, 2), which has no facets: C(7, 3) sets of 3 times 7 columns is
+    # 245, within 2 << 7 but past 1 << 7
+    for cap, fields in ((2, 18), (1, 0)):
         monkeypatch.setattr(patterns, "_TABLE_CAP", cap)
-        assert len(patterns._triangles(3, 26)) == fields
-        sizes = {len(masks) for masks, *_ in _groups_under_the_cap(3, 3, None)}
+        assert len(patterns._triangles(3, 7)) == fields
+        groups = _groups_under_the_cap(3, 2, None)
+        sizes = {len(w) for w, *_ in groups if min(dict(w).values()) > 0}
         assert (3 in sizes) == bool(fields)
+        assert sum(min(dict(w).values()) < 0 for w, *_ in groups) == fields
 
 
 @pytest.mark.parametrize("n,m,bound", [
@@ -896,12 +921,90 @@ def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
 def test_counting_groups_read_each_hit_set_once(n, m, bound):
     # a group's amounts depend only on which hit sets occur, so passing
     # every profile twice changes no group.  On these regions doubling
-    # the columns moves no candidate past the size-3 bound.
+    # the columns moves no candidate past the size-3 bound.  (2, 0) at
+    # bound 2 has one facet that can exclude something.
     profiles = [patterns._column_profile(c, m)
                 for c in patterns._column_alphabet(n, m, bound)]
     groups = patterns._constraint_groups(n, profiles)
-    assert len(groups) > 1
+    assert groups
     assert patterns._constraint_groups(n, profiles + profiles) == groups
+
+
+# the hit sets small enough for the brute force: every region of one
+# and two rows has one of three (1 point, 3 at m = 2, 4 elsewhere), and
+# the 13-point sets of (3, 3) and (3, 0) at bound 1; (3, 2) spans 7
+# points in a 6-dimensional flat
+_SMALL_HULLS = [(1, 2, None), (1, 5, None), (1, 0, 1), (2, 2, None),
+                (2, 3, None), (2, 4, None), (2, 7, None), (2, 0, 1),
+                (2, 0, 2), (3, 2, None), (3, 3, None), (3, 0, 1)]
+
+
+@pytest.mark.parametrize("n,m,bound", _SMALL_HULLS)
+def test_hull_facets_match_a_brute_force(n, m, bound):
+    # naive_hull_facets tries the hyperplane through every d-subset;
+    # hulls that are not full-dimensional give None on both sides, and
+    # _constraint_groups then falls back to the 0/1 groups
+    vectors = naive_hit_vectors(n, m, bound)
+    facets = patterns._hull_facets(vectors)
+    assert facets == naive_hull_facets(vectors)
+    assert (facets is not None) == _hull_region(n, m)
+
+
+def _rank(rows):
+    """The rank of integer rows, by elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n,m,bound,points,count", [
+    (3, 5, None, 17, 43), (3, 7, None, 17, 43), (3, 0, 2, 17, 43),
+    (3, 4, None, 18, 45), (3, 6, None, 18, 45), (3, 15, None, 17, 43),
+    (3, 3, None, 13, 47), (3, 0, 1, 13, 59)])
+def test_hull_facets_are_facets(n, m, bound, points, count):
+    # past the brute force's reach: every facet holds on every hit
+    # vector and is tight on 7 affinely independent ones, so it is a
+    # facet, and the list is closed under row permutations, which
+    # _feasible's invariance (and so the memo's merge) needs
+    vectors = naive_hit_vectors(n, m, bound)
+    facets = patterns._hull_facets(vectors)
+    assert (len(vectors), len(facets)) == (points, count)
+    for w, b in facets:
+        dots = [sum(map(operator.mul, w, x)) for x in vectors]
+        assert min(dots) == b and math.gcd(b, *w) == 1
+        tight = [(1, *x) for x, dot in zip(vectors, dots) if dot == b]
+        assert _rank(tight) == 7
+    for perm in itertools.permutations(range(n)):
+        # mask `mask` moves to the mask of the rows it names
+        to = [sum(1 << perm[i] for i in range(n) if mask >> i & 1)
+              for mask in range(1 << n)]
+        moved = []
+        for w, b in facets:
+            image = [0] * (1 << n)
+            for mask in range(1, 1 << n):
+                image[to[mask]] = w[mask - 1]
+            moved.append((tuple(image[1:]), b))
+        assert sorted(moved) == facets
+
+
+@pytest.mark.parametrize("n,m,bound", [
+    (1, 3, None), (1, 0, 2), (2, 2, None), (3, 2, None), (4, 2, None),
+    (4, 3, None), (4, 0, 1)])
+def test_counting_groups_match_naive_where_no_facets(n, m, bound):
+    # where the hull is not full-dimensional (m = 2, one row) or n >= 4,
+    # the 0/1 groups and the triangles of _constraint_groups are those
+    # naive_counting_groups builds by direct summation
+    assert sorted(_counting_groups(n, m, bound)) == sorted(
+        naive_counting_groups(n, m, bound))
 
 
 def _simplex(n, scale):
@@ -968,14 +1071,16 @@ def _witness_prefixes(data):
 @settings(max_examples=60, deadline=None)
 def test_counting_groups_hold_on_every_prefix_of_adequate_patterns(data):
     # no pruning code is called: each group's demand over the columns
-    # left is checked directly
+    # left, w.(k*1 - p), is checked directly, on the facets where the
+    # witness's region has them and on the 0/1 groups and triangles
+    # where it does not
     n, m, bound, k, prefixes = _witness_prefixes(data)
     for r, progress in prefixes:
-        for masks, lo, hi, g in _counting_groups(n, m, bound):
-            demand = len(masks) * k - sum(progress[mk] for mk in masks)
-            assert r * lo <= demand <= r * hi, (progress, r, masks)
+        for weights, lo, hi, g in _counting_groups(n, m, bound):
+            demand = sum(c * (k - progress[mask]) for mask, c in weights)
+            assert r * lo <= demand <= r * hi, (progress, r, weights)
             if g > 1:
-                assert (demand - r * lo) % g == 0, (progress, r, masks)
+                assert (demand - r * lo) % g == 0, (progress, r, weights)
 
 
 @given(st.data())
@@ -996,8 +1101,8 @@ def test_triangle_bound_holds_on_every_prefix_of_adequate_patterns(data):
                     assert total - 2 * p[x] <= k, (p, a, b, x)
 
 
-# regions with congruences, with and without lower-only groups, and
-# regions whose groups are all lower-only
+# regions with congruences (the 0/1 groups at m = 2 and (4, 4), the
+# facets at (3, 3)) and regions with facets and no congruence
 _WALK_REGIONS = [(3, 2, None), (4, 2, None), (4, 4, None), (3, 3, None),
                  (3, 5, None), (3, 0, 1)]
 
@@ -1025,10 +1130,14 @@ def test_feasible_is_invariant_under_row_permutations(data):
     # the memo keys an untied child by the least row-permutation image
     # of its progress, which is sound only where _feasible answers every
     # image alike.  States as search meets them at length 12: a depth d,
-    # progress fields within d, and r up to 12 - d.
-    n, m = data.draw(st.sampled_from([(3, 2), (3, 3), (3, 5), (4, 2),
-                                      (4, 3)]))
-    engine = _engine(n, m)
+    # progress fields within d, and r up to 12 - d.  The n = 3 regions
+    # but (3, 2) carry facets, in each of the three kinds of hit sets
+    # (13 at m = 3 and at m = 0 with bound 1, 17 at odd m >= 5, 18 at
+    # even m >= 4)
+    n, m, bound = data.draw(st.sampled_from([
+        (3, 2, None), (3, 3, None), (3, 5, None), (3, 4, None), (3, 0, 1),
+        (4, 2, None), (4, 3, None)]))
+    engine = _engine(n, m, bound)
     depth = data.draw(st.integers(0, 12))
     low = data.draw(st.integers(max(0, depth - 4), depth))
     progress = [0] + [data.draw(st.integers(low, depth))
@@ -1045,36 +1154,37 @@ def test_feasible_is_invariant_under_row_permutations(data):
 @pytest.mark.parametrize("fields,r", [
     ((38,) * 7, 19), ((38,) * 6 + (37,), 19), ((38,) * 6 + (37,), 0),
     ((19,) * 7, 19), ((30, 38, 34, 38, 36, 35, 38), 8),
-    # packed fields one bit narrower get this one wrong
     ((23, 17, 22, 23, 21, 19, 17), 17),
-    # progress bytes at their limit, at l = 128: the group of all 7
-    # subsets is looped over, and a field of it narrower than 7*255
-    # gets these wrong
+    # progress bytes at their limit, at l = 128
     ((255,) * 7, 0), ((255,) * 7, 128)])
 def test_feasible_at_the_field_width_bound(fields, r):
     # the packed fields must hold for progress fields up to 2l and r <= l,
-    # at l = 19, or at the least l with every field within 2l
+    # at l = 19, or at the least l with every field within 2l.  (3, 3)
+    # packs sides into both sections of G and reads a congruence.
     l = max(19, -(-max(fields) // 2))
     progress = [0, *fields]
     engine = _engine(3, 3, None, l)
-    assert engine.columns.groups
+    assert engine.columns.upper_guard and engine.columns.congruences
     assert _feasible_on(engine, progress, r) == naive_feasible(
         progress, r, _counting_groups(3, 3, None))
 
 
 def test_congruence_scan_applies_the_packed_test_at_each_k():
-    # no region measured here needs it, so two made-up groups: a
-    # lower-only one needing k >= 2, and one looped over with a
-    # congruence needing k odd.  Of k in [1, 2] only k = 1 is odd, and
-    # it fails the packed test.
-    groups = [((2,), 0, 2, 2), ((1,), 1, 1, 0)]
+    # two made-up groups: one whose lower side needs k >= 2 (its upper
+    # side, k <= p + r, is the box's), and one with a congruence needing
+    # k odd, whose lower side the box implies but which keeps it for the
+    # congruence, and whose upper side takes a high field.  Of k in
+    # [1, 2] only k = 1 is odd, and it fails the low sides, so the scan
+    # must start at the least k passing them.
+    groups = [(((2, 1),), 0, 2, 2), (((1, 1),), 1, 1, 0)]
     columns = patterns._Columns(2, 2, None, 4)
-    columns.split_groups(groups, [], 4)
-    assert (len(columns.groups), len(columns.lower_only)) == (1, 1)
+    columns.split_groups(groups, 4)
+    assert (columns.lower_guard.bit_count(), columns.upper_guard.bit_count(),
+            len(columns.congruences)) == (2, 1, 1)
     engine = patterns._WindowSearch(2, 2, 4, 4, columns,
                                     patterns._NodeBudget(None))
     progress = [0, 0, 1, 0]
-    assert naive_feasible(progress, 2, groups, triangles=False) is False
+    assert naive_feasible(progress, 2, groups) is False
     assert _feasible_on(engine, progress, 2) is False
 
 

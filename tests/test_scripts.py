@@ -1,5 +1,6 @@
 """The command-line scripts run end to end on small regions."""
 
+import json
 import os
 import subprocess
 import sys
@@ -71,6 +72,27 @@ def test_pattern_frontier_integer_entries():
                       else "none<=4")
             expected.append([str(n), str(m), result, str(out.nodes)])
     assert [row.split()[:4] for row in rows] == expected
+
+
+def test_pattern_frontier_json_lines():
+    # --json prints one line of JSON per (n, m) instead of the table:
+    # the region, status, nodes and witness length of the library's own
+    # search of it, and its CPU seconds
+    proc = run_script("pattern_frontier.py", "--n-max", "3", "--moduli",
+                      "0,3", "--l-max", "4", "--entry-bound", "1", "--json")
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    expected = []
+    for n in (1, 2, 3):
+        for m, bound in ((0, 1), (3, None)):
+            out = search(SearchConfig(n=n, m=m, l_max=4, entry_bound=bound))
+            expected.append({**out.region, "status": out.status,
+                             "nodes": out.nodes,
+                             "l": out.pattern.l if out.pattern else None})
+    assert [{key: value for key, value in record.items() if key != "cpu_s"}
+            for record in records] == expected
+    assert all(type(record["cpu_s"]) is float and record["cpu_s"] >= 0
+               for record in records)
 
 
 @pytest.mark.parametrize("argv,message", [
