@@ -431,9 +431,9 @@ def _fitting(options, need: str, offset: int) -> list:
 
 
 class _Columns:
-    """The tables of a search region, shared by every length up to
-    l_max: the constraint groups (see _constraint_groups) packed for
-    _feasible with the terms it reads per r <= l_max, per tie mask the
+    """The tables of a search region, shared by every length: the
+    constraint groups (see _constraint_groups) packed into the one
+    affine form _feasible reads (see split_groups), per tie mask the
     allowed columns with their packed increments, and the fitting-column
     table.
 
@@ -474,7 +474,7 @@ class _Columns:
     tracks (all n! for n <= 4, the identity alone from n = 5 on).
     """
 
-    def __init__(self, n: int, m: int, entry_bound, l_max: int):
+    def __init__(self, n: int, m: int, entry_bound):
         # (m or 2b+1)^n - 1 columns, each profiled over 2^n - 1 row
         # subsets; the mask count alone passes the cap from n = 18 on,
         # which spares the power for a huge n
@@ -501,7 +501,7 @@ class _Columns:
             self.sig_base = 2 * n * entry_bound + 1
             self.sig_offset = n * entry_bound
         self.pad = chr(self.sig_offset)
-        self.split_groups(_constraint_groups(n, profiles), l_max)
+        self.split_groups(_constraint_groups(n, profiles))
         sum_units = self.sum_units
         # the packed steps of each column: 1 into the progress field, and
         # sum_units[mask] into the packed group sums G, per hit mask
@@ -562,38 +562,40 @@ class _Columns:
             code = code * self.sig_base + ord(entry_code)
         return state | tied << self.rest_shift | code << self.sig_shift
 
-    def split_groups(self, groups, l_max: int) -> None:
+    def split_groups(self, groups) -> None:
         """Pack the sides of every counting group (weights, lo, hi, g)
-        (see _constraint_groups) into fields of the packed sums G, for
-        _feasible.  With W the sum of the weights and S = w.p, a group
-        holds at the final length k when both of its sides do:
+        (see _constraint_groups) into one affine form, for _feasible.
+        With W the sum of the weights and S = w.p, a group holds at the
+        final length k when both of its sides do:
 
             lower side   W*k - S - r*lo >= 0
             upper side   r*hi - W*k + S >= 0
 
         Each side is a*k + r*c - v.p >= 0 (a = W, c = -lo, v = w on the
-        lower side; a = -W, c = hi, v = -w on the upper one).  A side
-        with a >= 0, which holds from some k up, takes a field in the low
-        section of G, which _feasible reads as k*lower + lower_base[r] - G;
-        one with a < 0, which holds up to some k, a field in the high
-        section, read as upper_base[r] + G - k*upper.  A low field of G
-        holds bias + v.p, a high one bias - v.p, the bias 255 times the
-        sum of the negative coefficients' sizes, so that every field of G
-        lies in [0, 255*|w|_1] while no progress field passes one byte.
+        lower side; a = -W, c = hi, v = -w on the upper one) and takes
+        one field of every packed term: k_coefs packs the a, r_coefs the
+        c, G holds bias + v.p (the bias 255 times the sum of the negative
+        v's sizes) and base the guard bit `half` plus the bias, so each
+        field of x(k) = k*k_coefs + base + r*r_coefs - G holds
+        half + a*k + r*c - v.p.  At a k in the box max p <= k <= min p + r
+        that is within r*|w|_1 <= 255*widest of half (each k - p[mask]
+        lies in [0, r], and lo and hi between the sums of the negative
+        and of the positive weights), so no field borrows from the next
+        and a guard bit is set exactly where its side holds.  low_guard
+        tests the sides with a >= 0, which hold from some k up, and
+        high_guard those with a < 0, which hold up to some k.
 
-        A side the box max p <= k <= min p + r implies takes no field:
-        the lower one where lo is the sum of the negative weights, the
-        upper one where hi is that of the positive ones.  But a group
-        with g > 1 keeps its side with a >= 0 whatever: at every k its
-        field holds, past the guard bit, a value congruent mod g to
-        +-(W*k - S - r*lo) (hi - lo is a multiple of g), and _feasible
-        reads the congruence there, as (shift, field mask, g, guard
-        bit mod g) in `congruences`.  Groups whose congruences are the
-        same up to a unit of Z/g (at (3, 3), 28 facets with g = 3) share
-        one entry."""
-        # a side as (|a|, c, sign, weights, bias): its field of G holds
-        # bias + sign*S, sign being the sign of v.p in the field
-        low, high, congruences = [], [], {}
+        A side the box implies takes no field: the lower one where lo is
+        the sum of the negative weights, the upper one where hi is that
+        of the positive ones.  But a group with g > 1 keeps its side
+        with a >= 0 whatever: at every k its field holds, past the guard
+        bit, a value congruent mod g to +-(W*k - S - r*lo) (hi - lo is a
+        multiple of g), and _feasible reads the congruence there, as
+        (shift, field mask, g, guard bit mod g) in `congruences`.  Groups
+        whose congruences are the same up to a unit of Z/g (at (3, 3),
+        28 facets with g = 3) share one entry."""
+        # a side as (a, c, sigma, weights, bias), v being sigma*w
+        sides, congruences = [], {}
         widest = 1
         for weights, lo, hi, g in groups:
             w_sum = sum(x for _, x in weights)
@@ -611,47 +613,31 @@ class _Columns:
                               if math.gcd(e, g) == 1), 1)
                     key = (g, tuple(mask for mask, _ in weights),
                            *(u * e % g for e in values))
-                    first = congruences.setdefault(key, len(low))
-                    if implied and first != len(low):
+                    first = congruences.setdefault(key, len(sides))
+                    if implied and first != len(sides):
                         continue
                 elif implied:
                     continue
-                sign = sigma if a >= 0 else -sigma
-                (low if a >= 0 else high).append(
-                    (abs(a), c, sign, weights,
-                     _LONGEST * (-neg if sign > 0 else pos)))
-        # every tested value is guard bit + a*k + r*c - v.p, at k in
-        # the box, which is within r*|w|_1 <= 255*widest of the guard
-        # bit, so it stays in [0, 2^fw) and never borrows from the next
-        # field; and G's low fields, below 2^fw too, never carry into
-        # the high section
+                sides.append((a, c, sigma, weights,
+                              _LONGEST * (-neg if sigma > 0 else pos)))
         fw = (_LONGEST * widest).bit_length() + 1
         half = 1 << fw - 1
-        n_low = len(low)
-        fields = low + high
 
-        def pack(values, start=0):
-            return sum(x << fw * i for i, x in enumerate(values, start))
-        self.lower_guard = pack([half] * n_low)
-        self.upper_guard = pack([half] * len(high), n_low)
-        self.lower = pack([a for a, *_ in low])
-        self.upper = pack([a for a, *_ in high], n_low)
-        biases = [bias for *_, bias in fields]
-        self.root_sums = pack(biases)
+        def pack(values):
+            return sum(x << fw * i for i, x in enumerate(values))
+        guards = pack([half] * len(sides))
+        self.low_guard = pack([half if a >= 0 else 0 for a, *_ in sides])
+        self.high_guard = guards - self.low_guard
+        self.k_coefs = pack([a for a, *_ in sides])
+        self.r_coefs = pack([c for _, c, *_ in sides])
         # root_sums plus sum(p[mask] * sum_units[mask]) packs G
+        self.root_sums = pack([bias for *_, bias in sides])
+        self.base = guards + self.root_sums
         units = [0] * (self.n_masks + 1)
-        for i, (_, _, sign, weights, _) in enumerate(fields):
+        for i, (_, _, sigma, weights, _) in enumerate(sides):
             for mask, x in weights:
-                units[mask] += sign * x << fw * i
+                units[mask] += sigma * x << fw * i
         self.sum_units = units
-        # per r <= l_max, at most _LONGEST + 1 of each, as search caps
-        # l_max at _LONGEST
-        low_c = pack([c for _, c, *_ in low])
-        high_c = pack([c for _, c, *_ in high], n_low)
-        low_0 = self.lower_guard + pack(biases[:n_low])
-        high_0 = self.upper_guard - pack(biases[n_low:], n_low)
-        self.lower_base = [low_0 + r * low_c for r in range(l_max + 1)]
-        self.upper_base = [high_0 + r * high_c for r in range(l_max + 1)]
         self.congruences = [(fw * i, (1 << fw) - 1, g, half % g)
                             for (g, *_), i in congruences.items()]
 
@@ -751,43 +737,39 @@ class _WindowSearch:
         between the two, is the one k to try the high sides at, and the
         k from there up while they hold are the ones to try the
         congruences at.
-        Each test reads every field of a section at once: the packed
-        value keeps a field's guard bit exactly where the side holds, as
-        no field borrows from the next at a k in the box (see
-        split_groups).  The low section sits below the high one, so the
-        garbage the low test leaves above it is never read, and the high
-        test adds G's low fields, which stay below their section's top."""
+        Every test reads the packed x(k) of split_groups, whose fields
+        hold their sides' values exactly at every k in the box; the low
+        and high sides differ only in the guard mask that tests them."""
         columns = self.columns
         k_hi = min(p[1:]) + r
         if k_lo > k_hi:
             return False
-        lower = columns.lower
-        guard = columns.lower_guard
-        base = columns.lower_base[r] - packed_sums
-        if (k_hi * lower + base) & guard != guard:
+        slope = columns.k_coefs
+        base = columns.base + r * columns.r_coefs - packed_sums
+        low = columns.low_guard
+        high = columns.high_guard
+        x = k_hi * slope + base
+        if x & low != low:
             return False
-        upper = columns.upper
-        up_guard = columns.upper_guard
-        up_base = columns.upper_base[r] + packed_sums
         terms = columns.congruences
-        if not terms and (up_base - k_hi * upper) & up_guard == up_guard:
+        if not terms and x & high == high:
             return True
-        if (up_base - k_lo * upper) & up_guard != up_guard:
+        x = k_lo * slope + base
+        if x & high != high:
             return False
-        x = k_lo * lower + base
-        if x & guard != guard:
+        if x & low != low:
             # the low sides fail at lo and hold at hi
             lo, hi = k_lo, k_hi
             while hi - lo > 1:
                 mid = (lo + hi) >> 1
-                if (mid * lower + base) & guard == guard:
+                if (mid * slope + base) & low == low:
                     hi = mid
                 else:
                     lo = mid
             k_lo = hi
-            if (up_base - k_lo * upper) & up_guard != up_guard:
+            x = k_lo * slope + base
+            if x & high != high:
                 return False
-            x = k_lo * lower + base
         if not terms:
             return True
         k = k_lo
@@ -796,9 +778,9 @@ class _WindowSearch:
             if k == k_hi:
                 return False
             k += 1
-            if (up_base - k * upper) & up_guard != up_guard:
+            x += slope
+            if x & high != high:
                 return False
-            x += lower
         return True
 
     def _rows(self) -> tuple:
@@ -973,7 +955,7 @@ def search(cfg: SearchConfig) -> SearchOutcome:
     exists at any length <= l_max (entries within the bound when m = 0).
     """
     budget = _NodeBudget(cfg.node_cap)
-    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound, min(cfg.l_max, _LONGEST))
+    columns = _Columns(cfg.n, cfg.m, cfg.entry_bound)
     for lo, hi in _windows(cfg.n, cfg.m, cfg.l_max):
         if hi > _LONGEST:
             raise SizeLimitError(f"no search reaches past length {_LONGEST}")

@@ -85,21 +85,18 @@ def test_search_past_the_size_four_bound_prints_the_same_bytes(
         assert (code, out) == (1, expected % count)
 
 
-def test_search_builds_per_length_tables_up_to_length_255(
-        capsys, monkeypatch):
+def test_search_with_a_huge_l_max_answers_at_length_3(capsys, monkeypatch):
     # a region found at l = 3 answers at once however large l_max is;
     # l_max = 10^4 comes first, so a table sized by l_max fails there
-    # instead of filling memory at 10^9.  The per-r tables are built
-    # with the columns for every r up to l_max capped at 255, the
-    # longest length a search reaches, and the windows are made one at
-    # a time.
+    # instead of filling memory at 10^9.  The windows are made one at a
+    # time, and none is walked past the length found.
     from pattern_forge import patterns
     tops = []
 
     class Recorded(patterns._WindowSearch):
         def __init__(self, n, m, lo, hi, columns, budget):
             super().__init__(n, m, lo, hi, columns, budget)
-            tops.append((hi, columns))
+            tops.append(hi)
 
     monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     for l_max in (10 ** 4, 10 ** 9):
@@ -114,10 +111,7 @@ def test_search_builds_per_length_tables_up_to_length_255(
                            '"m":3,"l_min":1,"l_max":%d},"pattern":{"n":2,'
                            '"m":3,"l":3,"rows":[[0,1,2],[1,2,0]]}}\n'
                            % (nodes, l_max))
-            longest, columns = max(tops)
-            assert longest == 3
-            for table in (columns.lower_base, columns.upper_base):
-                assert len(table) == min(l_max, 255) + 1
+            assert max(tops) == 3
 
 
 def test_search_refuses_a_window_past_length_255(capsys, monkeypatch):

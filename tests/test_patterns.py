@@ -558,9 +558,7 @@ def test_nodes_do_not_depend_on_l_max_past_a_known_length(n, m, known,
     assert outs[known].pattern.l == known
 
 
-@functools.cache
-def _key_columns(n, m, bound, l_max):
-    return patterns._Columns(n, m, bound, l_max)
+_key_columns = functools.cache(patterns._Columns)
 
 
 def _codes(columns, entries):
@@ -588,7 +586,7 @@ def test_memo_key_decodes_to_its_parts(data):
     m = data.draw(st.sampled_from([0, 2, 3, 5]))
     bound = data.draw(st.integers(1, 3)) if m == 0 else None
     l_max = data.draw(st.sampled_from([1, 2, 7, 8, 19, 31]))
-    columns = _key_columns(n, m, bound, l_max)
+    columns = _key_columns(n, m, bound)
     top = n * bound if m == 0 else m - 1
     entry = (st.integers(-top, top).filter(bool) if m == 0
              else st.integers(1, top))
@@ -680,8 +678,9 @@ def test_search_memo_keys_are_memo_key(monkeypatch, n, m, bound, l_max):
     (1, 3, 2), (2, 3, 3), (3, 3, 4), (4, 3, 4), (5, 3, 6), (6, 2, 3)])
 def test_columns_hold_one_image_per_tracked_permutation(n, m, l_max):
     # all n! row permutations up to n = 4, the identity alone from n = 5
-    # on, where test_cli pins the stdout bytes of (5, 3, 6) and (6, 2, 3)
-    columns = patterns._Columns(n, m, None, l_max)
+    # on, where test_cli pins the stdout bytes of (5, 3, 6) and (6, 2, 3);
+    # l_max names the length each region is searched to there
+    columns = patterns._Columns(n, m, None)
     count = math.factorial(n) if n <= 4 else 1
     assert columns.root_images == (0,) * count
     for options in columns.choices:
@@ -712,10 +711,10 @@ def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
     (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
 def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
                                                 nodes):
-    # progress fields are one byte at every l_max, and the fields of G
-    # take their width from 255, so 15 more lengths change only the
-    # number of per-r terms _Columns builds, and must change no answer
-    # and no count, one length per pass and three; 15 is a multiple of
+    # progress fields are one byte at every l_max, and the fields of the
+    # packed form take their width from 255, so _Columns builds nothing
+    # per length, and 15 more lengths must change no answer and no
+    # count, one length per pass and three; 15 is a multiple of
     # both, so no window edge moves.  `nodes` is the count before the
     # triangle bound and the facets, one length per pass of a memo that
     # merges no row permutation.
@@ -799,11 +798,10 @@ _counting_groups = functools.cache(_groups_under_the_cap)
 
 
 @functools.cache
-def _engine(n, m, bound=None, l=12):
-    """One length-l engine per region, kept across examples: building
+def _engine(n, m, bound=None):
+    """One length-12 engine per region, kept across examples: building
     the tables of (4, 4) takes a good part of a second."""
-    return patterns._WindowSearch(n, m, l, l,
-                                  patterns._Columns(n, m, bound, l),
+    return patterns._WindowSearch(n, m, 12, 12, patterns._Columns(n, m, bound),
                                   patterns._NodeBudget(None))
 
 
@@ -824,10 +822,11 @@ def _hull_region(n, m):
     (3, 6, None, 38, 0, 0), (2, 3, None, 1, 0, 0), (3, 0, 1, 16, 36, 0),
     (4, 0, 1, 17, 0, 0), (3, 2, None, 28, 8, 7), (4, 2, None, 0, 36, 35)])
 def test_counting_groups_split(n, m, bound, one_sided, two_sided, congruent):
-    # _feasible tests every group side in one of two packed comparisons
-    # (see _Columns.split_groups).  A group the box bounds on one side,
-    # with g <= 1, takes one field (the lower-only 0/1 groups, hi == |T|);
-    # the others take two, or keep one for their congruence.  The
+    # _feasible tests every group side in one packed form, under the
+    # guard mask of its kind (see _Columns.split_groups).  A group the
+    # box bounds on one side, with g <= 1, takes one field (the
+    # lower-only 0/1 groups, hi == |T|); the others take two, or keep
+    # one for their congruence.  The
     # triangles, counted apart, give way to the facets where those come
     # in.  Congruences equal up to a unit share one entry: at (3, 3) the
     # 28 facets with g = 3 share one.
@@ -843,7 +842,7 @@ def test_counting_groups_split(n, m, bound, one_sided, two_sided, congruent):
               for w, lo, hi, g in rest)
     assert (one, len(rest) - one, sum(g > 1 for *_, g in rest)) == (
         one_sided, two_sided, congruent)
-    columns = patterns._Columns(n, m, bound, 12)
+    columns = patterns._Columns(n, m, bound)
     assert len(columns.congruences) == {(3, 3): 1, (3, 2): 7, (4, 2): 35}.get(
         (n, m), 0)
 
@@ -1160,26 +1159,131 @@ def test_feasible_is_invariant_under_row_permutations(data):
 def test_feasible_at_the_field_width_bound(fields, r):
     # the packed fields must hold for progress fields up to 2l and r <= l,
     # at l = 19, or at the least l with every field within 2l.  (3, 3)
-    # packs sides into both sections of G and reads a congruence.
-    l = max(19, -(-max(fields) // 2))
+    # has sides under both guard masks and reads a congruence.
     progress = [0, *fields]
-    engine = _engine(3, 3, None, l)
-    assert engine.columns.upper_guard and engine.columns.congruences
+    engine = _engine(3, 3, None)
+    columns = engine.columns
+    assert columns.low_guard and columns.high_guard and columns.congruences
     assert _feasible_on(engine, progress, r) == naive_feasible(
         progress, r, _counting_groups(3, 3, None))
+
+
+@functools.cache
+def _packed_sides(n, m, bound):
+    """The packed form of a region, read back: its _Columns, the field
+    width fw, and per field the side (a, c, v) that k_coefs, r_coefs
+    and sum_units hold there, v as a dict mask -> coefficient.  Checks
+    that every field holds a side of a counting group under the guard
+    mask of its kind, with its bias, and that every side the box does
+    not imply has a field."""
+    columns = _engine(n, m, bound).columns
+    guards = columns.low_guard | columns.high_guard
+    half = guards & -guards
+    fw = half.bit_length()
+    count = guards.bit_length() // fw
+    assert guards == sum(half << fw * i for i in range(count))
+
+    def fields(packed):
+        out = []
+        for _ in range(count):
+            field = packed & (1 << fw) - 1
+            field -= (field & half) << 1
+            out.append(field)
+            packed = (packed - field) >> fw
+        assert packed == 0
+        return out
+
+    per_mask = [fields(unit) for unit in columns.sum_units]
+    sides = [(a, c, {mask: v[i] for mask, v in enumerate(per_mask) if v[i]})
+             for i, (a, c) in enumerate(zip(fields(columns.k_coefs),
+                                            fields(columns.r_coefs)))]
+    assert columns.low_guard == sum(half << fw * i for i, (a, _, _)
+                                    in enumerate(sides) if a >= 0)
+    # the biases, each in [0, 2^fw)
+    assert [columns.root_sums >> fw * i & (1 << fw) - 1
+            for i in range(count + 1)] == [
+        patterns._LONGEST * -sum(x for x in v.values() if x < 0)
+        for _, _, v in sides] + [0]
+    assert columns.base == guards + columns.root_sums
+    # the sides of the groups, lower then upper, and whether the box
+    # implies them
+    every = {}
+    for weights, lo, hi, g in _counting_groups(n, m, bound):
+        w = dict(weights)
+        neg = sum(x for x in w.values() if x < 0)
+        pos = sum(x for x in w.values() if x > 0)
+        every[sum(w.values()), -lo, frozenset(w.items())] = lo == neg
+        every[-sum(w.values()), hi, frozenset(
+            (mask, -x) for mask, x in w.items())] = hi == pos
+    held = {(a, c, frozenset(v.items())) for a, c, v in sides}
+    assert held <= every.keys()
+    assert {side for side, implied in every.items() if not implied} <= held
+    return columns, fw, sides
+
+
+def _assert_fields_hold_their_sides(n, m, bound, progress, r):
+    """Every field of _feasible's x(k) = k*k_coefs + base + r*r_coefs - G,
+    G as the search carries it, decodes to half + a*k + r*c - v.p at
+    every k in the box max(1, max p) <= k <= min p + r."""
+    columns, fw, sides = _packed_sides(n, m, bound)
+    half = 1 << fw - 1
+    packed_sums = columns.root_sums + sum(map(operator.mul, progress,
+                                              columns.sum_units))
+    rest = [r * c - sum(x * progress[mask] for mask, x in v.items())
+            for _, c, v in sides]
+    for k in range(max(1, max(progress)), min(progress[1:]) + r + 1):
+        x = k * columns.k_coefs + columns.base + r * columns.r_coefs \
+            - packed_sums
+        assert [x >> fw * i & (1 << fw) - 1 for i in range(len(sides))] == [
+            half + a * k + d for (a, _, _), d in zip(sides, rest)], (
+                progress, r, k)
+        assert x >> fw * len(sides) == 0
+
+
+# (3, 3) has sides of both kinds and a congruence, (3, 0, b = 1) the
+# most fields, (4, 3) the 0/1 groups of 15 subsets and the triangles
+_DECODE_REGIONS = [(3, 3, None), (3, 0, 1), (4, 3, None)]
+
+
+@pytest.mark.parametrize("n,m,bound", _DECODE_REGIONS)
+def test_packed_fields_at_the_corners_of_the_box(n, m, bound):
+    # at r = 255 and k = 255, with each progress byte 0 or 255, the
+    # corners that push each side to either end of its range
+    columns, _, sides = _packed_sides(n, m, bound)
+    assert columns.low_guard and columns.high_guard
+    assert bool(columns.congruences) == ((n, m) == (3, 3))
+    for _, _, v in sides:
+        for top in (0, patterns._LONGEST):
+            progress = [0] + [top if v.get(mask, 0) > 0 else
+                              patterns._LONGEST - top
+                              for mask in range(1, columns.n_masks + 1)]
+            _assert_fields_hold_their_sides(n, m, bound, progress, 255)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_fields_decode_to_their_sides(data):
+    n, m, bound = data.draw(st.sampled_from(_DECODE_REGIONS))
+    n_masks = (1 << n) - 1
+    byte = st.sampled_from([0, patterns._LONGEST]) | st.integers(0, 255)
+    progress = [0] + [data.draw(byte) for _ in range(n_masks)]
+    # the least r whose box is not empty, up to 255
+    least = max(1, max(progress)) - min(progress[1:])
+    r = data.draw(st.just(255) | st.integers(least, 255))
+    _assert_fields_hold_their_sides(n, m, bound, progress, r)
 
 
 def test_congruence_scan_applies_the_packed_test_at_each_k():
     # two made-up groups: one whose lower side needs k >= 2 (its upper
     # side, k <= p + r, is the box's), and one with a congruence needing
     # k odd, whose lower side the box implies but which keeps it for the
-    # congruence, and whose upper side takes a high field.  Of k in
-    # [1, 2] only k = 1 is odd, and it fails the low sides, so the scan
-    # must start at the least k passing them.
+    # congruence, and whose upper side, with a < 0, is a high side.  Of
+    # k in [1, 2] only k = 1 is odd, and it fails the low sides, so the
+    # scan must start at the least k passing them.
     groups = [(((2, 1),), 0, 2, 2), (((1, 1),), 1, 1, 0)]
-    columns = patterns._Columns(2, 2, None, 4)
-    columns.split_groups(groups, 4)
-    assert (columns.lower_guard.bit_count(), columns.upper_guard.bit_count(),
+    columns = patterns._Columns(2, 2, None)
+    columns.split_groups(groups)
+    assert (columns.low_guard.bit_count(), columns.high_guard.bit_count(),
             len(columns.congruences)) == (2, 1, 1)
     engine = patterns._WindowSearch(2, 2, 4, 4, columns,
                                     patterns._NodeBudget(None))
@@ -1355,7 +1459,7 @@ def test_signature_codes_past_one_byte(n, m, bound, code, nodes, rows):
     # the signature is carried as a str of codes entry + sig_offset, the
     # largest `code` here: past ASCII, and for two regions past one
     # byte, so a table of byte codes could not hold them
-    columns = patterns._Columns(n, m, bound, 3)
+    columns = patterns._Columns(n, m, bound)
     assert columns.sig_offset + (n * bound if m == 0 else m - 1) == code
     out = search(SearchConfig(n=n, m=m, l_max=3, entry_bound=bound))
     assert (out.status, out.nodes, out.pattern.rows) == ("found", nodes, rows)
