@@ -18,9 +18,8 @@ import argparse
 import sys
 import time
 
-from pattern_forge.groups import SizeLimitError
 from pattern_forge.patterns import SearchConfig, search
-from pattern_forge.tokens import canonical_json
+from pattern_forge.tokens import SizeLimitError, canonical_json
 
 
 def main() -> int:

@@ -10,7 +10,7 @@ humans.
 
 Each subcommand imports the modules it runs inside its handler, so a
 call pays only for those: ``--version`` loads no group arithmetic,
-``verify`` never loads the pattern search and ``search`` no oracle.
+``verify`` no pattern search and ``search`` no oracle and no group arithmetic.
 """
 
 from __future__ import annotations

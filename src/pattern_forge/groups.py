@@ -26,7 +26,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .tokens import ColourToken, Record
+from .tokens import ColourToken, Record, SizeLimitError, subset_sums
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,10 +40,6 @@ class StructureError(ValueError):
 
 class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for these inputs."""
-
-
-class SizeLimitError(ValueError):
-    """Raised when an enumeration request exceeds its configured limit."""
 
 
 _TRIAL_LIMIT = 1 << 20
@@ -443,17 +439,6 @@ def order(x: Element):
 
 
 DEFAULT_FS_LIMIT = 20
-
-
-def subset_sums(xs: Sequence, add) -> list:
-    """All 2^k - 1 nonempty-subset sums of the k terms under `add`, in
-    increasing bitmask order: the sum over bitmask b is entry b - 1.
-    Each sum adds its terms in index order."""
-    out: list = []
-    for x in xs:
-        # the masks with top bit x: x alone, then x after each earlier sum
-        out += [x] + [add(s, x) for s in out]
-    return out
 
 
 def fs_set_formal(xs: Sequence[Element]) -> list:

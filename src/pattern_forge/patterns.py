@@ -14,10 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from functools import reduce
 from typing import Optional
 
-from .groups import SizeLimitError, subset_sums
-from .tokens import Record
+from .tokens import Record, SizeLimitError, subset_sums
 
 _set = object.__setattr__
 
@@ -623,8 +623,8 @@ class _Columns:
         fw = (_LONGEST * widest).bit_length() + 1
         half = 1 << fw - 1
 
-        def pack(values):
-            return sum(x << fw * i for i, x in enumerate(values))
+        def pack(values):  # Horner's rule: linear in the width
+            return reduce(lambda out, x: (out << fw) + x, reversed(values), 0)
         guards = pack([half] * len(sides))
         self.low_guard = pack([half if a >= 0 else 0 for a, *_ in sides])
         self.high_guard = guards - self.low_guard
@@ -770,18 +770,18 @@ class _WindowSearch:
             x = k_lo * slope + base
             if x & high != high:
                 return False
-        if not terms:
-            return True
-        k = k_lo
-        while not all((x >> shift & field) % g == res
-                      for shift, field, g, res in terms):
-            if k == k_hi:
+        while True:
+            for shift, field, g, res in terms:
+                if (x >> shift & field) % g != res:
+                    break
+            else:
+                return True
+            if k_lo == k_hi:
                 return False
-            k += 1
+            k_lo += 1
             x += slope
             if x & high != high:
                 return False
-        return True
 
     def _rows(self) -> tuple:
         return tuple(tuple(col[i] for col in self.chosen)

@@ -1,4 +1,4 @@
-"""Structured colour values with a canonical byte representation.
+"""Package-wide base pieces: Record, SizeLimitError, subset_sums, ColourToken.
 
 Every colouring in this package maps into ColourToken, so that colours
 coming from very different constructions (integers, residue sequences,
@@ -52,6 +52,21 @@ class _Top:
 
 #: Diagonal sentinel, serialized as the JSON string "TOP".
 TOP = _Top()
+
+
+class SizeLimitError(ValueError):
+    """Raised when an enumeration request exceeds its configured limit."""
+
+
+def subset_sums(xs: Iterable, add) -> list:
+    """All 2^k - 1 nonempty-subset sums of the k terms under `add`, in
+    increasing bitmask order: the sum over bitmask b is entry b - 1.
+    Each sum adds its terms in index order."""
+    out: list = []
+    for x in xs:
+        # the masks with top bit x: x alone, then x after each earlier sum
+        out += [x] + [add(s, x) for s in out]
+    return out
 
 
 class Record:

@@ -6,7 +6,7 @@ definitional adequacy check.  Rows are grouped by their nonzero-entry
 sequence first, which is sound because the singleton subset sums
 already force all rows of a qualifying tuple into one class.  The one
 piece the naive adequacy finder shares with the search is
-`groups.subset_sums`, which `is_adequate` and the column profiles both
+`tokens.subset_sums`, which `is_adequate` and the column profiles both
 call; it is pinned against `naive_subset_sums` below, mask by mask, in
 tests/test_groups.py.
 

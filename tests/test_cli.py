@@ -811,7 +811,10 @@ def test_each_subcommand_imports_only_what_it_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "found"
     assert "pattern_forge.patterns" in modules
-    assert not modules & {"pattern_forge.verify", "pattern_forge.colourings"}
+    # no group arithmetic either: subset_sums and SizeLimitError live in
+    # tokens
+    assert not modules & {"pattern_forge.verify", "pattern_forge.colourings",
+                          "pattern_forge.groups"}
 
 
 
