@@ -292,13 +292,14 @@ def _constraint_groups(n: int, profiles: list) -> list:
     facet holds, so that is the exact LP bound on the demand, and it
     implies every 0/1 group and triangle below at every k.  Elsewhere
     (n >= 4, m = 2, one row) the groups are 0/1: the set of all
-    subsets, which pins down the possible signature lengths, the sets
-    of 2 subsets, the sets of 3 while their number times the columns
-    stays within _TABLE_CAP << 7 (see _sets_of_three_fit), and the
-    triangles (see _triangles).  A group is dropped where it can never
-    exclude anything: where its amounts span the box max p <= k <=
-    min p + r alone implies (lo the sum of its negative coefficients,
-    hi that of its positive ones) and g <= 1.
+    subsets, which pins down the possible signature lengths, and, while
+    their number times the columns stays within _TABLE_CAP << 7 (see
+    _sets_of_three_fit), the sets of 3 subsets and the triangles (see
+    _triangles).  A group is dropped where it can never exclude
+    anything: where its amounts span the box max p <= k <= min p + r
+    alone implies (lo the sum of its negative coefficients, hi that of
+    its positive ones) and g <= 1.  No set of 2 subsets is tried: from
+    n = 3 on each has amounts {0, 1, 2} and would be dropped.
     """
     all_masks = tuple(range(1, 1 << n))
     # bit `mask` of a column's hit set is set where it hits `mask`.
@@ -313,14 +314,12 @@ def _constraint_groups(n: int, profiles: list) -> list:
         candidates = [tuple((mask, c) for mask, c in zip(all_masks, w) if c)
                       for w, _ in facets]
     else:
-        sizes = (2, 3) if _sets_of_three_fit(n, len(profiles)) else (2,)
-        candidates = [tuple((mask, 1) for mask in masks)
-                      for masks in (all_masks, *(
-                          masks for size in sizes
-                          for masks in itertools.combinations(all_masks,
-                                                              size)))]
-        candidates += [tuple(sorted(((x, -1), (y, 1), (z, 1))))
-                       for x, y, z in _triangles(n, len(profiles))]
+        candidates = [tuple((mask, 1) for mask in all_masks)]
+        if _sets_of_three_fit(n, len(profiles)):
+            candidates += [tuple((mask, 1) for mask in masks)
+                           for masks in itertools.combinations(all_masks, 3)]
+            candidates += [tuple(sorted(((x, -1), (y, 1), (z, 1))))
+                           for x, y, z in _triangles(n)]
     # column[mask] holds bit `mask` of every hit set, one byte each, so
     # the bytes of sum(c * column[mask]) less neg in every byte are a
     # group's amounts less neg, the sum of its negative coefficients:
@@ -354,7 +353,7 @@ def _sets_of_three_fit(n: int, n_columns: int) -> bool:
     return math.comb((1 << n) - 1, 3) * n_columns <= _TABLE_CAP << 7
 
 
-def _triangles(n: int, n_columns: int) -> list:
+def _triangles(n: int) -> list:
     """The triangle bound, as (X, Y, Z): k >= p_Y + p_Z - p_X.
 
     Take disjoint nonempty row sets A and B and C = A | B (as masks).
@@ -366,12 +365,8 @@ def _triangles(n: int, n_columns: int) -> list:
     k - p_X <= (k - p_Y) + (k - p_Z): the lower side of the weighted
     group e_Y + e_Z - e_X, whose amounts lie in [0, 2].  The set of
     triples is closed under row permutations, so _feasible stays
-    invariant under them.  All 3*(3^n - 2^(n+1) + 1)/2 of them, 18 at
-    n = 3 and 75 at n = 4, within the cap of the sets of 3 (see
-    _sets_of_three_fit), and none past it; dropping one is always
-    sound."""
-    if not _sets_of_three_fit(n, n_columns):
-        return []
+    invariant under them.  All 3*(3^n - 2^(n+1) + 1)/2 of them: 18 at
+    n = 3 and 75 at n = 4."""
     out = []
     for c in range(1, 1 << n):
         # each split of C into A < B, over the nonempty proper submasks A

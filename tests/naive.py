@@ -12,13 +12,14 @@ tests/test_groups.py.
 
 `naive_search` is the reference for the search's node counts: it walks
 the same canonical columns with none of the search's packing, tables or
-caches, and shares only the counting-group list of `_constraint_groups`,
-which tests/test_patterns.py checks by direct arithmetic on every
-prefix of adequate patterns, against `naive_counting_groups` (its own
-0/1 groups and triangles) where the list has no facets, and against
-`naive_hull_facets` (a brute force over every facet candidate) where
-it does, and the window size `_WINDOW`, so that a test can set both
-engines to one length per pass.
+caches.  It shares two things with the search.  One is the window size
+`_WINDOW`, so that a test can set both engines to one length per pass.
+The other is the counting-group list of `_constraint_groups`, which
+tests/test_patterns.py checks three ways: by direct arithmetic on every
+prefix of adequate patterns; against `naive_counting_groups`, built by
+direct summation, where the list has no facets; and against
+`naive_hull_facets`, a brute force over every facet candidate, where it
+does.
 """
 
 import itertools
@@ -179,25 +180,24 @@ def naive_hit_vectors(n, m, bound=None):
                          for mask in range(1, 1 << n)) for c in columns})
 
 
-def naive_counting_groups(n, m, bound=None, triangles=True):
+def naive_counting_groups(n, m, bound=None):
     """The 0/1 counting groups as weighted groups: the set of all row
-    subsets, every set of 2 of them, and every set of 3 while their
-    number times the columns stays within patterns._TABLE_CAP << 7 (read
-    at call time), then, within that same cap and with `triangles`,
-    e_Y + e_Z - e_X for each labelling (X; Y, Z) of disjoint nonempty A,
-    B and A | B.  Each gets lo, hi and g from the amounts w.h over the
-    hit vectors h, and is left out where it can exclude nothing: where
-    lo and hi are the sums of its negative and positive coefficients
-    and g <= 1."""
+    subsets, then, while the sets of 3 of them times the columns stay
+    within patterns._TABLE_CAP << 7 (read at call time), every set of 3
+    and e_Y + e_Z - e_X for each labelling (X; Y, Z) of disjoint
+    nonempty A, B and A | B.  Each gets lo, hi and g from the amounts
+    w.h over the hit vectors h, and is left out where it can exclude
+    nothing: where lo and hi are the sums of its negative and positive
+    coefficients and g <= 1.  Sets of 2 are not built: from n = 3 on
+    each would be left out (see test_no_set_of_two_row_subsets_is_ever_kept
+    in tests/test_patterns.py)."""
     vectors = naive_hit_vectors(n, m, bound)
     masks = range(1, 1 << n)
     n_columns = len(_columns(n, m, bound)[0])
-    threes = math.comb(len(masks), 3) * n_columns <= patterns._TABLE_CAP << 7
     candidates = [{mask: 1 for mask in masks}]
-    for size in (2, 3) if threes else (2,):
+    if math.comb(len(masks), 3) * n_columns <= patterns._TABLE_CAP << 7:
         candidates += [{mask: 1 for mask in combo}
-                       for combo in itertools.combinations(masks, size)]
-    if triangles and threes:
+                       for combo in itertools.combinations(masks, 3)]
         for a, b in naive_disjoint_pairs(n):
             for x, y, z in ((a | b, a, b), (a, b, a | b), (b, a, a | b)):
                 candidates.append({x: -1, y: 1, z: 1})

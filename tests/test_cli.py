@@ -59,30 +59,33 @@ def test_search_inconclusive_exit_two(capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
-@pytest.mark.parametrize("argv,expected", [
-    (("--n", "4", "--m", "5", "--l-max", "8"),
+@pytest.mark.parametrize("argv,code,nodes,expected", [
+    (("--n", "4", "--m", "5", "--l-max", "8"), 1, (6404, 2271),
      '{"status":"exhausted","nodes":%d,"region":{"n":4,"m":5,"l_min":1,'
      '"l_max":8}}\n'),
-    (("--n", "5", "--m", "3", "--l-max", "6"),
+    (("--n", "5", "--m", "3", "--l-max", "6"), 1, (458, 384),
      '{"status":"exhausted","nodes":%d,"region":{"n":5,"m":3,"l_min":1,'
      '"l_max":6}}\n'),
-    (("--n", "6", "--m", "2", "--l-max", "3"),
+    (("--n", "6", "--m", "2", "--l-max", "3"), 1, (0, 0),
      '{"status":"exhausted","nodes":%d,"region":{"n":6,"m":2,"l_min":1,'
-     '"l_max":3}}\n')], ids=["4-5-8", "5-3-6", "6-2-3"])
+     '"l_max":3}}\n'),
+    (("--n", "2", "--m", "2", "--l-max", "2"), 1, (0, 0),
+     '{"status":"exhausted","nodes":%d,"region":{"n":2,"m":2,"l_min":1,'
+     '"l_max":2}}\n'),
+    (("--n", "2", "--m", "2", "--l-max", "5"), 0, (6, 6),
+     '{"status":"found","nodes":%d,"region":{"n":2,"m":2,"l_min":1,'
+     '"l_max":5},"pattern":{"n":2,"m":2,"l":3,"rows":[[0,1,1],[1,0,1]]}}\n')],
+    ids=["4-5-8", "5-3-6", "6-2-3", "2-2-2", "2-2-5"])
 def test_search_past_the_size_four_bound_prints_the_same_bytes(
-        capsys, monkeypatch, argv, expected):
-    # these regions always had too many columns for the size-4 counting
-    # groups, now gone from every region, so their bytes did not move
-    # when those groups went: the counting groups of sizes 2 and 3 and
-    # the triangle bound; nodes one length per pass, then three (before
-    # the triangle bound (27884, 13733) at (4, 5) and 724 one length per
-    # pass at (5, 3))
+        capsys, monkeypatch, argv, code, nodes, expected):
+    # (4, 5), (5, 3) and (6, 2) always had too many columns for the
+    # size-4 counting groups, and (2, 2) is the one region where sets of
+    # 2 row subsets could be kept, so these bytes hold without either
+    # family.  Nodes one length per pass, then three
     from pattern_forge import patterns
-    nodes = {"4": (6404, 2271), "5": (458, 384), "6": (0, 0)}[argv[1]]
     for window, count in zip((1, 3), nodes):
         monkeypatch.setattr(patterns, "_WINDOW", window)
-        code, out, _ = run(capsys, "search", *argv)
-        assert (code, out) == (1, expected % count)
+        assert run(capsys, "search", *argv)[:2] == (code, expected % count)
 
 
 def test_search_with_a_huge_l_max_answers_at_length_3(capsys, monkeypatch):

@@ -105,62 +105,46 @@ _TABLE_CAP = patterns._TABLE_CAP
 _WINDOW = patterns._WINDOW
 
 
-# node counts of every region the tests below pin, with the facet groups
-# at n = 3 and the triangle bound elsewhere: one length per pass
-# (_WINDOW = 1), then the module's _WINDOW of 3 lengths per pass.
-# CHANGES.md lists earlier counts beside these.
+# the status and node counts of every region the tests below pin: nodes
+# one length per pass (_WINDOW = 1), then with the module's _WINDOW of 3
+# lengths per pass
 _NODES = {
-    (3, 3, None, 12): (2_480, 2_025),
-    (3, 4, None, 9): (2_627, 1_991),
-    (3, 0, 2, 5): (341, 166),
-    (3, 3, None, 8): (155, 132),
-    (3, 5, None, 8): (3_018, 1_605),
-    (3, 0, 1, 8): (378, 277),
-    (4, 3, None, 8): (803, 295),
-    (3, 4, None, 8): (2_627, 1_991),
-    (3, 6, None, 8): (12_217, 8_832),
-    (3, 4, None, 7): (2_627, 1_991),
-    (3, 6, None, 7): (12_217, 8_832),
-    (3, 3, None, 19): (73_966, 48_677),
-    (4, 2, None, 16): (4_293, 4_293),
-    (3, 5, None, 4): (134, 104),
-    (3, 6, None, 4): (684, 592),
-    (3, 0, 2, 4): (184, 166),
-    (4, 3, None, 4): (49, 39),
-    (3, 2, None, 7): (28, 28)}
+    (3, 3, None, 12): ("exhausted", 2_480, 2_025),
+    (3, 4, None, 9): ("found", 2_627, 1_991),
+    (3, 0, 2, 5): ("exhausted", 341, 166),
+    (3, 3, None, 8): ("exhausted", 155, 132),
+    (3, 5, None, 8): ("exhausted", 3_018, 1_605),
+    (3, 0, 1, 8): ("exhausted", 378, 277),
+    (4, 3, None, 8): ("exhausted", 803, 295),
+    (3, 4, None, 8): ("found", 2_627, 1_991),
+    (3, 6, None, 8): ("found", 12_217, 8_832),
+    (3, 4, None, 7): ("found", 2_627, 1_991),
+    (3, 6, None, 7): ("found", 12_217, 8_832),
+    (3, 3, None, 19): ("found", 73_966, 48_677),
+    (4, 2, None, 16): ("found", 4_293, 4_293),
+    (3, 5, None, 4): ("exhausted", 134, 104),
+    (3, 6, None, 4): ("exhausted", 684, 592),
+    (3, 0, 2, 4): ("exhausted", 184, 166),
+    (4, 3, None, 4): ("exhausted", 49, 39),
+    (3, 2, None, 7): ("found", 28, 28)}
 
 
-def _zero_one_groups(n, m, bound):
-    """The 0/1 counting groups of a region, without the triangle bound
-    and the facets: the groups the counts `nodes` of the pins below were
-    taken with."""
-    return naive_counting_groups(n, m, bound, triangles=False)
-
-
-def _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes):
-    """The region's outcome one length per pass and then with the
-    module's _WINDOW; test_naive_search_reproduces_the_pinned_counts
-    checks naive_search against both.  `nodes` is the count before the
-    triangle bound and the facets, one length per pass with a memo that
-    merges no row permutation, as naive_search over the 0/1 groups
-    alone (_zero_one_groups) with merge_rows=False gives it."""
+@pytest.mark.parametrize("n,m,bound,l_max", list(_NODES))
+def test_pinned_node_counts(monkeypatch, n, m, bound, l_max):
+    # only canonical branches are counted, and the lex-first pattern is
+    # canonical anyway, so the counts are where a lost symmetry break
+    # shows.  Progress fields are one byte at every l_max, so the
+    # lengths 4, 7 and 8 pin the packing where field widths once
+    # changed.  (3, 3) is validated independently to l = 8
+    # (generate-and-test and the subset scan over (Z/3)^8 agree).
+    # test_naive_search_reproduces_the_pinned_counts checks naive_search
+    # against every count.
+    status, *counts = _NODES[n, m, bound, l_max]
     cfg = SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound)
-    for window, expected in zip((1, _WINDOW), _NODES[n, m, bound, l_max]):
+    for window, expected in zip((1, _WINDOW), counts):
         monkeypatch.setattr(patterns, "_WINDOW", window)
         out = search(cfg)
         assert (out.status, out.nodes) == (status, expected), window
-    monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, l_max, bound, merge_rows=False,
-                        groups=_zero_one_groups(n, m, bound))[:2] == (
-                            status, nodes)
-
-
-def test_search_exhausts_three_rows_mod_three_deeply(monkeypatch):
-    # independently validated to l = 8 (generate-and-test and the subset
-    # scan over (Z/3)^8 agree); this locks the engine behaviour further
-    # out.  Without symmetry breaking, and before the memo merged row
-    # permutations, the triangle bound and the facets: 157,404.
-    _assert_node_counts(monkeypatch, 3, 3, None, 12, "exhausted", 24_182)
 
 
 # regions small enough for the generate-and-test oracle: (n, m, bound, l_max)
@@ -192,20 +176,6 @@ def test_found_witnesses_are_canonical(n, m, bound, l_max):
     assert all(a < b for a, b in zip(rows, rows[1:])), rows
     s0 = is_adequate(out.pattern).signature[0]
     assert s0 == math.gcd(s0, m) and s0 > 0, (rows, s0)
-
-
-# without symmetry breaking, and before the memo merged row
-# permutations, the triangle bound and the facets: 44,925 at (4, 2),
-# 22,848 at (3, 4) and 18,972 at (3, 0)
-@pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
-    (4, 2, None, 16, "found", 35_713),
-    (3, 4, None, 9, "found", 6_510),
-    (3, 0, 2, 5, "exhausted", 2_073)])
-def test_symmetry_break_node_counts(monkeypatch, n, m, bound, l_max, status,
-                                    nodes):
-    # only canonical branches are counted; the lex-first pattern is
-    # canonical anyway, so the counts are where a lost break shows
-    _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
 
 
 # the engine class itself; tests swap patterns._WindowSearch for
@@ -369,30 +339,24 @@ def test_capped_caches_keep_the_outcome(monkeypatch):
     assert max(len(e.memo) for e in engines) == 3
 
 
-# at a cap of 50 on (3, 3) up to 12, the memo no longer fills one length
-# per pass with the facets, so that case takes a cap of 30
+# (3, 3) up to 12 takes a cap of 30: at 50 its memo fills with three
+# lengths per pass only
 @pytest.mark.parametrize("cap,n,m,bound,l_max,status,nodes,full", [
-    (3, 3, 4, None, 9, "found", 10_572, True),
-    (30, 3, 3, None, 12, "exhausted", 53_458, True),
-    (100, 3, 5, None, 12, "exhausted", 319_032, True),
-    (500, 2, 0, 3, 6, "found", 67, False)])
+    (3, 3, 4, None, 9, "found", (5_666, 5_030), True),
+    (30, 3, 3, None, 12, "exhausted", (3_104, 2_675), True),
+    (100, 3, 5, None, 12, "exhausted", (38_850, 23_014), True),
+    (500, 2, 0, 3, 6, "found", (67, 57), False)],
+    ids=["3-3-4-None-9", "30-3-3-None-12", "100-3-5-None-12", "500-2-0-3-6"])
 def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
                                            l_max, status, nodes, full):
-    # naive_search(memo_cap=cap), whose memo keys are tuples, gives the
-    # same counts (see test_naive_search_reproduces_the_pinned_counts).
-    # Once a cache is full, which entries it holds depends on the order
-    # they came in, so equal counts mean the one-integer keys name the
-    # same states, up to a row permutation where untied, in the same
-    # order.  The m = 0 region fills nothing and pins the offset digits.
-    # The counts given are those before the triangle bound and the
-    # facets, one length per pass, of a memo that merges no row
-    # permutation.  With the bounds and the merge the counts are those
-    # below, one length per pass and then with the module's _WINDOW,
-    # with the memo as full.
-    counts = {(3, 3, 4): (5_666, 5_030),
-              (30, 3, 3): (3_104, 2_675),
-              (100, 3, 5): (38_850, 23_014),
-              (500, 2, 0): (67, 57)}[cap, n, m]
+    # nodes one length per pass, then with the module's _WINDOW, and
+    # whether the memo fills.  naive_search(memo_cap=cap), whose memo
+    # keys are tuples, gives the same counts (see
+    # test_naive_search_reproduces_the_pinned_counts).  Once a cache is
+    # full, which entries it holds depends on the order they came in, so
+    # equal counts mean the one-integer keys name the same states, up to
+    # a row permutation where untied, in the same order.  The m = 0
+    # region fills nothing and pins the offset digits.
     engines = []
 
     class Recorded(patterns._WindowSearch):
@@ -402,25 +366,20 @@ def test_node_counts_with_saturated_caches(monkeypatch, cap, n, m, bound,
 
     monkeypatch.setattr(patterns, "_WindowSearch", Recorded)
     monkeypatch.setattr(patterns, "_CACHE_CAP", cap)
-    for window, expected in zip((1, _WINDOW), counts):
+    for window, expected in zip((1, _WINDOW), nodes):
         monkeypatch.setattr(patterns, "_WINDOW", window)
         engines.clear()
         out = search(SearchConfig(n=n, m=m, l_max=l_max, entry_bound=bound))
         assert (out.status, out.nodes) == (status, expected)
         assert full == (max(len(e.memo) for e in engines) == cap)
-    monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, l_max, bound, merge_rows=False, memo_cap=cap,
-                        groups=_zero_one_groups(n, m, bound))[:2] == (
-                            status, nodes)
 
 
 # every region whose nodes a test pins, as (n, m, bound, l_max, memo
 # cap or None, one length per pass): the keys of _NODES, the capped
-# caches (and (3, 3) up to 12 at the cap of 50 it took before the
-# facets, where its memo fills with three lengths per pass only) and
-# the node-cap region run to its end, each one length per
-# pass and with the module's _WINDOW, then the regions test_cli pins
-# with the module's _WINDOW
+# caches (and (3, 3) up to 12 at a cap of 50, where its memo fills with
+# three lengths per pass only) and the node-cap region run to its end,
+# each one length per pass and with the module's _WINDOW, then the
+# regions test_cli pins with the module's _WINDOW
 _PINNED_REGIONS = [(*region, one_per_pass) for region in [
     *((*key, None) for key in _NODES),
     (3, 4, None, 9, 3), (3, 3, None, 12, 50), (3, 3, None, 12, 30),
@@ -448,7 +407,7 @@ def test_naive_search_reproduces_the_pinned_counts(monkeypatch, n, m, bound,
         canonical_json(out.pattern.jsonable()) if out.pattern else None)
 
 
-# the pinned regions for the naive engine with the groups of sizes 2-3
+# the pinned regions for the naive engine with the 0/1 groups of size 3
 # alone, which leaves out (4, 2, None, 16): there the engine walks
 # 249,066 nodes, not 4,293, in about 13 s
 _SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
@@ -459,14 +418,15 @@ _SMALL_GROUP_REGIONS = sorted({(n, m, bound, l_max, cap)
 @pytest.mark.parametrize("n,m,bound,l_max,cap", _SMALL_GROUP_REGIONS)
 def test_groups_of_sizes_two_and_three_keep_the_outcome(n, m, bound, l_max,
                                                         cap):
-    # dropping a counting group only cuts less, so the 0/1 groups of 2
-    # or 3 row subsets alone (for n >= 3 without the group of all
-    # subsets), without the triangle bound and the facets, give the
-    # status and witness of the region's own list; only the nodes walked
-    # may grow
+    # dropping a counting group only cuts less, so the 0/1 groups of 3
+    # row subsets alone (for n >= 3 without the group of all subsets),
+    # without the triangle bound and the facets, give the status and
+    # witness of the region's own list; only the nodes walked may grow.
+    # No group of 2 is kept from n = 3 on (see
+    # test_no_set_of_two_row_subsets_is_ever_kept).
     full = naive_groups(n, m, bound)
-    small = [g for g in _zero_one_groups(n, m, bound)
-             if 2 <= len(g[0]) <= 3]
+    small = [g for g in naive_counting_groups(n, m, bound)
+             if len(g[0]) == 3 and min(c for _, c in g[0]) > 0]
     with_full = naive_search(n, m, l_max, bound, memo_cap=cap, groups=full)
     with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small)
     assert with_small[0] == with_full[0]
@@ -689,36 +649,16 @@ def test_columns_hold_one_image_per_tracked_permutation(n, m, l_max):
             assert images[0] == step and len(images) == count
 
 
-@pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
-    # lengths 3 -> 4, where progress fields widened from 2 to 3 bits
-    # while they were as wide as l_max needed
-    (3, 5, None, 4, "exhausted", 208), (3, 6, None, 4, "exhausted", 1_294),
-    (3, 0, 2, 4, "exhausted", 332), (4, 3, None, 4, "exhausted", 49),
-    # lengths 7 -> 8: from 3 to 4 bits
-    (3, 3, None, 8, "exhausted", 1_902), (3, 5, None, 8, "exhausted", 11_364),
-    (3, 0, 1, 8, "exhausted", 1_890), (4, 3, None, 8, "exhausted", 2_741),
-    # progress values from 4 up at l = 6 and 7, once held in 3 bits
-    (3, 4, None, 8, "found", 6_510), (3, 6, None, 8, "found", 34_287)])
-def test_node_counts_across_field_width_boundaries(monkeypatch, n, m, bound,
-                                                   l_max, status, nodes):
-    # progress fields are one byte at every l_max now, so these counts
-    # pin the packing at lengths where it once changed.  naive_search,
-    # which packs nothing, gives the same counts over the 0/1 groups
-    _assert_node_counts(monkeypatch, n, m, bound, l_max, status, nodes)
-
-
-@pytest.mark.parametrize("n,m,length,nodes", [
-    (3, 2, 7, 28), (3, 4, 7, 6_510), (3, 6, 7, 34_287), (3, 3, 19, 696_076)])
-def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
-                                                nodes):
+@pytest.mark.parametrize("n,m,length", [
+    (3, 2, 7), (3, 4, 7), (3, 6, 7), (3, 3, 19)])
+def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length):
     # progress fields are one byte at every l_max, and the fields of the
     # packed form take their width from 255, so _Columns builds nothing
     # per length, and 15 more lengths must change no answer and no
     # count, one length per pass and three; 15 is a multiple of
-    # both, so no window edge moves.  `nodes` is the count before the
-    # triangle bound and the facets, one length per pass of a memo that
-    # merges no row permutation.
-    for window, expected in zip((1, _WINDOW), _NODES[n, m, None, length]):
+    # both, so no window edge moves
+    _, *counts = _NODES[n, m, None, length]
+    for window, expected in zip((1, _WINDOW), counts):
         monkeypatch.setattr(patterns, "_WINDOW", window)
         exact = search(SearchConfig(n=n, m=m, l_max=length))
         wide = search(SearchConfig(n=n, m=m, l_max=length + 15))
@@ -726,10 +666,6 @@ def test_field_widths_from_l_max_change_nothing(monkeypatch, n, m, length,
             "found", length, expected)
         assert (wide.status, wide.pattern, wide.nodes) == (
             exact.status, exact.pattern, exact.nodes)
-    monkeypatch.setattr(patterns, "_WINDOW", 1)
-    assert naive_search(n, m, length, merge_rows=False,
-                        groups=_zero_one_groups(n, m, None))[:2] == (
-                            "found", nodes)
 
 
 @pytest.mark.parametrize("n,m,bound,l_max,status,nodes", [
@@ -859,10 +795,11 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
     # sets of 3 row subsets are tried only while their number times the
     # columns stays within _TABLE_CAP << 7: (4, 7) at 1.1M and (6, 2) at
     # 2.5M keep them (and (5, 5) at 14.0M), (6, 3) at 28.9M and (7, 2) at
-    # 42.3M try none (nor (8, 2) at 696M).  No set of 4 is tried on any
-    # region, not even on those few columns make cheap: (3, 2) with 7
-    # and (4, 3) with 80.  Where the facets come in, no set is tried at
-    # all: (3, 15) with 3,374 columns and (3, 0) at bound 7 with 3,374.
+    # 42.3M try none (nor (8, 2) at 696M).  No set of 2 or of 4 is tried
+    # on any region, not even on those few columns make cheap: (3, 2)
+    # with 7 and (4, 3) with 80.  Where the facets come in, no set is
+    # tried at all: (3, 15) with 3,374 columns and (3, 0) at bound 7 with
+    # 3,374.
     profiles = [patterns._column_profile(c, m)
                 for c in patterns._column_alphabet(n, m, bound)]
     n_masks = (1 << n) - 1
@@ -877,29 +814,37 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
     monkeypatch.setattr(patterns, "itertools", types.SimpleNamespace(
         combinations=combinations))
     patterns._constraint_groups(n, profiles)
-    assert evaluated == ({} if _hull_region(n, m) else
-                         {size: math.comb(n_masks, size)
-                          for size in (2, 3) if size < 3 or size_three})
+    assert evaluated == ({3: math.comb(n_masks, 3)} if size_three
+                         and not _hull_region(n, m) else {})
 
 
 @pytest.mark.parametrize("n,m,fields", [
     (1, 3, 0), (2, 3, 3), (3, 3, 18), (4, 7, 75), (6, 2, 903), (6, 3, 0),
     (7, 2, 0)])
-def test_triangles_only_within_the_size_three_cap(n, m, fields):
-    # every labelling (X; Y, Z) of disjoint nonempty A, B and A | B,
-    # 3*(3^n - 2^(n+1) + 1)/2 of them, while the sets of 3 row subsets
-    # are tried ((4, 7) and (6, 2)), and none where they are not ((6, 3),
-    # and (7, 2), which would carry 2,898 fields)
+def test_triangles_only_within_the_size_three_cap(monkeypatch, n, m,
+                                                  fields):
+    # _triangles gives every labelling (X; Y, Z) of disjoint nonempty A,
+    # B and A | B, 3*(3^n - 2^(n+1) + 1)/2 of them.  On the 0/1 path,
+    # here taken with the facets turned off, the groups keep every one
+    # while the sets of 3 row subsets are tried ((4, 7) and (6, 2)), and
+    # none where they are not ((6, 3), and (7, 2), which would carry
+    # 2,898 fields)
     n_columns = len(patterns._column_alphabet(n, m, None))
     fit = math.comb((1 << n) - 1, 3) * n_columns <= patterns._TABLE_CAP << 7
     assert fit == (n < 6 or (n, m) == (6, 2))
-    triangles = patterns._triangles(n, n_columns)
     masks = range(1, 1 << n)
     every = {t for a in masks for b in masks if a < b and not a & b
              for t in ((a | b, a, b), (a, b, a | b), (b, a, a | b))}
     assert len(every) == 3 * (3 ** n - 2 ** (n + 1) + 1) // 2
-    assert len(triangles) == fields
-    assert set(triangles) == (every if fit else set())
+    triangles = patterns._triangles(n)
+    assert len(triangles) == len(every) and set(triangles) == every
+    monkeypatch.setattr(patterns, "_hull_facets", lambda points: None)
+    kept = [sorted(w, key=lambda mc: (mc[1], mc[0]))
+            for w, *_ in _groups_under_the_cap(n, m, None)
+            if min(c for _, c in w) < 0]
+    assert len(kept) == fields
+    assert {tuple(mask for mask, _ in w) for w in kept} == (
+        every if fit else set())
 
 
 def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
@@ -907,7 +852,6 @@ def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
     # 245, within 2 << 7 but past 1 << 7
     for cap, fields in ((2, 18), (1, 0)):
         monkeypatch.setattr(patterns, "_TABLE_CAP", cap)
-        assert len(patterns._triangles(3, 7)) == fields
         groups = _groups_under_the_cap(3, 2, None)
         sizes = {len(w) for w, *_ in groups if min(dict(w).values()) > 0}
         assert (3 in sizes) == bool(fields)
@@ -1004,6 +948,22 @@ def test_counting_groups_match_naive_where_no_facets(n, m, bound):
     # naive_counting_groups builds by direct summation
     assert sorted(_counting_groups(n, m, bound)) == sorted(
         naive_counting_groups(n, m, bound))
+
+
+@pytest.mark.parametrize("n,m,bound", [
+    (3, 2, None), (3, 3, None), (3, 0, 1), (3, 0, 2), (4, 2, None),
+    (4, 3, None), (4, 6, None), (5, 3, None)])
+def test_no_set_of_two_row_subsets_is_ever_kept(n, m, bound):
+    # from n = 3 on, for any row subsets X and Y some column hits both
+    # (e_i with i in both, else e_i + e_j), one hits exactly one (e_i
+    # with i in one only) and a nonzero one hits neither: among three
+    # rows one lies in neither, two lie in the same ones (e_i - e_j), or
+    # a lies in X alone, b in Y alone and c in both (e_a + e_b - e_c).
+    # So e_X + e_Y has amounts {0, 1, 2}, g = 1, and could never be kept,
+    # which is why _constraint_groups tries no set of 2
+    vectors = naive_hit_vectors(n, m, bound)
+    for x, y in itertools.combinations(range((1 << n) - 1), 2):
+        assert {h[x] + h[y] for h in vectors} == {0, 1, 2}, (x + 1, y + 1)
 
 
 def _simplex(n, scale):
