@@ -274,32 +274,42 @@ def _hull_facets(points: list) -> Optional[list]:
 
 
 def _constraint_groups(n: int, profiles: list) -> list:
-    """Counting constraints the demand vector must satisfy, as weighted
-    groups (weights, lo, hi, g), `weights` a tuple of (mask, coefficient)
-    pairs in mask order.
+    """Counting constraints the demand vector must satisfy, as one-sided
+    sides (v, b, g), `v` a tuple of (mask, coefficient) pairs in mask
+    order, each stating v.(k*1 - p) >= r*b and, where g > 1, also
+    v.(k*1 - p) == r*b mod g.
 
     Every column raises w.p, the weighted progress, by one of a fixed
     set A of amounts (taken over the alphabet's hit sets).  So over r
     remaining columns that end every mask at k, the demand
     w.(k*1 - p) must lie in [r*min A, r*max A] and be congruent to
-    r*min A modulo the gcd g of (a - min A).  The bound holds whatever
-    the weights, so only which groups are tried depends on the code
-    below; dropping a group is always sound, as it only cuts less.
+    r*min A modulo the gcd g of (a - min A): the sides (w, min A, g)
+    and (-w, -max A, g).  The bound holds whatever the weights, so only
+    which weights are tried depends on the code below; dropping a side
+    is always sound, as it only cuts less.
 
     For n <= 3, where the hull of the hit sets (H, 0/1 vectors indexed
     by mask) is full-dimensional, the weights are its facet normals
-    (see _hull_facets): the demand lies in r*conv(H) exactly when every
-    facet holds, so that is the exact LP bound on the demand, and it
+    (see _hull_facets), and each gives its lower side alone: r*conv(H)
+    is exactly the set of points that meet every facet's lower side,
+    so the facets imply every upper side (at r = 0 they force the
+    demand to 0), and this is the exact LP bound on the demand, which
     implies every 0/1 group and triangle below at every k.  Elsewhere
-    (n >= 4, m = 2, one row) the groups are 0/1: the set of all
-    subsets, which pins down the possible signature lengths, and, while
-    their number times the columns stays within _TABLE_CAP << 7 (see
-    _sets_of_three_fit), the sets of 3 subsets and the triangles (see
-    _triangles).  A group is dropped where it can never exclude
-    anything: where its amounts span the box max p <= k <= min p + r
-    alone implies (lo the sum of its negative coefficients, hi that of
-    its positive ones) and g <= 1.  No set of 2 subsets is tried: from
-    n = 3 on each has amounts {0, 1, 2} and would be dropped.
+    (n >= 4, m = 2, one row) the weights are 0/1, each giving both
+    sides: the set of all subsets, which pins down the possible
+    signature lengths, and, while their number times the columns stays
+    within _TABLE_CAP << 7 (see _sets_of_three_fit), the sets of 3
+    subsets and the triangles (see _triangles).  At n = 2 the set of
+    all subsets is the only set of 3, and is tried once.  No set of 2
+    subsets is tried: from n = 3 on each has amounts {0, 1, 2} and
+    could never exclude anything.
+
+    One rule drops a side: where the box max p <= k <= min p + r
+    already gives its bound (b is the sum of v's negative entries, as
+    each k - p[mask] lies in [0, r]) and it carries no congruence.  A
+    congruence is carried by the first side that states it, up to a
+    unit of Z/g (at (3, 3), 28 facets with g = 3 state one); every
+    later side stating it gets g = 1.
     """
     all_masks = tuple(range(1, 1 << n))
     # bit `mask` of a column's hit set is set where it hits `mask`.
@@ -332,17 +342,37 @@ def _constraint_groups(n: int, profiles: list) -> list:
     ones = sum(1 << 8 * j for j in range(width))
     column = [sum((hit >> mask & 1) << 8 * j for j, hit in enumerate(hit_sets))
               for mask in range(1 << n)]
-    groups = []
-    for weights in candidates:
+    # carried: the congruences some side carries, and None for g <= 1
+    sides, carried = [], {None}
+    for weights in dict.fromkeys(candidates):
         neg = sum(c for _, c in weights if c < 0)
         amounts = set((sum(c * column[mask] for mask, c in weights)
                        - neg * ones).to_bytes(width, "little"))
         lo, hi = min(amounts), max(amounts)
         g = math.gcd(*(a - lo for a in amounts))
-        if g <= 1 and lo == 0 and hi == sum(abs(c) for _, c in weights):
-            continue  # can never exclude anything
-        groups.append((weights, lo + neg, hi + neg, g))
-    return groups
+        key = None
+        if g > 1:
+            # the congruence W*k - r*lo - w.p == 0 mod g, which both
+            # sides state, scaled by a unit to make its first unit entry 1
+            values = (sum(c for _, c in weights), -lo - neg,
+                      *(c for _, c in weights))
+            u = next((pow(e, -1, g) for e in values
+                      if math.gcd(e, g) == 1), 1)
+            key = (g, tuple(mask for mask, _ in weights),
+                   *(u * e % g for e in values))
+        # (v, b, whether the box gives b): it does where the least
+        # amount is the sum of the negative weights, or the greatest
+        # that of the positive ones
+        pair = [(weights, lo + neg, lo == 0)]
+        if not facets:
+            pair.append((tuple((mask, -c) for mask, c in weights),
+                         -hi - neg, hi == sum(abs(c) for _, c in weights)))
+        for v, b, given in pair:
+            if given and key in carried:
+                continue
+            sides.append((v, b, 1 if key in carried else g))
+            carried.add(key)
+    return sides
 
 
 def _sets_of_three_fit(n: int, n_columns: int) -> bool:
@@ -427,8 +457,8 @@ def _fitting(options, need: str, offset: int) -> list:
 
 class _Columns:
     """The tables of a search region, shared by every length: the
-    constraint groups (see _constraint_groups) packed into the one
-    affine form _feasible reads (see split_groups), per tie mask the
+    counting sides (see _constraint_groups) packed into the one affine
+    form _feasible reads (see split_groups), per tie mask the
     allowed columns with their packed increments, and the fitting-column
     table.
 
@@ -461,8 +491,10 @@ class _Columns:
     with the value c has on T, so fitting, need and the final test carry
     over; the alphabet is closed under pi, so its hit sets are, and so
     the facets of their hull, the 0/1 groups and the triangles are too
-    (pi maps each group to one with the same amounts), and with them
-    _feasible.
+    (pi maps each group to one with the same amounts), and so are the
+    conditions the kept sides state, as a side is only dropped where
+    the box gives its bound and another side carries any congruence it
+    states; and with them _feasible.
     So an untied (progress, sig, r) is exhausted exactly when
     (pi·progress, sig, r) is, and the memo keys such a child by the
     least packed image of its progress over the permutations the region
@@ -499,7 +531,7 @@ class _Columns:
         self.split_groups(_constraint_groups(n, profiles))
         sum_units = self.sum_units
         # the packed steps of each column: 1 into the progress field, and
-        # sum_units[mask] into the packed group sums G, per hit mask
+        # sum_units[mask] into the packed side sums G, per hit mask
         step = {c: sum(1 << _FIELD * mask for mask, _ in hits)
                 for c, hits in zip(alphabet, profiles)}
         sum_step = {c: sum(sum_units[mask] for mask, _ in hits)
@@ -557,84 +589,53 @@ class _Columns:
             code = code * self.sig_base + ord(entry_code)
         return state | tied << self.rest_shift | code << self.sig_shift
 
-    def split_groups(self, groups) -> None:
-        """Pack the sides of every counting group (weights, lo, hi, g)
-        (see _constraint_groups) into one affine form, for _feasible.
-        With W the sum of the weights and S = w.p, a group holds at the
-        final length k when both of its sides do:
+    def split_groups(self, sides) -> None:
+        """Pack the counting sides (v, b, g) of _constraint_groups into
+        one affine form, for _feasible, one field per side.  With V the
+        sum of v's entries, a side holds at the final length k when
 
-            lower side   W*k - S - r*lo >= 0
-            upper side   r*hi - W*k + S >= 0
+            V*k - r*b - v.p >= 0,
 
-        Each side is a*k + r*c - v.p >= 0 (a = W, c = -lo, v = w on the
-        lower side; a = -W, c = hi, v = -w on the upper one) and takes
-        one field of every packed term: k_coefs packs the a, r_coefs the
-        c, G holds bias + v.p (the bias 255 times the sum of the negative
-        v's sizes) and base the guard bit `half` plus the bias, so each
-        field of x(k) = k*k_coefs + base + r*r_coefs - G holds
-        half + a*k + r*c - v.p.  At a k in the box max p <= k <= min p + r
-        that is within r*|w|_1 <= 255*widest of half (each k - p[mask]
-        lies in [0, r], and lo and hi between the sums of the negative
-        and of the positive weights), so no field borrows from the next
-        and a guard bit is set exactly where its side holds.  low_guard
-        tests the sides with a >= 0, which hold from some k up, and
-        high_guard those with a < 0, which hold up to some k.
-
-        A side the box implies takes no field: the lower one where lo is
-        the sum of the negative weights, the upper one where hi is that
-        of the positive ones.  But a group with g > 1 keeps its side
-        with a >= 0 whatever: at every k its field holds, past the guard
-        bit, a value congruent mod g to +-(W*k - S - r*lo) (hi - lo is a
-        multiple of g), and _feasible reads the congruence there, as
-        (shift, field mask, g, guard bit mod g) in `congruences`.  Groups
-        whose congruences are the same up to a unit of Z/g (at (3, 3),
-        28 facets with g = 3) share one entry."""
-        # a side as (a, c, sigma, weights, bias), v being sigma*w
-        sides, congruences = [], {}
-        widest = 1
-        for weights, lo, hi, g in groups:
-            w_sum = sum(x for _, x in weights)
-            neg = sum(x for _, x in weights if x < 0)
-            pos = sum(x for _, x in weights if x > 0)
-            widest = max(widest, pos - neg)
-            for a, c, sigma, implied in ((w_sum, -lo, 1, lo == neg),
-                                         (-w_sum, hi, -1, hi == pos)):
-                if a >= 0 and g > 1:
-                    # the condition a*k + r*c - v.p == 0 mod g, scaled
-                    # by a unit to make its first unit entry 1; the
-                    # first side with it is read
-                    values = (a, c, *(sigma * x for _, x in weights))
-                    u = next((pow(e, -1, g) for e in values
-                              if math.gcd(e, g) == 1), 1)
-                    key = (g, tuple(mask for mask, _ in weights),
-                           *(u * e % g for e in values))
-                    first = congruences.setdefault(key, len(sides))
-                    if implied and first != len(sides):
-                        continue
-                elif implied:
-                    continue
-                sides.append((a, c, sigma, weights,
-                              _LONGEST * (-neg if sigma > 0 else pos)))
+        that is a*k + r*c - v.p >= 0 with a = V and c = -b.  k_coefs
+        packs the a, r_coefs the c, G holds bias + v.p (the bias 255
+        times the sum of the negative v's sizes) and base the guard bit
+        `half` plus the bias, so each field of
+        x(k) = k*k_coefs + base + r*r_coefs - G holds
+        half + a*k + r*c - v.p.  At a k in the box
+        max p <= k <= min p + r that is within r*|v|_1 <= 255*widest of
+        half (each k - p[mask] lies in [0, r], and b between the sums of
+        the negative and of the positive entries), so no field borrows
+        from the next and a guard bit is set exactly where its side
+        holds.  low_guard tests the sides with a >= 0, which hold from
+        some k up, and high_guard those with a < 0, which hold up to
+        some k.  A side with g > 1 has its congruence read in its field,
+        which holds its value V*k - r*b - v.p exactly past the guard
+        bit, as (shift, field mask, g, guard bit mod g) in
+        `congruences`."""
+        slopes = [sum(x for _, x in v) for v, _, _ in sides]
+        widest = max((sum(abs(x) for _, x in v) for v, _, _ in sides),
+                     default=1)
         fw = (_LONGEST * widest).bit_length() + 1
         half = 1 << fw - 1
 
         def pack(values):  # Horner's rule: linear in the width
             return reduce(lambda out, x: (out << fw) + x, reversed(values), 0)
         guards = pack([half] * len(sides))
-        self.low_guard = pack([half if a >= 0 else 0 for a, *_ in sides])
+        self.low_guard = pack([half if a >= 0 else 0 for a in slopes])
         self.high_guard = guards - self.low_guard
-        self.k_coefs = pack([a for a, *_ in sides])
-        self.r_coefs = pack([c for _, c, *_ in sides])
+        self.k_coefs = pack(slopes)
+        self.r_coefs = pack([-b for _, b, _ in sides])
         # root_sums plus sum(p[mask] * sum_units[mask]) packs G
-        self.root_sums = pack([bias for *_, bias in sides])
+        self.root_sums = pack([_LONGEST * -sum(x for _, x in v if x < 0)
+                               for v, _, _ in sides])
         self.base = guards + self.root_sums
         units = [0] * (self.n_masks + 1)
-        for i, (_, _, sigma, weights, _) in enumerate(sides):
-            for mask, x in weights:
-                units[mask] += sigma * x << fw * i
+        for i, (v, _, _) in enumerate(sides):
+            for mask, x in v:
+                units[mask] += x << fw * i
         self.sum_units = units
         self.congruences = [(fw * i, (1 << fw) - 1, g, half % g)
-                            for (g, *_), i in congruences.items()]
+                            for i, (_, _, g) in enumerate(sides) if g > 1]
 
 
 def _known_length(n: int, m: int) -> Optional[int]:
@@ -706,7 +707,7 @@ class _WindowSearch:
         self.chosen: list = []
         self.memo: dict = {}
         # _feasible(r, ...) reads only r, the progress vector and the
-        # region's group terms, so its answers are cached under the
+        # region's packed sides, so its answers are cached under the
         # packed progress with r in the fields above it
         self.feasible_cache: dict = {}
         self.result: Optional[Pattern] = None
@@ -722,9 +723,9 @@ class _WindowSearch:
         entry came from a field that reached it (1 at the root).
 
         Only if some common final length k in the box
-        k_lo <= k <= min p + r = k_hi passes every side of every counting
-        group (see _Columns.split_groups), and, for each group with
-        g > 1, its congruence.  A side with a >= 0 that holds at k holds
+        k_lo <= k <= min p + r = k_hi passes every counting side (see
+        _Columns.split_groups), and, for each side with g > 1, its
+        congruence.  A side with a >= 0 that holds at k holds
         at every larger k, and one with a < 0 at every smaller k, so:
         the low sides must hold at k_hi and the high ones at k_lo; with
         no congruence, k_hi passes if the high sides hold there too;

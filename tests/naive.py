@@ -14,12 +14,15 @@ tests/test_groups.py.
 the same canonical columns with none of the search's packing, tables or
 caches.  It shares two things with the search.  One is the window size
 `_WINDOW`, so that a test can set both engines to one length per pass.
-The other is the counting-group list of `_constraint_groups`, which
-tests/test_patterns.py checks three ways: by direct arithmetic on every
-prefix of adequate patterns; against `naive_counting_groups`, built by
-direct summation, where the list has no facets; and against
+The other is the list of one-sided counting sides of
+`_constraint_groups`, which tests/test_patterns.py checks three ways:
+by direct arithmetic on every prefix of adequate patterns; against
+`naive_counting_groups`, built by direct summation, where the list has
+no facets; and against `naive_facet_groups`, the facets of
 `naive_hull_facets`, a brute force over every facet candidate, where it
-does.
+does.  Those two give every group both of its sides, so `_feasible`,
+checked against `naive_feasible` over them, is checked to lose nothing
+by the sides `_constraint_groups` drops.
 """
 
 import itertools
@@ -84,24 +87,41 @@ def naive_disjoint_pairs(n):
     return [(a, b) for a in masks for b in masks if a < b and not a & b]
 
 
-def naive_feasible(progress, r, groups):
+def naive_feasible(progress, r, sides):
     """Can `progress` (indexed by row-subset mask, slot 0 unused) be
     completed in r more columns?  A plain walk over every common final
-    length k, testing each counting group (weights, lo, hi, g), weights
-    a tuple of (mask, coefficient) pairs, at that k: its demand
-    w.(k*1 - p) must lie in [r*lo, r*hi], and where g > 1 be congruent
-    to r*lo mod g."""
+    length k, testing each counting side (v, b, g), v a tuple of (mask,
+    coefficient) pairs, at that k: its demand v.(k*1 - p) must be at
+    least r*b, and where g > 1 be congruent to r*b mod g."""
     p = progress
     for k in range(max(1, max(p[1:])), min(p[1:]) + r + 1):
-        for weights, lo, hi, g in groups:
-            demand = sum(c * (k - p[mask]) for mask, c in weights)
-            if not r * lo <= demand <= r * hi:
-                break
-            if g > 1 and (demand - r * lo) % g:
+        for v, b, g in sides:
+            demand = sum(c * (k - p[mask]) for mask, c in v)
+            if demand < r * b or g > 1 and (demand - r * b) % g:
                 break
         else:
             return True
     return False
+
+
+def naive_sides(groups):
+    """Both sides of every two-sided group (w, lo, hi, g), as the sides
+    naive_feasible walks: w.d >= r*lo and -w.d >= -r*hi, each with the
+    group's congruence."""
+    return [side for w, lo, hi, g in groups
+            for side in ((w, lo, g), (tuple((mask, -c) for mask, c in w),
+                                      -hi, g))]
+
+
+def naive_congruence(v, b, g):
+    """The congruence V*k - r*b - v.p == 0 mod g of a side (v, b, g),
+    V the sum of v, as the set of its coefficient tuples (V, -b, v) mod
+    g under every unit of Z/g, with g and v's masks: two sides state
+    the same condition exactly when these sets meet."""
+    values = (sum(c for _, c in v), -b, *(c for _, c in v))
+    return frozenset((g, tuple(mask for mask, _ in v),
+                      *(u * e % g for e in values))
+                     for u in range(1, g) if math.gcd(u, g) == 1)
 
 
 def naive_hull_facets(points):
@@ -165,9 +185,8 @@ def _columns(n, m, bound):
 
 
 def naive_groups(n, m, bound=None):
-    """_constraint_groups' list of weighted counting groups
-    (weights, lo, hi, g) for the region, under the _TABLE_CAP in force
-    at call time."""
+    """_constraint_groups' list of one-sided counting sides (v, b, g)
+    for the region, under the _TABLE_CAP in force at call time."""
     columns, hits = _columns(n, m, bound)
     return _constraint_groups(n, [hits[c] for c in columns])
 
@@ -180,17 +199,43 @@ def naive_hit_vectors(n, m, bound=None):
                          for mask in range(1, 1 << n)) for c in columns})
 
 
+def _naive_bounds(w, vectors):
+    """(lo, hi, g) of the weights w, a dict mask -> coefficient, from
+    its amounts w.h over the hit vectors h."""
+    amounts = {sum(c * h[mask - 1] for mask, c in w.items())
+               for h in vectors}
+    lo = min(amounts)
+    return lo, max(amounts), math.gcd(*(a - lo for a in amounts))
+
+
+def naive_facet_groups(n, m, bound=None, facets=None):
+    """Every facet of the hull of the region's hit vectors as a
+    two-sided group (w, lo, hi, g), lo, hi and g by brute force over
+    naive_hit_vectors.  The facets are naive_hull_facets' unless given
+    as a list of (w, b)."""
+    vectors = naive_hit_vectors(n, m, bound)
+    if facets is None:
+        facets = naive_hull_facets(vectors)
+    groups = []
+    for w, _ in facets:
+        weights = tuple((mask, c) for mask, c in enumerate(w, 1) if c)
+        groups.append((weights, *_naive_bounds(dict(weights), vectors)))
+    return groups
+
+
 def naive_counting_groups(n, m, bound=None):
-    """The 0/1 counting groups as weighted groups: the set of all row
-    subsets, then, while the sets of 3 of them times the columns stay
-    within patterns._TABLE_CAP << 7 (read at call time), every set of 3
-    and e_Y + e_Z - e_X for each labelling (X; Y, Z) of disjoint
-    nonempty A, B and A | B.  Each gets lo, hi and g from the amounts
-    w.h over the hit vectors h, and is left out where it can exclude
-    nothing: where lo and hi are the sums of its negative and positive
-    coefficients and g <= 1.  Sets of 2 are not built: from n = 3 on
-    each would be left out (see test_no_set_of_two_row_subsets_is_ever_kept
-    in tests/test_patterns.py)."""
+    """The 0/1 counting groups as two-sided groups (w, lo, hi, g): the
+    set of all row subsets, then, while the sets of 3 of them times the
+    columns stay within patterns._TABLE_CAP << 7 (read at call time),
+    every set of 3 and e_Y + e_Z - e_X for each labelling (X; Y, Z) of
+    disjoint nonempty A, B and A | B, each once (at n = 2 the set of
+    all subsets is the only set of 3).  Each gets lo, hi and g from the
+    amounts w.h over the hit vectors h, and is left out where it can
+    exclude nothing: where lo and hi are the sums of its negative and
+    positive coefficients and g <= 1.  Sets of 2 are not built: from
+    n = 3 on each would be left out (see
+    test_no_set_of_two_row_subsets_is_ever_kept in
+    tests/test_patterns.py)."""
     vectors = naive_hit_vectors(n, m, bound)
     masks = range(1, 1 << n)
     n_columns = len(_columns(n, m, bound)[0])
@@ -201,17 +246,13 @@ def naive_counting_groups(n, m, bound=None):
         for a, b in naive_disjoint_pairs(n):
             for x, y, z in ((a | b, a, b), (a, b, a | b), (b, a, a | b)):
                 candidates.append({x: -1, y: 1, z: 1})
-    groups = []
+    groups = {}
     for w in candidates:
-        amounts = {sum(c * h[mask - 1] for mask, c in w.items())
-                   for h in vectors}
-        lo, hi = min(amounts), max(amounts)
-        g = math.gcd(*(a - lo for a in amounts))
-        if (g <= 1 and lo == sum(c for c in w.values() if c < 0)
-                and hi == sum(c for c in w.values() if c > 0)):
-            continue
-        groups.append((tuple(sorted(w.items())), lo, hi, g))
-    return groups
+        lo, hi, g = _naive_bounds(w, vectors)
+        if (g > 1 or lo != sum(c for c in w.values() if c < 0)
+                or hi != sum(c for c in w.values() if c > 0)):
+            groups[tuple(sorted(w.items()))] = lo, hi, g
+    return [(weights, *rest) for weights, rest in groups.items()]
 
 
 class _NodeCapReached(Exception):
@@ -219,10 +260,10 @@ class _NodeCapReached(Exception):
 
 
 def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
-                 groups=None, node_cap=None):
+                 sides=None, node_cap=None):
     """(status, nodes, pattern or None) of the canonical-pattern search
     by plain recursion: the columns in lex order, a per-mask progress
-    list, a tuple signature, naive_feasible over `groups` (by default
+    list, a tuple signature, naive_feasible over `sides` (by default
     _constraint_groups' list for the region, as naive_groups gives it),
     and a dict from tuple memo keys to the set of r proved exhausted,
     stopped from taking new keys at memo_cap per pass.  Every candidate
@@ -244,8 +285,8 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
     window = patterns._WINDOW
     masks = range(1, 1 << n)
     columns, hits = _columns(n, m, bound)
-    if groups is None:
-        groups = _constraint_groups(n, [hits[c] for c in columns])
+    if sides is None:
+        sides = _constraint_groups(n, [hits[c] for c in columns])
     perms = list(itertools.permutations(range(n)))
     if not merge_rows or n > 4:
         perms = perms[:1]
@@ -328,7 +369,7 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
                 key = ((least_image(progress) if child_tied == 0
                         else tuple(progress)), child_tied, child_sig)
                 least = next((r for r in range(child_lo, child_hi + 1)
-                              if naive_feasible(progress, r, groups)), None)
+                              if naive_feasible(progress, r, sides)), None)
                 # a child is skipped when the memo holds the least r it
                 # passes naive_feasible for and every r above that
                 if least is not None and not (child_hi and set(range(
@@ -349,7 +390,7 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
 
         try:
             for r in range(lo, hi + 1):
-                if naive_feasible(progress, r, groups):
+                if naive_feasible(progress, r, sides):
                     dfs(0, r, (1 << n - 1) - 1, ())
                     break
         except _NodeCapReached:

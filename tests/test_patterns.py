@@ -20,9 +20,10 @@ from pattern_forge.patterns import (Pattern, SearchConfig,
                                     canonical_2_adequate, is_adequate, search)
 from pattern_forge.tokens import ColourToken, canonical_json
 
-from naive import (naive_counting_groups, naive_feasible, naive_find_adequate,
-                   naive_groups, naive_hit_vectors, naive_hull_facets,
-                   naive_search)
+from naive import (naive_congruence, naive_counting_groups, naive_facet_groups,
+                   naive_feasible, naive_find_adequate, naive_groups,
+                   naive_hit_vectors, naive_hull_facets, naive_search,
+                   naive_sides)
 
 
 # -- pattern construction ------------------------------------------------------
@@ -423,12 +424,15 @@ def test_groups_of_sizes_two_and_three_keep_the_outcome(n, m, bound, l_max,
     # without the triangle bound and the facets, give the status and
     # witness of the region's own list; only the nodes walked may grow.
     # No group of 2 is kept from n = 3 on (see
-    # test_no_set_of_two_row_subsets_is_ever_kept).
+    # test_no_set_of_two_row_subsets_is_ever_kept).  Sides the box
+    # bounds, with no congruence, are left out, as they cut nothing.
     full = naive_groups(n, m, bound)
-    small = [g for g in naive_counting_groups(n, m, bound)
-             if len(g[0]) == 3 and min(c for _, c in g[0]) > 0]
-    with_full = naive_search(n, m, l_max, bound, memo_cap=cap, groups=full)
-    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, groups=small)
+    small = [(v, b, g) for v, b, g in naive_sides(
+        [w for w in naive_counting_groups(n, m, bound)
+         if len(w[0]) == 3 and min(c for _, c in w[0]) > 0])
+        if g > 1 or b != sum(c for _, c in v if c < 0)]
+    with_full = naive_search(n, m, l_max, bound, memo_cap=cap, sides=full)
+    with_small = naive_search(n, m, l_max, bound, memo_cap=cap, sides=small)
     assert with_small[0] == with_full[0]
     assert (canonical_json(with_small[2].jsonable()) if with_small[2]
             else None) == (canonical_json(with_full[2].jsonable())
@@ -722,7 +726,7 @@ def test_node_cap_outcomes(monkeypatch, n, m, l_max, cap):
 
 
 def _groups_under_the_cap(n, m, bound):
-    """The counting groups of a region as (masks, lo, hi, g), under the
+    """The counting sides of a region as (v, b, g), under the
     _TABLE_CAP in force."""
     alphabet = patterns._column_alphabet(n, m, bound)
     return patterns._constraint_groups(
@@ -753,34 +757,106 @@ def _hull_region(n, m):
     return 2 <= n <= 3 and m != 2
 
 
+def _is_triangle(v):
+    """Whether the side's weights are a triangle's lower side, e_Y + e_Z
+    - e_X (see patterns._triangles)."""
+    return sorted(c for _, c in v) == [-1, 1, 1]
+
+
+def _can_exclude(w, lo, hi, g):
+    """Whether a two-sided group can exclude anything: a side whose bound
+    the box does not give, or a congruence."""
+    return (g > 1 or lo != sum(c for _, c in w if c < 0)
+            or hi != sum(c for _, c in w if c > 0))
+
+
+# the hull regions whose facets the naive walk takes from
+# naive_hull_facets; on the others it takes those of _hull_facets, as
+# the brute force takes 2.5 s on the 18 hit vectors of (3, 4)
+_BRUTE_HULLS = [(3, 3, None), (3, 5, None), (3, 0, 1)]
+
+
+@functools.cache
+def _two_sided_groups(n, m, bound):
+    """The two-sided groups (w, lo, hi, g) of a region, by brute force:
+    the facets of its hull (see naive_facet_groups) where it has them,
+    else naive_counting_groups."""
+    if not _hull_region(n, m):
+        return naive_counting_groups(n, m, bound)
+    facets = (None if (n, m, bound) in _BRUTE_HULLS else
+              patterns._hull_facets(naive_hit_vectors(n, m, bound)))
+    return naive_facet_groups(n, m, bound, facets)
+
+
+@functools.cache
+def _two_sided_sides(n, m, bound):
+    """Both sides of every group of _two_sided_groups.  No side is
+    dropped, so naive_feasible over these checks the sides
+    _constraint_groups drops as implied."""
+    return naive_sides(_two_sided_groups(n, m, bound))
+
+
 @pytest.mark.parametrize("n,m,bound,one_sided,two_sided,congruent", [
     (3, 3, None, 12, 28, 28), (3, 4, None, 38, 0, 0), (3, 5, None, 31, 5, 0),
     (3, 6, None, 38, 0, 0), (2, 3, None, 1, 0, 0), (3, 0, 1, 16, 36, 0),
     (4, 0, 1, 17, 0, 0), (3, 2, None, 28, 8, 7), (4, 2, None, 0, 36, 35)])
 def test_counting_groups_split(n, m, bound, one_sided, two_sided, congruent):
-    # _feasible tests every group side in one packed form, under the
-    # guard mask of its kind (see _Columns.split_groups).  A group the
-    # box bounds on one side, with g <= 1, takes one field (the
-    # lower-only 0/1 groups, hi == |T|); the others take two, or keep
-    # one for their congruence.  The
-    # triangles, counted apart, give way to the facets where those come
-    # in.  Congruences equal up to a unit share one entry: at (3, 3) the
-    # 28 facets with g = 3 share one.
+    # the two-sided groups behind the sides, by brute force: the facets
+    # that can exclude something, or the 0/1 groups with the triangles
+    # counted apart.  A group the box bounds on one side, with g <= 1,
+    # is one-sided.  The facets imply every upper side, so each facet
+    # gives its lower side alone, one field; a 0/1 group gives a field
+    # per side the box does not bound, or that carries its congruence,
+    # and a triangle its lower side, whose bound 0 the box never gives.
     hull = _hull_region(n, m)
-    groups = _counting_groups(n, m, bound)
-    triangles = [w for w, *_ in groups if not hull and min(dict(w).values()) < 0]
+    if hull:
+        facets = patterns._hull_facets(naive_hit_vectors(n, m, bound))
+        groups = [group for group in naive_facet_groups(n, m, bound, facets)
+                  if _can_exclude(*group)]
+    else:
+        groups = naive_counting_groups(n, m, bound)
+    triangles = [w for w, *_ in groups if not hull and _is_triangle(w)]
     assert len(triangles) == (0 if hull else
                               3 * (3 ** n - 2 ** (n + 1) + 1) // 2)
     rest = [(dict(w), lo, hi, g) for w, lo, hi, g in groups
-            if hull or min(dict(w).values()) > 0]
+            if w not in triangles]
     one = sum(g <= 1 and (lo == sum(c for c in w.values() if c < 0))
               + (hi == sum(c for c in w.values() if c > 0)) == 1
               for w, lo, hi, g in rest)
     assert (one, len(rest) - one, sum(g > 1 for *_, g in rest)) == (
         one_sided, two_sided, congruent)
+    sides = _counting_groups(n, m, bound)
+    if hull:
+        lower = {(w, lo) for w, lo, *_ in groups}
+        assert {(v, b) for v, b, _ in sides} <= lower
+        assert len(sides) == one_sided + two_sided
+    else:
+        assert {v for v, b, _ in sides if b == 0 and _is_triangle(v)} == set(
+            triangles)
+        assert len(sides) == one_sided + 2 * two_sided + len(triangles)
+    # congruences equal up to a unit share one carrier: at (3, 3) the
+    # 28 facets with g = 3 share one
     columns = patterns._Columns(n, m, bound)
     assert len(columns.congruences) == {(3, 3): 1, (3, 2): 7, (4, 2): 35}.get(
         (n, m), 0)
+
+
+@pytest.mark.parametrize("n,m,bound,fields,low", [
+    (3, 3, None, 40, 24), (3, 0, 1, 52, 20), (3, 5, None, 36, 36),
+    (3, 7, None, 36, 36), (3, 0, 2, 36, 36), (2, 2, None, 5, 4),
+    (3, 2, None, 62, 54), (3, 4, None, 38, 38), (4, 2, None, 147, 111),
+    (4, 3, None, 77, 76), (4, 4, None, 77, 76), (4, 5, None, 76, 76),
+    (4, 6, None, 76, 76), (4, 7, None, 76, 76), (4, 0, 1, 92, 92),
+    (5, 2, None, 582, 426), (5, 3, None, 272, 271), (6, 2, None, 2207, 1555)])
+def test_packed_field_counts(n, m, bound, fields, low):
+    # split_groups gives each side one field (test_packed_fields_*
+    # check field i against side i), and the `low` sides with a >= 0
+    # its low_guard.  One-sided facets cut the fields of the regions
+    # with facets but (3, 4), whose facets had no upper side to drop,
+    # and moved no other region here: no n >= 4 region and not (3, 2)
+    sides = _counting_groups(n, m, bound)
+    assert len(sides) == fields
+    assert sum(sum(c for _, c in v) >= 0 for v, _, _ in sides) == low
 
 
 @pytest.mark.parametrize("n,m,bound,size_three", [
@@ -825,10 +901,10 @@ def test_triangles_only_within_the_size_three_cap(monkeypatch, n, m,
                                                   fields):
     # _triangles gives every labelling (X; Y, Z) of disjoint nonempty A,
     # B and A | B, 3*(3^n - 2^(n+1) + 1)/2 of them.  On the 0/1 path,
-    # here taken with the facets turned off, the groups keep every one
-    # while the sets of 3 row subsets are tried ((4, 7) and (6, 2)), and
-    # none where they are not ((6, 3), and (7, 2), which would carry
-    # 2,898 fields)
+    # here taken with the facets turned off, the sides keep the lower
+    # side of every one while the sets of 3 row subsets are tried
+    # ((4, 7) and (6, 2)), and none where they are not ((6, 3), and
+    # (7, 2), which would carry 2,898 fields)
     n_columns = len(patterns._column_alphabet(n, m, None))
     fit = math.comb((1 << n) - 1, 3) * n_columns <= patterns._TABLE_CAP << 7
     assert fit == (n < 6 or (n, m) == (6, 2))
@@ -839,9 +915,8 @@ def test_triangles_only_within_the_size_three_cap(monkeypatch, n, m,
     triangles = patterns._triangles(n)
     assert len(triangles) == len(every) and set(triangles) == every
     monkeypatch.setattr(patterns, "_hull_facets", lambda points: None)
-    kept = [sorted(w, key=lambda mc: (mc[1], mc[0]))
-            for w, *_ in _groups_under_the_cap(n, m, None)
-            if min(c for _, c in w) < 0]
+    kept = [sorted(v, key=lambda mc: (mc[1], mc[0]))
+            for v, *_ in _groups_under_the_cap(n, m, None) if _is_triangle(v)]
     assert len(kept) == fields
     assert {tuple(mask for mask, _ in w) for w in kept} == (
         every if fit else set())
@@ -853,9 +928,9 @@ def test_triangles_at_the_edge_of_the_size_three_cap(monkeypatch):
     for cap, fields in ((2, 18), (1, 0)):
         monkeypatch.setattr(patterns, "_TABLE_CAP", cap)
         groups = _groups_under_the_cap(3, 2, None)
-        sizes = {len(w) for w, *_ in groups if min(dict(w).values()) > 0}
+        sizes = {len(v) for v, *_ in groups if min(dict(v).values()) > 0}
         assert (3 in sizes) == bool(fields)
-        assert sum(min(dict(w).values()) < 0 for w, *_ in groups) == fields
+        assert sum(map(_is_triangle, (v for v, *_ in groups))) == fields
 
 
 @pytest.mark.parametrize("n,m,bound", [
@@ -871,6 +946,16 @@ def test_counting_groups_read_each_hit_set_once(n, m, bound):
     groups = patterns._constraint_groups(n, profiles)
     assert groups
     assert patterns._constraint_groups(n, profiles + profiles) == groups
+
+
+@pytest.mark.parametrize("n,m,bound", sorted(
+    {(2, 2, None)} | {(n, m, bound) for n, m, bound, *_ in _PINNED_REGIONS},
+    key=str))
+def test_no_two_sides_share_their_weights(n, m, bound):
+    # distinct candidates give distinct sides; at n = 2 the set of all
+    # row subsets is also the only set of 3, and is tried once
+    sides = _counting_groups(n, m, bound)
+    assert len({v for v, _, _ in sides}) == len(sides)
 
 
 # the hit sets small enough for the brute force: every region of one
@@ -944,10 +1029,23 @@ def test_hull_facets_are_facets(n, m, bound, points, count):
     (4, 3, None), (4, 0, 1)])
 def test_counting_groups_match_naive_where_no_facets(n, m, bound):
     # where the hull is not full-dimensional (m = 2, one row) or n >= 4,
-    # the 0/1 groups and the triangles of _constraint_groups are those
-    # naive_counting_groups builds by direct summation
-    assert sorted(_counting_groups(n, m, bound)) == sorted(
-        naive_counting_groups(n, m, bound))
+    # the sides of _constraint_groups are those of the 0/1 groups and
+    # the triangles naive_counting_groups builds by direct summation:
+    # each side is one of theirs, with its g or, where an earlier side
+    # carries its congruence, 1; every side whose bound the box does not
+    # give is kept; and every congruence is carried by exactly one side
+    sides = _counting_groups(n, m, bound)
+    groups = naive_counting_groups(n, m, bound)
+    every = {(v, b): g for v, b, g in naive_sides(groups)}
+    for v, b, g in sides:
+        assert (v, b) in every and g in (every[v, b], 1), (v, b, g)
+    assert {(v, b) for v, b in every
+            if b != sum(c for _, c in v if c < 0)} <= {
+        (v, b) for v, b, _ in sides}
+    carried = [naive_congruence(*side) for side in sides if side[2] > 1]
+    assert len(set(carried)) == len(carried)
+    assert set(carried) == {naive_congruence(w, lo, g)
+                            for w, lo, _, g in groups if g > 1}
 
 
 @pytest.mark.parametrize("n,m,bound", [
@@ -1029,17 +1127,17 @@ def _witness_prefixes(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_counting_groups_hold_on_every_prefix_of_adequate_patterns(data):
-    # no pruning code is called: each group's demand over the columns
-    # left, w.(k*1 - p), is checked directly, on the facets where the
+    # no pruning code is called: each side's demand over the columns
+    # left, v.(k*1 - p), is checked directly, on the facets where the
     # witness's region has them and on the 0/1 groups and triangles
     # where it does not
     n, m, bound, k, prefixes = _witness_prefixes(data)
     for r, progress in prefixes:
-        for weights, lo, hi, g in _counting_groups(n, m, bound):
-            demand = sum(c * (k - progress[mask]) for mask, c in weights)
-            assert r * lo <= demand <= r * hi, (progress, r, weights)
+        for v, b, g in _counting_groups(n, m, bound):
+            demand = sum(c * (k - progress[mask]) for mask, c in v)
+            assert demand >= r * b, (progress, r, v)
             if g > 1:
-                assert (demand - r * lo) % g == 0, (progress, r, weights)
+                assert (demand - r * b) % g == 0, (progress, r, v)
 
 
 @given(st.data())
@@ -1089,10 +1187,50 @@ def _walk_states(draw):
 @given(_walk_states())
 @settings(max_examples=400, deadline=None)
 def test_feasible_agrees_with_naive_walk(state):
+    # the naive walk takes both sides of every group, facets included
     (n, m, bound), progress, r = state
     engine = _engine(n, m, bound)
     assert _feasible_on(engine, progress, r) == naive_feasible(
-        progress, r, _counting_groups(n, m, bound)), (progress, r)
+        progress, r, _two_sided_sides(n, m, bound)), (progress, r)
+
+
+@pytest.mark.parametrize("n,m,bound,cut", [
+    (3, 3, None, 36), (3, 5, None, 36), (3, 0, 1, 46)])
+def test_feasible_cuts_where_one_facet_alone_does(n, m, bound, cut):
+    # states just across one facet of the hull: r hit vectors tight on
+    # it summed into the demand, one entry moved across, and a final
+    # length at or just above the largest entry.  Where the two-sided
+    # walk says no, and says yes without that facet, _feasible must say
+    # no, so a kept facet side deleted from the packed form fails here.
+    # In 300 seeded tries per facet such a state turns up for `cut`
+    # facets: every one that can exclude something but 4 at (3, 3) and
+    # 6 at (3, 0, b = 1), which no state of one final length needs up
+    # to r = 3 (checked by enumeration).
+    groups = [group for group in _two_sided_groups(n, m, bound)
+              if _can_exclude(*group)]
+    every = naive_sides(groups)
+    vectors = naive_hit_vectors(n, m, bound)
+    engine = _engine(n, m, bound)
+    rng = random.Random(0)
+    found = 0
+    for i, (w, lo, _, _) in enumerate(groups):
+        rest = naive_sides(groups[:i] + groups[i + 1:])
+        tight = [h for h in vectors
+                 if sum(c * h[mask - 1] for mask, c in w) == lo]
+        for _ in range(300):
+            r = rng.randint(1, 12)
+            demand = [sum(col) for col in
+                      zip(*(rng.choice(tight) for _ in range(r)))]
+            mask, c = rng.choice(w)
+            demand[mask - 1] -= 1 if c > 0 else -1
+            k = max(demand) + rng.randint(0, 2)
+            progress = [0] + [k - d for d in demand]
+            if (not naive_feasible(progress, r, every)
+                    and naive_feasible(progress, r, rest)):
+                assert not _feasible_on(engine, progress, r), (w, progress, r)
+                found += 1
+                break
+    assert found == cut
 
 
 @given(st.data())
@@ -1137,7 +1275,7 @@ def test_feasible_at_the_field_width_bound(fields, r):
     columns = engine.columns
     assert columns.low_guard and columns.high_guard and columns.congruences
     assert _feasible_on(engine, progress, r) == naive_feasible(
-        progress, r, _counting_groups(3, 3, None))
+        progress, r, _two_sided_sides(3, 3, None))
 
 
 @functools.cache
@@ -1145,9 +1283,9 @@ def _packed_sides(n, m, bound):
     """The packed form of a region, read back: its _Columns, the field
     width fw, and per field the side (a, c, v) that k_coefs, r_coefs
     and sum_units hold there, v as a dict mask -> coefficient.  Checks
-    that every field holds a side of a counting group under the guard
-    mask of its kind, with its bias, and that every side the box does
-    not imply has a field."""
+    that field i holds side i (v, b, g) of _constraint_groups, as
+    a = sum(v) and c = -b, under the guard mask of its kind, with its
+    bias, and reads its congruence where g > 1."""
     columns = _engine(n, m, bound).columns
     guards = columns.low_guard | columns.high_guard
     half = guards & -guards
@@ -1177,19 +1315,11 @@ def _packed_sides(n, m, bound):
         patterns._LONGEST * -sum(x for x in v.values() if x < 0)
         for _, _, v in sides] + [0]
     assert columns.base == guards + columns.root_sums
-    # the sides of the groups, lower then upper, and whether the box
-    # implies them
-    every = {}
-    for weights, lo, hi, g in _counting_groups(n, m, bound):
-        w = dict(weights)
-        neg = sum(x for x in w.values() if x < 0)
-        pos = sum(x for x in w.values() if x > 0)
-        every[sum(w.values()), -lo, frozenset(w.items())] = lo == neg
-        every[-sum(w.values()), hi, frozenset(
-            (mask, -x) for mask, x in w.items())] = hi == pos
-    held = {(a, c, frozenset(v.items())) for a, c, v in sides}
-    assert held <= every.keys()
-    assert {side for side, implied in every.items() if not implied} <= held
+    wanted = _counting_groups(n, m, bound)
+    assert sides == [(sum(c for _, c in v), -b, dict(v)) for v, b, _ in wanted]
+    assert columns.congruences == [(fw * i, (1 << fw) - 1, g, half % g)
+                                   for i, (_, _, g) in enumerate(wanted)
+                                   if g > 1]
     return columns, fw, sides
 
 
@@ -1248,19 +1378,21 @@ def test_packed_fields_decode_to_their_sides(data):
 def test_congruence_scan_applies_the_packed_test_at_each_k():
     # two made-up groups: one whose lower side needs k >= 2 (its upper
     # side, k <= p + r, is the box's), and one with a congruence needing
-    # k odd, whose lower side the box implies but which keeps it for the
+    # k odd, whose lower side the box gives but which keeps it for the
     # congruence, and whose upper side, with a < 0, is a high side.  Of
     # k in [1, 2] only k = 1 is odd, and it fails the low sides, so the
     # scan must start at the least k passing them.
     groups = [(((2, 1),), 0, 2, 2), (((1, 1),), 1, 1, 0)]
+    sides = [(((2, 1),), 0, 2), (((2, -1),), -2, 1), (((1, 1),), 1, 1)]
     columns = patterns._Columns(2, 2, None)
-    columns.split_groups(groups)
+    columns.split_groups(sides)
     assert (columns.low_guard.bit_count(), columns.high_guard.bit_count(),
             len(columns.congruences)) == (2, 1, 1)
     engine = patterns._WindowSearch(2, 2, 4, 4, columns,
                                     patterns._NodeBudget(None))
     progress = [0, 0, 1, 0]
-    assert naive_feasible(progress, 2, groups) is False
+    assert naive_feasible(progress, 2, naive_sides(groups)) is False
+    assert naive_feasible(progress, 2, sides) is False
     assert _feasible_on(engine, progress, 2) is False
 
 
@@ -1270,7 +1402,7 @@ def test_congruence_scan_applies_the_packed_test_at_each_k():
 def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
                                                            bound, l_max):
     calls = []
-    groups = _counting_groups(n, m, bound)
+    sides = _two_sided_sides(n, m, bound)
 
     class Checked(patterns._WindowSearch):
         def _feasible(self, r, progress, packed_sums, k_lo):
@@ -1290,7 +1422,7 @@ def test_feasible_agrees_with_naive_walk_on_search_states(monkeypatch, n, m,
                 map(operator.mul, p, self.columns.sum_units))
             assert k_lo == max(1, max(p))
             answer = super()._feasible(r, progress, packed_sums, k_lo)
-            assert answer == naive_feasible(p, r, groups)
+            assert answer == naive_feasible(p, r, sides)
             calls.append(answer)
             return answer
 
