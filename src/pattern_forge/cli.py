@@ -11,15 +11,20 @@ humans.
 Each subcommand imports the modules it runs inside its handler, so a
 call pays only for those: ``--version`` loads no group arithmetic,
 ``verify`` no pattern search and ``search`` no oracle and no group arithmetic.
+The flags are read from one table per command (``_COMMANDS``) by one
+loop rather than by argparse, whose import, with the ``gettext`` and
+``locale`` its first message loads, cost every child a few ms of CPU.
+The loop keeps argparse's messages, its namespace order and its reading
+of ``-1`` as a value, but takes no abbreviations.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .tokens import canonical_json
@@ -52,17 +57,10 @@ _STATUS_EXIT = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad flags, which collides with "inconclusive"
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    # argparse drops an OSError here, so --version or --help would exit
-    # 0 into a closed stdout; raised, it makes run() exit 70
-    def _print_message(self, message, file=None):
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        print(message, end="", file=file, flush=True)
+def _usage_error(message: str, prog: str = "pattern-forge"):
+    """Exit 64 with argparse's form of the message, on stderr alone."""
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _emit(args, result: dict, nodes: int) -> None:
@@ -85,30 +83,30 @@ def _emit(args, result: dict, nodes: int) -> None:
     print(canonical_json(result))
 
 
-def _parse_group(parser, text: str):
+def _parse_group(text: str):
     from .groups import GroupSpec
     try:
         return GroupSpec.from_jsonable(json.loads(text))
     except (ValueError, KeyError) as exc:
-        parser.error(f"bad --group JSON: {exc}")
+        _usage_error(f"bad --group JSON: {exc}")
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def cmd_search(parser, args) -> int:
+def cmd_search(args) -> int:
     from .patterns import SearchConfig, search
     if args.m == 0 and args.entry_bound is None:
-        parser.error("--entry-bound is required when --m 0")
+        _usage_error("--entry-bound is required when --m 0")
     if args.m != 0 and args.entry_bound is not None:
-        parser.error("--entry-bound only applies when --m 0")
+        _usage_error("--entry-bound only applies when --m 0")
     try:
         cfg = SearchConfig(n=args.n, m=args.m, l_max=args.l_max,
                            l_min=args.l_min, entry_bound=args.entry_bound,
                            node_cap=args.node_cap)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
     outcome = search(cfg)
     _emit(args, outcome.jsonable(), outcome.nodes)
     return _STATUS_EXIT[outcome.status]
@@ -145,7 +143,7 @@ def _verify_norms(args):
     return no_seven_norms(args.dim, args.bound, budget=args.budget)
 
 
-def cmd_verify(parser, args) -> int:
+def cmd_verify(args) -> int:
     from .colourings import resolve_colouring
     from .groups import GroupSpec, element_from_jsonable
     from .verify import (BranchSetDomain, GroupDomain,
@@ -154,15 +152,15 @@ def cmd_verify(parser, args) -> int:
                          find_monochromatic_subgroup, fs_support_growth_check)
     claim = args.claim
     if claim not in CLAIM_FLAGS:
-        parser.error(f"unknown claim id {claim!r}")
+        _usage_error(f"unknown claim id {claim!r}")
     needs, takes = CLAIM_FLAGS[claim]
     for key, value in vars(args).items():
         name = key.replace("_", "-")
         if name in needs and value is None:
-            parser.error(f"--claim {claim} requires --{name}")
+            _usage_error(f"--claim {claim} requires --{name}")
         if (value is not None and name not in needs + takes
                 and name not in ("command", "claim", "out", "threads")):
-            parser.error(f"--claim {claim} does not take --{name}")
+            _usage_error(f"--claim {claim} does not take --{name}")
     if claim == "lemma3.1":
         cert = _verify_norms(args)
     elif claim == "thm3.2":
@@ -174,21 +172,20 @@ def cmd_verify(parser, args) -> int:
         domain = BranchSetDomain(args.kappa, args.max_set)
         cert = _verify_fs(args, "delta", domain, 2)
     elif claim == "thm5.4":
-        cert = find_monochromatic_ap("product_sigma",
-                                     _parse_group(parser, args.group))
+        cert = find_monochromatic_ap("product_sigma", _parse_group(args.group))
     elif claim == "thm5.5":
         cert = find_monochromatic_subgroup(
-            "subgroup_parity", _parse_group(parser, args.group))
+            "subgroup_parity", _parse_group(args.group))
     elif claim == "thm5.6":
         cert = find_monochromatic_span(args.a, args.dim, args.bound)
     elif claim == "thm2.3":
-        spec = _parse_group(parser, args.group)
+        spec = _parse_group(args.group)
         alphas = [int(s) for s in args.alphas.split(",")]
         gammas = [int(s) for s in args.gammas.split(",")]
         cert = check_fs_matrix_identities(
             spec, alphas, args.beta, gammas, resolve_colouring(args.colouring))
     else:  # thm5.1-shadow
-        spec = _parse_group(parser, args.group)
+        spec = _parse_group(args.group)
         elements = json.loads(args.elements)
         if not isinstance(elements, list):
             raise ValueError("--elements must be a JSON list of elements, "
@@ -203,34 +200,34 @@ def cmd_verify(parser, args) -> int:
 # colour
 
 
-def cmd_colour(parser, args) -> int:
+def cmd_colour(args) -> int:
     from .colourings import BranchSet, delta_colouring, resolve_colouring
     from .groups import GroupSpec, element_from_jsonable
     if args.id == "delta":
         if args.branches is None:
-            parser.error("--id delta requires --branches")
+            _usage_error("--id delta requires --branches")
         strings = json.loads(args.branches)
         if not isinstance(strings, list):
-            parser.error("--branches must be a JSON list of 0/1 strings")
+            _usage_error("--branches must be a JSON list of 0/1 strings")
         x = BranchSet.from_strings(strings)
         token = delta_colouring(x)
     else:
         if args.element is None:
-            parser.error(f"--id {args.id} requires --element")
+            _usage_error(f"--id {args.id} requires --element")
         try:
             colour = resolve_colouring(args.id)
         except ValueError as exc:
-            parser.error(str(exc))
+            _usage_error(str(exc))
         raw = json.loads(args.element)
         if args.group:
-            spec = _parse_group(parser, args.group)
+            spec = _parse_group(args.group)
         else:
             if args.id not in ("sum_squares",) and not args.id.startswith(
                     "valuation:"):
-                parser.error(f"--id {args.id} needs --group for its factors")
+                _usage_error(f"--id {args.id} needs --group for its factors")
             if not (isinstance(raw, list) and raw
                     and all(isinstance(v, int) for v in raw)):
-                parser.error("--element must be a nonempty integer vector "
+                _usage_error("--element must be a nonempty integer vector "
                              "when --group is omitted")
             bound = max(1, max(abs(v) for v in raw))
             spec = GroupSpec.integer_box(bound, len(raw))
@@ -244,61 +241,131 @@ def cmd_colour(parser, args) -> int:
 # wiring
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="pattern-forge",
-                     description="finite-sum pattern search and "
-                                 "colouring certificates")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (help line, flag -> converter, required flags, defaults).  The
+# flags are in the order argparse set them on its namespace, which an
+# --out manifest's config keeps
+_COMMANDS = {
+    "search": ("exhaustive adequate-pattern search",
+               {"--n": int, "--m": int, "--l-max": int, "--l-min": int,
+                "--entry-bound": int, "--threads": int, "--node-cap": int,
+                "--out": str},
+               ("--n", "--m", "--l-max"), {"--l-min": 1}),
+    "verify": ("run a certificate oracle",
+               {"--claim": str, "--dim": int, "--bound": int, "--n": int,
+                "--kappa": int, "--max-set": int, "--a": int, "--group": str,
+                "--elements": str, "--alphas": str, "--beta": int,
+                "--gammas": str, "--colouring": str, "--budget": int,
+                "--threads": int, "--out": str},
+               ("--claim",), {}),
+    "colour": ("evaluate one colouring",
+               {"--id": str, "--element": str, "--branches": str,
+                "--group": str, "--out": str},
+               ("--id",), {}),
+}
 
-    p = sub.add_parser("search", help="exhaustive adequate-pattern search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l-max", type=int, required=True)
-    p.add_argument("--l-min", type=int, default=1)
-    p.add_argument("--entry-bound", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--node-cap", type=int)
-    p.add_argument("--out")
 
-    p = sub.add_parser("verify", help="run a certificate oracle")
-    p.add_argument("--claim", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--kappa", type=int)
-    p.add_argument("--max-set", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--group")
-    p.add_argument("--elements")
-    p.add_argument("--alphas")
-    p.add_argument("--beta", type=int)
-    p.add_argument("--gammas")
-    p.add_argument("--colouring")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
+def _is_value(token: str, flags) -> bool:
+    """Whether token can be a flag's value.  As in argparse, it cannot be
+    a known flag (alone or as --flag=...), nor start with "-" unless it
+    is "-", a negative number or holds a space."""
+    if token.partition("=")[0] in flags:
+        return False
+    head, dot, tail = token[1:].partition(".")
+    number = (tail.isdecimal() and (not head or head.isdecimal()) if dot
+              else head.isdecimal())
+    return token[:1] != "-" or token == "-" or number or " " in token
 
-    p = sub.add_parser("colour", help="evaluate one colouring")
-    p.add_argument("--id", required=True)
-    p.add_argument("--element")
-    p.add_argument("--branches")
-    p.add_argument("--group")
-    p.add_argument("--out")
 
-    return parser
+def _help(command=None) -> str:
+    if command is None:
+        return "\n".join([
+            f"usage: pattern-forge [-h] [--version] "
+            f"{{{','.join(_COMMANDS)}}} ...", "",
+            "finite-sum pattern search and colouring certificates", "",
+            *(f"  {name:8}{spec[0]}" for name, spec in _COMMANDS.items())])
+    text, flags, required, defaults = _COMMANDS[command]
+    lines = [f"usage: pattern-forge {command} [-h] --flag VALUE ...", "",
+             text, "", "flags, each as --flag VALUE or --flag=VALUE:"]
+    for flag, convert in flags.items():
+        note = ("required" if flag in required else
+                f"default {defaults[flag]}" if flag in defaults else "")
+        lines.append(f"  {flag} {convert.__name__.upper()}".ljust(22)
+                     + note)
+    return "\n".join(line.rstrip() for line in lines)
+
+
+def _answer(token: str, text: str, prog: str):
+    """Print the text of --help or --version and exit 0, or refuse a
+    value given to either, as argparse did."""
+    flag, eq, value = token.partition("=")
+    if eq:
+        name = "--version" if flag == "--version" else "-h/--help"
+        _usage_error(f"argument {name}: ignored explicit argument {value!r}",
+                     prog)
+    print(text, flush=True)
+    raise SystemExit(0)
+
+
+def _parse(argv) -> SimpleNamespace:
+    """Read argv as argparse did: errors in argv's order, then missing
+    flags, then unknown arguments; --help and --version exit 0 where
+    they stand.  A repeated flag keeps its last value."""
+    extras = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token.partition("=")[0] in ("-h", "--help", "--version"):
+            _answer(token, __version__ if token == "--version" else _help(),
+                    "pattern-forge")
+        if _is_value(token, ()) or token == "--":
+            break
+        extras.append(token)
+    else:
+        _usage_error("the following arguments are required: command")
+    if token not in _COMMANDS:
+        _usage_error(f"argument command: invalid choice: {token!r} (choose "
+                     f"from {', '.join(map(repr, _COMMANDS))})")
+    command, prog = token, f"pattern-forge {token}"
+    _, flags, required, defaults = _COMMANDS[command]
+    given = dict(defaults)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag in ("-h", "--help"):
+            _answer(token, _help(command), prog)
+        if token == "--":
+            # argparse read the rest as operands, which no command takes
+            extras += [token, *tokens]
+            break
+        if flag not in flags:
+            extras.append(token)
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value, flags):
+                _usage_error(f"argument {flag}: expected one argument", prog)
+        try:
+            given[flag] = flags[flag](value)
+        except ValueError:
+            _usage_error(f"argument {flag}: invalid "
+                         f"{flags[flag].__name__} value: {value!r}", prog)
+    missing = [flag for flag in required if flag not in given]
+    if missing:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(missing), prog)
+    if extras:
+        _usage_error("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): given.get(flag) for flag in flags})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # everything runs on one thread, so --threads is checked and dropped
     if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
+        _usage_error("--threads must be >= 1")
     handlers = {"search": cmd_search, "verify": cmd_verify,
                 "colour": cmd_colour}
     try:
-        return handlers[args.command](parser, args)
+        return handlers[args.command](args)
     except (ValueError, KeyError) as exc:
         print(f"pattern-forge: {exc}", file=sys.stderr)
         return EXIT_USAGE

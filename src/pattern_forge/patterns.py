@@ -273,7 +273,7 @@ def _hull_facets(points: list) -> Optional[list]:
     return sorted((tuple(v[1:]), -v[0]) for v, _ in rays)
 
 
-def _constraint_groups(n: int, profiles: list) -> list:
+def _constraint_groups(n: int, m: int, profiles: list) -> list:
     """Counting constraints the demand vector must satisfy, as one-sided
     sides (v, b, g), `v` a tuple of (mask, coefficient) pairs in mask
     order, each stating v.(k*1 - p) >= r*b and, where g > 1, also
@@ -298,11 +298,23 @@ def _constraint_groups(n: int, profiles: list) -> list:
     (n >= 4, m = 2, one row) the weights are 0/1, each giving both
     sides: the set of all subsets, which pins down the possible
     signature lengths, and, while their number times the columns stays
-    within _TABLE_CAP << 7 (see _sets_of_three_fit), the sets of 3
-    subsets and the triangles (see _triangles).  At n = 2 the set of
-    all subsets is the only set of 3, and is tried once.  No set of 2
-    subsets is tried: from n = 3 on each has amounts {0, 1, 2} and
-    could never exclude anything.
+    within _TABLE_CAP << 7 (see _sets_of_three_fit), the triangles (see
+    _triangles) and, at m = 0 and 2, the sets of 3 subsets.  At n = 2
+    the set of all subsets is the only set of 3, and is tried once.  No
+    set of 2 subsets is tried: from n = 3 on each has amounts {0, 1, 2}
+    and could never exclude anything.  Nor is a set of 3 {T1, T2, T3}
+    at m >= 3, where this branch runs only from n = 4 on (at n = 2 and
+    3 the hull is full-dimensional, and n = 1 has one subset).  Its
+    amounts hold 0: three homogeneous sums in n >= 4 unknowns have a
+    nonzero solution mod a prime p dividing m, and m/p times it is a
+    column.  They hold 3: for m >= 4 at most 3 m^(n-1) < m^n columns
+    make one of the sums 0, and at m = 3 inclusion-exclusion over F_3
+    leaves 3^n - 3 * 3^(n-1) + 3 * 3^(n-2) - |K| >= 2 * 3^(n-2) columns
+    that make none 0 (two distinct 0/1 vectors are independent, so the
+    common kernel K of the three holds at most 3^(n-2) columns).  They
+    hold 1 or 2: the unit column
+    e_i for a row i in T1 but not in T2.  So g = 1, and the box gives
+    both sides.
 
     One rule drops a side: where the box max p <= k <= min p + r
     already gives its bound (b is the sum of v's negative entries, as
@@ -326,8 +338,10 @@ def _constraint_groups(n: int, profiles: list) -> list:
     else:
         candidates = [tuple((mask, 1) for mask in all_masks)]
         if _sets_of_three_fit(n, len(profiles)):
-            candidates += [tuple((mask, 1) for mask in masks)
-                           for masks in itertools.combinations(all_masks, 3)]
+            if m < 3:
+                candidates += [
+                    tuple((mask, 1) for mask in masks)
+                    for masks in itertools.combinations(all_masks, 3)]
             candidates += [tuple(sorted(((x, -1), (y, 1), (z, 1))))
                            for x, y, z in _triangles(n)]
     # column[mask] holds bit `mask` of every hit set, one byte each, so
@@ -528,7 +542,7 @@ class _Columns:
             self.sig_base = 2 * n * entry_bound + 1
             self.sig_offset = n * entry_bound
         self.pad = chr(self.sig_offset)
-        self.split_groups(_constraint_groups(n, profiles))
+        self.split_groups(_constraint_groups(n, m, profiles))
         sum_units = self.sum_units
         # the packed steps of each column: 1 into the progress field, and
         # sum_units[mask] into the packed side sums G, per hit mask

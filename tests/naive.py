@@ -188,7 +188,7 @@ def naive_groups(n, m, bound=None):
     """_constraint_groups' list of one-sided counting sides (v, b, g)
     for the region, under the _TABLE_CAP in force at call time."""
     columns, hits = _columns(n, m, bound)
-    return _constraint_groups(n, [hits[c] for c in columns])
+    return _constraint_groups(n, m, [hits[c] for c in columns])
 
 
 def naive_hit_vectors(n, m, bound=None):
@@ -286,7 +286,7 @@ def naive_search(n, m, l_max, bound=None, merge_rows=True, memo_cap=None,
     masks = range(1, 1 << n)
     columns, hits = _columns(n, m, bound)
     if sides is None:
-        sides = _constraint_groups(n, [hits[c] for c in columns])
+        sides = _constraint_groups(n, m, [hits[c] for c in columns])
     perms = list(itertools.permutations(range(n)))
     if not merge_rows or n > 4:
         perms = perms[:1]

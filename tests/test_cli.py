@@ -768,6 +768,94 @@ def test_non_integer_group_parameters_are_usage_error(capsys, command,
     assert "must be an int" in out.err
 
 
+# -- parsing -----------------------------------------------------------------
+
+_FOUND_2_3 = ('{"status":"found","nodes":22,"region":{"n":2,"m":3,"l_min":1,'
+              '"l_max":3},"pattern":{"n":2,"m":3,"l":3,"rows":[[0,1,2],'
+              '[1,2,0]]}}\n')
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["search", "--n=2", "--m=3", "--l-max=3"], 0, _FOUND_2_3, ""),
+    (["search", "--n", "5", "--m", "3", "--l-max", "3", "--n", "2"], 0,
+     _FOUND_2_3, ""),
+    (["search", "--l-max", "3", "--m", "3", "--n", "2"], 0, _FOUND_2_3, ""),
+    # -1 is a value, so the oracle refuses it, not the parser
+    (["verify", "--claim", "thm4.1", "--kappa", "-1", "--max-set", "3"], 64,
+     "", "need kappa >= 0, got -1"),
+    (["search", "--n", "2", "--m", "3", "--l-max"], 64, "",
+     "argument --l-max: expected one argument"),
+    (["search", "--n", "--m", "3", "--l-max", "3"], 64, "",
+     "argument --n: expected one argument"),
+    (["search", "--n", "x", "--m", "3", "--l-max", "3"], 64, "",
+     "argument --n: invalid int value: 'x'"),
+    (["search", "--n", "2", "--m", "3", "--l-max", "3", "--bogus"], 64, "",
+     "unrecognized arguments: --bogus"),
+    (["search", "--n", "2", "--m", "3"], 64, "",
+     "the following arguments are required: --l-max"),
+    # what follows "--" is an operand, which no command takes
+    (["search", "--n", "2", "--m", "3", "--l-max", "3", "--", "--help"], 64,
+     "", "unrecognized arguments: -- --help"),
+    (["--help=x"], 64, "", "argument -h/--help: ignored explicit argument"),
+    (["bench"], 64, "", "invalid choice: 'bench'"),
+    ([], 64, "", "the following arguments are required: command"),
+], ids=["equals", "repeated", "any-order", "negative-value", "missing-last",
+        "missing-before-flag", "not-an-int", "unknown-flag", "missing-flag",
+        "operands", "help-value", "unknown-command", "no-command"])
+def test_parse_contract(capsys, argv, code, out, err):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, out)
+    assert err in captured.err
+    assert (captured.err == "") == (err == "")
+
+
+@pytest.mark.parametrize("argv,prog", [
+    ([flag], "pattern-forge") for flag in ("-h", "--help")] + [
+    ([command, flag], f"pattern-forge {command}")
+    for command in ("search", "verify", "colour")
+    for flag in ("-h", "--help")] + [
+    # help is answered where it stands: the flag after it is never read
+    (["search", "--n", "2", "--help", "--bogus"], "pattern-forge search")])
+def test_help_exits_zero_with_usage_on_stdout(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    assert out.out.startswith(f"usage: {prog} ")
+    for command, flag in (("search", "--l-max"), ("verify", "--claim"),
+                          ("colour", "--id")):
+        assert (flag in out.out) == prog.endswith(command)
+
+
+# the literal bytes of an --out file: the config keeps the flags' table
+# order and the --l-min default, and leaves out what was not given
+@pytest.mark.parametrize("argv,expected", [
+    (["search", "--n", "2", "--m", "3", "--l-max", "3"],
+     '{"manifest":{"command":"search","config":{"n":2,"m":3,"l_max":3,'
+     '"l_min":1,"out":"result.json"},"version":"0.1.0","inputs":[],'
+     '"outputs":["result.json"],"nodes":22},"result":%s}\n'
+     % _FOUND_2_3.rstrip("\n")),
+    (["verify", "--out", "ignored.json", "--budget", "100", "--max-set",
+      "2", "--kappa", "2", "--claim", "thm4.1", "--threads", "2"],
+     '{"manifest":{"command":"verify","config":{"claim":"thm4.1",'
+     '"kappa":2,"max_set":2,"budget":100,"out":"result.json"},'
+     '"version":"0.1.0","inputs":[],"outputs":["result.json"],"nodes":55},'
+     '"result":{"claim":"thm4.1","domain":{"colouring":"delta","n":2,'
+     '"kind":"branch_sets","kappa":2,"max_size":2},"status":"verified",'
+     '"enumerated":55,"witness":null,"order":"lex-v1"}}\n')],
+    ids=["search", "verify"])
+def test_out_file_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv,
+                                   expected):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, *argv, "--out", "result.json")
+    assert code == 0
+    assert (tmp_path / "result.json").read_bytes() == expected.encode()
+
+
 # -- start-up ----------------------------------------------------------------
 
 _SRC = str(Path(pattern_forge.__file__).resolve().parents[1])
@@ -790,11 +878,15 @@ _WORK = ("pattern_forge.groups", "pattern_forge.colourings",
          "pattern_forge.verify", "pattern_forge.patterns")
 
 
+# argparse, and the gettext and locale its first message imports
+_PARSING = ("argparse", "gettext", "locale")
+
+
 def test_cli_import_skips_dataclasses_and_traceback():
     proc, modules = _imported("-c", "import pattern_forge.cli")
     assert proc.returncode == 0
     assert "pattern_forge.tokens" in modules
-    assert not modules & {"dataclasses", "traceback", *_WORK}
+    assert not modules & {"dataclasses", "traceback", *_WORK, *_PARSING}
 
 
 def test_each_subcommand_imports_only_what_it_runs():
@@ -818,6 +910,15 @@ def test_each_subcommand_imports_only_what_it_runs():
     # tokens
     assert not modules & {"pattern_forge.verify", "pattern_forge.colourings",
                           "pattern_forge.groups"}
+    # no call parses its flags with argparse, whether it runs, prints or
+    # is refused
+    for argv, code in ((["--version"], 0), (["--help"], 0),
+                       (_GATED["search-n3-m3"], 0),
+                       (_GATED["fs-sum-squares"], 0),
+                       (["search", "--bogus"], 64)):
+        proc, modules = _imported("-m", "pattern_forge.cli", *argv)
+        assert proc.returncode == code, argv
+        assert not modules & set(_PARSING), (argv, modules & set(_PARSING))
 
 
 
@@ -915,7 +1016,8 @@ def test_child_writes_the_bytes_of_in_process_main(tmp_path, capsys, name):
     assert path.read_bytes() == written
 
 
-# the gated workloads, and the calls argparse answers itself
+# the gated workloads, and the calls the parser answers itself, which
+# exit by SystemExit(0) before run()'s flush
 _CLOSED_STDOUT = {**_GATED, "version": ["--version"], "help": ["--help"]}
 
 
@@ -925,9 +1027,9 @@ _CLOSED_STDOUT = {**_GATED, "version": ["--version"], "help": ["--help"]}
 def test_closed_stdout_exits_70(name, buffered):
     # the result cannot be delivered: neither its own code nor Python's
     # 120 for a flush that fails at exit, nor the 0 of a --version or
-    # --help whose write argparse would drop.  Whether the write fails
-    # in print or in the flush after main(), stderr holds run()'s one
-    # line and no traceback.
+    # --help whose failed write was dropped.  Whether the write fails in
+    # print or in the flush after main(), stderr holds run()'s one line
+    # and no traceback.
     env = dict(os.environ, PYTHONPATH=_SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:

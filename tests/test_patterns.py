@@ -730,7 +730,7 @@ def _groups_under_the_cap(n, m, bound):
     _TABLE_CAP in force."""
     alphabet = patterns._column_alphabet(n, m, bound)
     return patterns._constraint_groups(
-        n, [patterns._column_profile(c, m) for c in alphabet])
+        n, m, [patterns._column_profile(c, m) for c in alphabet])
 
 
 # the same, at the module's own _TABLE_CAP, kept across tests
@@ -870,8 +870,8 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
                                                      size_three):
     # sets of 3 row subsets are tried only while their number times the
     # columns stays within _TABLE_CAP << 7: (4, 7) at 1.1M and (6, 2) at
-    # 2.5M keep them (and (5, 5) at 14.0M), (6, 3) at 28.9M and (7, 2) at
-    # 42.3M try none (nor (8, 2) at 696M).  No set of 2 or of 4 is tried
+    # 2.5M are within it (and (5, 5) at 14.0M), (6, 3) at 28.9M and (7, 2)
+    # at 42.3M are not (nor (8, 2) at 696M).  No set of 2 or of 4 is tried
     # on any region, not even on those few columns make cheap: (3, 2)
     # with 7 and (4, 3) with 80.  Where the facets come in, no set is
     # tried at all: (3, 15) with 3,374 columns and (3, 0) at bound 7 with
@@ -889,9 +889,11 @@ def test_size_three_candidates_only_within_their_cap(monkeypatch, n, m, bound,
             yield combo
     monkeypatch.setattr(patterns, "itertools", types.SimpleNamespace(
         combinations=combinations))
-    patterns._constraint_groups(n, profiles)
+    patterns._constraint_groups(n, m, profiles)
+    # and from m = 3 on none at all, as none could be kept (see
+    # test_no_set_of_three_row_subsets_is_kept_from_m_3)
     assert evaluated == ({3: math.comb(n_masks, 3)} if size_three
-                         and not _hull_region(n, m) else {})
+                         and not _hull_region(n, m) and m < 3 else {})
 
 
 @pytest.mark.parametrize("n,m,fields", [
@@ -902,8 +904,8 @@ def test_triangles_only_within_the_size_three_cap(monkeypatch, n, m,
     # _triangles gives every labelling (X; Y, Z) of disjoint nonempty A,
     # B and A | B, 3*(3^n - 2^(n+1) + 1)/2 of them.  On the 0/1 path,
     # here taken with the facets turned off, the sides keep the lower
-    # side of every one while the sets of 3 row subsets are tried
-    # ((4, 7) and (6, 2)), and none where they are not ((6, 3), and
+    # side of every one while the sets of 3 row subsets are within
+    # their cap ((4, 7) and (6, 2)), and none where not ((6, 3), and
     # (7, 2), which would carry 2,898 fields)
     n_columns = len(patterns._column_alphabet(n, m, None))
     fit = math.comb((1 << n) - 1, 3) * n_columns <= patterns._TABLE_CAP << 7
@@ -943,9 +945,9 @@ def test_counting_groups_read_each_hit_set_once(n, m, bound):
     # bound 2 has one facet that can exclude something.
     profiles = [patterns._column_profile(c, m)
                 for c in patterns._column_alphabet(n, m, bound)]
-    groups = patterns._constraint_groups(n, profiles)
+    groups = patterns._constraint_groups(n, m, profiles)
     assert groups
-    assert patterns._constraint_groups(n, profiles + profiles) == groups
+    assert patterns._constraint_groups(n, m, profiles + profiles) == groups
 
 
 @pytest.mark.parametrize("n,m,bound", sorted(
@@ -1026,7 +1028,7 @@ def test_hull_facets_are_facets(n, m, bound, points, count):
 
 @pytest.mark.parametrize("n,m,bound", [
     (1, 3, None), (1, 0, 2), (2, 2, None), (3, 2, None), (4, 2, None),
-    (4, 3, None), (4, 0, 1)])
+    (4, 3, None), (4, 5, None), (5, 3, None), (4, 0, 1)])
 def test_counting_groups_match_naive_where_no_facets(n, m, bound):
     # where the hull is not full-dimensional (m = 2, one row) or n >= 4,
     # the sides of _constraint_groups are those of the 0/1 groups and
@@ -1062,6 +1064,34 @@ def test_no_set_of_two_row_subsets_is_ever_kept(n, m, bound):
     vectors = naive_hit_vectors(n, m, bound)
     for x, y in itertools.combinations(range((1 << n) - 1), 2):
         assert {h[x] + h[y] for h in vectors} == {0, 1, 2}, (x + 1, y + 1)
+
+
+@pytest.mark.parametrize("n,m", [(4, 3), (4, 4), (4, 5), (4, 6), (5, 3)])
+def test_no_set_of_three_row_subsets_is_kept_from_m_3(n, m):
+    # from n = 4 on at m >= 3, some column hits none of three row
+    # subsets, some hits all three, and a unit column hits one but not
+    # another (see _constraint_groups).  So each set of 3 has amounts 0
+    # and 3 and g = 1, the box gives both its sides, and
+    # _constraint_groups tries none there; naive_counting_groups still
+    # tries them all
+    vectors = naive_hit_vectors(n, m)
+    for x, y, z in itertools.combinations(range((1 << n) - 1), 3):
+        amounts = {h[x] + h[y] + h[z] for h in vectors}
+        assert {0, 3} <= amounts and amounts & {1, 2}, (x + 1, y + 1, z + 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hull_is_full_dimensional_below_four_rows_from_m_3(n):
+    # so at m >= 3 the 0/1 path, which skips the sets of 3 row subsets,
+    # is taken only from n = 4 on (and at n = 1, which has no set of 3).
+    # m = 3 is checked as it is; from m = 4 on the columns with entries
+    # 0, 1 and m - 1 hit as those with entries in [-1, 1] do over Z, as
+    # their sums lie in [-3, 3], so the hull holds that of (n, 0, b=1)
+    assert patterns._hull_facets(naive_hit_vectors(n, 3))
+    integer = naive_hit_vectors(n, 0, 1)
+    assert patterns._hull_facets(integer)
+    for m in range(4, 10):
+        assert set(integer) <= set(naive_hit_vectors(n, m))
 
 
 def _simplex(n, scale):
