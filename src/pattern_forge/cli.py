@@ -15,13 +15,14 @@ The flags are read from one table per command (``_COMMANDS``) by one
 loop rather than by argparse, whose import, with the ``gettext`` and
 ``locale`` its first message loads, cost every child a few ms of CPU.
 The loop keeps argparse's messages, its namespace order and its reading
-of ``-1`` as a value, but takes no abbreviations.
+of ``-1`` as a value, but takes no abbreviations.  Output needs only the
+C encoder in ``_json`` (``tokens.canonical_json``); ``_loads`` imports
+json for the flags that take JSON input, and no other call does.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -83,10 +84,16 @@ def _emit(args, result: dict, nodes: int) -> None:
     print(canonical_json(result))
 
 
+def _loads(text: str):
+    """Parse a flag's JSON input."""
+    import json
+    return json.loads(text)
+
+
 def _parse_group(text: str):
     from .groups import GroupSpec
     try:
-        return GroupSpec.from_jsonable(json.loads(text))
+        return GroupSpec.from_jsonable(_loads(text))
     except (ValueError, KeyError) as exc:
         _usage_error(f"bad --group JSON: {exc}")
 
@@ -186,7 +193,7 @@ def cmd_verify(args) -> int:
             spec, alphas, args.beta, gammas, resolve_colouring(args.colouring))
     else:  # thm5.1-shadow
         spec = _parse_group(args.group)
-        elements = json.loads(args.elements)
+        elements = _loads(args.elements)
         if not isinstance(elements, list):
             raise ValueError("--elements must be a JSON list of elements, "
                              "each a list of coordinates")
@@ -206,7 +213,7 @@ def cmd_colour(args) -> int:
     if args.id == "delta":
         if args.branches is None:
             _usage_error("--id delta requires --branches")
-        strings = json.loads(args.branches)
+        strings = _loads(args.branches)
         if not isinstance(strings, list):
             _usage_error("--branches must be a JSON list of 0/1 strings")
         x = BranchSet.from_strings(strings)
@@ -218,7 +225,7 @@ def cmd_colour(args) -> int:
             colour = resolve_colouring(args.id)
         except ValueError as exc:
             _usage_error(str(exc))
-        raw = json.loads(args.element)
+        raw = _loads(args.element)
         if args.group:
             spec = _parse_group(args.group)
         else:

@@ -8,8 +8,8 @@ same kind and byte-identical canonical JSON serializations, kinds of
 nested tokens included.
 
 Equality and hashing read the kind and the payload, not the bytes, so a
-token that is only compared never runs ``json.dumps``; its canonical
-bytes, ``canonical_json(token.jsonable())``, are built only where it is
+token that is only compared is never serialized; its canonical bytes,
+``canonical_json(token.jsonable())``, are built only where it is
 printed or embedded.  That is the same relation: the payload of every
 kind is a normal form, and the serialization is a bijection on normal
 forms of one kind.
@@ -32,7 +32,7 @@ one kind come from equal payloads.
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii, make_encoder
 from typing import Any, Iterable
 
 
@@ -219,7 +219,21 @@ class ColourToken:
 _BITS = (ColourToken("bit", 0), ColourToken("bit", 1))
 
 
+def _not_serializable(obj):
+    # JSONEncoder.default's message
+    raise TypeError(f"Object of type {obj.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
     """Compact JSON with stable key order (insertion order), the hashing
-    form used for every serialized structure in this package."""
-    return json.dumps(obj, separators=(",", ":"))
+    form used for every serialized structure in this package: the bytes
+    of ``json.dumps(obj, separators=(",", ":"))``, from the C encoder
+    that call runs, built as ``JSONEncoder.iterencode`` builds it, so
+    that no process need import the json package."""
+    # a fresh circular-reference memo, json's refusal of other types,
+    # ASCII escapes, no indent, the separators, keys neither sorted nor
+    # skipped, NaN and the infinities allowed
+    return "".join(make_encoder({}, _not_serializable,
+                                encode_basestring_ascii, None, ":", ",",
+                                False, False, True)(obj, 0))

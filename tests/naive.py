@@ -201,9 +201,9 @@ def naive_hit_vectors(n, m, bound=None):
 
 def _naive_bounds(w, vectors):
     """(lo, hi, g) of the weights w, a dict mask -> coefficient, from
-    its amounts w.h over the hit vectors h."""
-    amounts = {sum(c * h[mask - 1] for mask, c in w.items())
-               for h in vectors}
+    its amounts w.h over the hit vectors h, summed mask by mask."""
+    cols = [[c * h[mask - 1] for h in vectors] for mask, c in w.items()]
+    amounts = set(map(sum, zip(*cols)))
     lo = min(amounts)
     return lo, max(amounts), math.gcd(*(a - lo for a in amounts))
 

@@ -856,6 +856,19 @@ def test_out_file_bytes_are_pinned(tmp_path, capsys, monkeypatch, argv,
     assert (tmp_path / "result.json").read_bytes() == expected.encode()
 
 
+def test_out_file_escapes_a_non_ascii_path(tmp_path, capsys, monkeypatch):
+    # the manifest is ASCII JSON: the path's "é" is written é
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "search", "--n", "2", "--m", "3", "--l-max",
+                       "3", "--out", "résultat.json")
+    assert (code, out) == (0, _FOUND_2_3)
+    assert (tmp_path / "résultat.json").read_bytes() == (
+        b'{"manifest":{"command":"search","config":{"n":2,"m":3,"l_max":3,'
+        b'"l_min":1,"out":"r\\u00e9sultat.json"},"version":"0.1.0",'
+        b'"inputs":[],"outputs":["r\\u00e9sultat.json"],"nodes":22},'
+        b'"result":%s}\n' % _FOUND_2_3.rstrip("\n").encode())
+
+
 # -- start-up ----------------------------------------------------------------
 
 _SRC = str(Path(pattern_forge.__file__).resolve().parents[1])
@@ -881,12 +894,17 @@ _WORK = ("pattern_forge.groups", "pattern_forge.colourings",
 # argparse, and the gettext and locale its first message imports
 _PARSING = ("argparse", "gettext", "locale")
 
+# the json package: output goes through the C encoder in _json, and only
+# a command that parses JSON input imports json
+_JSON = ("json", "json.decoder", "json.scanner", "json.encoder")
+
 
 def test_cli_import_skips_dataclasses_and_traceback():
     proc, modules = _imported("-c", "import pattern_forge.cli")
     assert proc.returncode == 0
     assert "pattern_forge.tokens" in modules
-    assert not modules & {"dataclasses", "traceback", *_WORK, *_PARSING}
+    assert not modules & {"dataclasses", "traceback", *_WORK, *_PARSING,
+                          *_JSON}
 
 
 def test_each_subcommand_imports_only_what_it_runs():
@@ -910,15 +928,47 @@ def test_each_subcommand_imports_only_what_it_runs():
     # tokens
     assert not modules & {"pattern_forge.verify", "pattern_forge.colourings",
                           "pattern_forge.groups"}
-    # no call parses its flags with argparse, whether it runs, prints or
-    # is refused
+    # no call parses its flags with argparse or loads json, whether it
+    # runs, prints or is refused
     for argv, code in ((["--version"], 0), (["--help"], 0),
                        (_GATED["search-n3-m3"], 0),
                        (_GATED["fs-sum-squares"], 0),
                        (["search", "--bogus"], 64)):
         proc, modules = _imported("-m", "pattern_forge.cli", *argv)
         assert proc.returncode == code, argv
-        assert not modules & set(_PARSING), (argv, modules & set(_PARSING))
+        assert not modules & {*_PARSING, *_JSON}, (
+            argv, modules & {*_PARSING, *_JSON})
+
+
+# a command that reads JSON input loads json and parses it; malformed
+# input exits 64 with json's own message
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["verify", "--claim", "thm5.4", "--group", _CYCLIC_5], 0,
+     '{"claim":"thm5.4","domain":{"colouring":"product_sigma","factors":'
+     '[{"kind":"cyclic","m":5}],"size":5},"status":"verified",'
+     '"enumerated":20,"witness":null,"order":"lex-v1"}\n', ""),
+    (["colour", "--id", "sum_squares", "--element", "[1,-1,2]"], 0, "6\n",
+     ""),
+    (["verify", "--claim", "thm5.4", "--group", "{bad"], 64, "",
+     "pattern-forge: error: bad --group JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)\n"),
+    (["colour", "--id", "product_sigma", "--group", _CYCLIC_5, "--element",
+      "[1,"], 64, "", "pattern-forge: Expecting value: line 1 column 4 "
+     "(char 3)\n"),
+    (["colour", "--id", "delta", "--branches", '["0'], 64, "",
+     "pattern-forge: Unterminated string starting at: line 1 column 2 "
+     "(char 1)\n"),
+    (["verify", "--claim", "thm5.1-shadow", "--group", _CYCLIC_5,
+      "--elements", "[[1]"], 64, "",
+     "pattern-forge: Expecting ',' delimiter: line 1 column 5 (char 4)\n")],
+    ids=["group", "element", "bad-group", "bad-element", "bad-branches",
+         "bad-elements"])
+def test_json_input_loads_json_and_keeps_its_messages(argv, code, out, err):
+    proc, modules = _imported("-m", "pattern_forge.cli", *argv)
+    stderr = "".join(line + "\n" for line in proc.stderr.splitlines()
+                     if not line.startswith("import time:"))
+    assert (proc.returncode, proc.stdout, stderr) == (code, out, err)
+    assert "json" in modules
 
 
 
@@ -970,6 +1020,28 @@ def _child(argv, **kwargs):
 def test_gated_argv_lists_are_the_benchmark_workloads():
     bench = json.loads((Path(_SRC).parent / "BENCHMARK.json").read_text())
     assert sorted(w["name"] for w in bench["workloads"]) == sorted(_GATED)
+
+
+# the literal stdout of each gated workload: the 19-column pattern and
+# the thm3.2 certificate
+_GATED_STDOUT = {
+    "search-n3-m3":
+        '{"status":"found","nodes":48677,"region":{"n":3,"m":3,"l_min":1,'
+        '"l_max":19},"pattern":{"n":3,"m":3,"l":19,"rows":[[0,0,0,1,1,0,2,'
+        '2,0,1,1,1,2,2,0,2,1,2,0],[0,0,1,0,1,2,2,1,1,0,1,2,0,0,0,2,2,1,2],'
+        '[1,1,2,2,1,1,1,2,0,0,2,2,0,1,2,0,0,0,0]]}}\n',
+    "fs-sum-squares":
+        '{"claim":"thm3.2","domain":{"colouring":"sum_squares","n":3,'
+        '"kind":"group","factors":[{"kind":"int_box","bound":2},'
+        '{"kind":"int_box","bound":2},{"kind":"int_box","bound":2}],'
+        '"size":125},"status":"verified","enumerated":317750,'
+        '"witness":null,"order":"lex-v1"}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATED))
+def test_gated_stdout_is_pinned(capsys, name):
+    assert run(capsys, *_GATED[name]) == (0, _GATED_STDOUT[name], "")
 
 
 @pytest.mark.parametrize("argv", [

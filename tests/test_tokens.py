@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -143,3 +144,56 @@ def test_bits_are_shared():
     assert ColourToken.bit(1) is ColourToken.bit(1)
     assert ColourToken.bit(0) != ColourToken.bit(1)
     assert canonical_json(ColourToken.bit(1).jsonable()) == "1"
+
+
+# -- canonical bytes -----------------------------------------------------------
+
+# strings with quotes, backslashes, control characters, DEL, non-ASCII,
+# astral code points and lone surrogates
+_texts = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\x80\u00e9\u2028\uffff'
+                    '\U0001f600'),
+    st.characters(exclude_categories=())))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10 ** 300, 10 ** 300),
+    st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    _texts)
+_json_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(_texts, st.integers(), st.floats(),
+                              st.booleans(), st.none()), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _reference(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+@given(_json_values)
+@settings(max_examples=200)
+def test_canonical_json_is_the_bytes_of_json_dumps(value):
+    assert canonical_json(value) == _reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), {1, 2}, object(), [1, {"a": frozenset()}], {"k": 1j}])
+def test_canonical_json_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        _reference(value)
+    with pytest.raises(TypeError) as got:
+        canonical_json(value)
+    assert str(got.value) == str(expected.value)
+    assert "is not JSON serializable" in str(got.value)
+
+
+def test_canonical_json_detects_cycles_after_a_refusal():
+    # each call has its own memo, so a refusal midway leaves nothing
+    # behind for the next call to mistake for a cycle
+    shared = [1]
+    with pytest.raises(TypeError):
+        canonical_json([shared, object()])
+    assert canonical_json([shared, shared]) == "[[1],[1]]"
+    cycle = []
+    cycle.append(cycle)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        canonical_json(cycle)
